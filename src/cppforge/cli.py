@@ -78,18 +78,7 @@ def cmd_count_cpp(args):
         print("elements " + ",".join(map(str, res["elements"])))
     print(f"seconds {res['seconds']:.3f}")
     if args.out:
-        tags = {}
-        if args.out.endswith(".csv") and res["elements"]:
-            tagger = None
-            if args.r == 4 and args.p == 5:
-                tagger = lambda a: families.r4_condition_p5(ctx, a, args.k)
-            elif args.r == 4 and args.p not in (2, 5):
-                tagger = lambda a: families.r4_condition(ctx, a, args.k)
-            if tagger:
-                for a in res["elements"]:
-                    t = tagger(a)
-                    tags[a] = t.label() if t else ""
-        report.write(args.out, tags)
+        report.write(args.out, res["labels"])
     return 0
 
 

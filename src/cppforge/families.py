@@ -55,7 +55,9 @@ def niho_exponent(p, k, i) -> int:
     if not 1 <= i <= 2 * k:
         raise ValueError(f"hypothesis-violation: need 1 <= i <= 2k, got i={i}")
     d = (p ** k - 1) * (p ** i - 1) // 2 + p ** i
-    assert math.gcd(d, p ** (2 * k) - 1) == 1
+    if math.gcd(d, p ** (2 * k) - 1) != 1:
+        raise AssertionError(f"niho exponent {d} is not coprime to p^2k - 1 "
+                             f"for p={p}, k={k}, i={i}")
     return d
 
 
@@ -351,10 +353,10 @@ def rt_family_coefficients(p, t):
     return ctx, d, ctx.neg_one_roots(1)
 
 
-def verify_neg_one_family(p, k, reformulated=True):
+def verify_neg_one_family(p, k):
     """Check that every a with a^(p^k-1) == -1 makes a^(-1) x^d a CPP over
-    F_{p^(p-1)k} (d the tower exponent with r = p-1), through the subfield
-    criterion; optionally also through the map x(x^2-a^2)^((p-1)/2) on
+    F_{p^(p-1)k} (d the tower exponent with r = p-1), both through the
+    subfield criterion and through the map x(x^2-a^2)^((p-1)/2) on
     F_{p^k}.  Returns a result dict."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"hypothesis-violation: need an odd prime, got {p}")
@@ -363,30 +365,32 @@ def verify_neg_one_family(p, k, reformulated=True):
     d = tower_exponent(p, k, r)
     gcd_ok = math.gcd(d, ctx.q - 1) == 1
     roots = ctx.neg_one_roots(k)
-    failures = []
-    for a in roots:
-        if not ha_pp_check(ctx, a, r, k):
-            failures.append(a)
-    ref_failures = []
-    if reformulated:
-        sub = ctx.subfield_elements(k)
-        half = (p - 1) // 2
-        for a in roots:
-            a2 = ctx.mul(a, a)
-            seen = set()
-            ok = True
-            for x in sub:
-                v = ctx.mul(x, ctx.pow(ctx.sub(ctx.mul(x, x), a2), half))
-                if v in seen:
-                    ok = False
-                    break
-                seen.add(v)
-            if not ok:
-                ref_failures.append(a)
+    failures = [a for a in roots if not ha_pp_check(ctx, a, r, k)]
+    ref_ok = neg_one_map_permutes(ctx, k, roots)
+    ref_failures = [a for a, ok in zip(roots, ref_ok) if not ok]
     passed = gcd_ok and not failures and not ref_failures
     return {"p": p, "k": k, "d": d, "coefficients": len(roots),
             "gcd_ok": gcd_ok, "failures": failures,
             "reformulated_failures": ref_failures, "passed": passed}
+
+
+def neg_one_map_permutes(ctx, k, coeffs):
+    """Whether x(x^2-a^2)^((p-1)/2) permutes F_{p^k}, for each a in coeffs
+    (each a^2 must lie in F_{p^k}); all of them in one SubfieldView call."""
+    half = (ctx.p - 1) // 2
+    view = ctx.subfield_view(k)
+    binom = [ctx.scalar(math.comb(half, j)) for j in range(half)]
+    rows = []
+    for a in coeffs:
+        # (x^2 + b)^half = sum_j C(half, j) b^(half-j) x^(2j), b = -a^2;
+        # the row runs from x^(p-2) down to x^0
+        b = ctx.neg(ctx.mul(a, a))
+        row, bpow = [], 1
+        for j in range(half - 1, -1, -1):
+            bpow = ctx.mul(bpow, b)
+            row += [0, view.idx(ctx.mul(binom[j], bpow))]
+        rows.append(row)
+    return view.permutes(rows).tolist()
 
 
 def dickson_witness_search(p, r, k, budget=None, verify_cpp=True):
@@ -465,15 +469,22 @@ def _dickson_witness_candidates(ctx, r, k):
 # ----------------------------------------------------------------------
 # the multinomial family
 
-def _scaled_base_permutes(ctx, gc, w, k):
-    # x g(x) + w x on the subfield
-    seen = set()
-    for x in ctx.subfield_elements(k):
-        y = ctx.add(ctx.mul(x, ctx.poly_eval(gc, x)), ctx.mul(w, x))
-        if y in seen:
-            return False
-        seen.add(y)
-    return True
+def _scaled_base_permutes(ctx, gc, ws, k):
+    """Whether x g(x) + w x permutes F_{p^k}, for each w in ws.
+
+    x g(x) + w x = x (g(x) + w), and dividing g + w by its leading
+    coefficient keeps bijectivity, so each w is one SubfieldView row; a
+    constant g + w permutes iff it is nonzero."""
+    cs = list(gc) or [0]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    if len(cs) == 1:
+        return [ctx.add(cs[0], w) != 0 for w in ws]
+    view = ctx.subfield_view(k)
+    inv_lead = ctx.inv(cs[-1])
+    top = [view.idx(ctx.mul(c, inv_lead)) for c in reversed(cs[1:-1])]
+    rows = [top + [view.idx(ctx.mul(ctx.add(cs[0], w), inv_lead))] for w in ws]
+    return view.permutes(rows).tolist()
 
 
 def multinomial_map(ctx, g, v, a, k) -> FieldMap:
@@ -507,11 +518,12 @@ def multinomial_map(ctx, g, v, a, k) -> FieldMap:
             raise ValueError(f"g-not-subfield: coefficient {c}")
     if a == 0 or a == ctx.neg(1) or not ctx.in_subfield(a, k):
         raise ValueError(f"a-excluded: a must lie in F_{{p^{k}}} minus {{0, -1}}")
-    if not _scaled_base_permutes(ctx, gc, v, k):
+    rescaled = ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a)))
+    base_ok, rescaled_ok = _scaled_base_permutes(ctx, gc, [v, rescaled], k)
+    if not base_ok:
         raise ValueError("g-not-subfield-pp: x g(x) + v x does not permute "
                          f"F_{{p^{k}}}")
-    rescaled = ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a)))
-    if not _scaled_base_permutes(ctx, gc, rescaled, k):
+    if not rescaled_ok:
         raise ValueError("a-excluded: x g(x) + v(a+1)/a x does not permute "
                          f"F_{{p^{k}}}, so f + x would not be a bijection")
     av = ctx.mul(a, ctx.inv(v))
@@ -568,47 +580,25 @@ def multinomial_presets(ctx, k):
     p = ctx.p
     sub = ctx.subfield_elements(k)
     nonzero = [e for e in sub if e != 0]
-
-    def permutes(fn):
-        seen = set()
-        for x in sub:
-            y = fn(x)
-            if y in seen:
-                return False
-            seen.add(y)
-        return True
-
     out = {"zero": (SubfieldPoly(k, (0,)), 1)}
 
-    def some_admissible(gc, v):
-        return (permutes(lambda x: ctx.add(ctx.mul(x, ctx.poly_eval(gc, x)),
-                                           ctx.mul(v, x)))
-                and len(multinomial_admissible_a(ctx, k, gc, v)) > 0)
-
-    found = None
+    # the first x^d + v x with some admissible a; failing that, the first
+    # bare permutation (usable maps may still be empty for very small
+    # subfields)
+    found = fallback = None
     for d in range(2, 4 * p ** k + 3):
         if math.gcd(d, p ** k - 1) != 1:
             continue
         gc = tuple([0] * (d - 1) + [1])
-        for v in nonzero:
-            if some_admissible(gc, v):
-                found = (gc, v)
-                break
-        if found:
-            break
-    if found is None:
-        # fall back to the first bare-permutation choice (usable maps may
-        # still be empty for very small subfields)
-        for d in range(2, 4 * p ** k + 3):
-            if math.gcd(d, p ** k - 1) != 1:
-                continue
-            gc = tuple([0] * (d - 1) + [1])
-            for v in nonzero:
-                if permutes(lambda x: ctx.add(ctx.pow(x, d), ctx.mul(v, x))):
+        for v, ok in zip(nonzero, _scaled_base_permutes(ctx, gc, nonzero, k)):
+            if ok:
+                fallback = fallback or (gc, v)
+                if multinomial_admissible_a(ctx, k, gc, v):
                     found = (gc, v)
                     break
-            if found:
-                break
+        if found:
+            break
+    found = found or fallback
     if found is None:
         raise RuntimeError("no monomial preset found")
     gc, v = found
@@ -620,9 +610,8 @@ def multinomial_presets(ctx, k):
         v = 1
         c1 = ctx.sub(c0sq2, v)
         gc = (c1, 0, c0, 0, 1)
-        if permutes(lambda x: ctx.add(ctx.pow(x, 5),
-                                      ctx.add(ctx.mul(c0, ctx.pow(x, 3)),
-                                              ctx.mul(c0sq2, x)))):
+        # x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
+        if _scaled_base_permutes(ctx, gc, [v], k)[0]:
             if fallback is None:
                 fallback = (SubfieldPoly(k, gc), v)
             if multinomial_admissible_a(ctx, k, gc, v):
@@ -644,9 +633,6 @@ def multinomial_admissible_a(ctx, k, g=None, v=None):
     if g is None:
         return out
     gc = g.coeffs if isinstance(g, SubfieldPoly) else tuple(g)
-    keep = []
-    for a in out:
-        w = ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a)))
-        if _scaled_base_permutes(ctx, gc, w, k):
-            keep.append(a)
-    return keep
+    ws = [ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a))) for a in out]
+    keep = _scaled_base_permutes(ctx, gc, ws, k)
+    return [a for a, ok in zip(out, keep) if ok]

@@ -23,6 +23,8 @@ import numpy as np
 
 FIELD_CAP = 1 << 127        # require p^n - 1 < 2**127
 TABLE_CAP = 1 << 22         # log/exp tables up to this field size
+VIEW_CAP = 1 << 13          # SubfieldView order: both int32 tables <= 512 MiB
+PERMUTES_BLOCK = 1 << 24    # values per block in SubfieldView.permutes
 
 
 def is_prime(m: int) -> bool:
@@ -167,42 +169,44 @@ class SubfieldView:
     Subfield elements stay ambient encodings in `elems` (ascending, so
     index 0 is the zero element); arithmetic on indices runs through small
     numpy tables, which keeps h_a evaluations cheap even when the ambient
-    field is far too large to enumerate.
+    field is far too large to enumerate.  The tables come from the Zech
+    logarithms Z[e] = log(1 + zeta^e) of a generator zeta of F_{p^k}^*
+    (Huber, IEEE Trans. IT 36(4), 1990): p^k - 1 scalar additions, then
+    x + y = x (1 + y/x) fills the addition table in numpy.
     """
 
     def __init__(self, ctx, k):
+        order = ctx.p ** k
+        if order > VIEW_CAP:
+            raise ValueError(f"cap-exceeded: a subfield view of F_{ctx.p}^{k} "
+                             f"needs two {order}x{order} tables; views are "
+                             f"capped at {VIEW_CAP} elements")
         self.ctx = ctx
         self.k = k
-        self.order = ctx.p ** k
+        self.order = order
         self.elems = ctx.subfield_elements(k)
         self.index = {e: i for i, e in enumerate(self.elems)}
-        m = self.order - 1
-        self._m = m
-        slog = np.full(self.order, -1, dtype=np.int64)
-        sexp = np.empty(max(m, 1), dtype=np.int64)
-        zeta = ctx.subgroup_generator(m) if m > 1 else 1
-        cur = 1
-        for e in range(m):
-            idx = self.index[cur]
-            sexp[e] = idx
-            slog[idx] = e
-            cur = ctx.mul(cur, zeta)
-        self._slog, self._sexp = slog, sexp
-        mul = np.zeros((self.order, self.order), dtype=np.int32)
-        if m > 0:
-            lg = slog[self.nonzero_indices()]
-            mul[np.ix_(self.nonzero_indices(), self.nonzero_indices())] = \
-                sexp[(lg[:, None] + lg[None, :]) % m]
-        self.mul_table = mul
-        add = np.empty((self.order, self.order), dtype=np.int32)
-        for i, e in enumerate(self.elems):
-            add[i] = [self.index[ctx.add(e, f)] for f in self.elems]
-        self.add_table = add
-        self.neg_table = np.array([self.index[ctx.neg(e)] for e in self.elems],
-                                  dtype=np.int32)
-
-    def nonzero_indices(self):
-        return np.arange(1, self.order)
+        m = order - 1
+        powers = ctx.mu_subgroup(m)             # zeta^e for e < m
+        sexp = np.array([self.index[z] for z in powers], dtype=np.int64)
+        slog = np.full(order, -1, dtype=np.int64)
+        slog[sexp] = np.arange(m)
+        # Z[e] = -1 where 1 + zeta^e = 0, since slog[0] = -1
+        zech = slog[[self.index[ctx.add(1, z)] for z in powers]]
+        lg = slog[1:]
+        mul = np.zeros((order, order), dtype=np.int32)
+        add = np.empty((order, order), dtype=np.int32)
+        add[0] = add[:, 0] = np.arange(order)
+        for i in range(1, order):
+            li = slog[i]
+            mul[i, 1:] = sexp[(lg + li) % m]
+            z = zech[(lg - li) % m]
+            add[i, 1:] = np.where(z < 0, 0, sexp[(z + li) % m])
+        self.mul_table, self.add_table = mul, add
+        lneg = slog[self.index[ctx.neg(1)]]      # log(-1)
+        neg = np.zeros(order, dtype=np.int32)
+        neg[1:] = sexp[(lg + lneg) % m]
+        self.neg_table = neg
 
     def idx(self, enc):
         try:
@@ -210,14 +214,6 @@ class SubfieldView:
         except KeyError:
             raise ValueError(f"not-in-subfield: encoding {enc} is not fixed by "
                              f"Frobenius^{self.k}") from None
-
-    def pow_idx(self, i, e):
-        if i == 0:
-            return 0 if e else self.idx(1)
-        if self._m == 1:
-            return i
-        le = (int(self._slog[i]) * (e % self._m)) % self._m
-        return int(self._sexp[le])
 
     def eval_poly_rows(self, coeff_rows):
         """Values of x^D + rows[:,0] x^(D-1) + ... + rows[:,D-1] on every
@@ -234,6 +230,20 @@ class SubfieldView:
         """Row-wise bijectivity of a (U, order) index-value array."""
         return (np.sort(values, axis=1) ==
                 np.arange(self.order, dtype=values.dtype)).all(axis=1)
+
+    def permutes(self, coeff_rows):
+        """Row-wise: whether x * m(x) permutes F_{p^k}, where row i holds
+        the index-domain coefficients of the monic
+        m(x) = x^D + row[0] x^(D-1) + ... + row[D-1].  Rows are evaluated
+        in blocks of at most PERMUTES_BLOCK values."""
+        rows = np.asarray(coeff_rows, dtype=np.int32)
+        X = np.arange(self.order, dtype=np.int32)
+        step = max(1, PERMUTES_BLOCK // self.order)
+        out = np.empty(len(rows), dtype=bool)
+        for lo in range(0, len(rows), step):
+            vals = self.mul_table[self.eval_poly_rows(rows[lo:lo + step]), X]
+            out[lo:lo + step] = self.rows_are_permutations(vals)
+        return out
 
 
 class FieldCtx:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LambdaVec:
@@ -85,11 +83,7 @@ def ha_pp_check(ctx, a, r, k) -> bool:
 
 def ha_pp_check_from_lambda(ctx, lv: LambdaVec) -> bool:
     view = ctx.subfield_view(lv.k)
-    row = np.array([[view.idx(lam) for lam in lv.entries]], dtype=np.int32)
-    # eval_poly_rows gives h_a/x on every point; multiply back by x
-    vals = view.mul_table[view.eval_poly_rows(row)[0],
-                          np.arange(view.order, dtype=np.int32)]
-    return bool(view.rows_are_permutations(vals[None, :])[0])
+    return bool(view.permutes([[view.idx(lam) for lam in lv.entries]])[0])
 
 
 def depressed_quintic(ctx, lv: LambdaVec, k):
@@ -186,7 +180,9 @@ def dickson_poly(ctx, l, eta, k) -> SubfieldPoly:
     neg_eta = ctx.neg(eta)
     for j in range(l // 2 + 1):
         num = l * math.comb(l - j, j)
-        assert num % (l - j) == 0
+        if num % (l - j):
+            raise AssertionError(f"l/(l-j) * C(l-j, j) is not an integer "
+                                 f"for l={l}, j={j}")
         c = ctx.scalar(num // (l - j))
         coeffs[l - 2 * j] = ctx.mul(c, ctx.pow(neg_eta, j))
     return SubfieldPoly(k, tuple(coeffs))

@@ -102,11 +102,7 @@ def ha_cpp_scan(ctx, r, k, progress=None):
         tmp //= base
     if progress:
         progress(3, 4)
-    # h_a(x)/x on all points, times x, then row-wise bijectivity
-    vals = view.eval_poly_rows(rows)
-    vals = view.mul_table[vals, np.arange(view.order, dtype=np.int32)[None, :]]
-    good = view.rows_are_permutations(vals)
-    mask = good[inverse]
+    mask = view.permutes(rows)[inverse]
     if progress:
         progress(4, 4)
     return [int(a) for a in A[mask]]
@@ -120,10 +116,8 @@ def r4_equality_check(ctx, k):
     carries a tag and the number of tagged coefficients over the whole
     field equals the CPP count (conditions are sound and complete).
     """
-    from .families import r4_condition, r4_condition_p5
     p = ctx.p
-    tagger = (lambda a: r4_condition_p5(ctx, a, k)) if p == 5 else \
-        (lambda a: r4_condition(ctx, a, k))
+    tagger = _r4_tagger(ctx, k)
     cpps = ha_cpp_scan(ctx, 4, k)
     members_tagged = all(tagger(a) is not None for a in cpps)
     if p == 5 and k > 1:
@@ -133,6 +127,14 @@ def r4_equality_check(ctx, k):
     else:
         raise ValueError("cap-exceeded: no bulk tagger for this field")
     return cpps, tagged, members_tagged and tagged == len(cpps)
+
+
+def _r4_tagger(ctx, k):
+    """The r = 4 membership tagger a -> ConditionTag or None: the p = 5
+    conditions when p = 5, the quintic-classification ones otherwise."""
+    from .families import r4_condition, r4_condition_p5
+    condition = r4_condition_p5 if ctx.p == 5 else r4_condition
+    return lambda a: condition(ctx, a, k)
 
 
 def _p5_bulk_tag_mask(ctx, k):
@@ -163,9 +165,10 @@ def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None,
 
     method "direct", "ha", or "both"; with "both" the two lists must agree
     element for element or a RuntimeError names the first mismatch.
-    Returns a dict feeding the structured report.
+    Returns a dict feeding the structured report; for r = 4, "labels"
+    maps each coefficient to its condition label ("" when untagged).
     """
-    from .families import tower_exponent, r4_condition, r4_condition_p5
+    from .families import tower_exponent
     d = tower_exponent(p, k, r)
     n = r * k
     ctx = build_field(p, n, modulus)
@@ -183,14 +186,16 @@ def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None,
                 f"method-mismatch: first disagreeing coefficient {diff[0]} "
                 f"(direct={diff[0] in sd}, ha={diff[0] in sh})")
     elems = elems_direct if elems_direct is not None else elems_ha
-    conditions = {}
+    labels = {}
     if r == 4 and p != 2:
-        tagger = (lambda a: r4_condition_p5(ctx, a, k)) if p == 5 else \
-            (lambda a: r4_condition(ctx, a, k))
+        tagger = _r4_tagger(ctx, k)
         for a in elems:
             tag = tagger(a)
-            label = tag.label() if tag else "untagged"
-            conditions[label] = conditions.get(label, 0) + 1
+            labels[a] = tag.label() if tag else ""
+    conditions = {}
+    for label in labels.values():
+        label = label or "untagged"
+        conditions[label] = conditions.get(label, 0) + 1
     return {
         "ctx": ctx,
         "d": d,
@@ -198,6 +203,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None,
         "count": len(elems),
         "elements": elems if collect else None,
         "conditions": conditions,
+        "labels": labels,
         "seconds": time.monotonic() - t0,
     }
 

@@ -169,7 +169,7 @@ def test_criterion_10_neg_one_coefficient_harness():
                        "criterion + reformulated check", 120.0):
         for p, kmax in ((3, 3), (5, 3), (7, 3), (11, 1), (13, 1)):
             for k in range(1, kmax + 1):
-                res = verify_neg_one_family(p, k, reformulated=True)
+                res = verify_neg_one_family(p, k)
                 assert res["passed"], (p, k, res)
                 assert res["coefficients"] == p ** k - 1
 

@@ -156,6 +156,13 @@ class TestConjecture:
         assert code == 2
         assert "not-prime" in err
 
+    def test_subfield_view_cap(self, capsys):
+        # F_7^5 as a subfield would need two 16807x16807 tables
+        code, _, err = run_cli(capsys, "conjecture", "--id", "2", "--p", "7",
+                               "--kmin", "5", "--kmax", "5")
+        assert code == 3
+        assert "cap-exceeded" in err
+
 
 class TestWalsh:
     def test_from_d_all(self, capsys):

@@ -11,9 +11,10 @@ from cppforge.families import (ConditionTag, FamilySpec, QUARTIC_BETA_POLY,
                                beta_quartic_coefficient,
                                dickson_witness_search, field_with_root,
                                multinomial_admissible_a, multinomial_map,
-                               multinomial_presets, niho_exponent,
-                               r4_condition, r4_condition_p3, r4_condition_p5,
-                               r6_coordinate_table, r6_dickson_coefficient,
+                               multinomial_presets, neg_one_map_permutes,
+                               niho_exponent, r4_condition, r4_condition_p3,
+                               r4_condition_p5, r6_coordinate_table,
+                               r6_dickson_coefficient,
                                rt_family_coefficients, scaled_tower_exponent,
                                tower_exponent, verify_neg_one_family)
 from cppforge.hadickson import lambda_coeffs
@@ -197,6 +198,14 @@ class TestConjectureHarnesses:
         res = verify_neg_one_family(5, 1)
         assert res["passed"] and res["coefficients"] == 4
 
+    @pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (7, 1), (3, 3)])
+    def test_reformulated_map_rejects_subfield_coefficients(self, p, k):
+        # for a in F_{p^k}^*, x(x^2-a^2)^((p-1)/2) sends 0, a and -a to 0
+        ctx = build_field(p, k * (p - 1))
+        sub = [a for a in ctx.subfield_elements(k) if a != 0]
+        assert neg_one_map_permutes(ctx, k, sub) == [False] * len(sub)
+        assert all(neg_one_map_permutes(ctx, k, ctx.neg_one_roots(k)))
+
     def test_neg_one_family_rejects_composite(self):
         with pytest.raises(ValueError, match="hypothesis-violation"):
             verify_neg_one_family(9, 1)
@@ -297,6 +306,46 @@ class TestMultinomial:
         assert is_cpp(multinomial_map(ctx, g, w1, w1, 2))
         with pytest.raises(ValueError, match="a-excluded"):
             multinomial_map(ctx, g, w1, w2, 2)
+
+    @pytest.mark.parametrize("p,n,k", [(3, 4, 2), (2, 6, 3), (5, 2, 1)])
+    def test_admissible_a_matches_brute_force(self, p, n, k):
+        # random g, constant and non-monic ones included, against the
+        # scalar bijectivity of x g(x) + v(a+1)/a x on F_{p^k}
+        import random as _random
+        ctx = build_field(p, n)
+        sub = ctx.subfield_elements(k)
+        rng = _random.Random(n * 10 + k)
+        for _ in range(12):
+            g = [rng.choice(sub) for _ in range(rng.randrange(1, 5))]
+            v = rng.choice(sub[1:])
+            want = []
+            for a in multinomial_admissible_a(ctx, k):
+                w = ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a)))
+                values = [ctx.add(ctx.mul(x, ctx.poly_eval(g, x)),
+                                  ctx.mul(w, x)) for x in sub]
+                if sorted(values) == list(sub):
+                    want.append(a)
+            assert multinomial_admissible_a(ctx, k, g, v) == want, (g, v)
+
+    # (g coefficients, v) per preset on the acceptance criterion 11 fields
+    PINNED_PRESETS = {
+        (2, 2, 3): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 1), 56),
+                    "dickson-quartic": ((1, 0, 0, 0, 1), 1)},
+        (2, 2, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 1), 398),
+                    "dickson-quartic": ((1, 0, 0, 0, 1), 1)},
+        (3, 1, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 1),
+                    "dickson-quartic": ((1, 0, 1, 0, 1), 1)},
+        (3, 1, 7): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 1),
+                    "dickson-quartic": ((1, 0, 1, 0, 1), 1)},
+        (3, 2, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 22417),
+                    "dickson-quartic": ((2, 0, 0, 0, 1), 1)},
+    }
+
+    @pytest.mark.parametrize("p,k,r", sorted(PINNED_PRESETS))
+    def test_presets_pinned(self, p, k, r):
+        presets = multinomial_presets(build_field(p, r * k), k)
+        got = {name: (g.coeffs, v) for name, (g, v) in presets.items()}
+        assert got == self.PINNED_PRESETS[(p, k, r)]
 
     def test_scalar_vector_agreement(self):
         ctx = build_field(3, 5)

@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from cppforge.field import (build_field, lex_least_irreducible, is_prime,
-                            parse_field_spec, zp_is_irreducible)
+from cppforge.field import (SubfieldView, build_field, lex_least_irreducible,
+                            is_prime, parse_field_spec, zp_is_irreducible)
 
 
 def brute_irreducible_quadratics(p):
@@ -327,3 +327,66 @@ class TestBackendAgreement:
             for ell in (2, 3, 5, 7):
                 if (ctx.q - 1) % ell == 0:
                     assert ctx.pow(g, (ctx.q - 1) // ell) != 1
+
+
+def _view_cases():
+    for p, n in ((3, 4), (5, 4), (3, 8)):
+        for k in range(1, n + 1):
+            if n % k == 0:
+                yield p, n, k, "table"
+    for p, n in ((3, 4), (7, 6)):
+        for k in range(1, n + 1):
+            # F_7^6 itself is above the view cap
+            if n % k == 0 and p ** k <= 1 << 13:
+                yield p, n, k, "generic"
+
+
+class TestSubfieldView:
+    @pytest.mark.parametrize("p,n,k,backend", list(_view_cases()))
+    def test_tables_match_scalar_arithmetic(self, p, n, k, backend):
+        ctx = build_field(p, n, backend=backend)
+        view = SubfieldView(ctx, k)     # uncached: F_3^8's own view is large
+        elems, idx = view.elems, view.index
+        assert len(elems) == p ** k and elems[0] == 0
+        assert all(ctx.in_subfield(e, k) for e in elems)
+        # every pair up to 625 elements; a fixed sample of rows of F_3^8
+        rows = range(view.order) if view.order <= 625 else \
+            random.Random(k).sample(range(view.order), 24)
+        for i in rows:
+            x = elems[i]
+            assert [int(v) for v in view.add_table[i]] == \
+                [idx[ctx.add(x, y)] for y in elems], (i,)
+            assert [int(v) for v in view.mul_table[i]] == \
+                [idx[ctx.mul(x, y)] for y in elems], (i,)
+        assert [int(v) for v in view.neg_table] == \
+            [idx[ctx.neg(x)] for x in elems]
+
+    @pytest.mark.parametrize("p,n,k", [(3, 4, 2), (3, 4, 4), (2, 6, 3),
+                                       (5, 2, 2), (7, 2, 1)])
+    def test_permutes_matches_brute_force(self, p, n, k):
+        ctx = build_field(p, n)
+        view = ctx.subfield_view(k)
+        elems = view.elems
+        rng = random.Random(p * 100 + n * 10 + k)
+        rows = [[rng.randrange(view.order) for _ in range(rng.randrange(1, 5))]
+                for _ in range(60)]
+        # x^(D+1) is a permutation whenever gcd(D+1, p^k-1) = 1
+        rows += [[0] * D for D in range(1, 6)]
+        got = []
+        for D in sorted({len(r) for r in rows}):
+            batch = [r for r in rows if len(r) == D]
+            got += list(zip(batch, view.permutes(batch)))
+        for row, ok in got:
+            values = []
+            for x in elems:
+                acc = 1
+                for c in row:
+                    acc = ctx.add(ctx.mul(acc, x), elems[c])
+                values.append(ctx.mul(acc, x))
+            assert bool(ok) == (sorted(values) == list(elems)), row
+        verdicts = {bool(ok) for _, ok in got}
+        assert verdicts == {True, False}
+
+    def test_view_cap(self):
+        with pytest.raises(ValueError, match="cap-exceeded"):
+            build_field(7, 5).subfield_view(5)

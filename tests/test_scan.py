@@ -40,6 +40,19 @@ class TestHaScan:
         assert scan.ha_cpp_scan(f625, 4, 1) == scan.direct_cpp_scan(f625, 157)
 
 
+class TestPermutesBlocks:
+    def test_block_size_keeps_coefficient_lists(self, monkeypatch):
+        from cppforge import field
+        for p, k, count in ((3, 2, 64), (5, 1, 60)):
+            ctx = build_field(p, 4 * k)
+            whole = scan.ha_cpp_scan(ctx, 4, k)
+            # three rows per block
+            monkeypatch.setattr(field, "PERMUTES_BLOCK", 3 * p ** k)
+            assert scan.ha_cpp_scan(ctx, 4, k) == whole
+            monkeypatch.undo()
+            assert len(whole) == count
+
+
 class TestCountCpp:
     def test_both_method_f81(self):
         res = scan.count_cpp(3, 1, 4, method="both", collect=True)
