@@ -1,12 +1,16 @@
 """Vectorized kernels over arrays of element encodings (table backend only).
 
-Every function takes a FieldCtx whose log/exp tables exist and operates on
-int64 numpy arrays of encodings.  These are the hot loops behind the
-exhaustive scans; each has a scalar counterpart on FieldCtx that the test
-suite cross-checks against.
+Every function takes a FieldCtx whose log/exp/Zech tables exist and
+operates on int64 numpy arrays of encodings.  Inside a kernel the work may
+run on discrete logs instead (products as sums of logs, sums through the
+Zech table, -1 standing for zero), converting back to encodings on output.
+These are the hot loops behind the exhaustive scans; each has a scalar
+counterpart on FieldCtx that the test suite cross-checks against.
 """
 
 import numpy as np
+
+LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
 
 
 def _require_table(ctx):
@@ -24,36 +28,33 @@ def nonzero_elements(ctx):
     return np.arange(1, ctx.q, dtype=np.int64)
 
 
+def _log_add(ctx, LX, LY):
+    """log(x + y) from logs through the Zech table; -1 stands for zero."""
+    N = ctx.q - 1
+    z = ctx.zech_table[(LY - LX) % N]
+    out = np.where(z < 0, -1, (LX + z) % N)
+    return np.where(LX < 0, LY, np.where(LY < 0, LX, out))
+
+
+def _exp(ctx, L):
+    """Encodings of logs, -1 giving zero."""
+    return np.where(L < 0, 0, ctx.exp_table[L])
+
+
 def add(ctx, X, Y):
     _require_table(ctx)
     if ctx.n == 1:
         return (X + Y) % ctx.p
-    C = ctx._chunk
-    t = ctx._addt
-    out = t[X % C, Y % C]
-    X, Y = X // C, Y // C
-    mult = C
-    while X.any() or Y.any():
-        out = out + t[X % C, Y % C] * mult
-        X, Y = X // C, Y // C
-        mult *= C
-    return out
+    return _exp(ctx, _log_add(ctx, ctx.log_table[X], ctx.log_table[Y]))
 
 
 def neg(ctx, X):
     _require_table(ctx)
     if ctx.n == 1:
         return (-X) % ctx.p
-    C = ctx._chunk
-    t = ctx._negt
-    out = t[X % C]
-    X = X // C
-    mult = C
-    while X.any():
-        out = out + t[X % C] * mult
-        X = X // C
-        mult *= C
-    return out
+    N = ctx.q - 1
+    return np.where(X == 0, 0,
+                    ctx.exp_table[(ctx.log_table[X] + ctx._log_neg_one) % N])
 
 
 def mul(ctx, X, Y):
@@ -133,8 +134,23 @@ def values_are_permutation(ctx, vals):
 
 
 def binomial_is_permutation(ctx, d, a):
-    """Bijectivity of x -> x^d + a*x, the inner check of every direct scan."""
-    vals = add(ctx, monomial_values(ctx, d), mul_scalar(ctx, a, elements(ctx)))
+    """Bijectivity of x -> x^d + a*x, the inner check of every direct scan.
+
+    On discrete logs: for x = g^i, x^d + a x = a x (1 + x^(d-1)/a) has log
+    log a + i + Z[(d-1) i - log a].  Dropping the constant log a, the map
+    is a bijection iff the values i + Z[...] mod q - 1, with q - 1 standing
+    for zero (also the value at x = 0), hit each of 0..q-1 once.
+    """
+    _require_table(ctx)
+    if d == 0 or a == 0:
+        # 0^0 = 1 breaks x^d = x * x^(d-1), and a = 0 has no log
+        vals = add(ctx, monomial_values(ctx, d), mul_scalar(ctx, a, elements(ctx)))
+        return values_are_permutation(ctx, vals)
+    N = ctx.q - 1
+    i = np.arange(N, dtype=np.int64)
+    z = ctx.zech_table[((d - 1) % N * i - int(ctx.log_table[a])) % N]
+    vals = np.append((i + z) % N, N)
+    vals[:N][z < 0] = N
     return values_are_permutation(ctx, vals)
 
 
@@ -144,18 +160,29 @@ def lambda_scan(ctx, r, k, A=None):
     For each a in A (default: every nonzero element) computes
     (lambda_1, ..., lambda_r) of the r Frobenius^k-conjugates of a.
     Returns (A, lam) with lam of shape (len(A), r) holding encodings.
+    The products and sums run on discrete logs (Zech addition) in blocks
+    of at most LAMBDA_BLOCK coefficients.
     """
     _require_table(ctx)
     if ctx.n != r * k:
         raise ValueError(f"degree-mismatch: need n == r*k, got {ctx.n} != {r}*{k}")
     if A is None:
         A = nonzero_elements(ctx)
-    conj = [A]
-    for _ in range(r - 1):
-        conj.append(frobenius(ctx, conj[-1], k))
-    lam = [np.zeros_like(A) for _ in range(r)]
-    for c in conj:
-        for j in range(r - 1, 0, -1):
-            lam[j] = add(ctx, lam[j], mul(ctx, lam[j - 1], c))
-        lam[0] = add(ctx, lam[0], c)
-    return A, np.stack(lam, axis=1)
+    N = ctx.q - 1
+    frob = ctx.p ** k % N
+    out = np.empty((len(A), r), dtype=np.int64)
+    for lo in range(0, len(A), LAMBDA_BLOCK):
+        c = ctx.log_table[A[lo:lo + LAMBDA_BLOCK]]
+        lam = [np.full_like(c, -1) for _ in range(r)]
+        for m in range(r):
+            if m:
+                c = np.where(c < 0, -1, c * frob % N)
+            # lambda_j is zero for j > m until the (m+1)-th conjugate
+            for j in range(min(m, r - 1), 0, -1):
+                prod = np.where((lam[j - 1] < 0) | (c < 0), -1,
+                                (lam[j - 1] + c) % N)
+                lam[j] = _log_add(ctx, lam[j], prod)
+            lam[0] = _log_add(ctx, lam[0], c)
+        for j in range(r):
+            out[lo:lo + LAMBDA_BLOCK, j] = _exp(ctx, lam[j])
+    return A, out

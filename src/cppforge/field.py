@@ -5,11 +5,14 @@ of its coefficient vector (c_0, ..., c_{n-1}).  Zero is 0, one is 1, and
 the residue class of x has encoding p.
 
 Two backends share one API.  Fields with at most 2**22 elements get
-discrete log/exp tables over a primitive element ("table"); larger
-fields use generic polynomial arithmetic ("generic"): multiplication by
-packed-integer convolution, inversion by extended Euclid.  Exponents may
-be arbitrarily wide Python ints; they are reduced mod p^n - 1 before
-exponentiation of a nonzero base.  Construction refuses p^n - 1 >= 2**127.
+discrete log/exp tables over a primitive element g and a Zech table
+Z[i] = log(1 + g^i) ("table"), so addition runs on logs too:
+x + y = g^(log x + Z[log y - log x]).  Larger fields use generic
+polynomial arithmetic ("generic"): addition digit by digit,
+multiplication by packed-integer convolution, inversion by extended
+Euclid.  Exponents may be arbitrarily wide Python ints; they are reduced
+mod p^n - 1 before exponentiation of a nonzero base.  Construction
+refuses p^n - 1 >= 2**127.
 
 FieldCtx instances are immutable after construction apart from internal
 memo dictionaries, so they are safe to share across workers.
@@ -161,6 +164,12 @@ def lex_least_irreducible(p: int, n: int) -> tuple:
             raise RuntimeError(f"no irreducible of degree {n} over Z_{p}")
 
 
+def _plus_one(e, p):
+    """Encoding of 1 + e for an encoding e (an int or an int64 array):
+    adding 1 changes digit 0 only, wrapping p - 1 to 0 without a carry."""
+    return e + 1 - p * (e % p == p - 1)
+
+
 # ----------------------------------------------------------------------
 
 class SubfieldView:
@@ -171,8 +180,9 @@ class SubfieldView:
     numpy tables, which keeps h_a evaluations cheap even when the ambient
     field is far too large to enumerate.  The tables come from the Zech
     logarithms Z[e] = log(1 + zeta^e) of a generator zeta of F_{p^k}^*
-    (Huber, IEEE Trans. IT 36(4), 1990): p^k - 1 scalar additions, then
-    x + y = x (1 + y/x) fills the addition table in numpy.
+    (Huber, IEEE Trans. IT 36(4), 1990): 1 + zeta^e is zeta^e with digit 0
+    raised by one, then x + y = x (1 + y/x) fills the addition table in
+    numpy.
     """
 
     def __init__(self, ctx, k):
@@ -192,7 +202,7 @@ class SubfieldView:
         slog = np.full(order, -1, dtype=np.int64)
         slog[sexp] = np.arange(m)
         # Z[e] = -1 where 1 + zeta^e = 0, since slog[0] = -1
-        zech = slog[[self.index[ctx.add(1, z)] for z in powers]]
+        zech = slog[[self.index[_plus_one(z, ctx.p)] for z in powers]]
         lg = slog[1:]
         mul = np.zeros((order, order), dtype=np.int32)
         add = np.empty((order, order), dtype=np.int32)
@@ -258,10 +268,10 @@ class FieldCtx:
         self.backend = backend
         self._pn = [p ** i for i in range(n + 1)]
         self._setup_packed()
-        self._setup_add()
         self.generator = None
         self.exp_table = None
         self.log_table = None
+        self.zech_table = None
         if backend == "table":
             self._build_tables()
         # memo caches (append-only; safe to share under the GIL)
@@ -288,27 +298,6 @@ class FieldCtx:
                 nxt += top * rows[0]
             rows.append(self._pnormalize(nxt))
         self._redrows = rows
-
-    def _setup_add(self):
-        p, n = self.p, self.n
-        self._chunk = None
-        if n == 1 or p > 2048:
-            return
-        c = 1
-        while p ** (c + 1) <= 1024 and c + 1 <= n:
-            c += 1
-        C = p ** c
-        vals = np.arange(C)
-        digs = np.empty((C, c), dtype=np.int64)
-        v = vals.copy()
-        for i in range(c):
-            digs[:, i] = v % p
-            v //= p
-        pw = p ** np.arange(c)
-        self._addt = ((((digs[:, None, :] + digs[None, :, :]) % p) * pw)
-                      .sum(axis=2).astype(np.int64))
-        self._negt = ((((-digs) % p) * pw).sum(axis=1)).astype(np.int64)
-        self._chunk = C
 
     def _pack_digits(self, digits):
         acc = 0
@@ -392,6 +381,7 @@ class FieldCtx:
             self.generator = 1
             self.exp_table = np.array([1], dtype=np.int64)
             self.log_table = np.array([-1, 0], dtype=np.int64)
+            self.zech_table = np.array([-1], dtype=np.int32)   # 1 + 1 = 0
             return
         fac = factorize(N)
         g = None
@@ -415,6 +405,7 @@ class FieldCtx:
             D[filled:filled + cnt] = (D[:cnt] @ Mt) % p
             filled += cnt
         E = (D @ pw).astype(np.int64)
+        del D       # the N x n digit matrix sets the peak; free it before Z
         log = np.full(q, -1, dtype=np.int64)
         log[E] = np.arange(N, dtype=np.int64)
         if int((log >= 0).sum()) != N or log[0] != -1:
@@ -422,6 +413,9 @@ class FieldCtx:
         self.generator = g
         self.exp_table = E
         self.log_table = log
+        # Z[i] = log(1 + g^i), -1 where g^i = -1; logs fit int32 below TABLE_CAP
+        self.zech_table = log[_plus_one(E, p)].astype(np.int32)
+        self._log_neg_one = int(log[p - 1])
 
     # -- encodings ---------------------------------------------------------
 
@@ -462,42 +456,36 @@ class FieldCtx:
         p = self.p
         if self.n == 1:
             return (x + y) % p
-        C = self._chunk
-        if C is None:
-            out, mult = 0, 1
-            while x or y:
-                x, dx = divmod(x, p)
-                y, dy = divmod(y, p)
-                out += ((dx + dy) % p) * mult
-                mult *= p
-            return out
-        t = self._addt
+        if self.backend == "table":
+            # x + y = x (1 + y/x) = g^(log x + Z[log y - log x])
+            if x == 0 or y == 0:
+                return x + y
+            N = self.q - 1
+            lx = int(self.log_table[x])
+            z = int(self.zech_table[(int(self.log_table[y]) - lx) % N])
+            return 0 if z < 0 else int(self.exp_table[(lx + z) % N])
         out, mult = 0, 1
         while x or y:
-            out += int(t[x % C, y % C]) * mult
-            x //= C
-            y //= C
-            mult *= C
+            x, dx = divmod(x, p)
+            y, dy = divmod(y, p)
+            out += ((dx + dy) % p) * mult
+            mult *= p
         return out
 
     def neg(self, x):
         p = self.p
         if self.n == 1:
             return (-x) % p
-        C = self._chunk
-        if C is None:
-            out, mult = 0, 1
-            while x:
-                x, d = divmod(x, p)
-                out += ((-d) % p) * mult
-                mult *= p
-            return out
-        t = self._negt
+        if self.backend == "table":
+            if x == 0:
+                return 0
+            N = self.q - 1
+            return int(self.exp_table[(int(self.log_table[x]) + self._log_neg_one) % N])
         out, mult = 0, 1
         while x:
-            out += int(t[x % C]) * mult
-            x //= C
-            mult *= C
+            x, d = divmod(x, p)
+            out += ((-d) % p) * mult
+            mult *= p
         return out
 
     def sub(self, x, y):
@@ -777,7 +765,7 @@ _FIELD_CACHE = {}
 
 
 def build_field(p: int, n: int, modulus=None, backend="auto") -> FieldCtx:
-    """Construct (and memoize) F_{p^n}.
+    """Construct (and memoize on the resolved modulus and backend) F_{p^n}.
 
     modulus: optional ascending coefficient sequence (c_0, ..., c_{n-1}, 1);
     when omitted the lexicographically least monic irreducible is used.
@@ -791,8 +779,8 @@ def build_field(p: int, n: int, modulus=None, backend="auto") -> FieldCtx:
     q = p ** n
     if q - 1 >= FIELD_CAP:
         raise ValueError("field-too-large: p^n - 1 must stay below 2**127")
-    key = (p, n, tuple(modulus) if modulus is not None else None, backend)
-    got = _FIELD_CACHE.get(key)
+    raw_key = (p, n, tuple(modulus) if modulus is not None else None, backend)
+    got = _FIELD_CACHE.get(raw_key)
     if got is not None:
         return got
     if modulus is not None:
@@ -810,8 +798,12 @@ def build_field(p: int, n: int, modulus=None, backend="auto") -> FieldCtx:
         raise ValueError("field-too-large: table backend capped at 2**22 elements")
     elif backend not in ("table", "generic"):
         raise ValueError(f"unknown backend {backend!r}")
-    ctx = FieldCtx(p, n, mod, backend)
-    _FIELD_CACHE[key] = ctx
+    # one context per resolved (modulus, backend), whatever the spelling
+    key = (p, n, mod, backend)
+    ctx = _FIELD_CACHE.get(key)
+    if ctx is None:
+        ctx = _FIELD_CACHE[key] = FieldCtx(p, n, mod, backend)
+    _FIELD_CACHE[raw_key] = ctx
     return ctx
 
 

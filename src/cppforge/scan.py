@@ -25,7 +25,7 @@ def _pool_init(p, n, modulus, backend):
     _WORKER["ctx"] = build_field(p, n, modulus, backend)
 
 
-def _pool_chunk(args):
+def _pool_part(args):
     lo, hi, d = args
     ctx = _WORKER["ctx"]
     return [a for a in range(lo, hi)
@@ -52,18 +52,15 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
                 jobs, initializer=_pool_init,
                 initargs=(ctx.p, ctx.n, ctx.modulus, ctx.backend)) as pool:
             parts = []
-            for i, part in enumerate(pool.imap(_pool_chunk, chunks)):
+            for i, part in enumerate(pool.imap(_pool_part, chunks)):
                 parts.append(part)
                 if progress:
                     progress(chunks[i][1] - 1, q - 1)
         return [a for part in parts for a in part]
     out = []
-    xd = bulk.monomial_values(ctx, d)
-    X = bulk.elements(ctx)
     report_step = max(1, (q - 1) // 64)
     for a in range(1, q):
-        vals = bulk.add(ctx, xd, bulk.mul_scalar(ctx, a, X))
-        if bulk.values_are_permutation(ctx, vals):
+        if bulk.binomial_is_permutation(ctx, d, a):
             out.append(a)
         if progress and a % report_step == 0:
             progress(a, q - 1)

@@ -57,6 +57,12 @@ class TestConstruction:
         assert build_field(3, 4).backend == "table"
         assert build_field(5, 12).backend == "generic"
 
+    def test_cache_keys_on_resolved_modulus_and_backend(self):
+        ctx = build_field(3, 4)
+        assert build_field(3, 4, backend="table") is ctx
+        assert build_field(3, 4, modulus=lex_least_irreducible(3, 4)) is ctx
+        assert build_field(3, 4, backend="generic") is not ctx
+
     def test_spec_string_roundtrip(self):
         ctx = build_field(3, 4, (2, 2, 0, 0, 1))
         p, n, mod = parse_field_spec(ctx.spec_string())
@@ -315,6 +321,16 @@ class TestBackendAgreement:
     def test_prime_check(self):
         assert is_prime(2) and is_prime(13) and is_prime(2 ** 31 - 1)
         assert not is_prime(1) and not is_prime(9) and not is_prime(2 ** 32 + 1)
+
+    def test_zech_table_matches_generic_add(self):
+        for (p, n) in ((3, 4), (5, 2), (2, 6), (2, 1), (3, 1), (7, 1)):
+            ft = build_field(p, n)
+            fg = build_field(p, n, ft.modulus, backend="generic")
+            N = ft.q - 1
+            for i in range(N):
+                s = fg.add(1, int(ft.exp_table[i]))
+                want = -1 if s == 0 else int(ft.log_table[s])
+                assert int(ft.zech_table[i]) == want, (p, n, i)
 
     def test_log_exp_roundtrip(self, f81, f625):
         for ctx in (f81, f625):
