@@ -11,6 +11,7 @@ counterpart on FieldCtx that the test suite cross-checks against.
 import numpy as np
 
 LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
+CHECK_BLOCK = 1 << 16       # points per block in binomial_is_permutation
 
 
 def _require_table(ctx):
@@ -130,7 +131,12 @@ def monomial_values(ctx, d):
 
 def values_are_permutation(ctx, vals):
     """True iff a length-q value array hits every encoding exactly once."""
-    return bool(np.bincount(vals, minlength=ctx.q).max() == 1)
+    if len(vals) != ctx.q or vals.min() < 0 or vals.max() >= ctx.q:
+        return False
+    # q values that together hit all q encodings hit each one once
+    seen = np.zeros(ctx.q, dtype=bool)
+    seen[vals] = True
+    return bool(seen.all())
 
 
 def binomial_is_permutation(ctx, d, a):
@@ -147,10 +153,16 @@ def binomial_is_permutation(ctx, d, a):
         vals = add(ctx, monomial_values(ctx, d), mul_scalar(ctx, a, elements(ctx)))
         return values_are_permutation(ctx, vals)
     N = ctx.q - 1
-    i = np.arange(N, dtype=np.int64)
-    z = ctx.zech_table[((d - 1) % N * i - int(ctx.log_table[a])) % N]
-    vals = np.append((i + z) % N, N)
-    vals[:N][z < 0] = N
+    s, la = (d - 1) % N, int(ctx.log_table[a])
+    vals = np.empty(ctx.q, dtype=np.int64)
+    vals[N] = N                                     # the value at x = 0
+    # full-size temporaries would be mapped and faulted in on every call
+    for lo in range(0, N, CHECK_BLOCK):
+        hi = min(lo + CHECK_BLOCK, N)
+        i = np.arange(lo, hi, dtype=np.int64)
+        z = ctx.zech_table[(s * i - la) % N]
+        vals[lo:hi] = (i + z) % N
+        vals[lo:hi][z < 0] = N
     return values_are_permutation(ctx, vals)
 
 

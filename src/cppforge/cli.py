@@ -18,7 +18,7 @@ import time
 from . import __version__, families, scan
 from .field import build_field
 from .niho import NihoCtx, count_N, direct_walsh, niho_s_from_d, walsh_value
-from .oracle import CHARSUM_CAP, is_cpp, is_cpp_exponent_pair, monomial_map
+from .oracle import CHARSUM_CAP, monomial_map
 from .report import CppReport
 
 _CAP_MARKERS = ("field-too-large", "cap-exceeded", "field-too-large-for-charsum",
@@ -82,94 +82,8 @@ def cmd_count_cpp(args):
     return 0
 
 
-def _verify_niho(p, k, i):
-    ctx = build_field(p, 2 * k)
-    d = families.niho_exponent(p, k, i)
-    coeffs = ctx.neg_one_roots(k)
-    failures = [a for a in coeffs if not is_cpp_exponent_pair(ctx, d, a)]
-    return {"d": d, "tested": len(coeffs), "failures": failures}
-
-
-def _run_family(args):
-    fam = args.family
-    if fam == "niho2":
-        return _verify_niho(args.p, args.k, args.i)
-    if fam == "p3k2":
-        return _verify_niho(3, args.k, 1)
-    if fam in ("r4_general", "r4_p3", "r4_p5"):
-        p = {"r4_p3": 3, "r4_p5": 5}.get(fam, args.p)
-        ctx = build_field(p, 4 * args.k)
-        if fam == "r4_p3":
-            cpps = scan.ha_cpp_scan(ctx, 4, args.k)
-            missing = [a for a in cpps
-                       if families.r4_condition_p3(ctx, a, args.k) is None]
-            tagged = sum(1 for a in range(1, ctx.q)
-                         if families.r4_condition_p3(ctx, a, args.k) is not None)
-            return {"d": families.tower_exponent(p, args.k, 4),
-                    "tested": ctx.q - 1, "count": len(cpps),
-                    "failures": missing if tagged == len(cpps) else
-                    missing + [("tagged-count", tagged)]}
-        cpps, tagged, ok = scan.r4_equality_check(ctx, args.k)
-        return {"d": families.tower_exponent(p, args.k, 4),
-                "tested": ctx.q - 1, "count": len(cpps),
-                "failures": [] if ok else [("tagged-count", tagged)]}
-    if fam == "r4_p3_beta":
-        ctx, beta = families.field_with_root(3, 4 * args.k,
-                                             families.QUARTIC_BETA_POLY)
-        d = families.tower_exponent(3, args.k, 4)
-        gen = families.beta_quartic_all(ctx, beta)
-        failures = [a for a in gen if not is_cpp_exponent_pair(ctx, d, a)]
-        return {"d": d, "tested": len(gen), "failures": failures}
-    if fam == "r4_p5_vset":
-        ctx = build_field(5, 4 * args.k)
-        d = families.tower_exponent(5, args.k, 4)
-        m = 5 ** args.k - 1
-        roots = list(ctx.neg_one_roots(args.k))
-        y = ctx.subgroup_generator(4 * m)
-        half = [ctx.pow(y, 2 * j + 1) for j in range(2 * m)]   # a^(2m) = -1
-        coeffs = sorted(set(roots) | set(half))
-        failures = [a for a in coeffs if not is_cpp_exponent_pair(ctx, d, a)]
-        return {"d": d, "tested": len(coeffs), "failures": failures}
-    if fam in ("r6_p3", "r6_p5"):
-        p = 3 if fam == "r6_p3" else 5
-        ctx, beta = families.field_with_root(p, 6 * args.k,
-                                             families.SEXTIC_BETA_POLY)
-        d = families.tower_exponent(p, args.k, 6)
-        failures = []
-        tested = 0
-        coords = families.r6_coordinate_table(p)
-        for fi in range(len(coords)):
-            for u in [e for e in ctx.subfield_elements(args.k) if e != 0]:
-                tested += 1
-                a = families.r6_dickson_coefficient(ctx, beta, fi, u)
-                if not is_cpp_exponent_pair(ctx, d, a):
-                    failures.append((fi, u))
-        return {"d": d, "tested": tested, "failures": failures}
-    if fam in ("rp_k1", "rt_k1"):
-        t = 1 if fam == "rp_k1" else args.t
-        ctx, d, coeffs = families.rt_family_coefficients(args.p, t)
-        failures = [a for a in coeffs if not is_cpp_exponent_pair(ctx, d, a)]
-        return {"d": d, "tested": len(coeffs), "failures": failures}
-    if fam == "multinomial":
-        ctx = build_field(args.p, args.r * args.k)
-        presets = families.multinomial_presets(ctx, args.k)
-        names = [args.preset] if args.preset else list(presets)
-        tested = 0
-        failures = []
-        for name in names:
-            g, v = presets[name]
-            for a in families.multinomial_admissible_a(ctx, args.k, g, v):
-                tested += 1
-                if not is_cpp(families.multinomial_map(ctx, g, v, a, args.k)):
-                    failures.append((name, a))
-        return {"d": None, "tested": tested, "failures": failures}
-    raise ValueError(f"hypothesis-violation: family {fam!r} is run through "
-                     "the conjecture command" if fam in ("conj1", "conj2")
-                     else f"unknown family {fam!r}")
-
-
 def cmd_verify(args):
-    res = _run_family(args)
+    res = families.FAMILIES[args.family](args)
     print(f"family {args.family}")
     if res.get("d") is not None:
         print(f"d {res['d']}")
@@ -207,6 +121,9 @@ def cmd_conjecture(args):
 
 def cmd_walsh(args):
     ctx = build_field(args.p, 2 * args.k)
+    if args.a is not None and not 0 <= args.a < ctx.q:
+        raise ValueError(f"not-an-element: --a {args.a} must encode an "
+                         f"element of F_{args.p}^{2 * args.k}, 0 <= a < {ctx.q}")
     nctx = NihoCtx(ctx, args.k)
     if args.s is not None:
         s = args.s
@@ -261,8 +178,7 @@ def build_parser():
     c.set_defaults(fn=cmd_count_cpp)
 
     v = sub.add_parser("verify", help="verify one coefficient family")
-    v.add_argument("--family", required=True, choices=[
-        fid for fid in families.FAMILY_IDS if fid not in ("conj1", "conj2")])
+    v.add_argument("--family", required=True, choices=list(families.FAMILIES))
     v.add_argument("--p", type=int, default=3)
     v.add_argument("--k", type=int, default=1)
     v.add_argument("--r", type=int, default=4)

@@ -1,5 +1,6 @@
 """CPP coefficient families: exponent formulas, membership predicates,
-explicit generators, and the two open-verification harnesses.
+explicit generators, the two open-verification harnesses, and FAMILIES,
+the table of families that `verify` runs.
 
 Each family pins down coefficients a (or maps f) that make a^(-1) x^d (or
 f) a complete permutation; every generator or predicate here is backed by
@@ -9,29 +10,15 @@ the direct CPP oracle in the test and acceptance suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import bulk
+from . import bulk, scan
 from .field import build_field, is_prime
 from .hadickson import (SubfieldPoly, lambda_coeffs, depressed_quintic,
                         ha_pp_check, is_dickson_of_degree)
-from .oracle import FieldMap, is_cpp_exponent_pair
-
-FAMILY_IDS = ("niho2", "p3k2", "r4_general", "r4_p3", "r4_p3_beta", "r4_p5",
-              "r4_p5_vset", "r6_p3", "r6_p5", "rp_k1", "rt_k1", "multinomial",
-              "conj1", "conj2")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    id: str
-    params: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.id not in FAMILY_IDS:
-            raise ValueError(f"hypothesis-violation: unknown family {self.id!r}")
+from .oracle import FieldMap, is_cpp, is_cpp_exponent_pair
 
 
 @dataclass(frozen=True)
@@ -166,10 +153,9 @@ def r4_condition_p3(ctx, a, k):
     return None
 
 
-def r4_condition_p5(ctx, a, k, case3_inverse="lambda2"):
-    """p = 5 membership conditions.  case3_inverse selects which lambda is
-    inverted in the third condition ("lambda2" default, "lambda1" variant;
-    the variant divides by lambda_1 = 0 and so never matches)."""
+def r4_condition_p5(ctx, a, k):
+    """p = 5 membership conditions, as a ConditionTag; None when a = 0 or
+    nothing matches."""
     if ctx.p != 5:
         raise ValueError(f"wrong-characteristic: p={ctx.p}")
     if ctx.n != 4 * k:
@@ -187,12 +173,9 @@ def r4_condition_p5(ctx, a, k, case3_inverse="lambda2"):
                 and not ctx.residue_test(ctx.mul(2, l2), k, "square"):
             return ConditionTag("r4_p5", "2", (("l2", l2),))
     if k == 1 and l1 == 0 and l2 in (2, 3):
-        den = l2 if case3_inverse == "lambda2" else l1
-        if den != 0:
-            shifted = ctx.add(l4, ctx.mul(3, ctx.mul(ctx.mul(l3, l3),
-                                                     ctx.inv(den))))
-            if shifted == ctx.scalar(4):
-                return ConditionTag("r4_p5", "3", (("l2", l2),))
+        shifted = ctx.add(l4, ctx.mul(3, ctx.mul(ctx.mul(l3, l3), ctx.inv(l2))))
+        if shifted == ctx.scalar(4):
+            return ConditionTag("r4_p5", "3", (("l2", l2),))
     return None
 
 
@@ -215,13 +198,6 @@ def field_with_root(p, n, poly):
     return ctx, beta
 
 
-def _beta_powers(ctx, beta, count):
-    out = [1]
-    for _ in range(count - 1):
-        out.append(ctx.mul(out[-1], beta))
-    return out
-
-
 def beta_quartic_coefficient(ctx, beta, family, u, v):
     """One coefficient a = sum coords_j * beta^j over F_{3^4k}, beta a root
     of x^4 - x - 1; family selects one of the four coordinate patterns in
@@ -241,10 +217,7 @@ def beta_quartic_coefficient(ctx, beta, family, u, v):
         3: (u, u, v, nv),
         4: (u, v, v, u),
     }[family]
-    bp = _beta_powers(ctx, beta, 4)
-    a = 0
-    for c, b in zip(coords, bp):
-        a = ctx.add(a, ctx.mul(c, b))
+    a = ctx.poly_eval(coords, beta)
     _assert_quartic_beta_conditions(ctx, coords)
     return a
 
@@ -328,11 +301,7 @@ def r6_dickson_coefficient(ctx, beta, family_index, u):
     if not ctx.in_subfield(u, k):
         raise ValueError(f"not-in-subfield: {u}")
     coords = r6_coordinate_table(ctx.p)[family_index]
-    bp = _beta_powers(ctx, beta, 6)
-    a = 0
-    for c, b in zip(coords, bp):
-        term = ctx.mul(ctx.mul(ctx.scalar(c), u), b)
-        a = ctx.add(a, term)
+    a = ctx.mul(u, ctx.poly_eval([ctx.scalar(c) for c in coords], beta))
     lv = lambda_coeffs(ctx, a, 6, k)
     if is_dickson_of_degree(ctx, lv, 7, k) is None:
         raise AssertionError(f"h_a is not a Dickson polynomial for family "
@@ -393,7 +362,7 @@ def neg_one_map_permutes(ctx, k, coeffs):
     return view.permutes(rows).tolist()
 
 
-def dickson_witness_search(p, r, k, budget=None, verify_cpp=True):
+def dickson_witness_search(p, r, k, budget=None):
     """Coefficients a over F_{p^rk} whose h_a is a Dickson polynomial of
     degree r+1 (hypotheses: r+1 prime, r+1 != p, gcd(r, k) = 1,
     gcd(r+1, p^2-1) = 1).  Returns a result dict with the witnesses."""
@@ -425,7 +394,7 @@ def dickson_witness_search(p, r, k, budget=None, verify_cpp=True):
             if is_dickson_of_degree(ctx, lv, l, k) is not None:
                 witnesses.append(a)
     cpp_failures = []
-    if verify_cpp and ctx.backend == "table":
+    if ctx.backend == "table":
         cpp_failures = [a for a in witnesses
                         if not is_cpp_exponent_pair(ctx, d, a)]
     return {"p": p, "r": r, "k": k, "d": d, "witnesses": witnesses,
@@ -636,3 +605,94 @@ def multinomial_admissible_a(ctx, k, g=None, v=None):
     ws = [ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a))) for a in out]
     keep = _scaled_base_permutes(ctx, gc, ws, k)
     return [a for a, ok in zip(out, keep) if ok]
+
+
+# ----------------------------------------------------------------------
+# the family table behind `verify`
+
+def _oracle_checked(ctx, d, coeffs):
+    """Every coefficient of a family's list through the direct CPP oracle."""
+    failures = [a for a in coeffs if not is_cpp_exponent_pair(ctx, d, a)]
+    return {"d": d, "tested": len(coeffs), "failures": failures}
+
+
+def _niho(p, k, i):
+    ctx = build_field(p, 2 * k)
+    return _oracle_checked(ctx, niho_exponent(p, k, i), ctx.neg_one_roots(k))
+
+
+def _r4_scan(p, k):
+    # the conditions must tag exactly the subfield criterion's coefficients
+    ctx = build_field(p, 4 * k)
+    cpps, tagged, ok = scan.r4_equality_check(ctx, k)
+    return {"d": tower_exponent(p, k, 4), "tested": ctx.q - 1,
+            "count": len(cpps),
+            "failures": [] if ok else [("tagged-count", tagged)]}
+
+
+def _r4_p3(k):
+    # as _r4_scan, without its field-size cap, listing untagged members
+    ctx = build_field(3, 4 * k)
+    cpps = scan.ha_cpp_scan(ctx, 4, k)
+    tagged = {a for a in range(1, ctx.q)
+              if r4_condition_p3(ctx, a, k) is not None}
+    failures = [a for a in cpps if a not in tagged]
+    if len(tagged) != len(cpps):
+        failures.append(("tagged-count", len(tagged)))
+    return {"d": tower_exponent(3, k, 4), "tested": ctx.q - 1,
+            "count": len(cpps), "failures": failures}
+
+
+def _r4_p3_beta(k):
+    ctx, beta = field_with_root(3, 4 * k, QUARTIC_BETA_POLY)
+    return _oracle_checked(ctx, tower_exponent(3, k, 4),
+                           beta_quartic_all(ctx, beta))
+
+
+def _r4_p5_vset(k):
+    ctx = build_field(5, 4 * k)
+    d = tower_exponent(5, k, 4)
+    m = 5 ** k - 1
+    y = ctx.subgroup_generator(4 * m)
+    half = [ctx.pow(y, 2 * j + 1) for j in range(2 * m)]   # a^(2m) = -1
+    return _oracle_checked(ctx, d, sorted(set(ctx.neg_one_roots(k)) | set(half)))
+
+
+def _r6(p, k):
+    ctx, beta = field_with_root(p, 6 * k, SEXTIC_BETA_POLY)
+    d = tower_exponent(p, k, 6)
+    units = [e for e in ctx.subfield_elements(k) if e != 0]
+    cases = [(fi, u) for fi in range(len(r6_coordinate_table(p)))
+             for u in units]
+    failures = [(fi, u) for fi, u in cases if not is_cpp_exponent_pair(
+        ctx, d, r6_dickson_coefficient(ctx, beta, fi, u))]
+    return {"d": d, "tested": len(cases), "failures": failures}
+
+
+def _multinomial(p, k, r, preset):
+    ctx = build_field(p, r * k)
+    presets = multinomial_presets(ctx, k)
+    cases = [(name, a) for name in ([preset] if preset else list(presets))
+             for a in multinomial_admissible_a(ctx, k, *presets[name])]
+    failures = [(name, a) for name, a in cases
+                if not is_cpp(multinomial_map(ctx, *presets[name], a, k))]
+    return {"d": None, "tested": len(cases), "failures": failures}
+
+
+# `verify --family` id -> function of the verify options (p, k, r, i, t,
+# preset); each returns d (None for the multinomial family), tested and
+# failures, and count for the r = 4 scans
+FAMILIES = {
+    "niho2": lambda o: _niho(o.p, o.k, o.i),
+    "p3k2": lambda o: _niho(3, o.k, 1),
+    "r4_general": lambda o: _r4_scan(o.p, o.k),
+    "r4_p3": lambda o: _r4_p3(o.k),
+    "r4_p3_beta": lambda o: _r4_p3_beta(o.k),
+    "r4_p5": lambda o: _r4_scan(5, o.k),
+    "r4_p5_vset": lambda o: _r4_p5_vset(o.k),
+    "r6_p3": lambda o: _r6(3, o.k),
+    "r6_p5": lambda o: _r6(5, o.k),
+    "rp_k1": lambda o: _oracle_checked(*rt_family_coefficients(o.p, 1)),
+    "rt_k1": lambda o: _oracle_checked(*rt_family_coefficients(o.p, o.t)),
+    "multinomial": lambda o: _multinomial(o.p, o.k, o.r, o.preset),
+}

@@ -28,6 +28,7 @@ FIELD_CAP = 1 << 127        # require p^n - 1 < 2**127
 TABLE_CAP = 1 << 22         # log/exp tables up to this field size
 VIEW_CAP = 1 << 13          # SubfieldView order: both int32 tables <= 512 MiB
 PERMUTES_BLOCK = 1 << 24    # values per block in SubfieldView.permutes
+EXP_BLOCK = 1 << 16         # digit rows per int64 product in _build_tables
 
 
 def is_prime(m: int) -> bool:
@@ -391,8 +392,9 @@ class FieldCtx:
                 break
         if g is None:
             raise RuntimeError("no primitive element found (modulus not irreducible?)")
-        # powers of g, filled in doubling blocks of a digit matrix
-        D = np.zeros((N, n), dtype=np.int64)
+        # powers of g, filled in doubling blocks of a digit matrix in the
+        # narrowest dtype; products run in int64 on at most EXP_BLOCK rows
+        D = np.zeros((N, n), dtype=np.uint8 if p <= 256 else np.int32)
         D[0, 0] = 1
         D[1] = self.coeffs(g)
         filled = 2
@@ -402,9 +404,13 @@ class FieldCtx:
             Mt = np.array([self.coeffs(self._mul_generic(s, self._pn[j]))
                            for j in range(n)], dtype=np.int64)     # row j = s*x^j
             cnt = min(filled, N - filled)
-            D[filled:filled + cnt] = (D[:cnt] @ Mt) % p
+            for lo in range(0, cnt, EXP_BLOCK):
+                hi = min(lo + EXP_BLOCK, cnt)
+                D[filled + lo:filled + hi] = (D[lo:hi] @ Mt) % p
             filled += cnt
-        E = (D @ pw).astype(np.int64)
+        E = np.empty(N, dtype=np.int64)
+        for lo in range(0, N, EXP_BLOCK):
+            E[lo:lo + EXP_BLOCK] = D[lo:lo + EXP_BLOCK] @ pw
         del D       # the N x n digit matrix sets the peak; free it before Z
         log = np.full(q, -1, dtype=np.int64)
         log[E] = np.arange(N, dtype=np.int64)
@@ -744,7 +750,7 @@ class FieldCtx:
             a, b = b, a
         return a
 
-    def find_root(self, coeffs, k=1):
+    def find_root(self, coeffs):
         """The root of a subfield polynomial with the least encoding."""
         if self.backend != "table":
             raise ValueError("field-too-large: root search needs an enumerable field")

@@ -156,8 +156,7 @@ def _p5_bulk_tag_mask(ctx, k):
     return c1 | c2
 
 
-def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None,
-              modulus=None):
+def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None):
     """Coefficient count (and optional list) for d = (p^(rk)-1)/(p^k-1)+1.
 
     method "direct", "ha", or "both"; with "both" the two lists must agree
@@ -167,8 +166,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None,
     """
     from .families import tower_exponent
     d = tower_exponent(p, k, r)
-    n = r * k
-    ctx = build_field(p, n, modulus)
+    ctx = build_field(p, r * k)
     t0 = time.monotonic()
     elems_direct = elems_ha = None
     if method in ("direct", "both"):

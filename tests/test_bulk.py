@@ -102,6 +102,14 @@ def test_permutation_predicate(ctx):
     Y = X.copy()
     Y[1] = Y[2]
     assert not bulk.values_are_permutation(ctx, Y)
+    # out-of-range values and wrong lengths are not permutations; -1 must
+    # not alias the last encoding
+    for bad in (-1, ctx.q):
+        Y = X.copy()
+        Y[-1] = bad
+        assert not bulk.values_are_permutation(ctx, Y)
+    assert not bulk.values_are_permutation(ctx, X[:-1])
+    assert not bulk.values_are_permutation(ctx, np.append(X, 0))
 
 
 def test_lambda_scan_matches_scalar():
@@ -137,6 +145,18 @@ def _twin_permutes(twin, d, a, xd=None):
 @pytest.mark.parametrize("p,n,d", [(3, 4, 41), (5, 4, 157), (2, 8, 86),
                                    (7, 2, 13), (13, 2, 25)])
 def test_binomial_check_every_coefficient_against_twin(p, n, d):
+    ctx = build_field(p, n)
+    twin = _twin(ctx)
+    xd = [twin.pow(x, d) for x in range(twin.q)]
+    got = [bulk.binomial_is_permutation(ctx, d, a) for a in range(1, ctx.q)]
+    assert got == [_twin_permutes(twin, d, a, xd) for a in range(1, ctx.q)]
+    assert any(got) and not all(got)
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 4, 41), (2, 8, 86)])
+def test_binomial_check_blocks_against_twin(monkeypatch, p, n, d):
+    # 7 points per block: q - 1 = 80 and 255 both end in a short block
+    monkeypatch.setattr(bulk, "CHECK_BLOCK", 7)
     ctx = build_field(p, n)
     twin = _twin(ctx)
     xd = [twin.pow(x, d) for x in range(twin.q)]

@@ -2,8 +2,12 @@
 
 import json
 import re
+from pathlib import Path
+
+import pytest
 
 from cppforge.cli import main
+from cppforge.families import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -90,7 +94,54 @@ class TestCountCpp:
         assert "gcd-violation" in err
 
 
+# stdout of `verify` for every family id: (argv tail, d, tested, count)
+VERIFY_PINNED = [
+    (("niho2", "--p", "3", "--k", "2"), 11, 8, None),
+    (("p3k2",), 5, 2, None),
+    (("r4_general", "--p", "7"), 401, 2400, 300),
+    (("r4_p3",), 41, 80, 38),
+    (("r4_p3", "--k", "2"), 821, 6560, 64),
+    (("r4_p3_beta",), 41, 28, None),
+    (("r4_p5",), 157, 624, 60),
+    (("r4_p5_vset",), 157, 12, None),
+    (("r6_p3",), 365, 24, None),
+    (("r6_p5",), 3907, 72, None),
+    (("rp_k1", "--p", "5"), 157, 4, None),
+    (("rt_k1", "--p", "5", "--t", "2"), 313, 4, None),
+    (("multinomial", "--p", "3", "--k", "2", "--r", "5"), None, 12, None),
+]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("argv,d,tested,count", VERIFY_PINNED,
+                             ids=[" ".join(c[0]) for c in VERIFY_PINNED])
+    def test_pinned_stdout(self, capsys, argv, d, tested, count):
+        code, out, _ = run_cli(capsys, "verify", "--family", *argv)
+        want = [f"family {argv[0]}"]
+        if d is not None:
+            want.append(f"d {d}")
+        want.append(f"tested {tested}")
+        if count is not None:
+            want.append(f"count {count}")
+        want.append("PASS")
+        assert code == 0
+        assert out.splitlines() == want
+
+    def test_every_family_pinned(self):
+        assert {c[0][0] for c in VERIFY_PINNED} == set(FAMILIES)
+
+    def test_readme_lists_every_family(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        para = readme.split("Families for `verify`:")[1].split(".")[0]
+        assert re.findall(r"`(\w+)`", para) == list(FAMILIES)
+
+    def test_r4_general_generic_field_is_a_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "r4_general",
+                                 "--p", "7", "--k", "2")
+        assert code == 3
+        assert out == ""
+        assert "cap-exceeded" in err
+
     def test_niho(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "niho2",
                                "--p", "3", "--k", "2", "--i", "1")
@@ -128,8 +179,8 @@ class TestVerify:
         assert "even-characteristic" in err
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
-        import cppforge.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "is_cpp_exponent_pair",
+        import cppforge.families as families_mod
+        monkeypatch.setattr(families_mod, "is_cpp_exponent_pair",
                             lambda *a, **k: False)
         code, out, _ = run_cli(capsys, "verify", "--family", "niho2",
                                "--p", "3", "--k", "1", "--i", "1")
@@ -178,3 +229,11 @@ class TestWalsh:
                                "--s", "3", "--a", "3")
         assert code == 0
         assert "a=3 N=1 walsh=0" in out
+
+    @pytest.mark.parametrize("a", ["100000", "729", "-3"])
+    def test_a_outside_field_is_usage_error(self, capsys, a):
+        code, out, err = run_cli(capsys, "walsh", "--p", "3", "--k", "3",
+                                 "--d", "29", "--a", a)
+        assert code == 2
+        assert out == ""
+        assert "not-an-element" in err

@@ -7,8 +7,10 @@ fields.
 
 import random
 
+import numpy as np
 import pytest
 
+from cppforge import field as field_mod
 from cppforge.field import (SubfieldView, build_field, lex_least_irreducible,
                             is_prime, parse_field_spec, zp_is_irreducible)
 
@@ -317,6 +319,23 @@ class TestBackendAgreement:
                     assert ft.inv(x) == fg.inv(x)
             assert ft.subfield_elements(1) == fg.subfield_elements(1)
             assert ft.neg_one_roots(1) == fg.neg_one_roots(1)
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (5, 3), (257, 2)])
+    def test_exp_table_blocks_against_twin(self, monkeypatch, p, n):
+        # 7 rows per block: every doubling step and the final encoding span
+        # several blocks, most ending in a short one; p = 257 takes the
+        # int32 digit matrix, the others uint8
+        monkeypatch.setattr(field_mod, "EXP_BLOCK", 7)
+        mod = lex_least_irreducible(p, n)
+        ft = field_mod.FieldCtx(p, n, mod, "table")
+        fg = build_field(p, n, mod, backend="generic")
+        want, x = [], 1
+        for _ in range(ft.q - 1):
+            want.append(x)
+            x = fg.mul(x, ft.generator)
+        assert x == 1
+        assert ft.exp_table.tolist() == want
+        assert np.array_equal(ft.exp_table, build_field(p, n).exp_table)
 
     def test_prime_check(self):
         assert is_prime(2) and is_prime(13) and is_prime(2 ** 31 - 1)
