@@ -106,9 +106,9 @@ def trace(ctx, X, k=1):
     return acc
 
 
-def poly_eval_all(ctx, coeffs):
-    """Values of a coefficient sequence (ascending) on the whole field."""
-    X = elements(ctx)
+def poly_eval(ctx, coeffs, X):
+    """Values of a coefficient sequence (ascending degrees) at every point
+    of X, by Horner."""
     acc = np.zeros_like(X)
     for c in reversed(list(coeffs)):
         acc = mul(ctx, acc, X)

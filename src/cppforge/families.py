@@ -510,11 +510,7 @@ def multinomial_map(ctx, g, v, a, k) -> FieldMap:
         def values():
             X = bulk.elements(ctx)
             T = bulk.trace(ctx, X, k)
-            gT = np.zeros_like(X)
-            for c in reversed(gc):
-                gT = bulk.mul(ctx, gT, T)
-                if c:
-                    gT = bulk.add(ctx, gT, np.full_like(X, c))
+            gT = bulk.poly_eval(ctx, gc, T)
             inner = bulk.add(ctx, bulk.mul_scalar(ctx, av, gT),
                              bulk.pow_const(ctx, T, p - 1))
             out = bulk.mul(ctx, X, inner)
@@ -644,9 +640,13 @@ def _r4_p3(k):
 
 
 def _r4_p3_beta(k):
+    # the hypotheses before the field: k = 4 would need F_3^16, past the
+    # root search's table cap
+    d = tower_exponent(3, k, 4)
+    if math.gcd(k, 4) != 1:
+        raise ValueError("k-not-coprime-4")
     ctx, beta = field_with_root(3, 4 * k, QUARTIC_BETA_POLY)
-    return _oracle_checked(ctx, tower_exponent(3, k, 4),
-                           beta_quartic_all(ctx, beta))
+    return _oracle_checked(ctx, d, beta_quartic_all(ctx, beta))
 
 
 def _r4_p5_vset(k):

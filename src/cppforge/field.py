@@ -9,10 +9,10 @@ discrete log/exp tables over a primitive element g and a Zech table
 Z[i] = log(1 + g^i) ("table"), so addition runs on logs too:
 x + y = g^(log x + Z[log y - log x]).  Larger fields use generic
 polynomial arithmetic ("generic"): addition digit by digit,
-multiplication by packed-integer convolution, inversion by extended
-Euclid.  Exponents may be arbitrarily wide Python ints; they are reduced
-mod p^n - 1 before exponentiation of a nonzero base.  Construction
-refuses p^n - 1 >= 2**127.
+multiplication by packed-integer convolution.  On both backends the
+inverse of x is x^(q-2).  Exponents may be arbitrarily wide Python ints;
+they are reduced mod p^n - 1 before exponentiation of a nonzero base.
+Construction refuses p^n - 1 >= 2**127.
 
 FieldCtx instances are immutable after construction apart from internal
 memo dictionaries, so they are safe to share across workers.
@@ -214,10 +214,6 @@ class SubfieldView:
             z = zech[(lg - li) % m]
             add[i, 1:] = np.where(z < 0, 0, sexp[(z + li) % m])
         self.mul_table, self.add_table = mul, add
-        lneg = slog[self.index[ctx.neg(1)]]      # log(-1)
-        neg = np.zeros(order, dtype=np.int32)
-        neg[1:] = sexp[(lg + lneg) % m]
-        self.neg_table = neg
 
     def idx(self, enc):
         try:
@@ -507,41 +503,10 @@ class FieldCtx:
         return self._mul_generic(x, y)
 
     def inv(self, x):
+        """x^(q-2), the inverse of a nonzero x."""
         if x == 0:
             raise ZeroDivisionError("divide-by-zero: inverse of 0")
-        if self.backend == "table":
-            N = self.q - 1
-            return int(self.exp_table[(N - int(self.log_table[x])) % N])
-        if self.n == 1:
-            return pow(x, self.p - 2, self.p)
-        # extended Euclid on coefficient lists
-        p = self.p
-        r0, r1 = list(self.modulus), _zp_trim(list(self.coeffs(x)))
-        s0, s1 = [], [1]
-        while r1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            quo = [0] * (max(len(r0) - len(r1), 0) + 1)
-            r = r0[:]
-            while len(r) >= len(r1) and r:
-                c = r[-1] * inv_lead % p
-                shift = len(r) - len(r1)
-                quo[shift] = c
-                for j in range(len(r1)):
-                    r[shift + j] = (r[shift + j] - c * r1[j]) % p
-                _zp_trim(r)
-            qs = [0] * (len(quo) + len(s1) - 1) if s1 else []
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            s = [((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
-                 for i in range(max(len(s0), len(qs)))]
-            r0, r1 = r1, r
-            s0, s1 = s1, _zp_trim(s)
-        c = pow(r0[0], p - 2, p)       # r0 is a nonzero constant
-        out = [v * c % p for v in s0]
-        out += [0] * (self.n - len(out))
-        return self.element(out[:self.n])
+        return self.pow(x, self.q - 2)
 
     def pow(self, x, e):
         """x**e with e reduced mod p^n - 1 for x != 0; 0**0 == 1."""
@@ -655,7 +620,7 @@ class FieldCtx:
             cur = self.mul(cur, y2)
         return tuple(sorted(out))
 
-    # -- residues, irreducibility, roots -------------------------------------
+    # -- residues, polynomials, roots ---------------------------------------
 
     def residue_test(self, x, k, power):
         """True iff x is a square / fourth power inside F_{p^k}."""
@@ -679,77 +644,6 @@ class FieldCtx:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
-    def is_irreducible(self, coeffs, k=1):
-        """Irreducibility over the subfield F_{p^k} of a monic polynomial
-        whose coefficients (ambient encodings) are fixed by Frobenius^k."""
-        if self.n % k:
-            raise ValueError(f"k-not-divisor: {k} does not divide {self.n}")
-        cs = list(coeffs)
-        deg = len(cs) - 1
-        if deg < 1 or cs[-1] != 1:
-            raise ValueError("not-monic: expected a monic coefficient sequence")
-        for c in cs:
-            if not self.in_subfield(c, k):
-                raise ValueError(f"not-in-subfield: coefficient {c}")
-        if deg == 1:
-            return True
-        qk = self.p ** k
-        t = [0, 1]
-        for _ in range(deg // 2):
-            t = self._poly_powmod(t, qk, cs)
-            diff = t[:] + [0] * max(0, 2 - len(t))
-            diff[1] = self.sub(diff[1], 1)
-            while diff and diff[-1] == 0:
-                diff.pop()
-            if len(self._poly_gcd(cs, diff)) > 1:
-                return False
-        return True
-
-    def _poly_mulmod(self, a, b, f):
-        if not a or not b:
-            return []
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = self.add(prod[i + j], self.mul(ai, bj))
-        n = len(f) - 1
-        for i in range(len(prod) - 1, n - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(n):
-                    prod[i - n + j] = self.sub(prod[i - n + j], self.mul(c, f[j]))
-        out = prod[:n]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def _poly_powmod(self, a, e, f):
-        result = [1]
-        base = a[:]
-        while e:
-            if e & 1:
-                result = self._poly_mulmod(result, base, f)
-            e >>= 1
-            if e:
-                base = self._poly_mulmod(base, base, f)
-        return result
-
-    def _poly_gcd(self, a, b):
-        a, b = list(a), list(b)
-        while b:
-            inv_lead = self.inv(b[-1])
-            while len(a) >= len(b) and a:
-                c = self.mul(a[-1], inv_lead)
-                shift = len(a) - len(b)
-                for j in range(len(b)):
-                    a[shift + j] = self.sub(a[shift + j], self.mul(c, b[j]))
-                while a and a[-1] == 0:
-                    a.pop()
-            a, b = b, a
-        return a
-
     def find_root(self, coeffs):
         """The root of a subfield polynomial with the least encoding."""
         if self.backend != "table":
@@ -758,7 +652,7 @@ class FieldCtx:
             if not 0 <= c < self.q:
                 raise ValueError(f"coefficient {c} is not a valid encoding")
         from . import bulk
-        vals = bulk.poly_eval_all(self, list(coeffs))
+        vals = bulk.poly_eval(self, coeffs, bulk.elements(self))
         roots = np.flatnonzero(vals == 0)
         if roots.size == 0:
             raise ValueError("no-root-found")

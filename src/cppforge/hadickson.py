@@ -67,14 +67,6 @@ def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
     return LambdaVec(r, k, entries)
 
 
-def h_a_eval(ctx, lv: LambdaVec, x):
-    """h_a(x) = x^(r+1) + lambda_1 x^r + ... + lambda_r x at one point."""
-    acc = ctx.add(x, lv.entries[0])
-    for lam in lv.entries[1:]:
-        acc = ctx.add(ctx.mul(acc, x), lam)
-    return ctx.mul(acc, x)
-
-
 def ha_pp_check(ctx, a, r, k) -> bool:
     """Whether h_a permutes F_{p^k} (occupancy check on the subfield)."""
     lv = lambda_coeffs(ctx, a, r, k)

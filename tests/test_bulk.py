@@ -91,7 +91,7 @@ def test_pow_frobenius_trace_match_scalar(ctx):
 
 def test_poly_eval_all(ctx):
     coeffs = [1, 2 % ctx.q, 0, 1]
-    vals = bulk.poly_eval_all(ctx, coeffs)
+    vals = bulk.poly_eval(ctx, coeffs, bulk.elements(ctx))
     for x in range(0, ctx.q, max(1, ctx.q // 40)):
         assert vals[x] == ctx.poly_eval(coeffs, x)
 

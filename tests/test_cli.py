@@ -178,6 +178,28 @@ class TestVerify:
         assert code == 2
         assert "even-characteristic" in err
 
+    @pytest.mark.parametrize("k,msg", [(4, "gcd-violation"),
+                                       (2, "k-not-coprime-4")])
+    def test_beta_hypotheses_before_field(self, capsys, monkeypatch, k, msg):
+        # k = 4 breaks both hypotheses and would need F_3^16 for the root
+        # search; the violation is a usage error, found before any field
+        import cppforge.families as families_mod
+        from cppforge.field import TABLE_CAP
+        built = []
+        real = families_mod.build_field
+
+        def recording(p, n, *args, **kwargs):
+            built.append(p ** n)
+            return real(p, n, *args, **kwargs)
+
+        monkeypatch.setattr(families_mod, "build_field", recording)
+        code, out, err = run_cli(capsys, "verify", "--family", "r4_p3_beta",
+                                 "--k", str(k))
+        assert code == 2
+        assert out == ""
+        assert msg in err
+        assert all(q <= TABLE_CAP for q in built)
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         import cppforge.families as families_mod
         monkeypatch.setattr(families_mod, "is_cpp_exponent_pair",

@@ -5,6 +5,7 @@ enumeration, hand-expanded identities, and textbook facts about small
 fields.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -88,6 +89,34 @@ class TestArithmetic:
     def test_inverse_of_zero(self, f9):
         with pytest.raises(ZeroDivisionError):
             f9.inv(0)
+
+    @pytest.mark.parametrize("p,n", [(7, 18), (5, 12), (2, 40)])
+    def test_inverse_axiom_generic_above_table_cap(self, p, n):
+        ctx = build_field(p, n)
+        assert ctx.backend == "generic"
+        rng = random.Random(p * 100 + n)
+        points = [1, p, ctx.q - 1] + [rng.randrange(1, ctx.q)
+                                      for _ in range(60)]
+        for x in points:
+            y = ctx.inv(x)
+            assert ctx.mul(x, y) == 1, x
+            assert ctx.inv(y) == x, x
+
+    def test_inverse_axiom_generic_f81_exhaustive(self):
+        ctx = build_field(3, 4, backend="generic")
+        for x in range(1, ctx.q):
+            assert ctx.mul(x, ctx.inv(x)) == 1, x
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("backend", ["table", "generic"])
+    def test_inverse_prime_fields_where_q_minus_2_is_small(self, p, backend):
+        # q - 2 is 0 on F_2 and 1 on F_3: x^0 = 1 and x^1 = x are the inverses
+        ctx = build_field(p, 1, backend=backend)
+        assert [ctx.inv(x) for x in range(1, p)] == list(range(1, p))
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)
 
     def test_pow_i_fifth(self, f9):
         # i^5 = i*(i^2)^2 = i
@@ -228,21 +257,20 @@ class TestResidues:
 
 
 class TestIrreducibility:
-    def test_x4_minus_x_minus_1_over_f3(self, f81):
-        assert f81.is_irreducible((2, 2, 0, 0, 1), 1) is True
+    def test_x4_minus_x_minus_1_over_f3(self):
+        assert zp_is_irreducible(3, (2, 2, 0, 0, 1)) is True
 
     def test_x6_plus_x_plus_2(self):
         for p in (3, 5):
-            ctx = build_field(p, 6)
-            assert ctx.is_irreducible((2, 1, 0, 0, 0, 0, 1), 1) is True
+            assert zp_is_irreducible(p, (2, 1, 0, 0, 0, 0, 1)) is True
 
-    def test_x2_plus_1_over_f5(self, f25):
+    def test_x2_plus_1_over_f5(self):
         # 2^2 = 4 = -1 mod 5: a root exists
-        assert f25.is_irreducible((1, 0, 1), 1) is False
+        assert zp_is_irreducible(5, (1, 0, 1)) is False
 
-    def test_not_monic(self, f9):
+    def test_not_monic(self):
         with pytest.raises(ValueError, match="not-monic"):
-            f9.is_irreducible((1, 2), 1)
+            zp_is_irreducible(3, (1, 2))
 
     def test_zp_matches_brute_force_quadratics(self):
         for p in (3, 5, 7):
@@ -252,13 +280,23 @@ class TestIrreducibility:
                     got = zp_is_irreducible(p, [c0, c1, 1])
                     assert got == ((c0, c1, 1) in brute)
 
-    def test_irreducible_persistence_coprime_degree(self):
-        # a cubic stays irreducible over F_{p^k} iff gcd(k, 3) = 1
-        f26 = build_field(3, 6)
-        cubic = lex_least_irreducible(3, 3)
-        assert f26.is_irreducible(cubic, 1) is True
-        assert f26.is_irreducible(cubic, 2) is True  # gcd(2,3)=1
-        assert f26.is_irreducible(cubic, 3) is False  # roots exist in F_27
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zp_matches_brute_force_cubics_and_quartics(self, p):
+        # degree 3: irreducible iff rootless; degree 4: also not a
+        # product of two monic quadratics
+        quadratics = list(itertools.product(range(p), repeat=2))
+        products = set()
+        for a0, a1 in quadratics:
+            for b0, b1 in quadratics:
+                products.add(((a0 * b0) % p, (a0 * b1 + a1 * b0) % p,
+                              (a0 + b0 + a1 * b1) % p, (a1 + b1) % p, 1))
+        for deg in (3, 4):
+            for low in itertools.product(range(p), repeat=deg):
+                f = low + (1,)
+                rootless = all(sum(c * x ** i for i, c in enumerate(f)) % p
+                               for x in range(p))
+                want = rootless and f not in products
+                assert zp_is_irreducible(p, f) is want, (p, f)
 
 
 class TestFindRoot:
@@ -393,8 +431,6 @@ class TestSubfieldView:
                 [idx[ctx.add(x, y)] for y in elems], (i,)
             assert [int(v) for v in view.mul_table[i]] == \
                 [idx[ctx.mul(x, y)] for y in elems], (i,)
-        assert [int(v) for v in view.neg_table] == \
-            [idx[ctx.neg(x)] for x in elems]
 
     @pytest.mark.parametrize("p,n,k", [(3, 4, 2), (3, 4, 4), (2, 6, 3),
                                        (5, 2, 2), (7, 2, 1)])
