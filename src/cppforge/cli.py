@@ -19,7 +19,7 @@ from . import __version__, families, scan
 from .field import build_field
 from .niho import NihoCtx, count_N, direct_walsh, niho_s_from_d, walsh_value
 from .oracle import CHARSUM_CAP, monomial_map
-from .report import CppReport
+from .report import CppReport, check_extension
 
 _CAP_MARKERS = ("field-too-large", "cap-exceeded", "field-too-large-for-charsum",
                 "subgroup order")
@@ -59,6 +59,8 @@ def cmd_field(args):
 
 
 def cmd_count_cpp(args):
+    if args.out:
+        check_extension(args.out)      # before the scan
     progress = _Progress(f"count-cpp p={args.p} k={args.k} r={args.r}")
     res = scan.count_cpp(args.p, args.k, args.r, method=args.method,
                          jobs=args.jobs, collect=args.list or bool(args.out),
@@ -99,6 +101,10 @@ def cmd_verify(args):
 
 
 def cmd_conjecture(args):
+    if args.kmin > args.kmax:
+        raise ValueError(f"empty-range: --kmin {args.kmin} > --kmax {args.kmax}")
+    if args.budget is not None and args.budget < 1:
+        raise ValueError(f"empty-budget: --budget {args.budget} < 1")
     all_pass = True
     for k in range(args.kmin, args.kmax + 1):
         if args.id == 1:

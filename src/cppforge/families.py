@@ -617,25 +617,17 @@ def _niho(p, k, i):
     return _oracle_checked(ctx, niho_exponent(p, k, i), ctx.neg_one_roots(k))
 
 
-def _r4_scan(p, k):
-    # the conditions must tag exactly the subfield criterion's coefficients
+def _r4_scan(p, k, condition=None):
+    # the conditions must tag exactly the subfield criterion's coefficients;
+    # failures are the untagged members, plus the tagged count if it differs.
+    # Without a condition, the tagger whose labels count_cpp reports
     ctx = build_field(p, 4 * k)
-    cpps, tagged, ok = scan.r4_equality_check(ctx, k)
+    tagger = (scan._r4_tagger(ctx, k) if condition is None
+              else lambda a: condition(ctx, a, k))
+    cpps, tagged, failures = scan.r4_equality_check(ctx, k, tagger)
+    if tagged != len(cpps):
+        failures.append(("tagged-count", tagged))
     return {"d": tower_exponent(p, k, 4), "tested": ctx.q - 1,
-            "count": len(cpps),
-            "failures": [] if ok else [("tagged-count", tagged)]}
-
-
-def _r4_p3(k):
-    # as _r4_scan, without its field-size cap, listing untagged members
-    ctx = build_field(3, 4 * k)
-    cpps = scan.ha_cpp_scan(ctx, 4, k)
-    tagged = {a for a in range(1, ctx.q)
-              if r4_condition_p3(ctx, a, k) is not None}
-    failures = [a for a in cpps if a not in tagged]
-    if len(tagged) != len(cpps):
-        failures.append(("tagged-count", len(tagged)))
-    return {"d": tower_exponent(3, k, 4), "tested": ctx.q - 1,
             "count": len(cpps), "failures": failures}
 
 
@@ -686,7 +678,7 @@ FAMILIES = {
     "niho2": lambda o: _niho(o.p, o.k, o.i),
     "p3k2": lambda o: _niho(3, o.k, 1),
     "r4_general": lambda o: _r4_scan(o.p, o.k),
-    "r4_p3": lambda o: _r4_p3(o.k),
+    "r4_p3": lambda o: _r4_scan(3, o.k, r4_condition_p3),
     "r4_p3_beta": lambda o: _r4_p3_beta(o.k),
     "r4_p5": lambda o: _r4_scan(5, o.k),
     "r4_p5_vset": lambda o: _r4_p5_vset(o.k),

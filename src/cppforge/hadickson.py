@@ -39,14 +39,6 @@ class SubfieldPoly:
         return d
 
 
-def subfield_poly(ctx, coeffs, k) -> SubfieldPoly:
-    cs = tuple(coeffs)
-    for c in cs:
-        if not ctx.in_subfield(c, k):
-            raise ValueError(f"not-in-subfield: coefficient {c}")
-    return SubfieldPoly(k, cs)
-
-
 def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
     """lambda_i of the conjugates a^(p^(ik)), i < r, via the incremental
     product prod(x + a_i)."""
@@ -110,54 +102,6 @@ def depressed_quintic(ctx, lv: LambdaVec, k):
     return a3, a2, a1
 
 
-# normalized quintic permutation forms over F_q, odd q, p != 5, keyed by
-# the depressed coefficient triple (A3, A2, A1)
-def classify_quintic_pp(ctx, a3, a2, a1, k):
-    """Tag of the normalized-permutation form matched by
-    x^5 + A3 x^3 + A2 x^2 + A1 x over F_{p^k}, or None.
-
-    The tag is a sufficiency certificate (every tagged triple is a
-    permutation); untagged triples are not claimed to be non-permutations.
-    """
-    if ctx.p == 5:
-        raise ValueError("char-five: classification here covers p != 5 only")
-    p = ctx.p
-    q = p ** k
-    for c in (a3, a2, a1):
-        if not ctx.in_subfield(c, k):
-            raise ValueError(f"not-in-subfield: coefficient {c}")
-    if a3 == 0 and a2 == 0 and a1 == 0:
-        if q % 5 != 1:
-            return "x^5"
-        return None
-    if a2 == 0 and q % 5 in (2, 3):
-        inv5 = ctx.inv(ctx.scalar(5))
-        if ctx.mul(inv5, ctx.mul(a3, a3)) == a1:
-            return "x^5+vx^3+(1/5)v^2x"
-    if q == 9 and a3 == 0 and a2 == 0:
-        if ctx.mul(a1, a1) == ctx.neg(1):
-            return "x^5+vx (v^2=-1, q=9)"
-    if q == 7:
-        if a3 == 0 and a1 == 0 and a2 in (ctx.scalar(2), ctx.scalar(-2)):
-            return "x^5+-2x^2 (q=7)"
-        if a3 != 0 and not ctx.residue_test(a3, k, "square") \
-                and a2 in (1, ctx.scalar(-1)) \
-                and a1 == ctx.mul(ctx.scalar(3), ctx.mul(a3, a3)):
-            return "x^5+vx^3+-x^2+3v^2x (q=7)"
-    if q == 13 and a2 == 0 and a3 != 0:
-        if not ctx.residue_test(a3, k, "square") \
-                and a1 == ctx.mul(ctx.scalar(3), ctx.mul(a3, a3)):
-            return "x^5+vx^3+3v^2x (q=13)"
-    if q == 3 and a2 == 0:
-        if a3 == 0 and a1 == 1:
-            return "x^5+x (q=3)"
-        if a3 == ctx.scalar(2) and a1 == 1:
-            return "x^5+2x^3+x (q=3)"
-        if a3 == 1 and a1 == 0:
-            return "x^5+x^3 (q=3)"
-    return None
-
-
 def dickson_poly(ctx, l, eta, k) -> SubfieldPoly:
     """Dickson polynomial D_l(x, eta) over F_{p^k}: coefficient of
     x^(l-2j) is l/(l-j) * C(l-j, j) * (-eta)^j, the integer factor taken
@@ -178,11 +122,6 @@ def dickson_poly(ctx, l, eta, k) -> SubfieldPoly:
         c = ctx.scalar(num // (l - j))
         coeffs[l - 2 * j] = ctx.mul(c, ctx.pow(neg_eta, j))
     return SubfieldPoly(k, tuple(coeffs))
-
-
-def dickson_is_pp(ctx, l, k) -> bool:
-    """D_l(x, eta) permutes F_{p^k} iff gcd(l, p^(2k) - 1) == 1."""
-    return math.gcd(l, ctx.p ** (2 * k) - 1) == 1
 
 
 def taylor_shift(ctx, coeffs, s):

@@ -69,12 +69,14 @@ class CppReport:
 
     def write(self, path, tags=None):
         path = str(path)
-        if path.endswith(".csv"):
-            data = self.to_csv(tags)
-        elif path.endswith(".json"):
-            data = self.to_json()
-        else:
-            raise ValueError(f"unknown report extension on {path!r} "
-                             "(use .json or .csv)")
+        check_extension(path)
+        data = self.to_csv(tags) if path.endswith(".csv") else self.to_json()
         with open(path, "w") as fh:
             fh.write(data)
+
+
+def check_extension(path):
+    """Reject a report path that names neither a .json nor a .csv file."""
+    if not str(path).endswith((".json", ".csv")):
+        raise ValueError(f"unknown report extension on {str(path)!r} "
+                         "(use .json or .csv)")

@@ -105,25 +105,39 @@ def ha_cpp_scan(ctx, r, k, progress=None):
     return [int(a) for a in A[mask]]
 
 
-def r4_equality_check(ctx, k):
-    """Full-field cross-check that the r = 4 membership conditions
-    characterize the CPP coefficient set exactly.
+def r4_equality_check(ctx, k, tagger):
+    """Cross-check that an r = 4 membership tagger (a -> ConditionTag or
+    None) tags exactly the CPP coefficients of F_{p^4k}.
 
-    Returns (cpp_list, tagged_count, ok): ok means every CPP coefficient
-    carries a tag and the number of tagged coefficients over the whole
-    field equals the CPP count (conditions are sound and complete).
+    Membership and every condition's tag are constant on the classes of
+    F_q^*/F_{p^k}^* (cyclic of order e = (q-1)/(p^k-1), a = g^j in class
+    j mod e) and on their Frobenius orbits j -> pj mod e, since
+    f_a(cx) = c N(c) f_{a/N(c)}(x), f_a(x)^p = f_{a^p}(x^p) and each
+    condition is weighted-homogeneous in the lambda_i.  So one g^j per
+    orbit, j least in its coset, is tagged, and a tagged orbit counts
+    (coset size) * (p^k - 1) coefficients.
+
+    Returns (cpp_list, tagged_count, untagged): the members whose orbit
+    is untagged.  The tagger is sound and complete when untagged is empty
+    and tagged_count == len(cpp_list).
     """
-    p = ctx.p
-    tagger = _r4_tagger(ctx, k)
     cpps = ha_cpp_scan(ctx, 4, k)
-    members_tagged = all(tagger(a) is not None for a in cpps)
-    if p == 5 and k > 1:
-        tagged = int(_p5_bulk_tag_mask(ctx, k).sum())
-    elif ctx.q <= 100000:
-        tagged = sum(1 for a in range(1, ctx.q) if tagger(a) is not None)
-    else:
-        raise ValueError("cap-exceeded: no bulk tagger for this field")
-    return cpps, tagged, members_tagged and tagged == len(cpps)
+    unit = ctx.p ** k - 1
+    e = (ctx.q - 1) // unit
+    j = np.arange(e, dtype=np.int64)
+    least, x = j.copy(), j.copy()
+    for _ in range(ctx.n - 1):          # the order of p mod e divides n
+        x = x * ctx.p % e
+        np.minimum(least, x, out=least)
+    reps = np.flatnonzero(least == j)
+    class_tagged = np.zeros(e, dtype=bool)
+    class_tagged[reps] = [tagger(int(ctx.exp_table[r])) is not None
+                          for r in reps]
+    orbit_sizes = np.bincount(least, minlength=e)
+    tagged = int(orbit_sizes[class_tagged].sum()) * unit
+    untagged = [a for a in cpps
+                if not class_tagged[least[ctx.log_table[a] % e]]]
+    return cpps, tagged, untagged
 
 
 def _r4_tagger(ctx, k):
@@ -132,28 +146,6 @@ def _r4_tagger(ctx, k):
     from .families import r4_condition, r4_condition_p5
     condition = r4_condition_p5 if ctx.p == 5 else r4_condition
     return lambda a: condition(ctx, a, k)
-
-
-def _p5_bulk_tag_mask(ctx, k):
-    # vectorized union of the k > 1 membership conditions for p = 5
-    q_sub = 5 ** k
-    N = ctx.q - 1
-    A, lam = bulk.lambda_scan(ctx, 4, k)
-    l1, l2, l3, l4 = (lam[:, j] for j in range(4))
-    three = ctx.scalar(3)
-    # condition 1: l1 = l2 = l3 = 0 and -l4 not a fourth power
-    e4 = (q_sub - 1) // math.gcd(4, q_sub - 1)
-    not4 = bulk.pow_const(ctx, bulk.neg(ctx, l4), e4) != 1
-    c1 = (l1 == 0) & (l2 == 0) & (l3 == 0) & not4
-    # condition 2: l1 = 0, l2 != 0, -l2^2 = l4 + 3 l3^2 / l2, 2 l2 not square
-    inv_l2 = bulk.pow_const(ctx, l2, N - 1)          # x^(q-2) = 1/x off zero
-    rhs = bulk.add(ctx, l4, bulk.mul_scalar(
-        ctx, three, bulk.mul(ctx, bulk.mul(ctx, l3, l3), inv_l2)))
-    lhs = bulk.neg(ctx, bulk.mul(ctx, l2, l2))
-    e2 = (q_sub - 1) // 2
-    notsq = bulk.pow_const(ctx, bulk.mul_scalar(ctx, ctx.scalar(2), l2), e2) != 1
-    c2 = (l1 == 0) & (l2 != 0) & (lhs == rhs) & notsq
-    return c1 | c2
 
 
 def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,20 @@ class TestCountCpp:
         assert len(lines) == 61
         assert all(re.match(r"^\d+,r4_p5:\d$", ln) for ln in lines[1:])
 
+    def test_bad_extension_before_scan(self, capsys, monkeypatch, tmp_path):
+        import cppforge.scan as scan_mod
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("count_cpp called")
+
+        monkeypatch.setattr(scan_mod, "count_cpp", no_scan)
+        code, out, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",
+                                 "--r", "4", "--out", str(tmp_path / "r.xml"))
+        assert code == 2
+        assert out == ""
+        assert "extension" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gcd_violation_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "4",
                                "--r", "4", "--jobs", "1")
@@ -99,8 +114,10 @@ VERIFY_PINNED = [
     (("niho2", "--p", "3", "--k", "2"), 11, 8, None),
     (("p3k2",), 5, 2, None),
     (("r4_general", "--p", "7"), 401, 2400, 300),
+    (("r4_general", "--p", "3", "--k", "3"), 20441, 531440, 2860),
     (("r4_p3",), 41, 80, 38),
     (("r4_p3", "--k", "2"), 821, 6560, 64),
+    (("r4_p3", "--k", "3"), 20441, 531440, 2860),
     (("r4_p3_beta",), 41, 28, None),
     (("r4_p5",), 157, 624, 60),
     (("r4_p5_vset",), 157, 12, None),
@@ -229,6 +246,17 @@ class TestConjecture:
         assert code == 2
         assert "not-prime" in err
 
+    @pytest.mark.parametrize("argv,msg", [
+        (("--id", "2", "--p", "3", "--kmin", "3", "--kmax", "1"), "empty-range"),
+        (("--id", "1", "--p", "3", "--budget", "0"), "empty-budget"),
+        (("--id", "1", "--p", "3", "--budget", "-1"), "empty-budget")])
+    def test_nothing_to_check_is_usage_error(self, capsys, argv, msg):
+        # a run that checks nothing neither verifies nor refutes anything
+        code, out, err = run_cli(capsys, "conjecture", *argv)
+        assert code == 2
+        assert out == ""
+        assert msg in err
+
     def test_subfield_view_cap(self, capsys):
         # F_7^5 as a subfield would need two 16807x16807 tables
         code, _, err = run_cli(capsys, "conjecture", "--id", "2", "--p", "7",
@@ -259,3 +287,22 @@ class TestWalsh:
         assert code == 2
         assert out == ""
         assert "not-an-element" in err
+
+
+class TestReadme:
+    def test_examples_match_cli(self, capsys):
+        # every `$ cppforge ...` example prints the lines the README shows
+        # (up to a `...` line, which stands for the rest of the output)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        examples = re.findall(r"^\$ cppforge (.*)\n((?:(?!```).+\n)*)", readme,
+                              flags=re.M)
+        assert len(examples) >= 2
+        for command, shown in examples:
+            shown = shown.splitlines()
+            code, out, _ = run_cli(capsys, *shlex.split(command))
+            assert code == 0, command
+            lines = out.splitlines()
+            if "..." in shown:
+                shown = shown[:shown.index("...")]
+                lines = lines[:len(shown)]
+            assert lines == shown, command

@@ -7,11 +7,9 @@ import random
 import pytest
 
 from cppforge.field import build_field
-from cppforge.hadickson import (LambdaVec, classify_quintic_pp,
-                                depressed_quintic, dickson_is_pp,
-                                dickson_poly, h_a_coeffs, ha_pp_check,
-                                is_dickson_of_degree, lambda_coeffs,
-                                subfield_poly, taylor_shift)
+from cppforge.hadickson import (LambdaVec, depressed_quintic, dickson_poly,
+                                h_a_coeffs, ha_pp_check, is_dickson_of_degree,
+                                lambda_coeffs, taylor_shift)
 
 
 def brute_lambda(ctx, a, r, k):
@@ -178,45 +176,6 @@ class TestDepressedQuintic:
             assert orig == dep
 
 
-class TestClassifyQuintic:
-    @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (13, 1), (3, 3)])
-    def test_tag_matches_brute_force(self, p, k):
-        # the tag guarantee is one-directional, but on these five fields the
-        # implemented rows turn out to characterize quintic permutations
-        # exactly, so the test pins both directions
-        ctx = build_field(p, k)
-        sub = ctx.subfield_elements(k)
-        rng = random.Random(61)
-        grid = [(a3, a2, a1) for a3 in sub for a2 in sub for a1 in sub]
-        if len(grid) > 3000:
-            grid = rng.sample(grid, 3000)
-        hits = 0
-        for a3, a2, a1 in grid:
-            tag = classify_quintic_pp(ctx, a3, a2, a1, k)
-            is_pp = subfield_map_is_pp(
-                ctx, k, lambda x: ctx.poly_eval((0, a1, a2, a3, 0, 1), x))
-            assert (tag is not None) == is_pp, (p, k, a3, a2, a1, tag)
-            hits += tag is not None
-        if (p, k) != (3, 3):
-            assert hits > 0
-
-    def test_expected_tags(self):
-        f3 = build_field(3, 1)
-        assert classify_quintic_pp(f3, 0, 0, 0, 1) == "x^5"
-        f9 = build_field(3, 2)
-        v = [x for x in range(9) if f9.mul(x, x) == f9.neg(1)][0]
-        assert classify_quintic_pp(f9, 0, 0, v, 2) == "x^5+vx (v^2=-1, q=9)"
-        f13 = build_field(13, 1)
-        nonsq = [x for x in range(2, 13)
-                 if not f13.residue_test(x, 1, "square")][0]
-        tag = classify_quintic_pp(f13, nonsq, 0, (3 * nonsq * nonsq) % 13, 1)
-        assert tag == "x^5+vx^3+3v^2x (q=13)"
-
-    def test_x5_not_pp_when_q_1_mod_5(self):
-        f11 = build_field(11, 1)
-        assert classify_quintic_pp(f11, 0, 0, 0, 1) is None
-
-
 class TestDickson:
     def test_d7_coefficients_p3(self, f81):
         # x^7 + 2 eta x^5 + 2 eta^2 x^3 + 2 eta^3 x
@@ -252,9 +211,14 @@ class TestDickson:
                 assert lhs == rhs
 
     def test_pp_criterion_gcd(self, f81):
-        assert dickson_is_pp(f81, 7, 1) is True      # gcd(7, 8) = 1
-        f9k2 = build_field(3, 4)
-        assert dickson_is_pp(f9k2, 5, 2) is False    # gcd(5, 80) = 5
+        # D_l(x, eta) permutes F_{p^k} iff gcd(l, p^2k - 1) = 1, here on
+        # proper subfields of F_81
+        d7 = dickson_poly(f81, 7, 1, 1)              # gcd(7, 8) = 1
+        assert subfield_map_is_pp(
+            f81, 1, lambda x: f81.poly_eval(d7.coeffs, x))
+        d5 = dickson_poly(f81, 5, 1, 2)              # gcd(5, 80) = 5
+        assert not subfield_map_is_pp(
+            f81, 2, lambda x: f81.poly_eval(d5.coeffs, x))
 
     def test_pp_criterion_matches_brute_force(self):
         for k in (1, 2, 3):
@@ -266,7 +230,8 @@ class TestDickson:
                     dp = dickson_poly(ctx, l, eta, k)
                     brute = subfield_map_is_pp(
                         ctx, k, lambda x: ctx.poly_eval(dp.coeffs, x))
-                    assert brute == dickson_is_pp(ctx, l, k), (k, l, eta)
+                    assert brute == (math.gcd(l, 3 ** (2 * k) - 1) == 1), \
+                        (k, l, eta)
 
     def test_eta_validation(self, f81):
         with pytest.raises(ValueError, match="eta-not-in-subfield"):
@@ -321,10 +286,5 @@ class TestIsDickson:
             lv = lambda_coeffs(f81, a, 4, 1)
             eta = is_dickson_of_degree(f81, lv, 5, 1)
             if eta is not None:
-                assert ha_pp_check(f81, a, 4, 1) == dickson_is_pp(f81, 5, 1)
-
-
-def test_subfield_poly_validation(f81):
-    subfield_poly(f81, (0, 1, 2), 1)
-    with pytest.raises(ValueError, match="not-in-subfield"):
-        subfield_poly(f81, (0, 3), 1)
+                assert ha_pp_check(f81, a, 4, 1) == \
+                    (math.gcd(5, 3 ** 2 - 1) == 1)

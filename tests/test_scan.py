@@ -4,6 +4,7 @@ and the full-field condition cross-checks."""
 import pytest
 
 from cppforge import scan
+from cppforge.families import r4_condition, r4_condition_p3, r4_condition_p5
 from cppforge.field import build_field
 from cppforge.report import CppReport
 
@@ -73,46 +74,89 @@ class TestCountCpp:
         assert res["count"] > 0
 
 
+def whole_field_labels(ctx, k, condition):
+    # the slow twin of the orbit route: every nonzero a tagged on its own
+    labels = {}
+    for a in range(1, ctx.q):
+        tag = condition(ctx, a, k)
+        labels[a] = tag.label() if tag else ""
+    return labels
+
+
+def class_representative(ctx, k, a):
+    # g^j for the least j in the Frobenius coset of log(a) mod e
+    e = (ctx.q - 1) // (ctx.p ** k - 1)
+    j = int(ctx.log_table[a]) % e
+    least = min(j * ctx.p ** i % e for i in range(ctx.n))
+    return int(ctx.exp_table[least])
+
+
+# (p, k, condition) for each condition that applies on each field
+TWIN_CASES = [(3, 1, r4_condition), (3, 1, r4_condition_p3),
+              (5, 1, r4_condition_p5), (7, 1, r4_condition),
+              (3, 2, r4_condition), (3, 2, r4_condition_p3)]
+
+
 class TestEqualityCheck:
     def test_f81(self, f81):
-        cpps, tagged, ok = scan.r4_equality_check(f81, 1)
-        assert ok and tagged == 38
+        cpps, tagged, untagged = scan.r4_equality_check(
+            f81, 1, scan._r4_tagger(f81, 1))
+        assert untagged == [] and tagged == 38
 
     def test_f625(self, f625):
-        cpps, tagged, ok = scan.r4_equality_check(f625, 1)
-        assert ok and tagged == 60
+        cpps, tagged, untagged = scan.r4_equality_check(
+            f625, 1, scan._r4_tagger(f625, 1))
+        assert untagged == [] and tagged == 60
 
     def test_f3_8_full_equality(self):
         ctx = build_field(3, 8)
-        cpps, tagged, ok = scan.r4_equality_check(ctx, 2)
-        assert ok and tagged == len(cpps) == 64
+        cpps, tagged, untagged = scan.r4_equality_check(
+            ctx, 2, scan._r4_tagger(ctx, 2))
+        assert untagged == [] and tagged == len(cpps) == 64
 
     def test_f7_4_full_equality(self):
         # exercises the p = 7 small-field conditions
         ctx = build_field(7, 4)
-        cpps, tagged, ok = scan.r4_equality_check(ctx, 1)
-        assert ok and tagged == len(cpps) == 300
+        cpps, tagged, untagged = scan.r4_equality_check(
+            ctx, 1, scan._r4_tagger(ctx, 1))
+        assert untagged == [] and tagged == len(cpps) == 300
 
     def test_f13_4_full_equality(self):
         # exercises the p = 13 small-field condition
         ctx = build_field(13, 4)
-        cpps, tagged, ok = scan.r4_equality_check(ctx, 1)
-        assert ok and tagged == len(cpps) == 792
+        cpps, tagged, untagged = scan.r4_equality_check(
+            ctx, 1, scan._r4_tagger(ctx, 1))
+        assert untagged == [] and tagged == len(cpps) == 792
 
     def test_f5_8_full_equality(self):
         ctx = build_field(5, 8)
-        cpps, tagged, ok = scan.r4_equality_check(ctx, 2)
-        assert ok and tagged == len(cpps) == 1224
+        cpps, tagged, untagged = scan.r4_equality_check(
+            ctx, 2, scan._r4_tagger(ctx, 2))
+        assert untagged == [] and tagged == len(cpps) == 1224
 
-    def test_bulk_tagger_matches_scalar_f625(self, f625):
-        # the vectorized p=5 tagger over conditions 1-2 must agree with the
-        # scalar conditions on a field where both run
-        from cppforge.families import r4_condition_p5
-        mask = scan._p5_bulk_tag_mask(f625, 1)
-        for a in range(1, 625):
-            t = r4_condition_p5(f625, a, 1)
-            expect = t is not None and t.condition in ("1", "2")
-            assert bool(mask[a - 1]) == expect, a
+    @pytest.mark.parametrize("p,k,condition", TWIN_CASES,
+                             ids=[f"F_{p}^{4 * k}-{c.__name__}"
+                                  for p, k, c in TWIN_CASES])
+    def test_orbit_route_matches_whole_field(self, p, k, condition):
+        ctx = build_field(p, 4 * k)
+        labels = whole_field_labels(ctx, k, condition)
+        cpps, tagged, untagged = scan.r4_equality_check(
+            ctx, k, lambda a: condition(ctx, a, k))
+        assert tagged == sum(1 for lab in labels.values() if lab)
+        assert untagged == [a for a in cpps if not labels[a]] == []
+        for a, lab in labels.items():
+            assert lab == labels[class_representative(ctx, k, a)], a
+
+    def test_untagged_members_and_count(self, f81):
+        # a tagger that misses one orbit: its members come back, and the
+        # tagged count falls by the orbit's size
+        rep = class_representative(f81, 1, scan.ha_cpp_scan(f81, 4, 1)[0])
+        tagger = scan._r4_tagger(f81, 1)
+        cpps, tagged, untagged = scan.r4_equality_check(
+            f81, 1, lambda a: None if a == rep else tagger(a))
+        orbit = [a for a in cpps if class_representative(f81, 1, a) == rep]
+        assert untagged == orbit and 0 < len(orbit) < len(cpps)
+        assert tagged == len(cpps) - len(orbit)
 
 
 class TestBothMethodAbort:
