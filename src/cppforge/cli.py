@@ -105,6 +105,9 @@ def cmd_conjecture(args):
         raise ValueError(f"empty-range: --kmin {args.kmin} > --kmax {args.kmax}")
     if args.budget is not None and args.budget < 1:
         raise ValueError(f"empty-budget: --budget {args.budget} < 1")
+    if args.id == 1:
+        for k in range(args.kmin, args.kmax + 1):      # before any line
+            families.dickson_hypotheses(args.p, args.r, k)
     all_pass = True
     for k in range(args.kmin, args.kmax + 1):
         if args.id == 1:

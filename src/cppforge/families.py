@@ -362,10 +362,9 @@ def neg_one_map_permutes(ctx, k, coeffs):
     return view.permutes(rows).tolist()
 
 
-def dickson_witness_search(p, r, k, budget=None):
-    """Coefficients a over F_{p^rk} whose h_a is a Dickson polynomial of
-    degree r+1 (hypotheses: r+1 prime, r+1 != p, gcd(r, k) = 1,
-    gcd(r+1, p^2-1) = 1).  Returns a result dict with the witnesses."""
+def dickson_hypotheses(p, r, k) -> int:
+    """The tower exponent d of the Dickson witness search, after its
+    hypotheses: r+1 prime, r+1 != p, gcd(r, k) = 1, gcd(r+1, p^2-1) = 1."""
     l = r + 1
     if not is_prime(l) or l == p:
         raise ValueError("hypothesis-violation: r+1 must be a prime != p")
@@ -373,8 +372,16 @@ def dickson_witness_search(p, r, k, budget=None):
         raise ValueError("hypothesis-violation: gcd(r, k) != 1")
     if math.gcd(l, p * p - 1) != 1:
         raise ValueError("hypothesis-violation: gcd(r+1, p^2-1) != 1")
+    return tower_exponent(p, k, r)
+
+
+def dickson_witness_search(p, r, k, budget=None):
+    """Coefficients a over F_{p^rk} whose h_a is a Dickson polynomial of
+    degree r+1 (under dickson_hypotheses).  Returns a result dict with the
+    witnesses."""
+    l = r + 1
+    d = dickson_hypotheses(p, r, k)
     ctx = build_field(p, r * k)
-    d = tower_exponent(p, k, r)
     if ctx.backend != "table" and budget is None:
         raise ValueError("cap-exceeded: full witness enumeration needs an "
                          "enumerable field; pass a budget")
@@ -395,8 +402,16 @@ def dickson_witness_search(p, r, k, budget=None):
                 witnesses.append(a)
     cpp_failures = []
     if ctx.backend == "table":
-        cpp_failures = [a for a in witnesses
-                        if not is_cpp_exponent_pair(ctx, d, a)]
+        # CPP membership is constant on the Frobenius orbits of
+        # scan.direct_cpp_scan: one oracle check per orbit the witnesses touch
+        e = math.gcd(d - 1, ctx.q - 1)
+        least, _ = scan.frobenius_orbits(ctx, e)
+        orbit = least[ctx.log_table[witnesses] % e].tolist()
+        verdict = {}
+        for a, j in zip(witnesses, orbit):
+            if j not in verdict:
+                verdict[j] = is_cpp_exponent_pair(ctx, d, a)
+        cpp_failures = [a for a, j in zip(witnesses, orbit) if not verdict[j]]
     return {"p": p, "r": r, "k": k, "d": d, "witnesses": witnesses,
             "witness_count": len(witnesses), "cpp_failures": cpp_failures,
             "passed": bool(witnesses) and not cpp_failures}
@@ -620,14 +635,16 @@ def _niho(p, k, i):
 def _r4_scan(p, k, condition=None):
     # the conditions must tag exactly the subfield criterion's coefficients;
     # failures are the untagged members, plus the tagged count if it differs.
-    # Without a condition, the tagger whose labels count_cpp reports
+    # Without a condition, the tagger whose labels count_cpp reports.
+    # The hypothesis before the field: F_{p^4k} may be past the table cap
+    d = tower_exponent(p, k, 4)
     ctx = build_field(p, 4 * k)
     tagger = (scan._r4_tagger(ctx, k) if condition is None
               else lambda a: condition(ctx, a, k))
     cpps, tagged, failures = scan.r4_equality_check(ctx, k, tagger)
     if tagged != len(cpps):
         failures.append(("tagged-count", tagged))
-    return {"d": tower_exponent(p, k, 4), "tested": ctx.q - 1,
+    return {"d": d, "tested": ctx.q - 1,
             "count": len(cpps), "failures": failures}
 
 

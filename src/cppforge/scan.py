@@ -1,7 +1,9 @@
 """Exhaustive CPP coefficient scans for exponents d = (p^(rk)-1)/(p^k-1)+1.
 
 Two routes: "direct" tests the bijectivity of x -> x^d + a*x on the whole
-field for every a (ground truth, optionally across a process pool);
+field for one a per Frobenius orbit class of coefficients (ground truth,
+optionally across a process pool), the orbits coming from
+frobenius_orbits, which the r = 4 labels and equality check share;
 "ha" reduces each a to a degree-(r+1) polynomial on F_{p^k} and checks the
 permutation there, deduplicating identical coefficient vectors.  Both
 return ascending coefficient lists so results merge and compare bytewise.
@@ -18,6 +20,7 @@ import numpy as np
 from . import bulk
 from .field import build_field
 
+POOL_MIN_POINTS = 1 << 25   # orbits x q before --jobs > 1 forks a pool
 _WORKER = {}
 
 
@@ -26,45 +29,67 @@ def _pool_init(p, n, modulus, backend):
 
 
 def _pool_part(args):
-    lo, hi, d = args
+    reps, d = args
     ctx = _WORKER["ctx"]
-    return [a for a in range(lo, hi)
-            if bulk.binomial_is_permutation(ctx, d, a)]
+    return [bulk.binomial_is_permutation(ctx, d, int(ctx.exp_table[j]))
+            for j in reps]
+
+
+def frobenius_orbits(ctx, e):
+    """The Frobenius orbits j -> pj mod e on Z/e (e dividing q - 1).
+
+    Returns (least, reps): least[j] is the least element of j's coset
+    under multiplication by p mod e, and reps (ascending) the j with
+    least[j] == j, one per orbit.
+    """
+    j = np.arange(e, dtype=np.int64)
+    least, x = j.copy(), j.copy()
+    for _ in range(ctx.n - 1):          # the order of p mod e divides n
+        x = x * ctx.p % e
+        np.minimum(least, x, out=least)
+    return least, np.flatnonzero(least == j)
 
 
 def direct_cpp_scan(ctx, d, jobs=1, progress=None):
     """Ascending list of all a != 0 making x -> x^d + a*x bijective.
-    Combined with gcd(d, q-1) == 1 these are exactly the CPP coefficients."""
+    Combined with gcd(d, q-1) == 1 these are exactly the CPP coefficients.
+
+    Bijectivity of f_a(x) = x^d + ax depends only on the Frobenius orbit
+    of log(a) mod e, e = gcd(d - 1, q - 1): f_a(cx) = c^d f_{a c^(1-d)}(x),
+    where c^(1-d) runs over the (d-1)-th powers, the subgroup of index e,
+    and f_a(x)^p = f_{a^p}(x^p).  So one a = g^j per orbit is checked on
+    the whole field, and the members are every a whose orbit passed.
+    """
     if ctx.backend != "table":
         raise ValueError("cap-exceeded: direct scans need the table backend")
     if math.gcd(d, ctx.q - 1) != 1:
         return []
     q = ctx.q
-    if jobs > 1 and q > 4096:
+    e = math.gcd(d - 1, q - 1)
+    least, reps = frobenius_orbits(ctx, e)
+    passed = []
+    if jobs > 1 and len(reps) * q >= POOL_MIN_POINTS:
         import multiprocessing as mp
-        chunks = []
-        step = max(256, (q - 1) // (jobs * 8) + 1)
-        lo = 1
-        while lo < q:
-            chunks.append((lo, min(lo + step, q), d))
-            lo += step
+        step = -(-len(reps) // (jobs * 8))
+        chunks = [(reps[lo:lo + step], d) for lo in range(0, len(reps), step)]
         with mp.get_context("fork").Pool(
                 jobs, initializer=_pool_init,
                 initargs=(ctx.p, ctx.n, ctx.modulus, ctx.backend)) as pool:
-            parts = []
-            for i, part in enumerate(pool.imap(_pool_part, chunks)):
-                parts.append(part)
+            for part in pool.imap(_pool_part, chunks):
+                passed += part
                 if progress:
-                    progress(chunks[i][1] - 1, q - 1)
-        return [a for part in parts for a in part]
-    out = []
-    report_step = max(1, (q - 1) // 64)
-    for a in range(1, q):
-        if bulk.binomial_is_permutation(ctx, d, a):
-            out.append(a)
-        if progress and a % report_step == 0:
-            progress(a, q - 1)
-    return out
+                    progress(len(passed), len(reps))
+    else:
+        report_step = max(1, len(reps) // 64)
+        for i, j in enumerate(reps, 1):
+            passed.append(bulk.binomial_is_permutation(
+                ctx, d, int(ctx.exp_table[j])))
+            if progress and i % report_step == 0:
+                progress(i, len(reps))
+    member = np.zeros(e, dtype=bool)
+    member[reps] = passed
+    A = bulk.nonzero_elements(ctx)
+    return [int(a) for a in A[member[least[ctx.log_table[A] % e]]]]
 
 
 def ha_cpp_scan(ctx, r, k, progress=None):
@@ -124,12 +149,7 @@ def r4_equality_check(ctx, k, tagger):
     cpps = ha_cpp_scan(ctx, 4, k)
     unit = ctx.p ** k - 1
     e = (ctx.q - 1) // unit
-    j = np.arange(e, dtype=np.int64)
-    least, x = j.copy(), j.copy()
-    for _ in range(ctx.n - 1):          # the order of p mod e divides n
-        x = x * ctx.p % e
-        np.minimum(least, x, out=least)
-    reps = np.flatnonzero(least == j)
+    least, reps = frobenius_orbits(ctx, e)
     class_tagged = np.zeros(e, dtype=bool)
     class_tagged[reps] = [tagger(int(ctx.exp_table[r])) is not None
                           for r in reps]
@@ -175,10 +195,17 @@ def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None):
     elems = elems_direct if elems_direct is not None else elems_ha
     labels = {}
     if r == 4 and p != 2:
+        # labels are constant on the orbits of r4_equality_check: tag the
+        # representative g^j of each member orbit
         tagger = _r4_tagger(ctx, k)
-        for a in elems:
-            tag = tagger(a)
-            labels[a] = tag.label() if tag else ""
+        e = (ctx.q - 1) // (p ** k - 1)
+        least, _ = frobenius_orbits(ctx, e)
+        orbit = least[ctx.log_table[elems] % e]
+        orbit_label = {}
+        for j in np.unique(orbit).tolist():
+            tag = tagger(int(ctx.exp_table[j]))
+            orbit_label[j] = tag.label() if tag else ""
+        labels = {a: orbit_label[j] for a, j in zip(elems, orbit.tolist())}
     conditions = {}
     for label in labels.values():
         label = label or "untagged"

@@ -217,6 +217,20 @@ class TestVerify:
         assert msg in err
         assert all(q <= TABLE_CAP for q in built)
 
+    @pytest.mark.parametrize("argv", [("r4_general", "--p", "3", "--k", "4"),
+                                      ("r4_p3", "--k", "4")])
+    def test_r4_scan_hypothesis_before_field(self, capsys, monkeypatch, argv):
+        # gcd(5, 3^4 - 1) = 5: a usage error, found before F_3^16 is built
+        import cppforge.families as families_mod
+        built = []
+        monkeypatch.setattr(families_mod, "build_field",
+                            lambda p, n, *a, **kw: built.append(p ** n))
+        code, out, err = run_cli(capsys, "verify", "--family", *argv)
+        assert code == 2
+        assert out == ""
+        assert "gcd-violation" in err
+        assert built == []
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         import cppforge.families as families_mod
         monkeypatch.setattr(families_mod, "is_cpp_exponent_pair",
@@ -256,6 +270,14 @@ class TestConjecture:
         assert code == 2
         assert out == ""
         assert msg in err
+
+    def test_every_k_checked_before_output(self, capsys):
+        # k = 2 breaks gcd(r, k) = 1: nothing is printed for k = 1 either
+        code, out, err = run_cli(capsys, "conjecture", "--id", "1", "--p", "3",
+                                 "--r", "4", "--kmin", "1", "--kmax", "2")
+        assert code == 2
+        assert out == ""
+        assert "hypothesis-violation: gcd(r, k) != 1" in err
 
     def test_subfield_view_cap(self, capsys):
         # F_7^5 as a subfield would need two 16807x16807 tables

@@ -220,6 +220,38 @@ class TestConjectureHarnesses:
                 wits.add(a)
         assert gen <= wits
 
+    @pytest.mark.parametrize("p,r,k", [(3, 4, 1), (2, 4, 3), (7, 4, 1)])
+    def test_witness_search_checks_one_witness_per_orbit(self, p, r, k,
+                                                         monkeypatch):
+        # an oracle that rejects the first witness: the search asks it once
+        # per Frobenius orbit of log(a) mod gcd(d - 1, q - 1) and reports
+        # every witness of the rejected orbit
+        import cppforge.families as families_mod
+        witnesses = dickson_witness_search(p, r, k)["witnesses"]
+        ctx = build_field(p, r * k)
+        d = tower_exponent(p, k, r)
+        e = math.gcd(d - 1, ctx.q - 1)
+        # the slow twin: every witness through the oracle
+        assert all(is_cpp_exponent_pair(ctx, d, a) for a in witnesses)
+
+        def orbit(a):
+            j = int(ctx.log_table[a]) % e
+            return min(j * p ** i % e for i in range(ctx.n))
+
+        asked = []
+
+        def oracle(ctx_, d_, a):
+            asked.append(a)
+            return a != witnesses[0]
+
+        monkeypatch.setattr(families_mod, "is_cpp_exponent_pair", oracle)
+        res = dickson_witness_search(p, r, k)
+        assert sorted(map(orbit, asked)) == sorted(set(map(orbit, witnesses)))
+        assert len(asked) < len(witnesses)
+        assert res["cpp_failures"] == [a for a in witnesses
+                                       if orbit(a) == orbit(witnesses[0])]
+        assert not res["passed"]
+
     def test_witness_search_hypotheses(self):
         with pytest.raises(ValueError, match="hypothesis-violation"):
             dickson_witness_search(3, 4, 4)      # gcd(r, k) != 1

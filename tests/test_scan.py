@@ -1,12 +1,37 @@
 """Scan pipelines: direct vs subfield-criterion routes, process pools,
 and the full-field condition cross-checks."""
 
+import math
+
 import pytest
 
-from cppforge import scan
-from cppforge.families import r4_condition, r4_condition_p3, r4_condition_p5
+from cppforge import bulk, scan
+from cppforge.families import (r4_condition, r4_condition_p3, r4_condition_p5,
+                               tower_exponent)
 from cppforge.field import build_field
 from cppforge.report import CppReport
+
+
+def whole_field_members(ctx, d):
+    # the slow twin of the orbit-reduced direct scan: every nonzero a
+    return [a for a in range(1, ctx.q)
+            if bulk.binomial_is_permutation(ctx, d, a)]
+
+
+def coset(ctx, e, j):
+    return {j * ctx.p ** i % e for i in range(ctx.n)}
+
+
+class TestFrobeniusOrbits:
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 6), (5, 3), (7, 2), (2, 8)])
+    def test_cosets_of_every_divisor(self, p, n):
+        ctx = build_field(p, n)
+        for e in (e for e in range(1, ctx.q) if (ctx.q - 1) % e == 0):
+            least, reps = scan.frobenius_orbits(ctx, e)
+            assert sum(len(coset(ctx, e, j)) for j in reps) == e
+            for j in range(e):
+                assert least[j] == min(coset(ctx, e, j)), (e, j)
+            assert reps.tolist() == sorted(set(least.tolist()))
 
 
 class TestDirectScan:
@@ -23,6 +48,41 @@ class TestDirectScan:
         seq = scan.direct_cpp_scan(f81, 41, jobs=1)
         par = scan.direct_cpp_scan(f81, 41, jobs=2)
         assert seq == par
+
+    def test_pool_agrees_f3_8(self, monkeypatch):
+        # 107 orbits of 6561 points is below the pool's gate: lower it so
+        # the pool runs
+        import multiprocessing
+        ctx = build_field(3, 8)
+        d = tower_exponent(3, 2, 4)
+        seq = scan.direct_cpp_scan(ctx, d, jobs=1)
+        forks = []
+        real = multiprocessing.get_context
+
+        def recording(method):
+            forks.append(method)
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        monkeypatch.setattr(scan, "POOL_MIN_POINTS", 1)
+        par = scan.direct_cpp_scan(ctx, d, jobs=2)
+        assert forks == ["fork"]
+        assert par == seq and len(seq) == 64
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (7, 1), (2, 2)])
+    def test_tower_exponent_matches_whole_field(self, p, k):
+        ctx = build_field(p, 4 * k)
+        d = tower_exponent(p, k, 4)
+        assert scan.direct_cpp_scan(ctx, d) == whole_field_members(ctx, d)
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 6), (5, 3), (7, 2)])
+    def test_every_exponent_matches_whole_field(self, p, n):
+        # e = gcd(d - 1, q - 1) runs from 1 (F_2^6, d = 2) to q - 1 (d = 1)
+        ctx = build_field(p, n)
+        for d in range(1, ctx.q - 1):
+            if math.gcd(d, ctx.q - 1) == 1:
+                assert (scan.direct_cpp_scan(ctx, d)
+                        == whole_field_members(ctx, d)), d
 
     def test_generic_backend_refused(self):
         gen = build_field(3, 4, backend="generic")
@@ -67,6 +127,17 @@ class TestCountCpp:
         res = scan.count_cpp(5, 1, 4, method="direct", collect=True)
         assert res["count"] == 60
         assert set(res["conditions"]) <= {"r4_p5:1", "r4_p5:2", "r4_p5:3"}
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+    def test_orbit_labels_match_member_labels(self, p, k):
+        # count_cpp tags one representative per member orbit; the slow twin
+        # tags every member
+        res = scan.count_cpp(p, k, 4, method="ha", collect=True)
+        ctx = res["ctx"]
+        tagger = scan._r4_tagger(ctx, k)
+        assert res["labels"] == {a: (tag.label() if tag else "")
+                                 for a in res["elements"]
+                                 for tag in [tagger(a)]}
 
     def test_r6_no_conditions(self):
         res = scan.count_cpp(3, 1, 6, method="ha")
