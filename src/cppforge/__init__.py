@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .field import FieldCtx, build_field, parse_field_spec  # noqa: F401
+from .field import CapExceeded, FieldCtx, build_field  # noqa: F401

@@ -10,13 +10,15 @@ counterpart on FieldCtx that the test suite cross-checks against.
 
 import numpy as np
 
+from .field import CapExceeded
+
 LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
 CHECK_BLOCK = 1 << 16       # points per block in binomial_is_permutation
 
 
 def _require_table(ctx):
     if ctx.backend != "table":
-        raise ValueError("field-too-large: bulk kernels need the table backend")
+        raise CapExceeded("field-too-large: bulk kernels need the table backend")
 
 
 def elements(ctx):

@@ -16,13 +16,10 @@ import sys
 import time
 
 from . import __version__, families, scan
-from .field import build_field
+from .field import CapExceeded, build_field
 from .niho import NihoCtx, count_N, direct_walsh, niho_s_from_d, walsh_value
 from .oracle import CHARSUM_CAP, monomial_map
 from .report import CppReport, check_extension
-
-_CAP_MARKERS = ("field-too-large", "cap-exceeded", "field-too-large-for-charsum",
-                "subgroup order")
 
 
 class _Progress:
@@ -226,11 +223,11 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ZeroDivisionError) as exc:
-        msg = str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        if any(msg.startswith(m) or m in msg for m in _CAP_MARKERS):
-            return 3
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

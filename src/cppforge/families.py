@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bulk, scan
-from .field import build_field, is_prime
+from .field import CapExceeded, build_field, is_prime
 from .hadickson import (SubfieldPoly, lambda_coeffs, depressed_quintic,
                         ha_pp_check, is_dickson_of_degree)
 from .oracle import FieldMap, is_cpp, is_cpp_exponent_pair
@@ -50,6 +48,9 @@ def niho_exponent(p, k, i) -> int:
 
 def tower_exponent(p, k, r) -> int:
     """d = (p^(rk) - 1)/(p^k - 1) + 1 under gcd(r+1, p^k - 1) == 1."""
+    if k < 1 or r < 1:
+        raise ValueError(f"hypothesis-violation: need k >= 1 and r >= 1, "
+                         f"got k={k}, r={r}")
     if math.gcd(r + 1, p ** k - 1) != 1:
         raise ValueError(f"gcd-violation: gcd(r+1, p^k-1) = "
                          f"{math.gcd(r + 1, p ** k - 1)} != 1")
@@ -58,6 +59,8 @@ def tower_exponent(p, k, r) -> int:
 
 def scaled_tower_exponent(p, t) -> int:
     """d = t (p^r - 1)/(p - 1) + 1 with r = p - 1, under gcd(rt+1, p-1) == 1."""
+    if t < 1:
+        raise ValueError(f"hypothesis-violation: need t >= 1, got t={t}")
     r = p - 1
     if math.gcd(r * t + 1, p - 1) != 1:
         raise ValueError(f"gcd-violation: gcd(rt+1, p-1) != 1 for t={t}")
@@ -326,19 +329,28 @@ def verify_neg_one_family(p, k):
     """Check that every a with a^(p^k-1) == -1 makes a^(-1) x^d a CPP over
     F_{p^(p-1)k} (d the tower exponent with r = p-1), both through the
     subfield criterion and through the map x(x^2-a^2)^((p-1)/2) on
-    F_{p^k}.  Returns a result dict."""
+    F_{p^k}.  Returns a result dict.
+
+    These a form V = y F_{p^k}^*, y of order 2(p^k-1), which divides q-1
+    as r = p-1 is even.  Both checks are constant on V: h_(ta)(x) =
+    t^(r+1) h_a(x/t) for t in F_{p^k}^*, and the map for ta is t^p times
+    the map for a at x/t.  So y alone is checked, and a failure fails
+    all of V.
+    """
     if p == 2 or not is_prime(p):
         raise ValueError(f"hypothesis-violation: need an odd prime, got {p}")
     r = p - 1
     ctx = build_field(p, r * k)
     d = tower_exponent(p, k, r)
     gcd_ok = math.gcd(d, ctx.q - 1) == 1
-    roots = ctx.neg_one_roots(k)
-    failures = [a for a in roots if not ha_pp_check(ctx, a, r, k)]
-    ref_ok = neg_one_map_permutes(ctx, k, roots)
-    ref_failures = [a for a, ok in zip(roots, ref_ok) if not ok]
-    passed = gcd_ok and not failures and not ref_failures
-    return {"p": p, "k": k, "d": d, "coefficients": len(roots),
+    m = p ** k - 1
+    y = ctx.subgroup_generator(2 * m)
+    ok = ha_pp_check(ctx, y, r, k)
+    (ref_ok,) = neg_one_map_permutes(ctx, k, [y])
+    failures = [] if ok else list(ctx.neg_one_roots(k))
+    ref_failures = [] if ref_ok else list(ctx.neg_one_roots(k))
+    passed = gcd_ok and ok and ref_ok
+    return {"p": p, "k": k, "d": d, "coefficients": m,
             "gcd_ok": gcd_ok, "failures": failures,
             "reformulated_failures": ref_failures, "passed": passed}
 
@@ -378,20 +390,27 @@ def dickson_hypotheses(p, r, k) -> int:
 def dickson_witness_search(p, r, k, budget=None):
     """Coefficients a over F_{p^rk} whose h_a is a Dickson polynomial of
     degree r+1 (under dickson_hypotheses).  Returns a result dict with the
-    witnesses."""
+    witnesses.
+
+    Without a budget, one a = g^j per Frobenius orbit of log(a) mod
+    e = gcd(d - 1, q - 1) = (q-1)/(p^k-1) is matched: for t in F_{p^k}^*,
+    h_(ta)(x) = t^(r+1) h_a(x/t) and t^l D_l(x/t + c, eta) =
+    D_l(x + tc, t^2 eta), and Frobenius maps D_l(x, eta) to
+    D_l(x, eta^p), so the match is constant on those orbits.
+    """
     l = r + 1
     d = dickson_hypotheses(p, r, k)
     ctx = build_field(p, r * k)
     if ctx.backend != "table" and budget is None:
-        raise ValueError("cap-exceeded: full witness enumeration needs an "
-                         "enumerable field; pass a budget")
-    witnesses = []
+        raise CapExceeded("cap-exceeded: full witness enumeration needs an "
+                          "enumerable field; pass a budget")
+    e = math.gcd(d - 1, ctx.q - 1)
     if ctx.backend == "table" and budget is None:
-        for a in _dickson_witness_candidates(ctx, r, k):
-            lv = lambda_coeffs(ctx, int(a), r, k)
-            if is_dickson_of_degree(ctx, lv, l, k) is not None:
-                witnesses.append(int(a))
+        witnesses = scan.orbit_members(ctx, e, lambda reps: [
+            is_dickson_of_degree(ctx, lambda_coeffs(ctx, a, r, k), l, k)
+            is not None for a in reps])
     else:
+        witnesses = []
         count = 0
         for a in range(1, ctx.q):
             if budget is not None and count >= budget:
@@ -404,7 +423,6 @@ def dickson_witness_search(p, r, k, budget=None):
     if ctx.backend == "table":
         # CPP membership is constant on the Frobenius orbits of
         # scan.direct_cpp_scan: one oracle check per orbit the witnesses touch
-        e = math.gcd(d - 1, ctx.q - 1)
         least, _ = scan.frobenius_orbits(ctx, e)
         orbit = least[ctx.log_table[witnesses] % e].tolist()
         verdict = {}
@@ -415,39 +433,6 @@ def dickson_witness_search(p, r, k, budget=None):
     return {"p": p, "r": r, "k": k, "d": d, "witnesses": witnesses,
             "witness_count": len(witnesses), "cpp_failures": cpp_failures,
             "passed": bool(witnesses) and not cpp_failures}
-
-
-def _dickson_witness_candidates(ctx, r, k):
-    """Vectorized sieve for the witness search: coefficients whose shifted
-    h_a has the Dickson coefficient pattern.  Exact (the scalar matcher
-    re-verifies each survivor)."""
-    l = r + 1
-    A, lam = bulk.lambda_scan(ctx, r, k)
-    M = len(A)
-    hs = [np.zeros(M, dtype=np.int64)]
-    for j in range(r - 1, -1, -1):
-        hs.append(lam[:, j].copy())
-    hs.append(np.ones(M, dtype=np.int64))
-    inv_l = ctx.inv(ctx.scalar(l))
-    shift = bulk.mul_scalar(ctx, inv_l, bulk.neg(ctx, lam[:, 0]))
-    for i in range(l + 1):
-        for j in range(l - 1, i - 1, -1):
-            hs[j] = bulk.add(ctx, hs[j], bulk.mul(ctx, hs[j + 1], shift))
-    eta = bulk.mul_scalar(ctx, inv_l, bulk.neg(ctx, hs[l - 2]))
-    ok = np.ones(M, dtype=bool)
-    neg_eta = bulk.neg(ctx, eta)
-    etapow = np.ones(M, dtype=np.int64)
-    nonzero_pos = {l}
-    for j in range(1, l // 2 + 1):
-        num = l * math.comb(l - j, j)
-        c = ctx.scalar(num // (l - j))
-        etapow = bulk.mul(ctx, etapow, neg_eta)
-        ok &= hs[l - 2 * j] == bulk.mul_scalar(ctx, c, etapow)
-        nonzero_pos.add(l - 2 * j)
-    for pos in range(1, l):
-        if pos not in nonzero_pos:
-            ok &= hs[pos] == 0
-    return A[ok]
 
 
 # ----------------------------------------------------------------------

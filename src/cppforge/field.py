@@ -31,6 +31,10 @@ PERMUTES_BLOCK = 1 << 24    # values per block in SubfieldView.permutes
 EXP_BLOCK = 1 << 16         # digit rows per int64 product in _build_tables
 
 
+class CapExceeded(ValueError):
+    """A request past one of the size caps above (the CLI's exit code 3)."""
+
+
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond machine-word primes."""
     if m < 2:
@@ -189,9 +193,9 @@ class SubfieldView:
     def __init__(self, ctx, k):
         order = ctx.p ** k
         if order > VIEW_CAP:
-            raise ValueError(f"cap-exceeded: a subfield view of F_{ctx.p}^{k} "
-                             f"needs two {order}x{order} tables; views are "
-                             f"capped at {VIEW_CAP} elements")
+            raise CapExceeded(f"cap-exceeded: a subfield view of F_{ctx.p}^{k} "
+                              f"needs two {order}x{order} tables; views are "
+                              f"capped at {VIEW_CAP} elements")
         self.ctx = ctx
         self.k = k
         self.order = order
@@ -443,7 +447,8 @@ class FieldCtx:
     def elements(self):
         """All encodings, ascending (table backend only)."""
         if self.backend != "table":
-            raise ValueError("field-too-large: cannot enumerate a generic-backend field")
+            raise CapExceeded("field-too-large: cannot enumerate a "
+                              "generic-backend field")
         return range(self.q)
 
     def spec_string(self) -> str:
@@ -558,7 +563,7 @@ class FieldCtx:
             y = int(self.exp_table[N // s])
         else:
             if s > 1 << 26:
-                raise ValueError(f"subgroup order {s} too large to certify")
+                raise CapExceeded(f"subgroup order {s} too large to certify")
             primes = list(factorize(s))
             cofactor = N // s
             y = None
@@ -647,7 +652,7 @@ class FieldCtx:
     def find_root(self, coeffs):
         """The root of a subfield polynomial with the least encoding."""
         if self.backend != "table":
-            raise ValueError("field-too-large: root search needs an enumerable field")
+            raise CapExceeded("field-too-large: root search needs an enumerable field")
         for c in coeffs:
             if not 0 <= c < self.q:
                 raise ValueError(f"coefficient {c} is not a valid encoding")
@@ -678,7 +683,7 @@ def build_field(p: int, n: int, modulus=None, backend="auto") -> FieldCtx:
         raise ValueError(f"degree must be >= 1, got {n}")
     q = p ** n
     if q - 1 >= FIELD_CAP:
-        raise ValueError("field-too-large: p^n - 1 must stay below 2**127")
+        raise CapExceeded("field-too-large: p^n - 1 must stay below 2**127")
     raw_key = (p, n, tuple(modulus) if modulus is not None else None, backend)
     got = _FIELD_CACHE.get(raw_key)
     if got is not None:
@@ -695,7 +700,7 @@ def build_field(p: int, n: int, modulus=None, backend="auto") -> FieldCtx:
     if backend == "auto":
         backend = "table" if q <= TABLE_CAP else "generic"
     elif backend == "table" and q > TABLE_CAP:
-        raise ValueError("field-too-large: table backend capped at 2**22 elements")
+        raise CapExceeded("field-too-large: table backend capped at 2**22 elements")
     elif backend not in ("table", "generic"):
         raise ValueError(f"unknown backend {backend!r}")
     # one context per resolved (modulus, backend), whatever the spelling
@@ -705,30 +710,3 @@ def build_field(p: int, n: int, modulus=None, backend="auto") -> FieldCtx:
         ctx = _FIELD_CACHE[key] = FieldCtx(p, n, mod, backend)
     _FIELD_CACHE[raw_key] = ctx
     return ctx
-
-
-def parse_field_spec(spec: str):
-    """Parse "p=<int>,n=<int>[,mod=c0,c1,...,cn]" into build_field arguments."""
-    parts = spec.split(",")
-    p = n = None
-    mod = None
-    i = 0
-    while i < len(parts):
-        tok = parts[i]
-        if tok.startswith("p="):
-            p = int(tok[2:])
-        elif tok.startswith("n="):
-            n = int(tok[2:])
-        elif tok.startswith("mod="):
-            mod = [int(tok[4:])]
-            i += 1
-            while i < len(parts):
-                mod.append(int(parts[i]))
-                i += 1
-            break
-        else:
-            raise ValueError(f"bad field spec token {tok!r}")
-        i += 1
-    if p is None or n is None:
-        raise ValueError("field spec needs p= and n=")
-    return p, n, mod

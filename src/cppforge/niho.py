@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from . import bulk
 from .cyclotomic import CycInt
+from .field import CapExceeded
 from .oracle import CHARSUM_CAP
 
 
@@ -81,7 +82,7 @@ def direct_walsh(ctx, fmap, a) -> CycInt:
     """Exact Walsh transform sum_x w^Tr(f(x) + a*x) as a cyclotomic integer
     (f composed with the absolute trace)."""
     if ctx.q > CHARSUM_CAP:
-        raise ValueError("field-too-large-for-charsum: capped at 2**14 elements")
+        raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
     import numpy as np
     X = bulk.elements(ctx)
     vals = bulk.add(ctx, fmap.value_table(), bulk.mul_scalar(ctx, a, X))

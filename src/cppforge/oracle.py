@@ -13,6 +13,7 @@ import numpy as np
 
 from . import bulk
 from .cyclotomic import CycInt
+from .field import CapExceeded
 
 CHARSUM_CAP = 1 << 14
 
@@ -33,8 +34,8 @@ class FieldMap:
         if self.values is not None:
             return np.asarray(self.values(), dtype=np.int64)
         if self.ctx.backend != "table":
-            raise ValueError("field-too-large: cannot tabulate a map on a "
-                             "generic-backend field")
+            raise CapExceeded("field-too-large: cannot tabulate a map on a "
+                              "generic-backend field")
         return np.fromiter((self.fn(x) for x in range(self.ctx.q)),
                            dtype=np.int64, count=self.ctx.q)
 
@@ -88,7 +89,7 @@ def char_sum_pp_check(fmap: FieldMap) -> bool:
     field iff sum_x w^Tr(alpha*f(x)) vanishes in Z[w] for every alpha != 0."""
     ctx = fmap.ctx
     if ctx.q > CHARSUM_CAP:
-        raise ValueError("field-too-large-for-charsum: capped at 2**14 elements")
+        raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
     p = ctx.p
     fv = fmap.value_table()
     tr = bulk.trace(ctx, bulk.elements(ctx), 1)

@@ -2,11 +2,12 @@
 
 Two routes: "direct" tests the bijectivity of x -> x^d + a*x on the whole
 field for one a per Frobenius orbit class of coefficients (ground truth,
-optionally across a process pool), the orbits coming from
-frobenius_orbits, which the r = 4 labels and equality check share;
-"ha" reduces each a to a degree-(r+1) polynomial on F_{p^k} and checks the
-permutation there, deduplicating identical coefficient vectors.  Both
-return ascending coefficient lists so results merge and compare bytewise.
+optionally across a process pool), expanded to every coefficient by
+orbit_members, which the r = 4 equality check and the Dickson witness
+search share; "ha" reduces each a to a degree-(r+1) polynomial on
+F_{p^k} and checks the permutation there, deduplicating identical
+coefficient vectors.  Both return ascending coefficient lists so results
+merge and compare bytewise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from . import bulk
-from .field import build_field
+from .field import CapExceeded, build_field
 
 POOL_MIN_POINTS = 1 << 25   # orbits x q before --jobs > 1 forks a pool
 _WORKER = {}
@@ -29,10 +30,9 @@ def _pool_init(p, n, modulus, backend):
 
 
 def _pool_part(args):
-    reps, d = args
+    coeffs, d = args
     ctx = _WORKER["ctx"]
-    return [bulk.binomial_is_permutation(ctx, d, int(ctx.exp_table[j]))
-            for j in reps]
+    return [bulk.binomial_is_permutation(ctx, d, a) for a in coeffs]
 
 
 def frobenius_orbits(ctx, e):
@@ -50,6 +50,22 @@ def frobenius_orbits(ctx, e):
     return least, np.flatnonzero(least == j)
 
 
+def orbit_members(ctx, e, decide):
+    """Ascending list of every a != 0 whose orbit class passes decide.
+
+    decide gets the representatives g^j of the Frobenius orbits on Z/e
+    (j least in its coset, ascending) in one call and returns one verdict
+    for each; a is a member when the representative of the orbit of
+    log(a) mod e passed.  Exact for any property constant on those
+    orbits.
+    """
+    least, reps = frobenius_orbits(ctx, e)
+    member = np.zeros(e, dtype=bool)
+    member[reps] = decide(ctx.exp_table[reps].tolist())
+    A = bulk.nonzero_elements(ctx)
+    return [int(a) for a in A[member[least[ctx.log_table[A] % e]]]]
+
+
 def direct_cpp_scan(ctx, d, jobs=1, progress=None):
     """Ascending list of all a != 0 making x -> x^d + a*x bijective.
     Combined with gcd(d, q-1) == 1 these are exactly the CPP coefficients.
@@ -61,35 +77,34 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
     the whole field, and the members are every a whose orbit passed.
     """
     if ctx.backend != "table":
-        raise ValueError("cap-exceeded: direct scans need the table backend")
+        raise CapExceeded("cap-exceeded: direct scans need the table backend")
     if math.gcd(d, ctx.q - 1) != 1:
         return []
     q = ctx.q
-    e = math.gcd(d - 1, q - 1)
-    least, reps = frobenius_orbits(ctx, e)
-    passed = []
-    if jobs > 1 and len(reps) * q >= POOL_MIN_POINTS:
-        import multiprocessing as mp
-        step = -(-len(reps) // (jobs * 8))
-        chunks = [(reps[lo:lo + step], d) for lo in range(0, len(reps), step)]
-        with mp.get_context("fork").Pool(
-                jobs, initializer=_pool_init,
-                initargs=(ctx.p, ctx.n, ctx.modulus, ctx.backend)) as pool:
-            for part in pool.imap(_pool_part, chunks):
-                passed += part
-                if progress:
-                    progress(len(passed), len(reps))
-    else:
+
+    def decide(reps):
+        passed = []
+        if jobs > 1 and len(reps) * q >= POOL_MIN_POINTS:
+            import multiprocessing as mp
+            step = -(-len(reps) // (jobs * 8))
+            chunks = [(reps[lo:lo + step], d)
+                      for lo in range(0, len(reps), step)]
+            with mp.get_context("fork").Pool(
+                    jobs, initializer=_pool_init,
+                    initargs=(ctx.p, ctx.n, ctx.modulus, ctx.backend)) as pool:
+                for part in pool.imap(_pool_part, chunks):
+                    passed += part
+                    if progress:
+                        progress(len(passed), len(reps))
+            return passed
         report_step = max(1, len(reps) // 64)
-        for i, j in enumerate(reps, 1):
-            passed.append(bulk.binomial_is_permutation(
-                ctx, d, int(ctx.exp_table[j])))
+        for i, a in enumerate(reps, 1):
+            passed.append(bulk.binomial_is_permutation(ctx, d, a))
             if progress and i % report_step == 0:
                 progress(i, len(reps))
-    member = np.zeros(e, dtype=bool)
-    member[reps] = passed
-    A = bulk.nonzero_elements(ctx)
-    return [int(a) for a in A[member[least[ctx.log_table[A] % e]]]]
+        return passed
+
+    return orbit_members(ctx, math.gcd(d - 1, q - 1), decide)
 
 
 def ha_cpp_scan(ctx, r, k, progress=None):
@@ -97,8 +112,8 @@ def ha_cpp_scan(ctx, r, k, progress=None):
     a qualifies iff h_a permutes F_{p^k} (gcd(d, q-1) == 1 is checked once,
     globally)."""
     if ctx.backend != "table":
-        raise ValueError("cap-exceeded: full coefficient enumeration needs "
-                         "the table backend")
+        raise CapExceeded("cap-exceeded: full coefficient enumeration needs "
+                          "the table backend")
     d = (ctx.p ** (r * k) - 1) // (ctx.p ** k - 1) + 1
     if math.gcd(d, ctx.q - 1) != 1:
         return []
@@ -139,25 +154,18 @@ def r4_equality_check(ctx, k, tagger):
     j mod e) and on their Frobenius orbits j -> pj mod e, since
     f_a(cx) = c N(c) f_{a/N(c)}(x), f_a(x)^p = f_{a^p}(x^p) and each
     condition is weighted-homogeneous in the lambda_i.  So one g^j per
-    orbit, j least in its coset, is tagged, and a tagged orbit counts
-    (coset size) * (p^k - 1) coefficients.
+    orbit, j least in its coset, is tagged, and every coefficient of a
+    tagged orbit counts as tagged.
 
     Returns (cpp_list, tagged_count, untagged): the members whose orbit
     is untagged.  The tagger is sound and complete when untagged is empty
     and tagged_count == len(cpp_list).
     """
     cpps = ha_cpp_scan(ctx, 4, k)
-    unit = ctx.p ** k - 1
-    e = (ctx.q - 1) // unit
-    least, reps = frobenius_orbits(ctx, e)
-    class_tagged = np.zeros(e, dtype=bool)
-    class_tagged[reps] = [tagger(int(ctx.exp_table[r])) is not None
-                          for r in reps]
-    orbit_sizes = np.bincount(least, minlength=e)
-    tagged = int(orbit_sizes[class_tagged].sum()) * unit
-    untagged = [a for a in cpps
-                if not class_tagged[least[ctx.log_table[a] % e]]]
-    return cpps, tagged, untagged
+    e = (ctx.q - 1) // (ctx.p ** k - 1)
+    tagged = set(orbit_members(
+        ctx, e, lambda reps: [tagger(a) is not None for a in reps]))
+    return cpps, len(tagged), [a for a in cpps if a not in tagged]
 
 
 def _r4_tagger(ctx, k):

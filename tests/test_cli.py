@@ -108,6 +108,14 @@ class TestCountCpp:
         assert code == 2
         assert "gcd-violation" in err
 
+    @pytest.mark.parametrize("k,r", [(-1, 4), (0, 4), (1, -1), (1, 0)])
+    def test_k_and_r_below_one_usage_error(self, capsys, k, r):
+        code, out, err = run_cli(capsys, "count-cpp", "--p", "3", "--k",
+                                 str(k), "--r", str(r), "--jobs", "1")
+        assert code == 2
+        assert out == ""
+        assert "hypothesis-violation: need k >= 1 and r >= 1" in err
+
 
 # stdout of `verify` for every family id: (argv tail, d, tested, count)
 VERIFY_PINNED = [
@@ -231,6 +239,34 @@ class TestVerify:
         assert "gcd-violation" in err
         assert built == []
 
+    @pytest.mark.parametrize("argv,msg", [
+        (("r4_general", "--p", "3", "--k", "-1"), "need k >= 1 and r >= 1"),
+        (("r4_p5", "--k", "0"), "need k >= 1 and r >= 1"),
+        (("rt_k1", "--p", "7", "--t", "-1"), "need t >= 1"),
+        (("rt_k1", "--p", "5", "--t", "0"), "need t >= 1")])
+    def test_exponent_parameters_below_one(self, capsys, argv, msg):
+        # no polynomial exponent to verify: a usage error, never a PASS
+        code, out, err = run_cli(capsys, "verify", "--family", *argv)
+        assert code == 2
+        assert out == ""
+        assert "hypothesis-violation: " + msg in err
+
+    def test_cap_exit_code_follows_the_type(self, capsys, monkeypatch):
+        # exit 3 for CapExceeded whatever its text, 2 for any other
+        # ValueError even when its text reads like a cap
+        from cppforge.field import CapExceeded
+
+        def raising(exc):
+            def family(opts):
+                raise exc
+            return family
+
+        monkeypatch.setitem(FAMILIES, "p3k2", raising(CapExceeded("x")))
+        assert run_cli(capsys, "verify", "--family", "p3k2")[0] == 3
+        cap_text = ValueError("cap-exceeded: subgroup order")
+        monkeypatch.setitem(FAMILIES, "p3k2", raising(cap_text))
+        assert run_cli(capsys, "verify", "--family", "p3k2")[0] == 2
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         import cppforge.families as families_mod
         monkeypatch.setattr(families_mod, "is_cpp_exponent_pair",
@@ -241,7 +277,50 @@ class TestVerify:
         assert "FAIL" in out and "counterexample" in out
 
 
+# stdout of `conjecture`: the eleven conjecture-2 fields of the acceptance
+# grid and four conjecture-1 fields
+CONJECTURE_PINNED = [
+    (("--id", "2", "--p", "3", "--kmin", "1", "--kmax", "1"),
+     "k=1: coefficients=2 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "3", "--kmin", "2", "--kmax", "2"),
+     "k=2: coefficients=8 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "3", "--kmin", "3", "--kmax", "3"),
+     "k=3: coefficients=26 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "5", "--kmin", "1", "--kmax", "1"),
+     "k=1: coefficients=4 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "5", "--kmin", "2", "--kmax", "2"),
+     "k=2: coefficients=24 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "5", "--kmin", "3", "--kmax", "3"),
+     "k=3: coefficients=124 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "7", "--kmin", "1", "--kmax", "1"),
+     "k=1: coefficients=6 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "7", "--kmin", "2", "--kmax", "2"),
+     "k=2: coefficients=48 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "7", "--kmin", "3", "--kmax", "3"),
+     "k=3: coefficients=342 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "11", "--kmin", "1", "--kmax", "1"),
+     "k=1: coefficients=10 failures=0 reformulated_failures=0 pass"),
+    (("--id", "2", "--p", "13", "--kmin", "1", "--kmax", "1"),
+     "k=1: coefficients=12 failures=0 reformulated_failures=0 pass"),
+    (("--id", "1", "--p", "2", "--r", "4", "--kmin", "3", "--kmax", "3"),
+     "k=3: witnesses=238 cpp_failures=0 pass"),
+    (("--id", "1", "--p", "7", "--r", "4", "--kmin", "1", "--kmax", "1"),
+     "k=1: witnesses=180 cpp_failures=0 pass"),
+    (("--id", "1", "--p", "3", "--r", "6", "--kmin", "1", "--kmax", "1"),
+     "k=1: witnesses=24 cpp_failures=0 pass"),
+    (("--id", "1", "--p", "5", "--r", "6", "--kmin", "1", "--kmax", "1"),
+     "k=1: witnesses=72 cpp_failures=0 pass"),
+]
+
+
 class TestConjecture:
+    @pytest.mark.parametrize("argv,line", CONJECTURE_PINNED,
+                             ids=[" ".join(c[0]) for c in CONJECTURE_PINNED])
+    def test_pinned_stdout(self, capsys, argv, line):
+        code, out, _ = run_cli(capsys, "conjecture", *argv)
+        assert code == 0
+        assert out == line + "\n"
+
     def test_id2_p5(self, capsys):
         code, out, _ = run_cli(capsys, "conjecture", "--id", "2", "--p", "5",
                                "--kmin", "1", "--kmax", "2")

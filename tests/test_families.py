@@ -17,7 +17,7 @@ from cppforge.families import (ConditionTag, QUARTIC_BETA_POLY,
                                r6_dickson_coefficient,
                                rt_family_coefficients, scaled_tower_exponent,
                                tower_exponent, verify_neg_one_family)
-from cppforge.hadickson import lambda_coeffs
+from cppforge.hadickson import ha_pp_check, is_dickson_of_degree, lambda_coeffs
 from cppforge.oracle import is_cpp, is_cpp_exponent_pair
 
 
@@ -200,6 +200,54 @@ class TestConjectureHarnesses:
         assert neg_one_map_permutes(ctx, k, sub) == [False] * len(sub)
         assert all(neg_one_map_permutes(ctx, k, ctx.neg_one_roots(k)))
 
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                     (5, 3), (7, 1), (7, 2), (7, 3), (11, 1),
+                                     (13, 1)])
+    def test_neg_one_family_matches_all_roots(self, p, k):
+        # the slow twin: both checks on every a with a^(p^k-1) = -1
+        res = verify_neg_one_family(p, k)
+        ctx = build_field(p, (p - 1) * k)
+        roots = ctx.neg_one_roots(k)
+        assert res["coefficients"] == len(roots)
+        assert res["failures"] == [a for a in roots
+                                   if not ha_pp_check(ctx, a, p - 1, k)]
+        assert res["reformulated_failures"] == [
+            a for a, ok in zip(roots, neg_one_map_permutes(ctx, k, roots))
+            if not ok]
+        assert res["passed"]
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 1), (7, 2)])
+    def test_neg_one_family_one_check_per_k(self, p, k, monkeypatch):
+        # V = {a : a^(p^k-1) = -1} is one class: one subfield-criterion
+        # check on a member of V, one reformulated row
+        import cppforge.families as families_mod
+        asked, rows = [], []
+        monkeypatch.setattr(families_mod, "ha_pp_check",
+                            lambda ctx, a, r, k_: asked.append(a) or True)
+        real = families_mod.neg_one_map_permutes
+        monkeypatch.setattr(
+            families_mod, "neg_one_map_permutes",
+            lambda ctx, k_, cs: rows.append(cs) or real(ctx, k_, cs))
+        verify_neg_one_family(p, k)
+        ctx = build_field(p, (p - 1) * k)
+        assert len(asked) == 1 and rows == [asked]
+        assert asked[0] in ctx.neg_one_roots(k)
+
+    def test_neg_one_family_failure_lists_all_of_v(self, monkeypatch):
+        import cppforge.families as families_mod
+        ctx = build_field(5, 8)
+        roots = list(ctx.neg_one_roots(2))
+        monkeypatch.setattr(families_mod, "ha_pp_check", lambda *a: False)
+        res = verify_neg_one_family(5, 2)
+        assert res["failures"] == roots and res["reformulated_failures"] == []
+        assert not res["passed"]
+        monkeypatch.undo()
+        monkeypatch.setattr(families_mod, "neg_one_map_permutes",
+                            lambda ctx_, k, cs: [False] * len(cs))
+        res = verify_neg_one_family(5, 2)
+        assert res["failures"] == [] and res["reformulated_failures"] == roots
+        assert not res["passed"]
+
     def test_neg_one_family_rejects_composite(self):
         with pytest.raises(ValueError, match="hypothesis-violation"):
             verify_neg_one_family(9, 1)
@@ -251,6 +299,27 @@ class TestConjectureHarnesses:
         assert res["cpp_failures"] == [a for a in witnesses
                                        if orbit(a) == orbit(witnesses[0])]
         assert not res["passed"]
+
+    @pytest.mark.parametrize("p,r,k", [(3, 4, 1), (7, 4, 1), (2, 4, 3),
+                                       (3, 6, 1), (5, 6, 1)])
+    def test_witness_search_matches_whole_field(self, p, r, k, monkeypatch):
+        # the slow twin: every nonzero a through the scalar matcher; the
+        # search matches once per Frobenius orbit of log(a) mod (q-1)/(p^k-1)
+        import cppforge.families as families_mod
+        ctx = build_field(p, r * k)
+        twin = [a for a in range(1, ctx.q) if is_dickson_of_degree(
+            ctx, lambda_coeffs(ctx, a, r, k), r + 1, k) is not None]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return is_dickson_of_degree(*args)
+
+        monkeypatch.setattr(families_mod, "is_dickson_of_degree", counting)
+        assert dickson_witness_search(p, r, k)["witnesses"] == twin
+        e = (ctx.q - 1) // (p ** k - 1)
+        orbits = {min(j * p ** i % e for i in range(ctx.n)) for j in range(e)}
+        assert len(calls) == len(orbits)
 
     def test_witness_search_hypotheses(self):
         with pytest.raises(ValueError, match="hypothesis-violation"):

@@ -13,7 +13,7 @@ import pytest
 
 from cppforge import field as field_mod
 from cppforge.field import (SubfieldView, build_field, lex_least_irreducible,
-                            is_prime, parse_field_spec, zp_is_irreducible)
+                            is_prime, zp_is_irreducible)
 
 
 def brute_irreducible_quadratics(p):
@@ -66,10 +66,9 @@ class TestConstruction:
         assert build_field(3, 4, modulus=lex_least_irreducible(3, 4)) is ctx
         assert build_field(3, 4, backend="generic") is not ctx
 
-    def test_spec_string_roundtrip(self):
+    def test_spec_string(self):
         ctx = build_field(3, 4, (2, 2, 0, 0, 1))
-        p, n, mod = parse_field_spec(ctx.spec_string())
-        assert (p, n, tuple(mod)) == (3, 4, ctx.modulus)
+        assert ctx.spec_string() == "p=3,n=4,mod=2,2,0,0,1"
 
 
 class TestArithmetic:

@@ -34,6 +34,27 @@ class TestFrobeniusOrbits:
             assert reps.tolist() == sorted(set(least.tolist()))
 
 
+class TestOrbitMembers:
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 6), (5, 3), (7, 2)])
+    def test_expands_representative_verdicts(self, p, n):
+        # one decide call on the representatives g^j, j ascending and least
+        # in its coset; a is a member iff its representative passed
+        ctx = build_field(p, n)
+        for e in (e for e in range(1, ctx.q) if (ctx.q - 1) % e == 0):
+            reps = sorted({min(coset(ctx, e, j)) for j in range(e)})
+            calls = []
+
+            def decide(coeffs):
+                calls.append(coeffs)
+                return [int(ctx.log_table[a]) % 3 != 1 for a in coeffs]
+
+            members = scan.orbit_members(ctx, e, decide)
+            assert calls == [[int(ctx.exp_table[j]) for j in reps]], e
+            assert members == [
+                a for a in range(1, ctx.q)
+                if min(coset(ctx, e, int(ctx.log_table[a]) % e)) % 3 != 1], e
+
+
 class TestDirectScan:
     def test_f81_count(self, f81):
         elems = scan.direct_cpp_scan(f81, 41)
