@@ -8,6 +8,8 @@ These are the hot loops behind the exhaustive scans; each has a scalar
 counterpart on FieldCtx that the test suite cross-checks against.
 """
 
+import math
+
 import numpy as np
 
 from .field import CapExceeded
@@ -148,6 +150,13 @@ def binomial_is_permutation(ctx, d, a):
     log a + i + Z[(d-1) i - log a].  Dropping the constant log a, the map
     is a bijection iff the values i + Z[...] mod q - 1, with q - 1 standing
     for zero (also the value at x = 0), hit each of 0..q-1 once.
+
+    The Zech index has period P = (q-1)/gcd(d-1, q-1) in i, so Z is
+    gathered once per period: with c_i = i + Z[...] for i < P, the value
+    at x = g^(i + P t) is c_i + P t mod q - 1 (q - 1 for the whole row
+    when Z is -1).  The table holds the same q values as a point-by-point
+    fill, row by row (i fixed, t running), and the occupancy test still
+    runs over all q of them.
     """
     _require_table(ctx)
     if d == 0 or a == 0:
@@ -156,15 +165,26 @@ def binomial_is_permutation(ctx, d, a):
         return values_are_permutation(ctx, vals)
     N = ctx.q - 1
     s, la = (d - 1) % N, int(ctx.log_table[a])
-    vals = np.empty(ctx.q, dtype=np.int64)
+    P = N // math.gcd(s, N)
+    T = N // P
+    vals = np.empty(ctx.q, dtype=np.intp)
     vals[N] = N                                     # the value at x = 0
-    # full-size temporaries would be mapped and faulted in on every call
-    for lo in range(0, N, CHECK_BLOCK):
-        hi = min(lo + CHECK_BLOCK, N)
-        i = np.arange(lo, hi, dtype=np.int64)
+    rows = vals[:N].reshape(P, T)
+    # blocks of at most CHECK_BLOCK points: full-size temporaries would be
+    # mapped and faulted in on every call
+    height, width = max(1, CHECK_BLOCK // T), min(T, CHECK_BLOCK)
+    steps = P * np.arange(width, dtype=np.intp)
+    for lo in range(0, P, height):
+        hi = min(lo + height, P)
+        i = np.arange(lo, hi, dtype=np.intp)
         z = ctx.zech_table[(s * i - la) % N]
-        vals[lo:hi] = (i + z) % N
-        vals[lo:hi][z < 0] = N
+        c = i + z
+        # c + P t <= (P - 1) + (N - 1) + (N - P) < 2N: one subtract wraps it
+        for t0 in range(0, T, width):
+            blk = rows[lo:hi, t0:t0 + width]
+            np.add((c + P * t0)[:, None], steps[:blk.shape[1]], out=blk)
+            np.subtract(blk, N, out=blk, where=blk >= N)
+        rows[lo:hi][z < 0] = N
     return values_are_permutation(ctx, vals)
 
 

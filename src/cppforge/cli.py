@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__, families, scan
-from .field import CapExceeded, build_field
+from .field import CapExceeded, InternalError, build_field
 from .niho import NihoCtx, count_N, direct_walsh, niho_s_from_d, walsh_value
 from .oracle import CHARSUM_CAP, monomial_map
 from .report import CppReport, check_extension
@@ -229,6 +229,9 @@ def main(argv=None):
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from . import bulk, scan
-from .field import CapExceeded, build_field, is_prime
-from .hadickson import (SubfieldPoly, lambda_coeffs, depressed_quintic,
-                        ha_pp_check, is_dickson_of_degree)
+from .field import CapExceeded, InternalError, build_field, is_prime
+from .hadickson import (LambdaVec, SubfieldPoly, lambda_coeffs,
+                        depressed_quintic, ha_pp_check, is_dickson_of_degree)
 from .oracle import FieldMap, is_cpp, is_cpp_exponent_pair
 
 
@@ -396,7 +396,8 @@ def dickson_witness_search(p, r, k, budget=None):
     e = gcd(d - 1, q - 1) = (q-1)/(p^k-1) is matched: for t in F_{p^k}^*,
     h_(ta)(x) = t^(r+1) h_a(x/t) and t^l D_l(x/t + c, eta) =
     D_l(x + tc, t^2 eta), and Frobenius maps D_l(x, eta) to
-    D_l(x, eta^p), so the match is constant on those orbits.
+    D_l(x, eta^p), so the match is constant on those orbits.  The lambda
+    rows of all representatives come from one bulk.lambda_scan.
     """
     l = r + 1
     d = dickson_hypotheses(p, r, k)
@@ -406,9 +407,12 @@ def dickson_witness_search(p, r, k, budget=None):
                           "enumerable field; pass a budget")
     e = math.gcd(d - 1, ctx.q - 1)
     if ctx.backend == "table" and budget is None:
-        witnesses = scan.orbit_members(ctx, e, lambda reps: [
-            is_dickson_of_degree(ctx, lambda_coeffs(ctx, a, r, k), l, k)
-            is not None for a in reps])
+        def decide(reps):
+            _, lam = bulk.lambda_scan(ctx, r, k, reps)
+            scan.subfield_positions(ctx, k, lam)
+            return [is_dickson_of_degree(ctx, LambdaVec(r, k, tuple(row)), l, k)
+                    is not None for row in lam.tolist()]
+        witnesses = scan.orbit_members(ctx, e, decide)
     else:
         witnesses = []
         count = 0
@@ -565,7 +569,7 @@ def multinomial_presets(ctx, k):
             break
     found = found or fallback
     if found is None:
-        raise RuntimeError("no monomial preset found")
+        raise InternalError("no monomial preset found")
     gc, v = found
     out["monomial"] = (SubfieldPoly(k, gc), v)
 
@@ -584,7 +588,7 @@ def multinomial_presets(ctx, k):
                 break
     found = found or fallback
     if found is None:
-        raise RuntimeError("no quartic preset found")
+        raise InternalError("no quartic preset found")
     out["dickson-quartic"] = found
     return out
 

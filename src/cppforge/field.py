@@ -35,6 +35,11 @@ class CapExceeded(ValueError):
     """A request past one of the size caps above (the CLI's exit code 3)."""
 
 
+class InternalError(RuntimeError):
+    """A broken invariant of the library itself, never a counterexample
+    (the CLI's exit code 4)."""
+
+
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond machine-word primes."""
     if m < 2:
@@ -166,7 +171,7 @@ def lex_least_irreducible(p: int, n: int) -> tuple:
             coeffs[i] = 0
             i -= 1
         if i < 0:
-            raise RuntimeError(f"no irreducible of degree {n} over Z_{p}")
+            raise InternalError(f"no irreducible of degree {n} over Z_{p}")
 
 
 def _plus_one(e, p):
@@ -391,7 +396,7 @@ class FieldCtx:
                 g = cand
                 break
         if g is None:
-            raise RuntimeError("no primitive element found (modulus not irreducible?)")
+            raise InternalError("no primitive element found (modulus not irreducible?)")
         # powers of g, filled in doubling blocks of a digit matrix in the
         # narrowest dtype; products run in int64 on at most EXP_BLOCK rows
         D = np.zeros((N, n), dtype=np.uint8 if p <= 256 else np.int32)
@@ -415,7 +420,7 @@ class FieldCtx:
         log = np.full(q, -1, dtype=np.int64)
         log[E] = np.arange(N, dtype=np.int64)
         if int((log >= 0).sum()) != N or log[0] != -1:
-            raise RuntimeError("generator order check failed while building tables")
+            raise InternalError("generator order check failed while building tables")
         self.generator = g
         self.exp_table = E
         self.log_table = log
@@ -573,7 +578,7 @@ class FieldCtx:
                     y = z
                     break
             if y is None:
-                raise RuntimeError(f"no element of order {s} found")
+                raise InternalError(f"no element of order {s} found")
         self._subgens[s] = y
         return y
 

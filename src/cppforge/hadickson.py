@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .field import InternalError
+
 
 @dataclass(frozen=True)
 class LambdaVec:
@@ -55,7 +57,7 @@ def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
     entries = tuple(es[1:])
     for lam in entries:
         if not ctx.in_subfield(lam, k):
-            raise RuntimeError("conjugate symmetric function left the subfield")
+            raise InternalError("conjugate symmetric function left the subfield")
     return LambdaVec(r, k, entries)
 
 

@@ -3,6 +3,8 @@ log-domain kernels against a slow twin: the same field on the generic
 backend, whose add is a digit loop and whose mul a packed convolution, so
 it shares no log, exp or Zech table with the table backend."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,9 +155,12 @@ def test_binomial_check_every_coefficient_against_twin(p, n, d):
     assert any(got) and not all(got)
 
 
-@pytest.mark.parametrize("p,n,d", [(3, 4, 41), (2, 8, 86)])
+# period P = (q - 1)/gcd(d - 1, q - 1) of the Zech index: 2 and 3 split
+# each row (40 and 85 points) into blocks; 10, 85 and 17 split the period
+# itself into blocks of one or two rows, 85 ending in a short block
+@pytest.mark.parametrize("p,n,d", [(3, 4, 41), (2, 8, 86), (3, 4, 9),
+                                   (2, 8, 4), (2, 8, 16)])
 def test_binomial_check_blocks_against_twin(monkeypatch, p, n, d):
-    # 7 points per block: q - 1 = 80 and 255 both end in a short block
     monkeypatch.setattr(bulk, "CHECK_BLOCK", 7)
     ctx = build_field(p, n)
     twin = _twin(ctx)
@@ -239,6 +244,113 @@ def test_binomial_check_edge_exponents_against_twin(p, n):
         for a in range(1, ctx.q):
             assert (bulk.binomial_is_permutation(ctx, d, a) ==
                     _twin_permutes(twin, d, a)), (d, a)
+
+
+def _point_fill(ctx, d, a):
+    """The value table of binomial_is_permutation (d, a != 0) filled point
+    by point, x = g^i in index order, by the block formula that the
+    once-per-period fill replaced."""
+    N = ctx.q - 1
+    s, la = (d - 1) % N, int(ctx.log_table[a])
+    vals = np.empty(ctx.q, dtype=np.int64)
+    vals[N] = N
+    for lo in range(0, N, bulk.CHECK_BLOCK):
+        hi = min(lo + bulk.CHECK_BLOCK, N)
+        i = np.arange(lo, hi, dtype=np.int64)
+        z = ctx.zech_table[(s * i - la) % N]
+        vals[lo:hi] = (i + z) % N
+        vals[lo:hi][z < 0] = N
+    return vals
+
+
+@pytest.fixture
+def occupancy_calls(monkeypatch):
+    """Every array binomial_is_permutation hands to values_are_permutation."""
+    calls = []
+    check = bulk.values_are_permutation
+
+    def recorded(ctx, vals):
+        calls.append(vals.copy())
+        return check(ctx, vals)
+
+    monkeypatch.setattr(bulk, "values_are_permutation", recorded)
+    return calls
+
+
+def _sentinel_coeffs(ctx, d):
+    """Coefficients a whose Zech index hits Z = -1 (x^(d-1) = -a) at i = 0
+    and at i = 1, so one row of the table is the zero sentinel."""
+    N = ctx.q - 1
+    m0 = int(np.flatnonzero(ctx.zech_table < 0)[0])
+    return [int(ctx.exp_table[(i * (d - 1) - m0) % N]) for i in (0, 1)]
+
+
+# d = 1 (period P = 1), d = 2 (gcd(d - 1, q - 1) = 1, P = q - 1), d - 1 the
+# least prime factor of q - 1 and the tower exponent (P in between)
+@pytest.mark.parametrize("p,n,d", [(3, 4, 41), (5, 4, 157), (2, 8, 86),
+                                   (7, 2, 13), (13, 2, 25)])
+def test_binomial_check_every_coefficient_against_point_fill(
+        occupancy_calls, p, n, d):
+    ctx = build_field(p, n)
+    N = ctx.q - 1
+    least = next(m for m in range(2, N + 1) if N % m == 0)
+    verdicts = set()
+    for e in (1, 2, 1 + least, d):
+        for a in range(1, ctx.q):
+            del occupancy_calls[:]
+            got = bulk.binomial_is_permutation(ctx, e, a)
+            want = _point_fill(ctx, e, a)
+            assert len(occupancy_calls) == 1
+            assert (np.sort(occupancy_calls[0]) == np.sort(want)).all(), (e, a)
+            assert got == bulk.values_are_permutation(ctx, want), (e, a)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (3, 3)])
+def test_binomial_check_value_table_sampled(occupancy_calls, p, k):
+    ctx = build_field(p, 4 * k)
+    d = tower_exponent(p, k, 4)
+    rng = np.random.default_rng(11)
+    picks = [int(a) for a in rng.integers(1, ctx.q, 4)]
+    picks += _sentinel_coeffs(ctx, d) + [1, ctx.q - 1]
+    for a in picks:
+        bulk.binomial_is_permutation(ctx, d, a)
+    assert len(occupancy_calls) == len(picks)
+    for a, vals in zip(picks, occupancy_calls):
+        assert (np.sort(vals) == np.sort(_point_fill(ctx, d, a))).all(), a
+
+
+def test_binomial_check_one_full_occupancy_per_call(occupancy_calls):
+    # the final word is the q-point occupancy, never a test on the P
+    # residues c_i mod P (that test is Zieve's criterion itself)
+    ctx = build_field(5, 8)
+    d = tower_exponent(5, 2, 4)
+    members = ha_cpp_scan(ctx, 4, 2)
+    cases = [(d, members[0]), (d, 2), (d, 0), (0, 3),
+             (1, 3), (2, 3), (d, _sentinel_coeffs(ctx, d)[0])]
+    verdicts = [bulk.binomial_is_permutation(ctx, e, a) for e, a in cases]
+    assert verdicts[0] and not any(verdicts[5:])
+    assert len(occupancy_calls) == len(cases)
+    assert all(len(vals) == ctx.q for vals in occupancy_calls)
+
+
+# d - 1 = (2^16 - 1)/(2^8 - 1), the tower shape (period 255), and d = 3,
+# gcd(d - 1, q - 1) = 1 (period q - 1); small blocks make any full-size
+# temporary stand out
+@pytest.mark.parametrize("d", [258, 3])
+def test_binomial_check_peak_memory(monkeypatch, d):
+    monkeypatch.setattr(bulk, "CHECK_BLOCK", 1 << 10)
+    ctx = build_field(2, 16)
+    bulk.binomial_is_permutation(ctx, d, 7)          # lazy tables
+    tracemalloc.start()
+    try:
+        bulk.binomial_is_permutation(ctx, d, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # vals (8 bytes a point) and seen (1 byte a point), plus a few blocks
+    assert peak < 9 * ctx.q + 4 * 8 * bulk.CHECK_BLOCK
 
 
 @pytest.mark.parametrize("p,n,r,k", [(3, 4, 4, 1), (3, 4, 2, 2), (2, 6, 3, 2),

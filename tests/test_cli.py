@@ -1,5 +1,6 @@
 """CLI surface: grammar, reports, exit codes, output determinism."""
 
+import ast
 import json
 import re
 import shlex
@@ -275,6 +276,51 @@ class TestVerify:
                                "--p", "3", "--k", "1", "--i", "1")
         assert code == 1
         assert "FAIL" in out and "counterexample" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("count-cpp", "--p", "3", "--k", "1", "--r", "4", "--method", "ha"),
+        ("conjecture", "--id", "1", "--p", "3", "--r", "4", "--kmin", "1",
+         "--kmax", "1"),
+        ("conjecture", "--id", "1", "--p", "3", "--r", "4", "--kmin", "1",
+         "--kmax", "1", "--budget", "3")])
+    def test_broken_invariant_exits_4(self, capsys, monkeypatch, argv):
+        # lambda entries outside F_{p^k}, from the bulk rows or the scalar
+        # check, are an internal error (exit 4), not a counterexample
+        import cppforge.bulk as bulk_mod
+        from cppforge.field import FieldCtx
+        rows = bulk_mod.lambda_scan
+
+        def shifted(ctx, r, k, A=None):
+            A, lam = rows(ctx, r, k, A)
+            return A, (lam + 1) % ctx.q
+
+        monkeypatch.setattr(bulk_mod, "lambda_scan", shifted)
+        monkeypatch.setattr(FieldCtx, "in_subfield", lambda self, x, k: False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "left the subfield" in err
+
+    def test_method_mismatch_exits_1(self, capsys, monkeypatch):
+        import cppforge.scan as scan_mod
+        full = scan_mod.ha_cpp_scan
+        monkeypatch.setattr(scan_mod, "ha_cpp_scan",
+                            lambda *a, **kw: full(*a, **kw)[1:])
+        code, _, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",
+                               "--r", "4", "--method", "both")
+        assert code == 1
+        assert "method-mismatch" in err
+
+    def test_only_the_method_mismatch_raises_runtime_error(self):
+        # every other failure inside the library is an InternalError
+        src = Path(__file__).parents[1] / "src" / "cppforge"
+        plain = [(path.name, node.lineno)
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Raise)
+                 and isinstance(node.exc, ast.Call)
+                 and getattr(node.exc.func, "id", None) == "RuntimeError"]
+        assert [name for name, _ in plain] == ["scan.py"]
 
 
 # stdout of `conjecture`: the eleven conjecture-2 fields of the acceptance
