@@ -6,7 +6,8 @@ predicate against the direct CPP oracle), conjecture (the two open-case
 harnesses), walsh (transform values on even-degree fields).
 
 Exit codes: 0 verified/success, 1 counterexample found, 2 usage or
-hypothesis error, 3 resource cap exceeded.
+hypothesis error, 3 resource cap exceeded, 4 internal error (a broken
+invariant).
 """
 
 from __future__ import annotations

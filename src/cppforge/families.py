@@ -41,8 +41,8 @@ def niho_exponent(p, k, i) -> int:
         raise ValueError(f"hypothesis-violation: need 1 <= i <= 2k, got i={i}")
     d = (p ** k - 1) * (p ** i - 1) // 2 + p ** i
     if math.gcd(d, p ** (2 * k) - 1) != 1:
-        raise AssertionError(f"niho exponent {d} is not coprime to p^2k - 1 "
-                             f"for p={p}, k={k}, i={i}")
+        raise InternalError(f"niho exponent {d} is not coprime to p^2k - 1 "
+                            f"for p={p}, k={k}, i={i}")
     return d
 
 
@@ -248,8 +248,8 @@ def _assert_quartic_beta_conditions(ctx, coords):
             m(2, m(u1, ctx.pow(u3, 3))), m(u2, ctx.pow(u3, 3)),
             m(2, m(u1, ctx.pow(u2, 3))))
     if c_a != 0 or c_b != 0:
-        raise AssertionError("generated coefficient violates the membership "
-                             f"identities: {coords}")
+        raise InternalError("generated coefficient violates the membership "
+                            f"identities: {coords}")
 
 
 def beta_quartic_all(ctx, beta):
@@ -307,8 +307,8 @@ def r6_dickson_coefficient(ctx, beta, family_index, u):
     a = ctx.mul(u, ctx.poly_eval([ctx.scalar(c) for c in coords], beta))
     lv = lambda_coeffs(ctx, a, 6, k)
     if is_dickson_of_degree(ctx, lv, 7, k) is None:
-        raise AssertionError(f"h_a is not a Dickson polynomial for family "
-                             f"{family_index}, u={u}")
+        raise InternalError(f"h_a is not a Dickson polynomial for family "
+                            f"{family_index}, u={u}")
     return a
 
 
@@ -392,8 +392,8 @@ def dickson_witness_search(p, r, k, budget=None):
     degree r+1 (under dickson_hypotheses).  Returns a result dict with the
     witnesses.
 
-    Without a budget, one a = g^j per Frobenius orbit of log(a) mod
-    e = gcd(d - 1, q - 1) = (q-1)/(p^k-1) is matched: for t in F_{p^k}^*,
+    Without a budget, one a = g^j per orbit class of scan.orbit_values
+    (here d - 1 = (q-1)/(p^k-1)) is matched: for t in F_{p^k}^*,
     h_(ta)(x) = t^(r+1) h_a(x/t) and t^l D_l(x/t + c, eta) =
     D_l(x + tc, t^2 eta), and Frobenius maps D_l(x, eta) to
     D_l(x, eta^p), so the match is constant on those orbits.  The lambda
@@ -405,14 +405,13 @@ def dickson_witness_search(p, r, k, budget=None):
     if ctx.backend != "table" and budget is None:
         raise CapExceeded("cap-exceeded: full witness enumeration needs an "
                           "enumerable field; pass a budget")
-    e = math.gcd(d - 1, ctx.q - 1)
     if ctx.backend == "table" and budget is None:
         def decide(reps):
             _, lam = bulk.lambda_scan(ctx, r, k, reps)
             scan.subfield_positions(ctx, k, lam)
             return [is_dickson_of_degree(ctx, LambdaVec(r, k, tuple(row)), l, k)
                     is not None for row in lam.tolist()]
-        witnesses = scan.orbit_members(ctx, e, decide)
+        witnesses = scan.orbit_members(ctx, d, decide)
     else:
         witnesses = []
         count = 0
@@ -425,15 +424,11 @@ def dickson_witness_search(p, r, k, budget=None):
                 witnesses.append(a)
     cpp_failures = []
     if ctx.backend == "table":
-        # CPP membership is constant on the Frobenius orbits of
-        # scan.direct_cpp_scan: one oracle check per orbit the witnesses touch
-        least, _ = scan.frobenius_orbits(ctx, e)
-        orbit = least[ctx.log_table[witnesses] % e].tolist()
-        verdict = {}
-        for a, j in zip(witnesses, orbit):
-            if j not in verdict:
-                verdict[j] = is_cpp_exponent_pair(ctx, d, a)
-        cpp_failures = [a for a, j in zip(witnesses, orbit) if not verdict[j]]
+        # CPP membership is constant on the orbit classes of
+        # scan.direct_cpp_scan: one oracle check per class the witnesses touch
+        cpp = scan.orbit_values(ctx, d, witnesses, lambda reps: [
+            is_cpp_exponent_pair(ctx, d, a) for a in reps])
+        cpp_failures = [a for a, ok in zip(witnesses, cpp) if not ok]
     return {"p": p, "r": r, "k": k, "d": d, "witnesses": witnesses,
             "witness_count": len(witnesses), "cpp_failures": cpp_failures,
             "passed": bool(witnesses) and not cpp_failures}
@@ -539,7 +534,7 @@ def _assert_trace_identity(ctx, fmap, gc, v, a, k):
         rhs = ctx.mul(av, ctx.add(ctx.mul(t, ctx.poly_eval(gc, t)),
                                   ctx.mul(v, t)))
         if lhs != rhs:
-            raise AssertionError("trace identity fails at sample point")
+            raise InternalError("trace identity fails at sample point")
 
 
 def multinomial_presets(ctx, k):

@@ -119,8 +119,8 @@ def dickson_poly(ctx, l, eta, k) -> SubfieldPoly:
     for j in range(l // 2 + 1):
         num = l * math.comb(l - j, j)
         if num % (l - j):
-            raise AssertionError(f"l/(l-j) * C(l-j, j) is not an integer "
-                                 f"for l={l}, j={j}")
+            raise InternalError(f"l/(l-j) * C(l-j, j) is not an integer "
+                                f"for l={l}, j={j}")
         c = ctx.scalar(num // (l - j))
         coeffs[l - 2 * j] = ctx.mul(c, ctx.pow(neg_eta, j))
     return SubfieldPoly(k, tuple(coeffs))

@@ -79,9 +79,7 @@ def is_cpp_exponent_pair(ctx, d, a) -> bool:
         raise ValueError("zero-coefficient: need a != 0")
     if math.gcd(d, ctx.q - 1) != 1:
         return False
-    if ctx.backend == "table":
-        return bulk.binomial_is_permutation(ctx, d, a)
-    return is_permutation(monomial_map(ctx, d, a))
+    return bulk.binomial_is_permutation(ctx, d, a)
 
 
 def char_sum_pp_check(fmap: FieldMap) -> bool:

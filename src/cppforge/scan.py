@@ -2,12 +2,15 @@
 
 Two routes: "direct" tests the bijectivity of x -> x^d + a*x on the whole
 field for one a per Frobenius orbit class of coefficients (ground truth,
-optionally across a process pool), expanded to every coefficient by
-orbit_members, which the r = 4 equality check and the Dickson witness
-search share; "ha" reduces each a to a degree-(r+1) polynomial on
-F_{p^k} and checks the permutation there, deduplicating identical
-coefficient vectors.  Both return ascending coefficient lists so results
-merge and compare bytewise.
+optionally across a process pool); "ha" reduces each a to a degree-(r+1)
+polynomial on F_{p^k} and checks the permutation there, deduplicating
+identical coefficient vectors.  Both return ascending coefficient lists so
+results merge and compare bytewise.
+
+orbit_values is the one implementation of the orbit classes: it decides a
+property once per class and gives each coefficient its class's verdict.
+The direct scan, the r = 4 equality check and labels, and the Dickson
+witness search and its CPP re-check all run through it.
 """
 
 from __future__ import annotations
@@ -35,35 +38,36 @@ def _pool_part(args):
     return [bulk.binomial_is_permutation(ctx, d, a) for a in coeffs]
 
 
-def frobenius_orbits(ctx, e):
-    """The Frobenius orbits j -> pj mod e on Z/e (e dividing q - 1).
+def orbit_values(ctx, d, elems, decide):
+    """decide's verdict for each a != 0 in elems, one call per orbit class.
 
-    Returns (least, reps): least[j] is the least element of j's coset
-    under multiplication by p mod e, and reps (ascending) the j with
-    least[j] == j, one per orbit.
+    The classes are the Frobenius orbits j -> pj mod e of log(a) mod
+    e = gcd(d - 1, q - 1), each named by its least j.  decide gets the
+    representatives g^j of the classes elems touch (j ascending) in one
+    call and returns one verdict for each; the result is a numpy array
+    holding the verdict of each element's class.  Exact for any property
+    constant on those classes.
     """
+    e = math.gcd(d - 1, ctx.q - 1)
     j = np.arange(e, dtype=np.int64)
     least, x = j.copy(), j.copy()
     for _ in range(ctx.n - 1):          # the order of p mod e divides n
         x = x * ctx.p % e
         np.minimum(least, x, out=least)
-    return least, np.flatnonzero(least == j)
+    cls = least[ctx.log_table[np.asarray(elems, dtype=np.int64)] % e]
+    touched = np.zeros(e, dtype=bool)
+    touched[cls] = True
+    reps = np.flatnonzero(touched)
+    slot = np.zeros(e, dtype=np.intp)
+    slot[reps] = np.arange(len(reps))
+    return np.asarray(decide(ctx.exp_table[reps].tolist()))[slot[cls]]
 
 
-def orbit_members(ctx, e, decide):
-    """Ascending list of every a != 0 whose orbit class passes decide.
-
-    decide gets the representatives g^j of the Frobenius orbits on Z/e
-    (j least in its coset, ascending) in one call and returns one verdict
-    for each; a is a member when the representative of the orbit of
-    log(a) mod e passed.  Exact for any property constant on those
-    orbits.
-    """
-    least, reps = frobenius_orbits(ctx, e)
-    member = np.zeros(e, dtype=bool)
-    member[reps] = decide(ctx.exp_table[reps].tolist())
+def orbit_members(ctx, d, decide):
+    """Ascending list of every a != 0 whose orbit class passes decide
+    (see orbit_values)."""
     A = bulk.nonzero_elements(ctx)
-    return [int(a) for a in A[member[least[ctx.log_table[A] % e]]]]
+    return A[orbit_values(ctx, d, A, decide)].tolist()
 
 
 def direct_cpp_scan(ctx, d, jobs=1, progress=None):
@@ -104,7 +108,7 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
                 progress(i, len(reps))
         return passed
 
-    return orbit_members(ctx, math.gcd(d - 1, q - 1), decide)
+    return orbit_members(ctx, d, decide)
 
 
 def subfield_positions(ctx, k, lam):
@@ -169,11 +173,13 @@ def r4_equality_check(ctx, k, tagger):
     is untagged.  The tagger is sound and complete when untagged is empty
     and tagged_count == len(cpp_list).
     """
+    from .families import tower_exponent
     cpps = ha_cpp_scan(ctx, 4, k)
-    e = (ctx.q - 1) // (ctx.p ** k - 1)
-    tagged = set(orbit_members(
-        ctx, e, lambda reps: [tagger(a) is not None for a in reps]))
-    return cpps, len(tagged), [a for a in cpps if a not in tagged]
+    tagged = orbit_values(ctx, tower_exponent(ctx.p, k, 4),
+                          bulk.nonzero_elements(ctx),
+                          lambda reps: [tagger(a) is not None for a in reps])
+    # tagged[i] is the verdict of a = i + 1
+    return cpps, int(tagged.sum()), [a for a in cpps if not tagged[a - 1]]
 
 
 def _r4_tagger(ctx, k):
@@ -214,14 +220,12 @@ def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None):
         # labels are constant on the orbits of r4_equality_check: tag the
         # representative g^j of each member orbit
         tagger = _r4_tagger(ctx, k)
-        e = (ctx.q - 1) // (p ** k - 1)
-        least, _ = frobenius_orbits(ctx, e)
-        orbit = least[ctx.log_table[elems] % e]
-        orbit_label = {}
-        for j in np.unique(orbit).tolist():
-            tag = tagger(int(ctx.exp_table[j]))
-            orbit_label[j] = tag.label() if tag else ""
-        labels = {a: orbit_label[j] for a, j in zip(elems, orbit.tolist())}
+
+        def tag_labels(reps):
+            return [tag.label() if tag else "" for tag in map(tagger, reps)]
+
+        labels = dict(zip(elems,
+                          orbit_values(ctx, d, elems, tag_labels).tolist()))
     conditions = {}
     for label in labels.values():
         label = label or "untagged"

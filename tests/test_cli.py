@@ -168,6 +168,14 @@ class TestVerify:
         assert out == ""
         assert "cap-exceeded" in err
 
+    def test_oracle_on_generic_field_is_a_cap(self, capsys):
+        # F_3^14 is past the table cap: the direct oracle exits 3
+        code, out, err = run_cli(capsys, "verify", "--family", "p3k2",
+                                 "--k", "7")
+        assert code == 3
+        assert out == ""
+        assert "field-too-large" in err
+
     def test_niho(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "niho2",
                                "--p", "3", "--k", "2", "--i", "1")
@@ -282,24 +290,35 @@ class TestVerify:
         ("conjecture", "--id", "1", "--p", "3", "--r", "4", "--kmin", "1",
          "--kmax", "1"),
         ("conjecture", "--id", "1", "--p", "3", "--r", "4", "--kmin", "1",
-         "--kmax", "1", "--budget", "3")])
+         "--kmax", "1", "--budget", "3"),
+        ("verify", "--family", "r6_p3")])
     def test_broken_invariant_exits_4(self, capsys, monkeypatch, argv):
         # lambda entries outside F_{p^k}, from the bulk rows or the scalar
-        # check, are an internal error (exit 4), not a counterexample
+        # check, and a generated r = 6 coefficient whose h_a is no Dickson
+        # polynomial, are internal errors (exit 4), not counterexamples
         import cppforge.bulk as bulk_mod
+        import cppforge.families as families_mod
         from cppforge.field import FieldCtx
-        rows = bulk_mod.lambda_scan
 
-        def shifted(ctx, r, k, A=None):
-            A, lam = rows(ctx, r, k, A)
-            return A, (lam + 1) % ctx.q
+        if argv[0] == "verify":
+            monkeypatch.setattr(families_mod, "is_dickson_of_degree",
+                                lambda *a: None)
+            broken = "h_a is not a Dickson polynomial"
+        else:
+            rows = bulk_mod.lambda_scan
 
-        monkeypatch.setattr(bulk_mod, "lambda_scan", shifted)
-        monkeypatch.setattr(FieldCtx, "in_subfield", lambda self, x, k: False)
+            def shifted(ctx, r, k, A=None):
+                A, lam = rows(ctx, r, k, A)
+                return A, (lam + 1) % ctx.q
+
+            monkeypatch.setattr(bulk_mod, "lambda_scan", shifted)
+            monkeypatch.setattr(FieldCtx, "in_subfield",
+                                lambda self, x, k: False)
+            broken = "left the subfield"
         code, out, err = run_cli(capsys, *argv)
         assert code == 4
         assert out == ""
-        assert "left the subfield" in err
+        assert broken in err
 
     def test_method_mismatch_exits_1(self, capsys, monkeypatch):
         import cppforge.scan as scan_mod

@@ -271,9 +271,10 @@ class TestConjectureHarnesses:
     @pytest.mark.parametrize("p,r,k", [(3, 4, 1), (2, 4, 3), (7, 4, 1)])
     def test_witness_search_checks_one_witness_per_orbit(self, p, r, k,
                                                          monkeypatch):
-        # an oracle that rejects the first witness: the search asks it once
-        # per Frobenius orbit of log(a) mod gcd(d - 1, q - 1) and reports
-        # every witness of the rejected orbit
+        # an oracle that rejects the orbit of the first witness: the search
+        # asks it once per Frobenius orbit of log(a) mod gcd(d - 1, q - 1),
+        # at the representative g^j, and reports every witness of the
+        # rejected orbit
         import cppforge.families as families_mod
         witnesses = dickson_witness_search(p, r, k)["witnesses"]
         ctx = build_field(p, r * k)
@@ -290,11 +291,12 @@ class TestConjectureHarnesses:
 
         def oracle(ctx_, d_, a):
             asked.append(a)
-            return a != witnesses[0]
+            return orbit(a) != orbit(witnesses[0])
 
         monkeypatch.setattr(families_mod, "is_cpp_exponent_pair", oracle)
         res = dickson_witness_search(p, r, k)
-        assert sorted(map(orbit, asked)) == sorted(set(map(orbit, witnesses)))
+        assert asked == [int(ctx.exp_table[j])
+                         for j in sorted(set(map(orbit, witnesses)))]
         assert len(asked) < len(witnesses)
         assert res["cpp_failures"] == [a for a in witnesses
                                        if orbit(a) == orbit(witnesses[0])]

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from cppforge.field import build_field
+from cppforge.field import CapExceeded, build_field
 from cppforge.niho import direct_walsh
 from cppforge.oracle import (FieldMap, char_sum_pp_check, is_cpp,
                              is_cpp_exponent_pair, is_permutation,
@@ -71,6 +71,12 @@ class TestCpp:
     def test_zero_coefficient_rejected(self, f9):
         with pytest.raises(ValueError, match="zero-coefficient"):
             is_cpp_exponent_pair(f9, 5, 0)
+
+    def test_exponent_pair_generic_field_is_a_cap(self):
+        # no value table on a generic-backend field: a cap, not a verdict
+        gen = build_field(3, 4, backend="generic")
+        with pytest.raises(CapExceeded, match="field-too-large"):
+            is_cpp_exponent_pair(gen, 41, 1)
 
     def test_exponent_pair_matches_brute_force(self, f81):
         d = 41

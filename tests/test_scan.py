@@ -22,37 +22,63 @@ def coset(ctx, e, j):
     return {j * ctx.p ** i % e for i in range(ctx.n)}
 
 
+def least(ctx, e, a):
+    # the least j in the Frobenius coset of log(a) mod e
+    return min(coset(ctx, e, int(ctx.log_table[a]) % e))
+
+
+def divisors(ctx):
+    return [e for e in range(1, ctx.q) if (ctx.q - 1) % e == 0]
+
+
 class TestFrobeniusOrbits:
     @pytest.mark.parametrize("p,n", [(3, 4), (2, 6), (5, 3), (7, 2), (2, 8)])
     def test_cosets_of_every_divisor(self, p, n):
+        # every d, so e = gcd(d - 1, q - 1) runs over every divisor of
+        # q - 1 (d = e + 1) and d - 1 need not divide q - 1; over all
+        # nonzero a, decide gets g^j once for each coset's least j,
+        # ascending, and each a gets the verdict of its own coset
         ctx = build_field(p, n)
-        for e in (e for e in range(1, ctx.q) if (ctx.q - 1) % e == 0):
-            least, reps = scan.frobenius_orbits(ctx, e)
+        for d in range(1, ctx.q):
+            e = math.gcd(d - 1, ctx.q - 1)
+            reps = sorted({min(coset(ctx, e, j)) for j in range(e)})
             assert sum(len(coset(ctx, e, j)) for j in reps) == e
-            for j in range(e):
-                assert least[j] == min(coset(ctx, e, j)), (e, j)
-            assert reps.tolist() == sorted(set(least.tolist()))
+            calls = []
+
+            def decide(coeffs):
+                calls.append(coeffs)
+                return [int(ctx.log_table[a]) for a in coeffs]
+
+            values = scan.orbit_values(ctx, d, range(1, ctx.q), decide)
+            assert calls == [[int(ctx.exp_table[j]) for j in reps]], d
+            assert values.tolist() == [least(ctx, e, a)
+                                       for a in range(1, ctx.q)], d
 
 
 class TestOrbitMembers:
     @pytest.mark.parametrize("p,n", [(3, 4), (2, 6), (5, 3), (7, 2)])
     def test_expands_representative_verdicts(self, p, n):
-        # one decide call on the representatives g^j, j ascending and least
-        # in its coset; a is a member iff its representative passed
+        # a is a member iff its representative passed; only the classes
+        # that elems touch reach decide, in one call (one class for the
+        # single element, a strict subset whenever e > 1)
         ctx = build_field(p, n)
-        for e in (e for e in range(1, ctx.q) if (ctx.q - 1) % e == 0):
-            reps = sorted({min(coset(ctx, e, j)) for j in range(e)})
+        for e in divisors(ctx):
             calls = []
 
             def decide(coeffs):
                 calls.append(coeffs)
                 return [int(ctx.log_table[a]) % 3 != 1 for a in coeffs]
 
-            members = scan.orbit_members(ctx, e, decide)
-            assert calls == [[int(ctx.exp_table[j]) for j in reps]], e
-            assert members == [
-                a for a in range(1, ctx.q)
-                if min(coset(ctx, e, int(ctx.log_table[a]) % e)) % 3 != 1], e
+            members = scan.orbit_members(ctx, e + 1, decide)
+            assert members == [a for a in range(1, ctx.q)
+                               if least(ctx, e, a) % 3 != 1], e
+            for elems in ([ctx.q - 1], list(range(ctx.q - 1, 0, -5)), []):
+                calls.clear()
+                values = scan.orbit_values(ctx, e + 1, elems, decide)
+                touched = sorted({least(ctx, e, a) for a in elems})
+                assert calls == [[int(ctx.exp_table[j]) for j in touched]]
+                assert values.tolist() == [least(ctx, e, a) % 3 != 1
+                                           for a in elems], (e, elems)
 
 
 class TestDirectScan:
@@ -65,17 +91,14 @@ class TestDirectScan:
         # d sharing a factor with q-1 can never be a CPP exponent
         assert scan.direct_cpp_scan(f81, 10) == []
 
-    def test_jobs_partition_agrees(self, f81):
-        seq = scan.direct_cpp_scan(f81, 41, jobs=1)
-        par = scan.direct_cpp_scan(f81, 41, jobs=2)
-        assert seq == par
-
-    def test_pool_agrees_f3_8(self, monkeypatch):
-        # 107 orbits of 6561 points is below the pool's gate: lower it so
-        # the pool runs
+    @pytest.mark.parametrize("k,count", [(1, 38), (2, 64)],
+                             ids=["F_3^4", "F_3^8"])
+    def test_pool_agrees(self, monkeypatch, k, count):
+        # both fields are below the pool's gate (F_3^8: 107 orbits of 6561
+        # points): lower it so the pool runs
         import multiprocessing
-        ctx = build_field(3, 8)
-        d = tower_exponent(3, 2, 4)
+        ctx = build_field(3, 4 * k)
+        d = tower_exponent(3, k, 4)
         seq = scan.direct_cpp_scan(ctx, d, jobs=1)
         forks = []
         real = multiprocessing.get_context
@@ -88,7 +111,7 @@ class TestDirectScan:
         monkeypatch.setattr(scan, "POOL_MIN_POINTS", 1)
         par = scan.direct_cpp_scan(ctx, d, jobs=2)
         assert forks == ["fork"]
-        assert par == seq and len(seq) == 64
+        assert par == seq and len(seq) == count
 
     @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (7, 1), (2, 2)])
     def test_tower_exponent_matches_whole_field(self, p, k):
