@@ -53,15 +53,6 @@ def add(ctx, X, Y):
     return _exp(ctx, _log_add(ctx, ctx.log_table[X], ctx.log_table[Y]))
 
 
-def neg(ctx, X):
-    _require_table(ctx)
-    if ctx.n == 1:
-        return (-X) % ctx.p
-    N = ctx.q - 1
-    return np.where(X == 0, 0,
-                    ctx.exp_table[(ctx.log_table[X] + ctx._log_neg_one) % N])
-
-
 def mul(ctx, X, Y):
     _require_table(ctx)
     N = ctx.q - 1

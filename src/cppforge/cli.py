@@ -61,8 +61,7 @@ def cmd_count_cpp(args):
         check_extension(args.out)      # before the scan
     progress = _Progress(f"count-cpp p={args.p} k={args.k} r={args.r}")
     res = scan.count_cpp(args.p, args.k, args.r, method=args.method,
-                         jobs=args.jobs, collect=args.list or bool(args.out),
-                         progress=progress)
+                         jobs=args.jobs, progress=progress)
     ctx = res["ctx"]
     report = CppReport(p=args.p, n=ctx.n, modulus=ctx.modulus, d=res["d"],
                        method=res["method"], count=res["count"],
@@ -74,7 +73,7 @@ def cmd_count_cpp(args):
     print(f"count {res['count']}")
     for tag, cnt in sorted(res["conditions"].items()):
         print(f"condition {tag}: {cnt}")
-    if args.list and res["elements"] is not None:
+    if args.list:
         print("elements " + ",".join(map(str, res["elements"])))
     print(f"seconds {res['seconds']:.3f}")
     if args.out:

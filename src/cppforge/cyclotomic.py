@@ -26,10 +26,6 @@ class CycInt:
                 counts = tuple(c - t for c in counts)
         self.counts = counts
 
-    @classmethod
-    def from_int(cls, p, m):
-        return cls(p, (int(m),) + (0,) * (p - 1))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.counts)
 

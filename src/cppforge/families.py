@@ -10,7 +10,7 @@ the direct CPP oracle in the test and acceptance suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bulk, scan
 from .field import CapExceeded, InternalError, build_field, is_prime
@@ -70,7 +70,7 @@ def scaled_tower_exponent(p, t) -> int:
 # ----------------------------------------------------------------------
 # r = 4: quintic-classification conditions
 
-def r4_condition(ctx, a, k, tag_family="r4_general"):
+def r4_condition(ctx, a, k):
     """First matching membership condition for the exponent
     (p^(4k)-1)/(p^k-1)+1 over F_{p^4k}, p not in {2, 5}, as a ConditionTag;
     None when a = 0 or nothing matches."""
@@ -89,10 +89,10 @@ def r4_condition(ctx, a, k, tag_family="r4_general"):
     q = p ** k
 
     if a3 == 0 and a1 == 0 and a2 == 0:
-        return ConditionTag(tag_family, "1")
+        return ConditionTag("r4_general", "1")
     if q % 5 in (2, 3) and a2 == 0:
         if ctx.mul(ctx.inv(ctx.scalar(5)), ctx.mul(a3, a3)) == a1:
-            return ConditionTag(tag_family, "2", (("v", a3),))
+            return ConditionTag("r4_general", "2", (("v", a3),))
 
     l1_2 = ctx.mul(l1, l1)
     l1_3 = ctx.mul(l1_2, l1)
@@ -101,22 +101,22 @@ def r4_condition(ctx, a, k, tag_family="r4_general"):
         if l2 == l1_2 and l3 == ctx.neg(l1_3):
             t = ctx.add(l4, l1_4)
             if ctx.mul(t, t) == ctx.neg(1):
-                return ConditionTag(tag_family, "3")
+                return ConditionTag("r4_general", "3")
     if p == 3 and k == 1:
         if l2 == ctx.add(l1_2, 1) and l3 == ctx.neg(l1_3) and l4 == ctx.neg(l1_4):
-            return ConditionTag(tag_family, "4")
+            return ConditionTag("r4_general", "4")
         if l2 == ctx.add(l1_2, 2) and l3 == ctx.neg(l1_3) \
                 and l4 == ctx.add(ctx.neg(l1_4), 1):
-            return ConditionTag(tag_family, "5")
+            return ConditionTag("r4_general", "5")
     if p == 7 and k == 1:
         s3 = ctx.add(ctx.add(l3, l1_3), ctx.neg(ctx.mul(2, ctx.mul(l1, l2))))
         s1 = ctx.add(ctx.add(ctx.mul(l1, l3), ctx.mul(3, l1_4)),
                      ctx.add(ctx.neg(ctx.mul(l2, l1_2)), l4))
         if ctx.add(l1_2, l2) == 0 and s1 == 0 and s3 in (2, 5):
-            return ConditionTag(tag_family, "6", (("sign", s3),))
+            return ConditionTag("r4_general", "6", (("sign", s3),))
         v = ctx.add(l1_2, l2)
         if v in (3, 5, 6) and s1 == ctx.mul(3, ctx.mul(v, v)) and s3 in (1, 6):
-            return ConditionTag(tag_family, "7", (("v", v),))
+            return ConditionTag("r4_general", "7", (("v", v),))
     if p == 13 and k == 1:
         v = ctx.add(ctx.neg(ctx.mul(3, l1_2)), l2)
         s1 = ctx.add(ctx.neg(ctx.mul(3, ctx.mul(l1, l3))),
@@ -124,7 +124,7 @@ def r4_condition(ctx, a, k, tag_family="r4_general"):
         s1 = ctx.add(s1, ctx.add(ctx.neg(ctx.mul(3, ctx.mul(l2, l1_2))), l4))
         s3 = ctx.add(ctx.sub(l3, ctx.mul(4, l1_3)), ctx.mul(2, ctx.mul(l1, l2)))
         if v in (2, 5, 6, 7, 8, 11) and s1 == ctx.mul(3, ctx.mul(v, v)) and s3 == 0:
-            return ConditionTag(tag_family, "8", (("v", v),))
+            return ConditionTag("r4_general", "8", (("v", v),))
     return None
 
 
@@ -150,9 +150,9 @@ def r4_condition_p3(ctx, a, k):
         t = ctx.sub(l2, l1_2)
         if ctx.neg(ctx.mul(t, t)) == ctx.sub(l4, ctx.mul(l1, l3)):
             return ConditionTag("r4_p3", "2")
-    inherited = r4_condition(ctx, a, k, tag_family="r4_p3")
+    inherited = r4_condition(ctx, a, k)
     if inherited is not None and inherited.condition in ("3", "4", "5"):
-        return inherited
+        return replace(inherited, family="r4_p3")
     return None
 
 

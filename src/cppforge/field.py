@@ -26,8 +26,7 @@ import numpy as np
 
 FIELD_CAP = 1 << 127        # require p^n - 1 < 2**127
 TABLE_CAP = 1 << 22         # log/exp tables up to this field size
-VIEW_CAP = 1 << 13          # SubfieldView order: both int32 tables <= 512 MiB
-PERMUTES_BLOCK = 1 << 24    # values per block in SubfieldView.permutes
+PERMUTES_BLOCK = 1 << 20    # values per block in SubfieldView.permutes
 EXP_BLOCK = 1 << 16         # digit rows per int64 product in _build_tables
 
 
@@ -183,46 +182,53 @@ def _plus_one(e, p):
 # ----------------------------------------------------------------------
 
 class SubfieldView:
-    """Index-domain tables for the subfield F_{p^k} inside an ambient field.
+    """Log-domain evaluation on the subfield F_{p^k} inside an ambient field.
 
     Subfield elements stay ambient encodings in `elems` (ascending, so
-    index 0 is the zero element); arithmetic on indices runs through small
-    numpy tables, which keeps h_a evaluations cheap even when the ambient
-    field is far too large to enumerate.  The tables come from the Zech
-    logarithms Z[e] = log(1 + zeta^e) of a generator zeta of F_{p^k}^*
-    (Huber, IEEE Trans. IT 36(4), 1990): 1 + zeta^e is zeta^e with digit 0
-    raised by one, then x + y = x (1 + y/x) fills the addition table in
-    numpy.
+    index 0 is the zero element) and `index` maps an encoding back to its
+    index.  Evaluation runs on discrete logs to a generator zeta of
+    F_{p^k}^*, at the nonzero points zeta^t only: x * m(x) sends 0 to 0.
+    Everything comes from the Zech logarithms Z[e] = log(1 + zeta^e)
+    (Huber, IEEE Trans. IT 36(4), 1990), found by raising digit 0 of
+    zeta^e by one, so the view holds O(p^k) state however large the
+    ambient field is.
+
+    With m = p^k - 1, zero is the log 3m as a value and -5m as a
+    coefficient (`log[0]`).  Then acc * x is one add, and
+    acc + c = c (1 + acc/c) is u = log acc - log c, a gather from
+    `_zech`, an add of log c and a gather from `_reduce`.  The ranges of
+    u keep the four cases apart: both nonzero in (-m, 2m), where `_zech`
+    holds Z (3m when 1 + zeta^u = 0; negative u reads the last m
+    entries); a zero acc in (2m, 4m), where it holds 0 so c comes back;
+    a zero c in [5m, 9m), where it holds u so acc comes back.  `_reduce`
+    takes the sums, below 2m or in [3m, 4m) for zero, back to [0, m) or
+    3m.
     """
 
     def __init__(self, ctx, k):
         order = ctx.p ** k
-        if order > VIEW_CAP:
+        if order > TABLE_CAP:
             raise CapExceeded(f"cap-exceeded: a subfield view of F_{ctx.p}^{k} "
-                              f"needs two {order}x{order} tables; views are "
-                              f"capped at {VIEW_CAP} elements")
+                              f"has {order} elements; views are capped at "
+                              f"{TABLE_CAP} elements like the log tables")
         self.ctx = ctx
         self.k = k
         self.order = order
-        self.elems = ctx.subfield_elements(k)
-        self.index = {e: i for i, e in enumerate(self.elems)}
         m = order - 1
         powers = ctx.mu_subgroup(m)             # zeta^e for e < m
-        sexp = np.array([self.index[z] for z in powers], dtype=np.int64)
-        slog = np.full(order, -1, dtype=np.int64)
-        slog[sexp] = np.arange(m)
-        # Z[e] = -1 where 1 + zeta^e = 0, since slog[0] = -1
-        zech = slog[[self.index[_plus_one(z, ctx.p)] for z in powers]]
-        lg = slog[1:]
-        mul = np.zeros((order, order), dtype=np.int32)
-        add = np.empty((order, order), dtype=np.int32)
-        add[0] = add[:, 0] = np.arange(order)
-        for i in range(1, order):
-            li = slog[i]
-            mul[i, 1:] = sexp[(lg + li) % m]
-            z = zech[(lg - li) % m]
-            add[i, 1:] = np.where(z < 0, 0, sexp[(z + li) % m])
-        self.mul_table, self.add_table = mul, add
+        self.elems = ctx._subfields.setdefault(k, tuple(sorted((0,) + powers)))
+        self.index = {e: i for i, e in enumerate(self.elems)}
+        log = np.full(order, -5 * m, dtype=np.int32)
+        log[[self.index[z] for z in powers]] = np.arange(m, dtype=np.int32)
+        self.log = log
+        # Z[e] = 3m where 1 + zeta^e = 0, since log[0] = -5m
+        zech = log[[self.index[_plus_one(z, ctx.p)] for z in powers]]
+        zech[zech < 0] = 3 * m
+        self._zech = np.concatenate([zech, zech, np.zeros(3 * m, np.int32),
+                                     np.arange(5 * m, 9 * m, dtype=np.int32),
+                                     zech])
+        self._reduce = np.concatenate([np.arange(m, dtype=np.int32)] * 2 +
+                                      [np.full(2 * m, 3 * m, np.int32)])
 
     def idx(self, enc):
         try:
@@ -232,33 +238,41 @@ class SubfieldView:
                              f"Frobenius^{self.k}") from None
 
     def eval_poly_rows(self, coeff_rows):
-        """Values of x^D + rows[:,0] x^(D-1) + ... + rows[:,D-1] on every
-        subfield point at once; coefficients and results are indices.
-        Returns a (U, order) array."""
-        X = np.arange(self.order, dtype=np.int32)[None, :]
-        rows = np.asarray(coeff_rows, dtype=np.int32)
-        acc = self.add_table[X, rows[:, 0][:, None]]
-        for j in range(1, rows.shape[1]):
-            acc = self.add_table[self.mul_table[acc, X], rows[:, j][:, None]]
+        """Logs of x^D + rows[:,0] x^(D-1) + ... + rows[:,D-1] at every
+        nonzero point zeta^t at once, coefficients given as indices.
+        Returns a (U, p^k - 1) array, column t for zeta^t, 3m for zero."""
+        c = self.log[np.asarray(coeff_rows, dtype=np.intp)]
+        t = np.arange(self.order - 1, dtype=np.int32)
+        acc = np.zeros((len(c), len(t)), dtype=np.int32)
+        for j in range(c.shape[1]):
+            cj = c[:, j, None]
+            acc += t
+            acc -= cj
+            np.take(self._zech, acc, out=acc, mode="wrap")
+            acc += cj
+            np.take(self._reduce, acc, out=acc, mode="wrap")
         return acc
 
-    def rows_are_permutations(self, values):
-        """Row-wise bijectivity of a (U, order) index-value array."""
-        return (np.sort(values, axis=1) ==
-                np.arange(self.order, dtype=values.dtype)).all(axis=1)
+    def rows_are_permutations(self, logs):
+        """Row-wise bijectivity onto F_{p^k}^* of a (U, p^k - 1) array of
+        logs at the nonzero points; a zero value (3m) never matches."""
+        return (np.sort(logs, axis=1) ==
+                np.arange(self.order - 1, dtype=logs.dtype)).all(axis=1)
 
     def permutes(self, coeff_rows):
         """Row-wise: whether x * m(x) permutes F_{p^k}, where row i holds
         the index-domain coefficients of the monic
         m(x) = x^D + row[0] x^(D-1) + ... + row[D-1].  Rows are evaluated
         in blocks of at most PERMUTES_BLOCK values."""
-        rows = np.asarray(coeff_rows, dtype=np.int32)
-        X = np.arange(self.order, dtype=np.int32)
+        rows = np.asarray(coeff_rows, dtype=np.intp)
+        t = np.arange(self.order - 1, dtype=np.int32)
         step = max(1, PERMUTES_BLOCK // self.order)
         out = np.empty(len(rows), dtype=bool)
         for lo in range(0, len(rows), step):
-            vals = self.mul_table[self.eval_poly_rows(rows[lo:lo + step]), X]
-            out[lo:lo + step] = self.rows_are_permutations(vals)
+            logs = self.eval_poly_rows(rows[lo:lo + step])
+            logs += t                                       # x * m(x)
+            np.take(self._reduce, logs, out=logs, mode="wrap")
+            out[lo:lo + step] = self.rows_are_permutations(logs)
         return out
 
 

@@ -33,13 +33,6 @@ class SubfieldPoly:
     k: int
     coeffs: tuple
 
-    @property
-    def degree(self):
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
 
 def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
     """lambda_i of the conjugates a^(p^(ik)), i < r, via the incremental
@@ -64,11 +57,7 @@ def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
 def ha_pp_check(ctx, a, r, k) -> bool:
     """Whether h_a permutes F_{p^k} (occupancy check on the subfield)."""
     lv = lambda_coeffs(ctx, a, r, k)
-    return ha_pp_check_from_lambda(ctx, lv)
-
-
-def ha_pp_check_from_lambda(ctx, lv: LambdaVec) -> bool:
-    view = ctx.subfield_view(lv.k)
+    view = ctx.subfield_view(k)
     return bool(view.permutes([[view.idx(lam) for lam in lv.entries]])[0])
 
 

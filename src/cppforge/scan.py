@@ -190,8 +190,8 @@ def _r4_tagger(ctx, k):
     return lambda a: condition(ctx, a, k)
 
 
-def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None):
-    """Coefficient count (and optional list) for d = (p^(rk)-1)/(p^k-1)+1.
+def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
+    """Coefficient count and list for d = (p^(rk)-1)/(p^k-1)+1.
 
     method "direct", "ha", or "both"; with "both" the two lists must agree
     element for element or a RuntimeError names the first mismatch.
@@ -235,7 +235,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, collect=False, progress=None):
         "d": d,
         "method": method,
         "count": len(elems),
-        "elements": elems if collect else None,
+        "elements": elems,
         "conditions": conditions,
         "labels": labels,
         "seconds": time.monotonic() - t0,

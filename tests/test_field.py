@@ -11,9 +11,10 @@ import random
 import numpy as np
 import pytest
 
+from cppforge import bulk
 from cppforge import field as field_mod
-from cppforge.field import (SubfieldView, build_field, lex_least_irreducible,
-                            is_prime, zp_is_irreducible)
+from cppforge.field import (CapExceeded, SubfieldView, build_field,
+                            lex_least_irreducible, is_prime, zp_is_irreducible)
 
 
 def brute_irreducible_quadratics(p):
@@ -408,31 +409,48 @@ def _view_cases():
                 yield p, n, k, "table"
     for p, n in ((3, 4), (7, 6)):
         for k in range(1, n + 1):
-            # F_7^6 itself is above the view cap
+            # F_7^6 itself has too many points for scalar Horner here
             if n % k == 0 and p ** k <= 1 << 13:
                 yield p, n, k, "generic"
+
+
+def _rows_with_zeros(rng, order, D):
+    """Random index rows of length D, plus the all-zero row and a row whose
+    first coefficient c is nonzero and the rest zero: at x = -c its Horner
+    steps meet a zero accumulator and a zero coefficient together."""
+    rows = [[rng.randrange(order) for _ in range(D)] for _ in range(2)]
+    return rows + [[0] * D, [rng.randrange(1, order)] + [0] * (D - 1)]
 
 
 class TestSubfieldView:
     @pytest.mark.parametrize("p,n,k,backend", list(_view_cases()))
     def test_tables_match_scalar_arithmetic(self, p, n, k, backend):
+        # the view's log-domain Horner against scalar Horner at every
+        # nonzero point zeta^t, with zero as the log 3m
         ctx = build_field(p, n, backend=backend)
         view = SubfieldView(ctx, k)     # uncached: F_3^8's own view is large
         elems, idx = view.elems, view.index
+        m = view.order - 1
         assert len(elems) == p ** k and elems[0] == 0
         assert all(ctx.in_subfield(e, k) for e in elems)
-        # every pair up to 625 elements; a fixed sample of rows of F_3^8
-        rows = range(view.order) if view.order <= 625 else \
-            random.Random(k).sample(range(view.order), 24)
-        for i in rows:
-            x = elems[i]
-            assert [int(v) for v in view.add_table[i]] == \
-                [idx[ctx.add(x, y)] for y in elems], (i,)
-            assert [int(v) for v in view.mul_table[i]] == \
-                [idx[ctx.mul(x, y)] for y in elems], (i,)
+        point = {int(t): e for e, t in zip(elems, view.log) if t >= 0}
+        assert sorted(point) == list(range(m))
+        rng = random.Random(p * 100 + n * 10 + k)
+        for D in range(1, 4):
+            rows = _rows_with_zeros(rng, view.order, D)
+            got = view.eval_poly_rows(rows)
+            assert got.shape == (len(rows), m)
+            for row, logs in zip(rows, got.tolist()):
+                want = []
+                for t in range(m):
+                    acc = 1
+                    for c in row:
+                        acc = ctx.add(ctx.mul(acc, point[t]), elems[c])
+                    want.append(3 * m if acc == 0 else int(view.log[idx[acc]]))
+                assert logs == want, row
 
     @pytest.mark.parametrize("p,n,k", [(3, 4, 2), (3, 4, 4), (2, 6, 3),
-                                       (5, 2, 2), (7, 2, 1)])
+                                       (5, 2, 2), (7, 2, 1), (5, 6, 6)])
     def test_permutes_matches_brute_force(self, p, n, k):
         ctx = build_field(p, n)
         view = ctx.subfield_view(k)
@@ -442,21 +460,33 @@ class TestSubfieldView:
                 for _ in range(60)]
         # x^(D+1) is a permutation whenever gcd(D+1, p^k-1) = 1
         rows += [[0] * D for D in range(1, 6)]
+        for D in range(2, 5):
+            rows += _rows_with_zeros(rng, view.order, D)
         got = []
         for D in sorted({len(r) for r in rows}):
             batch = [r for r in rows if len(r) == D]
             got += list(zip(batch, view.permutes(batch)))
+        X = np.array(elems, dtype=np.int64)
         for row, ok in got:
-            values = []
-            for x in elems:
-                acc = 1
-                for c in row:
-                    acc = ctx.add(ctx.mul(acc, x), elems[c])
-                values.append(ctx.mul(acc, x))
-            assert bool(ok) == (sorted(values) == list(elems)), row
+            # x m(x) by bulk Horner over every subfield point
+            coeffs = (0,) + tuple(elems[c] for c in reversed(row)) + (1,)
+            values = np.sort(bulk.poly_eval(ctx, coeffs, X))
+            assert bool(ok) == np.array_equal(values, X), row
         verdicts = {bool(ok) for _, ok in got}
         assert verdicts == {True, False}
 
-    def test_view_cap(self):
-        with pytest.raises(ValueError, match="cap-exceeded"):
-            build_field(7, 5).subfield_view(5)
+    def test_view_cap(self, monkeypatch):
+        # F_2^23 is past TABLE_CAP: refused before F_{2^23}^* is enumerated
+        ctx = build_field(2, 46)
+        monkeypatch.setattr(ctx, "mu_subgroup",
+                            lambda s: pytest.fail("enumerated past the cap"))
+        with pytest.raises(CapExceeded, match="cap-exceeded"):
+            ctx.subfield_view(23)
+
+    def test_state_is_linear_in_the_order(self):
+        # quadratic p^k x p^k tables would need 2 * 4 * 6561 bytes per element
+        view = SubfieldView(build_field(3, 8), 8)
+        held = sum(v.nbytes for v in vars(view).values()
+                   if isinstance(v, np.ndarray))
+        assert view.order == 6561
+        assert held <= 128 * view.order

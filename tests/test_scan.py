@@ -160,7 +160,7 @@ class TestPermutesBlocks:
 
 class TestCountCpp:
     def test_both_method_f81(self):
-        res = scan.count_cpp(3, 1, 4, method="both", collect=True)
+        res = scan.count_cpp(3, 1, 4, method="both")
         assert res["count"] == 38
         assert len(res["elements"]) == 38
         tag_total = sum(res["conditions"].values())
@@ -168,7 +168,7 @@ class TestCountCpp:
         assert "untagged" not in res["conditions"]
 
     def test_f625_conditions(self):
-        res = scan.count_cpp(5, 1, 4, method="direct", collect=True)
+        res = scan.count_cpp(5, 1, 4, method="direct")
         assert res["count"] == 60
         assert set(res["conditions"]) <= {"r4_p5:1", "r4_p5:2", "r4_p5:3"}
 
@@ -176,7 +176,7 @@ class TestCountCpp:
     def test_orbit_labels_match_member_labels(self, p, k):
         # count_cpp tags one representative per member orbit; the slow twin
         # tags every member
-        res = scan.count_cpp(p, k, 4, method="ha", collect=True)
+        res = scan.count_cpp(p, k, 4, method="ha")
         ctx = res["ctx"]
         tagger = scan._r4_tagger(ctx, k)
         assert res["labels"] == {a: (tag.label() if tag else "")
