@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from . import bulk, scan
-from .field import CapExceeded, InternalError, build_field, is_prime
+from .field import (CapExceeded, HypothesisViolation, InternalError,
+                    build_field, is_prime)
 from .hadickson import (LambdaVec, SubfieldPoly, lambda_coeffs,
                         depressed_quintic, ha_pp_check, is_dickson_of_degree)
 from .oracle import FieldMap, is_cpp, is_cpp_exponent_pair
@@ -38,7 +39,8 @@ def niho_exponent(p, k, i) -> int:
     if p == 2:
         raise ValueError("even-characteristic: needs odd p")
     if not 1 <= i <= 2 * k:
-        raise ValueError(f"hypothesis-violation: need 1 <= i <= 2k, got i={i}")
+        raise HypothesisViolation(
+            f"hypothesis-violation: need 1 <= i <= 2k, got i={i}")
     d = (p ** k - 1) * (p ** i - 1) // 2 + p ** i
     if math.gcd(d, p ** (2 * k) - 1) != 1:
         raise InternalError(f"niho exponent {d} is not coprime to p^2k - 1 "
@@ -49,21 +51,23 @@ def niho_exponent(p, k, i) -> int:
 def tower_exponent(p, k, r) -> int:
     """d = (p^(rk) - 1)/(p^k - 1) + 1 under gcd(r+1, p^k - 1) == 1."""
     if k < 1 or r < 1:
-        raise ValueError(f"hypothesis-violation: need k >= 1 and r >= 1, "
-                         f"got k={k}, r={r}")
+        raise HypothesisViolation(f"hypothesis-violation: need k >= 1 and "
+                                  f"r >= 1, got k={k}, r={r}")
     if math.gcd(r + 1, p ** k - 1) != 1:
-        raise ValueError(f"gcd-violation: gcd(r+1, p^k-1) = "
-                         f"{math.gcd(r + 1, p ** k - 1)} != 1")
+        raise HypothesisViolation(f"gcd-violation: gcd(r+1, p^k-1) = "
+                                  f"{math.gcd(r + 1, p ** k - 1)} != 1")
     return (p ** (r * k) - 1) // (p ** k - 1) + 1
 
 
 def scaled_tower_exponent(p, t) -> int:
     """d = t (p^r - 1)/(p - 1) + 1 with r = p - 1, under gcd(rt+1, p-1) == 1."""
     if t < 1:
-        raise ValueError(f"hypothesis-violation: need t >= 1, got t={t}")
+        raise HypothesisViolation(
+            f"hypothesis-violation: need t >= 1, got t={t}")
     r = p - 1
     if math.gcd(r * t + 1, p - 1) != 1:
-        raise ValueError(f"gcd-violation: gcd(rt+1, p-1) != 1 for t={t}")
+        raise HypothesisViolation(
+            f"gcd-violation: gcd(rt+1, p-1) != 1 for t={t}")
     return t * (p ** r - 1) // (p - 1) + 1
 
 
@@ -80,7 +84,7 @@ def r4_condition(ctx, a, k):
     if ctx.n != 4 * k:
         raise ValueError(f"degree-mismatch: need n == 4k, got n={ctx.n}")
     if math.gcd(5, p ** k - 1) != 1:
-        raise ValueError("hypothesis-violation: gcd(5, p^k-1) != 1")
+        raise HypothesisViolation("hypothesis-violation: gcd(5, p^k-1) != 1")
     if a == 0:
         return None
     lv = lambda_coeffs(ctx, a, 4, k)
@@ -136,7 +140,7 @@ def r4_condition_p3(ctx, a, k):
     if ctx.n != 4 * k:
         raise ValueError(f"degree-mismatch: need n == 4k, got n={ctx.n}")
     if math.gcd(5, 3 ** k - 1) != 1:
-        raise ValueError("hypothesis-violation: gcd(5, 3^k-1) != 1")
+        raise HypothesisViolation("hypothesis-violation: gcd(5, 3^k-1) != 1")
     if a == 0:
         return None
     lv = lambda_coeffs(ctx, a, 4, k)
@@ -289,8 +293,8 @@ def r6_coordinate_table(p):
         return R6_COORDS_P3
     if p == 5:
         return R6_COORDS_P5
-    raise ValueError(f"hypothesis-violation: r=6 coordinate families exist "
-                     f"for p in (3, 5), not {p}")
+    raise HypothesisViolation(f"hypothesis-violation: r=6 coordinate families "
+                              f"exist for p in (3, 5), not {p}")
 
 
 def r6_dickson_coefficient(ctx, beta, family_index, u):
@@ -319,7 +323,8 @@ def rt_family_coefficients(p, t):
     """(ctx, d, coefficients) for d = t(p^r-1)/(p-1)+1, r = p-1, k = 1:
     the qualifying a are exactly those with a^(p-1) == -1."""
     if p == 2 or not is_prime(p):
-        raise ValueError(f"hypothesis-violation: need an odd prime, got {p}")
+        raise HypothesisViolation(
+            f"hypothesis-violation: need an odd prime, got {p}")
     d = scaled_tower_exponent(p, t)
     ctx = build_field(p, p - 1)
     return ctx, d, ctx.neg_one_roots(1)
@@ -338,7 +343,8 @@ def verify_neg_one_family(p, k):
     all of V.
     """
     if p == 2 or not is_prime(p):
-        raise ValueError(f"hypothesis-violation: need an odd prime, got {p}")
+        raise HypothesisViolation(
+            f"hypothesis-violation: need an odd prime, got {p}")
     r = p - 1
     ctx = build_field(p, r * k)
     d = tower_exponent(p, k, r)
@@ -379,11 +385,13 @@ def dickson_hypotheses(p, r, k) -> int:
     hypotheses: r+1 prime, r+1 != p, gcd(r, k) = 1, gcd(r+1, p^2-1) = 1."""
     l = r + 1
     if not is_prime(l) or l == p:
-        raise ValueError("hypothesis-violation: r+1 must be a prime != p")
+        raise HypothesisViolation(
+            "hypothesis-violation: r+1 must be a prime != p")
     if math.gcd(r, k) != 1:
-        raise ValueError("hypothesis-violation: gcd(r, k) != 1")
+        raise HypothesisViolation("hypothesis-violation: gcd(r, k) != 1")
     if math.gcd(l, p * p - 1) != 1:
-        raise ValueError("hypothesis-violation: gcd(r+1, p^2-1) != 1")
+        raise HypothesisViolation(
+            "hypothesis-violation: gcd(r+1, p^2-1) != 1")
     return tower_exponent(p, k, r)
 
 
@@ -422,13 +430,18 @@ def dickson_witness_search(p, r, k, budget=None):
             lv = lambda_coeffs(ctx, a, r, k)
             if is_dickson_of_degree(ctx, lv, l, k) is not None:
                 witnesses.append(a)
-    cpp_failures = []
     if ctx.backend == "table":
         # CPP membership is constant on the orbit classes of
         # scan.direct_cpp_scan: one oracle check per class the witnesses touch
         cpp = scan.orbit_values(ctx, d, witnesses, lambda reps: [
             is_cpp_exponent_pair(ctx, d, a) for a in reps])
         cpp_failures = [a for a, ok in zip(witnesses, cpp) if not ok]
+    else:
+        # no orbit classes without the log tables: each witness goes
+        # through the subfield criterion, as in verify_neg_one_family
+        gcd_ok = math.gcd(d, ctx.q - 1) == 1
+        cpp_failures = [a for a in witnesses
+                        if not (gcd_ok and ha_pp_check(ctx, a, r, k))]
     return {"p": p, "r": r, "k": k, "d": d, "witnesses": witnesses,
             "witness_count": len(witnesses), "cpp_failures": cpp_failures,
             "passed": bool(witnesses) and not cpp_failures}
@@ -470,7 +483,8 @@ def multinomial_map(ctx, g, v, a, k) -> FieldMap:
         raise ValueError(f"k-not-divisor: {k} does not divide {ctx.n}")
     r = ctx.n // k
     if math.gcd(p - 1, r) != 1 or math.gcd(r, p) != 1:
-        raise ValueError("gcd-violation: need gcd(p-1, r) = gcd(r, p) = 1")
+        raise HypothesisViolation(
+            "gcd-violation: need gcd(p-1, r) = gcd(r, p) = 1")
     if v == 0:
         raise ValueError("v-zero")
     if not ctx.in_subfield(v, k):

@@ -34,6 +34,11 @@ class CapExceeded(ValueError):
     """A request past one of the size caps above (the CLI's exit code 3)."""
 
 
+class HypothesisViolation(ValueError):
+    """Parameters outside the hypotheses of a theorem or family (a usage
+    error: the CLI's exit code 2)."""
+
+
 class InternalError(RuntimeError):
     """A broken invariant of the library itself, never a counterexample
     (the CLI's exit code 4)."""
@@ -596,15 +601,26 @@ class FieldCtx:
         self._subgens[s] = y
         return y
 
+    def _progression(self, start, ratio, count):
+        """(start, start*ratio, ..., start*ratio^(count-1)) for nonzero
+        start and ratio.  Generic fields keep the running product packed
+        and unpack each term once."""
+        if self.backend == "table":
+            N = self.q - 1
+            logs = (int(self.log_table[start])
+                    + np.arange(count, dtype=np.int64)
+                    * int(self.log_table[ratio])) % N
+            return tuple(self.exp_table[logs].tolist())
+        R, cur = self._pack_enc(ratio), self._pack_enc(start)
+        out = []
+        for _ in range(count):
+            out.append(self._enc_from_packed(cur))
+            cur = self._mul_packed(cur, R)
+        return tuple(out)
+
     def mu_subgroup(self, s):
         """The s-th roots of unity, listed as powers of a fixed generator."""
-        g = self.subgroup_generator(s)
-        out = [1]
-        cur = 1
-        for _ in range(s - 1):
-            cur = self.mul(cur, g)
-            out.append(cur)
-        return tuple(out)
+        return self._progression(1, self.subgroup_generator(s), s)
 
     def subfield_elements(self, k):
         """The p^k elements fixed by Frobenius^k, ascending by encoding."""
@@ -636,13 +652,7 @@ class FieldCtx:
         if (self.q - 1) % (2 * m):
             return ()
         y = self.subgroup_generator(2 * m)
-        y2 = self.mul(y, y)
-        out = []
-        cur = y
-        for _ in range(m):
-            out.append(cur)
-            cur = self.mul(cur, y2)
-        return tuple(sorted(out))
+        return tuple(sorted(self._progression(y, self.mul(y, y), m)))
 
     # -- residues, polynomials, roots ---------------------------------------
 

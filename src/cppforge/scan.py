@@ -1,16 +1,16 @@
 """Exhaustive CPP coefficient scans for exponents d = (p^(rk)-1)/(p^k-1)+1.
 
-Two routes: "direct" tests the bijectivity of x -> x^d + a*x on the whole
-field for one a per Frobenius orbit class of coefficients (ground truth,
-optionally across a process pool); "ha" reduces each a to a degree-(r+1)
-polynomial on F_{p^k} and checks the permutation there, deduplicating
-identical coefficient vectors.  Both return ascending coefficient lists so
-results merge and compare bytewise.
+Two routes, each deciding one a per Frobenius orbit class of coefficients:
+"direct" tests the bijectivity of x -> x^d + a*x on the whole field
+(ground truth, optionally across a process pool); "ha" reduces a to a
+degree-(r+1) polynomial h_a on F_{p^k} and checks the permutation there.
+Both return ascending coefficient lists so results merge and compare
+bytewise.
 
 orbit_values is the one implementation of the orbit classes: it decides a
 property once per class and gives each coefficient its class's verdict.
-The direct scan, the r = 4 equality check and labels, and the Dickson
-witness search and its CPP re-check all run through it.
+Both scans, the r = 4 equality check and labels, and the Dickson witness
+search and its CPP re-check all run through it.
 """
 
 from __future__ import annotations
@@ -122,39 +122,29 @@ def subfield_positions(ctx, k, lam):
     return pos
 
 
-def ha_cpp_scan(ctx, r, k, progress=None):
+def ha_cpp_scan(ctx, r, k):
     """Ascending list of CPP coefficients through the subfield criterion:
     a qualifies iff h_a permutes F_{p^k} (gcd(d, q-1) == 1 is checked once,
-    globally)."""
+    globally).
+
+    Whether h_a permutes is constant on the orbit classes of orbit_values
+    (d - 1 = (q-1)/(p^k-1)): h_(ta)(x) = t^(r+1) h_a(x/t) for t in
+    F_{p^k}^*, and Frobenius maps h_a to h_(a^p).  So the lambda rows of
+    one a = g^j per class come from one bulk.lambda_scan and are checked
+    in one SubfieldView call.
+    """
     if ctx.backend != "table":
         raise CapExceeded("cap-exceeded: full coefficient enumeration needs "
                           "the table backend")
     d = (ctx.p ** (r * k) - 1) // (ctx.p ** k - 1) + 1
     if math.gcd(d, ctx.q - 1) != 1:
         return []
-    A, lam = bulk.lambda_scan(ctx, r, k)
-    if progress:
-        progress(1, 4)
-    view = ctx.subfield_view(k)
-    pos = subfield_positions(ctx, k, lam)
-    if progress:
-        progress(2, 4)
-    base = view.order
-    keys = pos[:, 0]
-    for j in range(1, r):
-        keys = keys * base + pos[:, j]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    rows = np.empty((len(uniq), r), dtype=np.int32)
-    tmp = uniq.copy()
-    for j in range(r - 1, -1, -1):
-        rows[:, j] = tmp % base
-        tmp //= base
-    if progress:
-        progress(3, 4)
-    mask = view.permutes(rows)[inverse]
-    if progress:
-        progress(4, 4)
-    return [int(a) for a in A[mask]]
+
+    def decide(reps):
+        _, lam = bulk.lambda_scan(ctx, r, k, reps)
+        return ctx.subfield_view(k).permutes(subfield_positions(ctx, k, lam))
+
+    return orbit_members(ctx, d, decide)
 
 
 def r4_equality_check(ctx, k, tagger):
@@ -206,7 +196,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
     if method in ("direct", "both"):
         elems_direct = direct_cpp_scan(ctx, d, jobs=jobs, progress=progress)
     if method in ("ha", "both"):
-        elems_ha = ha_cpp_scan(ctx, r, k, progress=progress)
+        elems_ha = ha_cpp_scan(ctx, r, k)
     if method == "both":
         if elems_direct != elems_ha:
             sd, sh = set(elems_direct), set(elems_ha)

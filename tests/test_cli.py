@@ -423,6 +423,19 @@ class TestConjecture:
         assert out == ""
         assert "hypothesis-violation: gcd(r, k) != 1" in err
 
+    def test_id1_generic_cpp_failure_exits_1(self, capsys, monkeypatch):
+        # witnesses of a budgeted search on a generic field are re-checked
+        import cppforge.families as families_mod
+        from cppforge.field import build_field
+        monkeypatch.setattr(families_mod, "build_field",
+                            lambda p, n: build_field(p, n, backend="generic"))
+        monkeypatch.setattr(families_mod, "ha_pp_check", lambda *args: False)
+        code, out, _ = run_cli(capsys, "conjecture", "--id", "1", "--p", "2",
+                               "--r", "4", "--kmin", "3", "--kmax", "3",
+                               "--budget", "200")
+        assert code == 1
+        assert out == "k=3: witnesses=11 cpp_failures=11 FAIL\n"
+
     def test_subfield_view_cap(self, capsys):
         # the view of F_7^5 holds O(7^5) logs; only TABLE_CAP bounds it
         code, out, err = run_cli(capsys, "conjecture", "--id", "2", "--p", "7",

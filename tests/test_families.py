@@ -336,6 +336,30 @@ class TestConjectureHarnesses:
         budgeted = dickson_witness_search(3, 4, 1, budget=30)
         assert set(budgeted["witnesses"]) <= set(full["witnesses"])
 
+    def test_witness_search_generic_rechecks_witnesses(self, monkeypatch):
+        # F_2^12 forced onto the generic backend: each budgeted witness
+        # goes through gcd(d, q - 1) and ha_pp_check, and a rejected one
+        # is a CPP failure
+        import cppforge.families as families_mod
+        table = dickson_witness_search(2, 4, 3)["witnesses"]
+        monkeypatch.setattr(families_mod, "build_field",
+                            lambda p, n: build_field(p, n, backend="generic"))
+        checked = []
+
+        def recording(ctx, a, r, k):
+            assert ctx.backend == "generic"
+            checked.append(a)
+            return ha_pp_check(ctx, a, r, k)
+
+        monkeypatch.setattr(families_mod, "ha_pp_check", recording)
+        res = dickson_witness_search(2, 4, 3, budget=200)
+        assert res["witnesses"] == [a for a in table if a <= 200] == checked
+        assert res["cpp_failures"] == [] and res["passed"]
+        monkeypatch.setattr(families_mod, "ha_pp_check", lambda *args: False)
+        res = dickson_witness_search(2, 4, 3, budget=200)
+        assert res["cpp_failures"] == res["witnesses"] != []
+        assert not res["passed"]
+
     def test_witness_search_p5_r6(self):
         res = dickson_witness_search(5, 6, 1)
         assert res["passed"] and res["witness_count"] == 72

@@ -220,6 +220,34 @@ class TestSubfields:
         brute = tuple(sorted(a for a in range(1, 64) if f64.pow(a, 3) == 1))
         assert f64.neg_one_roots(2) == brute
 
+    @pytest.mark.parametrize("p,n,backend", [
+        (3, 4, "table"), (3, 4, "generic"), (5, 2, "generic"),
+        (7, 1, "generic"), (2, 6, "generic"), (3, 16, "generic")])
+    def test_progressions_match_scalar_steps(self, p, n, backend):
+        # mu_subgroup and neg_one_roots against ctx.mul one step at a time
+        ctx = build_field(p, n, backend=backend)
+        assert ctx.backend == backend
+
+        def steps(start, ratio, count):
+            out = [start]
+            while len(out) < count:
+                out.append(ctx.mul(out[-1], ratio))
+            return out
+
+        for s in (s for s in range(1, min(ctx.q, 730)) if (ctx.q - 1) % s == 0):
+            assert ctx.mu_subgroup(s) == tuple(
+                steps(1, ctx.subgroup_generator(s), s)), s
+        for k in (k for k in range(1, n + 1) if n % k == 0 and p ** k < 730):
+            m = p ** k - 1
+            if p == 2:
+                want = sorted(steps(1, ctx.subgroup_generator(m), m))
+            elif (ctx.q - 1) % (2 * m):
+                want = []
+            else:
+                y = ctx.subgroup_generator(2 * m)
+                want = sorted(steps(y, ctx.mul(y, y), m))
+            assert ctx.neg_one_roots(k) == tuple(want), k
+
     def test_unit_subgroup_orders(self, f625):
         mu = f625.mu_subgroup(26)
         assert len(set(mu)) == 26

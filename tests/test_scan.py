@@ -18,6 +18,14 @@ def whole_field_members(ctx, d):
             if bulk.binomial_is_permutation(ctx, d, a)]
 
 
+def whole_field_ha_members(ctx, r, k):
+    # the slow twin of the orbit-reduced subfield scan: every nonzero a
+    # through lambda_scan and one permutes call, no orbits and no dedup
+    A, lam = bulk.lambda_scan(ctx, r, k)
+    view = ctx.subfield_view(k)
+    return A[view.permutes(scan.subfield_positions(ctx, k, lam))].tolist()
+
+
 def coset(ctx, e, j):
     return {j * ctx.p ** i % e for i in range(ctx.n)}
 
@@ -143,6 +151,38 @@ class TestHaScan:
 
     def test_matches_direct_f625(self, f625):
         assert scan.ha_cpp_scan(f625, 4, 1) == scan.direct_cpp_scan(f625, 157)
+
+    @pytest.mark.parametrize("p,k,r", [(3, 1, 4), (5, 1, 4), (7, 1, 4),
+                                       (13, 1, 4), (3, 2, 4), (5, 2, 4),
+                                       (3, 1, 6), (5, 1, 6), (3, 3, 2)])
+    def test_matches_whole_field(self, p, k, r):
+        ctx = build_field(p, r * k)
+        twin = whole_field_ha_members(ctx, r, k)
+        assert 0 < len(twin) < ctx.q - 1
+        assert scan.ha_cpp_scan(ctx, r, k) == twin
+
+    @pytest.mark.parametrize("p,k,reps", [(3, 2, 107), (5, 2, 2044),
+                                          (3, 3, 1717)])
+    def test_one_lambda_scan_of_the_representatives(self, monkeypatch,
+                                                     p, k, reps):
+        # one lambda row per orbit class, never one per coefficient
+        ctx = build_field(p, 4 * k)
+        sizes = []
+        real = bulk.lambda_scan
+
+        def recording(ctx, r, k, A=None):
+            sizes.append(None if A is None else len(A))
+            return real(ctx, r, k, A)
+
+        monkeypatch.setattr(bulk, "lambda_scan", recording)
+        scan.ha_cpp_scan(ctx, 4, k)
+        assert sizes == [reps]
+
+    def test_matches_direct_f3_12_k6(self):
+        ctx = build_field(3, 12)
+        ha = scan.ha_cpp_scan(ctx, 2, 6)
+        assert ha == scan.direct_cpp_scan(ctx, tower_exponent(3, 6, 2))
+        assert len(ha) == 728
 
 
 class TestPermutesBlocks:
