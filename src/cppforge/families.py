@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from . import bulk, scan
 from .field import (CapExceeded, HypothesisViolation, InternalError,
                     build_field, is_prime)
-from .hadickson import (LambdaVec, SubfieldPoly, lambda_coeffs,
-                        depressed_quintic, ha_pp_check, is_dickson_of_degree)
+from .hadickson import (LambdaVec, lambda_coeffs, depressed_quintic,
+                        ha_pp_check, is_dickson_of_degree)
 from .oracle import FieldMap, is_cpp, is_cpp_exponent_pair
 
 
@@ -365,7 +365,6 @@ def neg_one_map_permutes(ctx, k, coeffs):
     """Whether x(x^2-a^2)^((p-1)/2) permutes F_{p^k}, for each a in coeffs
     (each a^2 must lie in F_{p^k}); all of them in one SubfieldView call."""
     half = (ctx.p - 1) // 2
-    view = ctx.subfield_view(k)
     binom = [ctx.scalar(math.comb(half, j)) for j in range(half)]
     rows = []
     for a in coeffs:
@@ -375,9 +374,9 @@ def neg_one_map_permutes(ctx, k, coeffs):
         row, bpow = [], 1
         for j in range(half - 1, -1, -1):
             bpow = ctx.mul(bpow, b)
-            row += [0, view.idx(ctx.mul(binom[j], bpow))]
+            row += [0, ctx.mul(binom[j], bpow)]
         rows.append(row)
-    return view.permutes(rows).tolist()
+    return ctx.subfield_view(k).permutes(rows).tolist()
 
 
 def dickson_hypotheses(p, r, k) -> int:
@@ -416,7 +415,7 @@ def dickson_witness_search(p, r, k, budget=None):
     if ctx.backend == "table" and budget is None:
         def decide(reps):
             _, lam = bulk.lambda_scan(ctx, r, k, reps)
-            scan.subfield_positions(ctx, k, lam)
+            ctx.subfield_view(k).logs(lam)     # the lambda invariant
             return [is_dickson_of_degree(ctx, LambdaVec(r, k, tuple(row)), l, k)
                     is not None for row in lam.tolist()]
         witnesses = scan.orbit_members(ctx, d, decide)
@@ -461,11 +460,10 @@ def _scaled_base_permutes(ctx, gc, ws, k):
         cs.pop()
     if len(cs) == 1:
         return [ctx.add(cs[0], w) != 0 for w in ws]
-    view = ctx.subfield_view(k)
     inv_lead = ctx.inv(cs[-1])
-    top = [view.idx(ctx.mul(c, inv_lead)) for c in reversed(cs[1:-1])]
-    rows = [top + [view.idx(ctx.mul(ctx.add(cs[0], w), inv_lead))] for w in ws]
-    return view.permutes(rows).tolist()
+    top = [ctx.mul(c, inv_lead) for c in reversed(cs[1:-1])]
+    rows = [top + [ctx.mul(ctx.add(cs[0], w), inv_lead)] for w in ws]
+    return ctx.subfield_view(k).permutes(rows).tolist()
 
 
 def multinomial_map(ctx, g, v, a, k) -> FieldMap:
@@ -489,12 +487,7 @@ def multinomial_map(ctx, g, v, a, k) -> FieldMap:
         raise ValueError("v-zero")
     if not ctx.in_subfield(v, k):
         raise ValueError(f"not-in-subfield: v={v}")
-    if isinstance(g, SubfieldPoly):
-        if g.k != k:
-            raise ValueError("g-not-subfield: declared for a different subfield")
-        gc = g.coeffs
-    else:
-        gc = tuple(g)
+    gc = tuple(g)
     for c in gc:
         if not ctx.in_subfield(c, k):
             raise ValueError(f"g-not-subfield: coefficient {c}")
@@ -531,7 +524,7 @@ def multinomial_map(ctx, g, v, a, k) -> FieldMap:
                                                      bulk.frobenius(ctx, X, 1)))
             return bulk.add(ctx, out, bulk.mul_scalar(ctx, a, X))
 
-    fmap = FieldMap(ctx, fn, values, name=f"multinomial(a={a},v={v})")
+    fmap = FieldMap(ctx, fn, values)
     _assert_trace_identity(ctx, fmap, gc, v, a, k)
     return fmap
 
@@ -554,11 +547,12 @@ def _assert_trace_identity(ctx, fmap, gc, v, a, k):
 def multinomial_presets(ctx, k):
     """The three stock g choices: zero, a monomial x^(d-1) for a CPP
     exponent d of the subfield, and the quartic whose induced quintic is a
-    Dickson shape (2 c0^2 = c1 + v).  Returns {name: (SubfieldPoly, v)}."""
+    Dickson shape (2 c0^2 = c1 + v).  Returns {name: (coeffs, v)}, coeffs
+    ascending."""
     p = ctx.p
     sub = ctx.subfield_elements(k)
     nonzero = [e for e in sub if e != 0]
-    out = {"zero": (SubfieldPoly(k, (0,)), 1)}
+    out = {"zero": ((0,), 1)}
 
     # the first x^d + v x with some admissible a; failing that, the first
     # bare permutation (usable maps may still be empty for very small
@@ -579,8 +573,7 @@ def multinomial_presets(ctx, k):
     found = found or fallback
     if found is None:
         raise InternalError("no monomial preset found")
-    gc, v = found
-    out["monomial"] = (SubfieldPoly(k, gc), v)
+    out["monomial"] = found
 
     found = fallback = None
     for c0 in nonzero + [0]:
@@ -591,9 +584,9 @@ def multinomial_presets(ctx, k):
         # x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
         if _scaled_base_permutes(ctx, gc, [v], k)[0]:
             if fallback is None:
-                fallback = (SubfieldPoly(k, gc), v)
+                fallback = (gc, v)
             if multinomial_admissible_a(ctx, k, gc, v):
-                found = (SubfieldPoly(k, gc), v)
+                found = (gc, v)
                 break
     found = found or fallback
     if found is None:
@@ -610,9 +603,8 @@ def multinomial_admissible_a(ctx, k, g=None, v=None):
     out = [a for a in ctx.subfield_elements(k) if a not in excl]
     if g is None:
         return out
-    gc = g.coeffs if isinstance(g, SubfieldPoly) else tuple(g)
     ws = [ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a))) for a in out]
-    keep = _scaled_base_permutes(ctx, gc, ws, k)
+    keep = _scaled_base_permutes(ctx, tuple(g), ws, k)
     return [a for a, ok in zip(out, keep) if ok]
 
 

@@ -189,25 +189,30 @@ def _plus_one(e, p):
 class SubfieldView:
     """Log-domain evaluation on the subfield F_{p^k} inside an ambient field.
 
-    Subfield elements stay ambient encodings in `elems` (ascending, so
-    index 0 is the zero element) and `index` maps an encoding back to its
-    index.  Evaluation runs on discrete logs to a generator zeta of
-    F_{p^k}^*, at the nonzero points zeta^t only: x * m(x) sends 0 to 0.
-    Everything comes from the Zech logarithms Z[e] = log(1 + zeta^e)
-    (Huber, IEEE Trans. IT 36(4), 1990), found by raising digit 0 of
-    zeta^e by one, so the view holds O(p^k) state however large the
-    ambient field is.
+    Callers pass ambient encodings of subfield elements; `logs` maps them
+    to discrete logs to a generator zeta of F_{p^k}^*, the one place a
+    subfield encoding is converted.  On table fields zeta = g^c with
+    c = (q - 1)/(p^k - 1), so x != 0 has the log log_table[x] / c and lies
+    in F_{p^k} iff c divides log_table[x]: nothing is listed.  Generic
+    fields list F_{p^k}^* once through mu_subgroup, into one dict from
+    encoding to log.
+
+    Evaluation runs at the nonzero points zeta^t only: x * m(x) sends 0
+    to 0.  Everything comes from the Zech logarithms Z[e] = log(1 + zeta^e)
+    (Huber, IEEE Trans. IT 36(4), 1990): on table fields one gather
+    Z[e] = zech_table[c e] / c from the ambient Zech table, on generic
+    fields the log of zeta^e with digit 0 raised by one.  So the view
+    holds O(p^k) state however large the ambient field is.
 
     With m = p^k - 1, zero is the log 3m as a value and -5m as a
-    coefficient (`log[0]`).  Then acc * x is one add, and
-    acc + c = c (1 + acc/c) is u = log acc - log c, a gather from
-    `_zech`, an add of log c and a gather from `_reduce`.  The ranges of
-    u keep the four cases apart: both nonzero in (-m, 2m), where `_zech`
-    holds Z (3m when 1 + zeta^u = 0; negative u reads the last m
-    entries); a zero acc in (2m, 4m), where it holds 0 so c comes back;
-    a zero c in [5m, 9m), where it holds u so acc comes back.  `_reduce`
-    takes the sums, below 2m or in [3m, 4m) for zero, back to [0, m) or
-    3m.
+    coefficient.  Then acc * x is one add, and acc + c = c (1 + acc/c) is
+    u = log acc - log c, a gather from `_zech`, an add of log c and a
+    gather from `_reduce`.  The ranges of u keep the four cases apart:
+    both nonzero in (-m, 2m), where `_zech` holds Z (3m when
+    1 + zeta^u = 0; negative u reads the last m entries); a zero acc in
+    (2m, 4m), where it holds 0 so c comes back; a zero c in [5m, 9m),
+    where it holds u so acc comes back.  `_reduce` takes the sums, below
+    2m or in [3m, 4m) for zero, back to [0, m) or 3m.
     """
 
     def __init__(self, ctx, k):
@@ -220,33 +225,45 @@ class SubfieldView:
         self.k = k
         self.order = order
         m = order - 1
-        powers = ctx.mu_subgroup(m)             # zeta^e for e < m
-        self.elems = ctx._subfields.setdefault(k, tuple(sorted((0,) + powers)))
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        log = np.full(order, -5 * m, dtype=np.int32)
-        log[[self.index[z] for z in powers]] = np.arange(m, dtype=np.int32)
-        self.log = log
-        # Z[e] = 3m where 1 + zeta^e = 0, since log[0] = -5m
-        zech = log[[self.index[_plus_one(z, ctx.p)] for z in powers]]
-        zech[zech < 0] = 3 * m
+        if ctx.backend == "table":
+            self._c = (ctx.q - 1) // m
+            zech = ctx.zech_table[np.arange(0, ctx.q - 1, self._c)] // self._c
+        else:
+            powers = ctx.mu_subgroup(m)             # zeta^e for e < m
+            self._log = dict(zip(powers, range(m)))
+            self._log[0] = -5 * m
+            zech = self.logs([_plus_one(z, ctx.p) for z in powers])
+        zech[zech < 0] = 3 * m                      # where 1 + zeta^e = 0
         self._zech = np.concatenate([zech, zech, np.zeros(3 * m, np.int32),
                                      np.arange(5 * m, 9 * m, dtype=np.int32),
                                      zech])
         self._reduce = np.concatenate([np.arange(m, dtype=np.int32)] * 2 +
                                       [np.full(2 * m, 3 * m, np.int32)])
 
-    def idx(self, enc):
-        try:
-            return self.index[enc]
-        except KeyError:
-            raise ValueError(f"not-in-subfield: encoding {enc} is not fixed by "
-                             f"Frobenius^{self.k}") from None
+    def logs(self, encs):
+        """The zeta-logs of an array of subfield encodings (any shape) as
+        int32, zero giving -5m.  An entry outside F_{p^k} breaks an
+        invariant of the caller."""
+        m = self.order - 1
+        if self.ctx.backend == "table":
+            L = self.ctx.log_table[np.asarray(encs, dtype=np.int64)]
+            L[L < 0] = -5 * m * self._c             # zero: -5m once divided
+            if not (L % self._c).any():
+                return (L // self._c).astype(np.int32)
+        else:
+            # generic encodings can pass int64: map them before any conversion
+            arr = np.asarray(encs, dtype=object)
+            out = [self._log.get(x) for x in arr.flat]
+            if None not in out:
+                return np.array(out, dtype=np.int32).reshape(arr.shape)
+        raise InternalError(f"an entry left the subfield F_{self.ctx.p}^{self.k}")
 
-    def eval_poly_rows(self, coeff_rows):
+    def eval_poly_rows(self, log_rows):
         """Logs of x^D + rows[:,0] x^(D-1) + ... + rows[:,D-1] at every
-        nonzero point zeta^t at once, coefficients given as indices.
-        Returns a (U, p^k - 1) array, column t for zeta^t, 3m for zero."""
-        c = self.log[np.asarray(coeff_rows, dtype=np.intp)]
+        nonzero point zeta^t at once, coefficients given as logs (see
+        `logs`).  Returns a (U, p^k - 1) array, column t for zeta^t, 3m
+        for zero."""
+        c = np.asarray(log_rows)
         t = np.arange(self.order - 1, dtype=np.int32)
         acc = np.zeros((len(c), len(t)), dtype=np.int32)
         for j in range(c.shape[1]):
@@ -266,10 +283,10 @@ class SubfieldView:
 
     def permutes(self, coeff_rows):
         """Row-wise: whether x * m(x) permutes F_{p^k}, where row i holds
-        the index-domain coefficients of the monic
+        the encodings of the coefficients of the monic
         m(x) = x^D + row[0] x^(D-1) + ... + row[D-1].  Rows are evaluated
         in blocks of at most PERMUTES_BLOCK values."""
-        rows = np.asarray(coeff_rows, dtype=np.intp)
+        rows = self.logs(coeff_rows)
         t = np.arange(self.order - 1, dtype=np.int32)
         step = max(1, PERMUTES_BLOCK // self.order)
         out = np.empty(len(rows), dtype=bool)

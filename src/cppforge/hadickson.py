@@ -26,14 +26,6 @@ class LambdaVec:
     entries: tuple
 
 
-@dataclass(frozen=True)
-class SubfieldPoly:
-    """Coefficient sequence (ascending degree) with all coefficients fixed
-    by Frobenius^k."""
-    k: int
-    coeffs: tuple
-
-
 def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
     """lambda_i of the conjugates a^(p^(ik)), i < r, via the incremental
     product prod(x + a_i)."""
@@ -57,8 +49,7 @@ def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
 def ha_pp_check(ctx, a, r, k) -> bool:
     """Whether h_a permutes F_{p^k} (occupancy check on the subfield)."""
     lv = lambda_coeffs(ctx, a, r, k)
-    view = ctx.subfield_view(k)
-    return bool(view.permutes([[view.idx(lam) for lam in lv.entries]])[0])
+    return bool(ctx.subfield_view(k).permutes([lv.entries])[0])
 
 
 def depressed_quintic(ctx, lv: LambdaVec, k):
@@ -93,10 +84,10 @@ def depressed_quintic(ctx, lv: LambdaVec, k):
     return a3, a2, a1
 
 
-def dickson_poly(ctx, l, eta, k) -> SubfieldPoly:
-    """Dickson polynomial D_l(x, eta) over F_{p^k}: coefficient of
-    x^(l-2j) is l/(l-j) * C(l-j, j) * (-eta)^j, the integer factor taken
-    exactly and then reduced mod p."""
+def dickson_poly(ctx, l, eta, k) -> tuple:
+    """Ascending coefficient tuple of the Dickson polynomial D_l(x, eta)
+    over F_{p^k}: coefficient of x^(l-2j) is l/(l-j) * C(l-j, j) *
+    (-eta)^j, the integer factor taken exactly and then reduced mod p."""
     if l < 1:
         raise ValueError(f"degree must be >= 1, got {l}")
     if eta == 0:
@@ -112,7 +103,7 @@ def dickson_poly(ctx, l, eta, k) -> SubfieldPoly:
                                 f"for l={l}, j={j}")
         c = ctx.scalar(num // (l - j))
         coeffs[l - 2 * j] = ctx.mul(c, ctx.pow(neg_eta, j))
-    return SubfieldPoly(k, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def taylor_shift(ctx, coeffs, s):
@@ -155,7 +146,7 @@ def is_dickson_of_degree(ctx, lv: LambdaVec, l, k):
         if l1 == 0:
             return None
         return 0 if all(c == 0 for c in dep[1:l]) else None
-    want = dickson_poly(ctx, l, eta, k).coeffs
+    want = dickson_poly(ctx, l, eta, k)
     if tuple(dep[1:]) == want[1:]:
         return eta
     return None

@@ -28,7 +28,6 @@ class FieldMap:
     ctx: object
     fn: object
     values: object = None
-    name: str = ""
 
     def value_table(self):
         if self.values is not None:
@@ -44,8 +43,7 @@ class FieldMap:
         vals = None
         if self.values is not None:
             vals = lambda: bulk.add(ctx, np.asarray(self.values()), bulk.elements(ctx))
-        return FieldMap(ctx, lambda x: ctx.add(self.fn(x), x), vals,
-                        name=f"{self.name}+x" if self.name else "f+x")
+        return FieldMap(ctx, lambda x: ctx.add(self.fn(x), x), vals)
 
 
 def is_permutation(fmap: FieldMap) -> bool:
@@ -68,8 +66,7 @@ def monomial_map(ctx, d, a=0) -> FieldMap:
             if a:
                 out = bulk.add(ctx, out, bulk.mul_scalar(ctx, a, X))
             return out
-    return FieldMap(ctx, lambda x: ctx.add(ctx.pow(x, d), ctx.mul(a, x)), vals,
-                    name=f"x^{d}+{a}x")
+    return FieldMap(ctx, lambda x: ctx.add(ctx.pow(x, d), ctx.mul(a, x)), vals)
 
 
 def is_cpp_exponent_pair(ctx, d, a) -> bool:

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import bulk
-from .field import CapExceeded, InternalError, build_field
+from .field import CapExceeded, build_field
 
 POOL_MIN_POINTS = 1 << 25   # orbits x q before --jobs > 1 forks a pool
 _WORKER = {}
@@ -111,17 +111,6 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
     return orbit_members(ctx, d, decide)
 
 
-def subfield_positions(ctx, k, lam):
-    """The index of every entry of lam among ctx.subfield_elements(k)
-    (ascending encodings); an entry outside F_{p^k} breaks the lambda
-    invariant."""
-    sub = np.array(ctx.subfield_elements(k), dtype=np.int64)
-    pos = np.minimum(np.searchsorted(sub, lam), len(sub) - 1)
-    if not (sub[pos] == lam).all():
-        raise InternalError("conjugate symmetric function left the subfield")
-    return pos
-
-
 def ha_cpp_scan(ctx, r, k):
     """Ascending list of CPP coefficients through the subfield criterion:
     a qualifies iff h_a permutes F_{p^k} (gcd(d, q-1) == 1 is checked once,
@@ -142,7 +131,7 @@ def ha_cpp_scan(ctx, r, k):
 
     def decide(reps):
         _, lam = bulk.lambda_scan(ctx, r, k, reps)
-        return ctx.subfield_view(k).permutes(subfield_positions(ctx, k, lam))
+        return ctx.subfield_view(k).permutes(lam)
 
     return orbit_members(ctx, d, decide)
 

@@ -7,14 +7,16 @@ fields.
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cppforge import bulk
 from cppforge import field as field_mod
-from cppforge.field import (CapExceeded, SubfieldView, build_field,
-                            lex_least_irreducible, is_prime, zp_is_irreducible)
+from cppforge.field import (CapExceeded, InternalError, SubfieldView,
+                            build_field, lex_least_irreducible, is_prime,
+                            zp_is_irreducible)
 
 
 def brute_irreducible_quadratics(p):
@@ -440,14 +442,38 @@ def _view_cases():
             # F_7^6 itself has too many points for scalar Horner here
             if n % k == 0 and p ** k <= 1 << 13:
                 yield p, n, k, "generic"
+    yield 7, 30, 2, "generic"       # F_49 encodings in F_7^30 pass int64
 
 
-def _rows_with_zeros(rng, order, D):
-    """Random index rows of length D, plus the all-zero row and a row whose
-    first coefficient c is nonzero and the rest zero: at x = -c its Horner
-    steps meet a zero accumulator and a zero coefficient together."""
-    rows = [[rng.randrange(order) for _ in range(D)] for _ in range(2)]
-    return rows + [[0] * D, [rng.randrange(1, order)] + [0] * (D - 1)]
+def _rows_with_zeros(rng, elems, D):
+    """Random encoding rows of length D, plus the all-zero row and a row
+    whose first coefficient c is nonzero and the rest zero: at x = -c its
+    Horner steps meet a zero accumulator and a zero coefficient together."""
+    rows = [[rng.choice(elems) for _ in range(D)] for _ in range(2)]
+    return rows + [[0] * D, [rng.choice(elems[1:])] + [0] * (D - 1)]
+
+
+def listed_view_arrays(ctx, k):
+    # the listing build of a view: F_{p^k}^* as powers of the same zeta
+    # through mu_subgroup, sorted and indexed, Z read through the index
+    m = ctx.p ** k - 1
+    powers = ctx.mu_subgroup(m)
+    elems = sorted((0,) + powers)
+    index = {e: i for i, e in enumerate(elems)}
+    log = np.full(m + 1, -5 * m, dtype=np.int32)
+    log[[index[z] for z in powers]] = np.arange(m, dtype=np.int32)
+    zech = log[[index[ctx.add(1, z)] for z in powers]]
+    zech[zech < 0] = 3 * m
+    zech_vec = np.concatenate([zech, zech, np.zeros(3 * m, np.int32),
+                               np.arange(5 * m, 9 * m, dtype=np.int32), zech])
+    reduce_vec = np.concatenate([np.arange(m, dtype=np.int32)] * 2 +
+                                [np.full(2 * m, 3 * m, np.int32)])
+    return elems, log, zech_vec, reduce_vec
+
+
+def _outside(ctx, k):
+    # the least encoding outside F_{p^k}
+    return next(x for x in range(1, ctx.q) if not ctx.in_subfield(x, k))
 
 
 class TestSubfieldView:
@@ -457,24 +483,25 @@ class TestSubfieldView:
         # nonzero point zeta^t, with zero as the log 3m
         ctx = build_field(p, n, backend=backend)
         view = SubfieldView(ctx, k)     # uncached: F_3^8's own view is large
-        elems, idx = view.elems, view.index
         m = view.order - 1
-        assert len(elems) == p ** k and elems[0] == 0
-        assert all(ctx.in_subfield(e, k) for e in elems)
-        point = {int(t): e for e, t in zip(elems, view.log) if t >= 0}
-        assert sorted(point) == list(range(m))
+        zeta = ctx.subgroup_generator(m)
+        point = [ctx.pow(zeta, t) for t in range(m)]
+        log = {x: t for t, x in enumerate(point)}
+        elems = [0] + sorted(point)
+        assert len(log) == m and all(ctx.in_subfield(e, k) for e in elems)
+        assert view.logs(elems).tolist() == [-5 * m] + [log[e] for e in elems[1:]]
         rng = random.Random(p * 100 + n * 10 + k)
         for D in range(1, 4):
-            rows = _rows_with_zeros(rng, view.order, D)
-            got = view.eval_poly_rows(rows)
+            rows = _rows_with_zeros(rng, elems, D)
+            got = view.eval_poly_rows(view.logs(rows))
             assert got.shape == (len(rows), m)
             for row, logs in zip(rows, got.tolist()):
                 want = []
                 for t in range(m):
                     acc = 1
                     for c in row:
-                        acc = ctx.add(ctx.mul(acc, point[t]), elems[c])
-                    want.append(3 * m if acc == 0 else int(view.log[idx[acc]]))
+                        acc = ctx.add(ctx.mul(acc, point[t]), c)
+                    want.append(3 * m if acc == 0 else log[acc])
                 assert logs == want, row
 
     @pytest.mark.parametrize("p,n,k", [(3, 4, 2), (3, 4, 4), (2, 6, 3),
@@ -482,14 +509,14 @@ class TestSubfieldView:
     def test_permutes_matches_brute_force(self, p, n, k):
         ctx = build_field(p, n)
         view = ctx.subfield_view(k)
-        elems = view.elems
+        elems = list(ctx.subfield_elements(k))
         rng = random.Random(p * 100 + n * 10 + k)
-        rows = [[rng.randrange(view.order) for _ in range(rng.randrange(1, 5))]
+        rows = [[rng.choice(elems) for _ in range(rng.randrange(1, 5))]
                 for _ in range(60)]
         # x^(D+1) is a permutation whenever gcd(D+1, p^k-1) = 1
         rows += [[0] * D for D in range(1, 6)]
         for D in range(2, 5):
-            rows += _rows_with_zeros(rng, view.order, D)
+            rows += _rows_with_zeros(rng, elems, D)
         got = []
         for D in sorted({len(r) for r in rows}):
             batch = [r for r in rows if len(r) == D]
@@ -497,11 +524,44 @@ class TestSubfieldView:
         X = np.array(elems, dtype=np.int64)
         for row, ok in got:
             # x m(x) by bulk Horner over every subfield point
-            coeffs = (0,) + tuple(elems[c] for c in reversed(row)) + (1,)
+            coeffs = (0,) + tuple(reversed(row)) + (1,)
             values = np.sort(bulk.poly_eval(ctx, coeffs, X))
             assert bool(ok) == np.array_equal(values, X), row
         verdicts = {bool(ok) for _, ok in got}
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (2, 8), (3, 8), (7, 4),
+                                     (13, 4)])
+    def test_gathered_arrays_match_listing(self, p, n):
+        # the slow twin of the table-field view: every array gathered from
+        # the ambient tables equals the one built by listing F_{p^k}^*
+        ctx = build_field(p, n)
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            view = SubfieldView(ctx, k)
+            elems, log, zech_vec, reduce_vec = listed_view_arrays(ctx, k)
+            assert view._zech.dtype == view._reduce.dtype == np.int32
+            assert np.array_equal(view._zech, zech_vec), k
+            assert np.array_equal(view._reduce, reduce_vec), k
+            assert np.array_equal(view.logs(elems), log), k
+
+    def test_table_view_lists_nothing(self, monkeypatch):
+        ctx = build_field(3, 8)
+        monkeypatch.setattr(ctx, "mu_subgroup",
+                            lambda s: pytest.fail("listed a subgroup"))
+        for k in (1, 2, 4, 8):
+            assert SubfieldView(ctx, k).permutes([[0, 0]]).tolist() == [True]
+
+    @pytest.mark.parametrize("backend", ["table", "generic"])
+    def test_logs_rejects_entries_outside(self, backend):
+        ctx = build_field(3, 4, backend=backend)
+        for k in (1, 2):
+            view = SubfieldView(ctx, k)
+            x = _outside(ctx, k)
+            for encs in ([x], [[1, 0], [x, 2]]):
+                with pytest.raises(InternalError, match="left the subfield"):
+                    view.logs(encs)
+            with pytest.raises(InternalError, match="left the subfield"):
+                view.permutes([[0, x]])
 
     def test_view_cap(self, monkeypatch):
         # F_2^23 is past TABLE_CAP: refused before F_{2^23}^* is enumerated
@@ -512,9 +572,14 @@ class TestSubfieldView:
             ctx.subfield_view(23)
 
     def test_state_is_linear_in_the_order(self):
-        # quadratic p^k x p^k tables would need 2 * 4 * 6561 bytes per element
-        view = SubfieldView(build_field(3, 8), 8)
-        held = sum(v.nbytes for v in vars(view).values()
-                   if isinstance(v, np.ndarray))
-        assert view.order == 6561
-        assert held <= 128 * view.order
+        # the F_3^12 self-view allocates at most 96 bytes per element,
+        # temporaries included: nothing listed, sorted or put in a dict
+        ctx = build_field(3, 12)
+        tracemalloc.start()
+        try:
+            view = SubfieldView(ctx, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert view.order == 3 ** 12
+        assert peak <= 96 * view.order

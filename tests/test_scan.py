@@ -22,8 +22,7 @@ def whole_field_ha_members(ctx, r, k):
     # the slow twin of the orbit-reduced subfield scan: every nonzero a
     # through lambda_scan and one permutes call, no orbits and no dedup
     A, lam = bulk.lambda_scan(ctx, r, k)
-    view = ctx.subfield_view(k)
-    return A[view.permutes(scan.subfield_positions(ctx, k, lam))].tolist()
+    return A[ctx.subfield_view(k).permutes(lam)].tolist()
 
 
 def coset(ctx, e, j):
