@@ -130,13 +130,13 @@ def cmd_walsh(args):
     if args.a is not None and not 0 <= args.a < ctx.q:
         raise ValueError(f"not-an-element: --a {args.a} must encode an "
                          f"element of F_{args.p}^{2 * args.k}, 0 <= a < {ctx.q}")
+    coeffs = ctx.elements() if args.all else [args.a if args.a is not None else 0]
     nctx = NihoCtx(ctx, args.k)
     if args.s is not None:
         s = args.s
     else:
         s = niho_s_from_d(args.p, 2 * args.k, args.k, args.d)
         print(f"s {s} (from d={args.d})")
-    coeffs = range(ctx.q) if args.all else [args.a if args.a is not None else 0]
     xcheck = ctx.q <= CHARSUM_CAP
     fmap = monomial_map(ctx, s * (args.p ** args.k - 1) + 1) if xcheck else None
     status = 0

@@ -653,7 +653,7 @@ def _r4_p5_vset(k):
     d = tower_exponent(5, k, 4)
     m = 5 ** k - 1
     y = ctx.subgroup_generator(4 * m)
-    half = [ctx.pow(y, 2 * j + 1) for j in range(2 * m)]   # a^(2m) = -1
+    half = ctx._progression(y, ctx.mul(y, y), 2 * m)       # a^(2m) = -1
     return _oracle_checked(ctx, d, sorted(set(ctx.neg_one_roots(k)) | set(half)))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 FIELD_CAP = 1 << 127        # require p^n - 1 < 2**127
 TABLE_CAP = 1 << 22         # log/exp tables up to this field size
 PERMUTES_BLOCK = 1 << 20    # values per block in SubfieldView.permutes
-EXP_BLOCK = 1 << 16         # digit rows per int64 product in _build_tables
+EXP_BLOCK = 1 << 16         # digit rows per product in FieldCtx._powers
 
 
 class CapExceeded(ValueError):
@@ -184,6 +184,13 @@ def _plus_one(e, p):
     return e + 1 - p * (e % p == p - 1)
 
 
+def _holding(v):
+    """The narrowest of uint8, int16, int32 and int64 holding 0..v, else
+    object; any two of them promote to the wider, never to a float."""
+    return next((t for t in (np.uint8, np.int16, np.int32, np.int64)
+                 if v <= np.iinfo(t).max), object)
+
+
 # ----------------------------------------------------------------------
 
 class SubfieldView:
@@ -331,7 +338,7 @@ class FieldCtx:
         self._limb_mask = (1 << self._limb) - 1
         self._low_mask = (1 << (self._limb * n)) - 1
         neg_tail = [(-c) % p for c in self.modulus[:n]]
-        rows = [self._pack_digits(neg_tail)]      # x^n mod modulus
+        rows = [self._pack_enc(self.element(neg_tail))]     # x^n mod modulus
         for _ in range(n - 2):
             nxt = rows[-1] << self._limb
             top = (nxt >> (self._limb * n)) & self._limb_mask
@@ -340,12 +347,6 @@ class FieldCtx:
                 nxt += top * rows[0]
             rows.append(self._pnormalize(nxt))
         self._redrows = rows
-
-    def _pack_digits(self, digits):
-        acc = 0
-        for d in reversed(digits):
-            acc = (acc << self._limb) | d
-        return acc
 
     def _pack_enc(self, x):
         p, w = self.p, self._limb
@@ -417,42 +418,14 @@ class FieldCtx:
         return self._enc_from_packed(R)
 
     def _build_tables(self):
-        p, n, q = self.p, self.n, self.q
+        p, q = self.p, self.q
         N = q - 1
-        if N == 1:
-            self.generator = 1
-            self.exp_table = np.array([1], dtype=np.int64)
-            self.log_table = np.array([-1, 0], dtype=np.int64)
-            self.zech_table = np.array([-1], dtype=np.int32)   # 1 + 1 = 0
-            return
         fac = factorize(N)
-        g = None
-        for cand in range(2, q):
-            if all(self._pow_generic(cand, N // ell) != 1 for ell in fac):
-                g = cand
-                break
+        g = next((c for c in range(1, q)    # 1 is primitive only in F_2
+                  if all(self._pow_generic(c, N // ell) != 1 for ell in fac)), None)
         if g is None:
             raise InternalError("no primitive element found (modulus not irreducible?)")
-        # powers of g, filled in doubling blocks of a digit matrix in the
-        # narrowest dtype; products run in int64 on at most EXP_BLOCK rows
-        D = np.zeros((N, n), dtype=np.uint8 if p <= 256 else np.int32)
-        D[0, 0] = 1
-        D[1] = self.coeffs(g)
-        filled = 2
-        pw = np.array(self._pn[:n], dtype=np.int64)
-        while filled < N:
-            s = self._mul_generic(int(D[filled - 1] @ pw), g)      # g^filled
-            Mt = np.array([self.coeffs(self._mul_generic(s, self._pn[j]))
-                           for j in range(n)], dtype=np.int64)     # row j = s*x^j
-            cnt = min(filled, N - filled)
-            for lo in range(0, cnt, EXP_BLOCK):
-                hi = min(lo + EXP_BLOCK, cnt)
-                D[filled + lo:filled + hi] = (D[lo:hi] @ Mt) % p
-            filled += cnt
-        E = np.empty(N, dtype=np.int64)
-        for lo in range(0, N, EXP_BLOCK):
-            E[lo:lo + EXP_BLOCK] = D[lo:lo + EXP_BLOCK] @ pw
-        del D       # the N x n digit matrix sets the peak; free it before Z
+        E = self._powers(1, g, N)
         log = np.full(q, -1, dtype=np.int64)
         log[E] = np.arange(N, dtype=np.int64)
         if int((log >= 0).sum()) != N or log[0] != -1:
@@ -608,7 +581,10 @@ class FieldCtx:
             primes = list(factorize(s))
             cofactor = N // s
             y = None
-            for cand in range(2, 1 << 20):
+            # a constant's cofactor-th power has order s / gcd(s, N / (p-1)):
+            # unless that is s, skip the constants and start at x (encoding p)
+            start = 2 if math.gcd(s, N // (self.p - 1)) == 1 else self.p
+            for cand in range(start, start + (1 << 20)):
                 z = self.pow(cand, cofactor)
                 if z != 1 and all(self.pow(z, s // ell) != 1 for ell in primes):
                     y = z
@@ -618,22 +594,43 @@ class FieldCtx:
         self._subgens[s] = y
         return y
 
+    def _powers(self, start, ratio, count):
+        """Encodings of start * ratio^i for i < count (int64, object past
+        2**63), start and ratio nonzero.  Multiplying by ratio^f is F_p-linear
+        on digits, so rows [f, 2f) of the digit matrix D are D[:f] @ M mod p,
+        row j of M the digits of ratio^f * x^j.  Narrowest dtypes, products
+        on at most EXP_BLOCK rows and a Horner pass over D's columns (no
+        block casts) keep D the one large array; it is freed on return."""
+        p, n = self.p, self.n
+        D = np.zeros((count, n), dtype=_holding(p - 1))
+        D[0] = self.coeffs(start)
+        s, filled = ratio, 1                                   # ratio^filled
+        while filled < count:
+            M = np.array([self.coeffs(self._mul_generic(s, self._pn[j]))
+                          for j in range(n)], dtype=_holding(n * (p - 1) ** 2))
+            cnt = min(filled, count - filled)
+            for lo in range(0, cnt, EXP_BLOCK):
+                P = D[lo:min(lo + EXP_BLOCK, cnt)] @ M
+                P %= p
+                D[filled + lo:filled + lo + len(P)] = P
+            filled += cnt
+            s = self._mul_generic(s, s)
+        E = np.zeros(count, dtype=np.int64 if self.q <= 1 << 63 else object)
+        for j in reversed(range(n)):
+            E *= p
+            E += D[:, j]
+        return E
+
     def _progression(self, start, ratio, count):
         """(start, start*ratio, ..., start*ratio^(count-1)) for nonzero
-        start and ratio.  Generic fields keep the running product packed
-        and unpack each term once."""
+        start and ratio: a log gather on table fields, else `_powers`."""
         if self.backend == "table":
             N = self.q - 1
             logs = (int(self.log_table[start])
                     + np.arange(count, dtype=np.int64)
                     * int(self.log_table[ratio])) % N
             return tuple(self.exp_table[logs].tolist())
-        R, cur = self._pack_enc(ratio), self._pack_enc(start)
-        out = []
-        for _ in range(count):
-            out.append(self._enc_from_packed(cur))
-            cur = self._mul_packed(cur, R)
-        return tuple(out)
+        return tuple(self._powers(start, ratio, count).tolist())
 
     def mu_subgroup(self, s):
         """The s-th roots of unity, listed as powers of a fixed generator."""

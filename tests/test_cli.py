@@ -467,6 +467,14 @@ class TestWalsh:
         assert code == 0
         assert "a=3 N=1 walsh=0" in out
 
+    def test_all_on_generic_field_is_cap_error(self, capsys):
+        # 3^24 coefficients: refused at once, before any line is printed
+        code, out, err = run_cli(capsys, "walsh", "--p", "3", "--k", "12",
+                                 "--s", "2", "--all")
+        assert code == 3
+        assert out == ""
+        assert "field-too-large" in err
+
     @pytest.mark.parametrize("a", ["100000", "729", "-3"])
     def test_a_outside_field_is_usage_error(self, capsys, a):
         code, out, err = run_cli(capsys, "walsh", "--p", "3", "--k", "3",

@@ -224,9 +224,13 @@ class TestSubfields:
 
     @pytest.mark.parametrize("p,n,backend", [
         (3, 4, "table"), (3, 4, "generic"), (5, 2, "generic"),
-        (7, 1, "generic"), (2, 6, "generic"), (3, 16, "generic")])
+        (7, 1, "generic"), (2, 6, "generic"), (3, 16, "generic"),
+        (7, 30, "generic"), (2 ** 61 - 1, 2, "generic"),
+        (2 ** 89 - 1, 1, "generic")])
     def test_progressions_match_scalar_steps(self, p, n, backend):
-        # mu_subgroup and neg_one_roots against ctx.mul one step at a time
+        # mu_subgroup and neg_one_roots against ctx.mul one step at a time;
+        # F_7^30 has encodings past int64, the two wide primes products
+        # past int64 (and order-2 elements outside F_p for p = 2^61 - 1)
         ctx = build_field(p, n, backend=backend)
         assert ctx.backend == backend
 
@@ -254,6 +258,30 @@ class TestSubfields:
         mu = f625.mu_subgroup(26)
         assert len(set(mu)) == 26
         assert all(f625.pow(x, 26) == 1 for x in mu)
+
+    def test_subgroup_generator_leaves_the_prime_field(self):
+        # p + 1 does not divide p - 1, so no constant of F_p has a power of
+        # order p + 1; the search must reach x + c with p >= 2^20
+        ctx = build_field(1048583, 2)
+        s = 1048584
+        y = ctx.subgroup_generator(s)
+        assert ctx.pow(y, s) == 1
+        assert all(ctx.pow(y, s // ell) != 1 for ell in (2, 3, 43691))
+
+    def test_generic_listing_memory_is_linear(self):
+        # F_3^11 inside F_3^22 (generic): at most 96 bytes per element,
+        # the digit matrix, product blocks and returned tuple included
+        ctx = build_field(3, 22)
+        m = 3 ** 11 - 1
+        ctx.subgroup_generator(m)
+        tracemalloc.start()
+        try:
+            mu = ctx.mu_subgroup(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mu) == m
+        assert peak <= 96 * m
 
 
 class TestResidues:
@@ -390,9 +418,10 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (5, 3), (257, 2)])
     def test_exp_table_blocks_against_twin(self, monkeypatch, p, n):
-        # 7 rows per block: every doubling step and the final encoding span
-        # several blocks, most ending in a short one; p = 257 takes the
-        # int32 digit matrix, the others uint8
+        # 7 rows per block: every doubling step spans several blocks, most
+        # ending in a short one; p = 257 takes the int16 digit matrix and
+        # int32 products, the others uint8 digits; the generic field lists
+        # the same powers through the same routine
         monkeypatch.setattr(field_mod, "EXP_BLOCK", 7)
         mod = lex_least_irreducible(p, n)
         ft = field_mod.FieldCtx(p, n, mod, "table")
@@ -403,6 +432,7 @@ class TestBackendAgreement:
             x = fg.mul(x, ft.generator)
         assert x == 1
         assert ft.exp_table.tolist() == want
+        assert fg._progression(1, ft.generator, ft.q - 1) == tuple(want)
         assert np.array_equal(ft.exp_table, build_field(p, n).exp_table)
 
     def test_prime_check(self):
