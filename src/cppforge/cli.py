@@ -142,7 +142,7 @@ def cmd_walsh(args):
     status = 0
     for a in coeffs:
         n_a = count_N(nctx, a, s)
-        w = walsh_value(nctx, a, s)
+        w = walsh_value(nctx, n_a)
         line = f"a={a} N={n_a} walsh={w}"
         if a == 0:
             line += " (a=0: outside the stated coefficient family)"

@@ -7,9 +7,10 @@ the residue class of x has encoding p.
 Two backends share one API.  Fields with at most 2**22 elements get
 discrete log/exp tables over a primitive element g and a Zech table
 Z[i] = log(1 + g^i) ("table"), so addition runs on logs too:
-x + y = g^(log x + Z[log y - log x]).  Larger fields use generic
-polynomial arithmetic ("generic"): addition digit by digit,
-multiplication by packed-integer convolution.  On both backends the
+x + y = g^(log x + Z[log y - log x]); the exp table is filled by
+doubling on encodings through lookup tables (`FieldCtx._powers`).
+Larger fields use generic polynomial arithmetic ("generic"): addition
+digit by digit, multiplication by packed-integer convolution.  On both backends the
 inverse of x is x^(q-2).  Exponents may be arbitrarily wide Python ints;
 they are reduced mod p^n - 1 before exponentiation of a nonzero base.
 Construction refuses p^n - 1 >= 2**127.
@@ -27,7 +28,7 @@ import numpy as np
 FIELD_CAP = 1 << 127        # require p^n - 1 < 2**127
 TABLE_CAP = 1 << 22         # log/exp tables up to this field size
 PERMUTES_BLOCK = 1 << 20    # values per block in SubfieldView.permutes
-EXP_BLOCK = 1 << 16         # digit rows per product in FieldCtx._powers
+EXP_BLOCK = 1 << 16         # rows per doubling step in FieldCtx._powers
 
 
 class CapExceeded(ValueError):
@@ -421,20 +422,28 @@ class FieldCtx:
         p, q = self.p, self.q
         N = q - 1
         fac = factorize(N)
-        g = next((c for c in range(1, q)    # 1 is primitive only in F_2
+        # a constant has order dividing p - 1, so for n > 1 the search starts
+        # at x (encoding p); 1 is primitive only in F_2
+        g = next((c for c in range(1 if self.n == 1 else p, q)
                   if all(self._pow_generic(c, N // ell) != 1 for ell in fac)), None)
         if g is None:
             raise InternalError("no primitive element found (modulus not irreducible?)")
         E = self._powers(1, g, N)
+        # filled in EXP_BLOCK slices, so no full-size temporary is made
+        blocks = range(0, N, EXP_BLOCK)
         log = np.full(q, -1, dtype=np.int64)
-        log[E] = np.arange(N, dtype=np.int64)
-        if int((log >= 0).sum()) != N or log[0] != -1:
+        for lo in blocks:
+            log[E[lo:lo + EXP_BLOCK]] = np.arange(lo, min(lo + EXP_BLOCK, N))
+        if np.count_nonzero(log >= 0) != N or log[0] != -1:
             raise InternalError("generator order check failed while building tables")
+        # Z[i] = log(1 + g^i), -1 where g^i = -1; logs fit int32 below TABLE_CAP
+        zech = np.empty(N, dtype=np.int32)
+        for lo in blocks:
+            zech[lo:lo + EXP_BLOCK] = log[_plus_one(E[lo:lo + EXP_BLOCK], p)]
         self.generator = g
         self.exp_table = E
         self.log_table = log
-        # Z[i] = log(1 + g^i), -1 where g^i = -1; logs fit int32 below TABLE_CAP
-        self.zech_table = log[_plus_one(E, p)].astype(np.int32)
+        self.zech_table = zech
         self._log_neg_one = int(log[p - 1])
 
     # -- encodings ---------------------------------------------------------
@@ -596,30 +605,109 @@ class FieldCtx:
 
     def _powers(self, start, ratio, count):
         """Encodings of start * ratio^i for i < count (int64, object past
-        2**63), start and ratio nonzero.  Multiplying by ratio^f is F_p-linear
-        on digits, so rows [f, 2f) of the digit matrix D are D[:f] @ M mod p,
-        row j of M the digits of ratio^f * x^j.  Narrowest dtypes, products
-        on at most EXP_BLOCK rows and a Horner pass over D's columns (no
-        block casts) keep D the one large array; it is freed on return."""
+        2**63), start and ratio nonzero, by doubling: once rows [0, f) are
+        listed, rows [f, 2f) are those rows times s = ratio^f, computed on at
+        most EXP_BLOCK rows at a time.  Multiplying by s is F_p-linear on
+        digits, and the backend picks the form of that step.  Table fields
+        step on the int64 encodings themselves (`_encoding_steps`).
+        Generic fields step on a digit matrix D: rows [f, 2f) of D are
+        D[:f] @ M mod p, row j of M the digits of s x^j.  Their encodings
+        can be too wide for the table step (F_7^18 needs 72 bits), so the
+        matrix is their only path; narrowest dtypes and a Horner pass over
+        D's columns (no block casts) keep D the one large array, freed on
+        return."""
         p, n = self.p, self.n
-        D = np.zeros((count, n), dtype=_holding(p - 1))
-        D[0] = self.coeffs(start)
+        if self.backend == "table":
+            rows = np.zeros(count, dtype=np.int64)
+            rows[0] = start
+            steps = self._encoding_steps()
+        else:
+            rows = np.zeros((count, n), dtype=_holding(p - 1))
+            rows[0] = self.coeffs(start)
+            steps = self._matrix_step
         s, filled = ratio, 1                                   # ratio^filled
         while filled < count:
-            M = np.array([self.coeffs(self._mul_generic(s, self._pn[j]))
-                          for j in range(n)], dtype=_holding(n * (p - 1) ** 2))
+            times = steps(s)
             cnt = min(filled, count - filled)
             for lo in range(0, cnt, EXP_BLOCK):
-                P = D[lo:min(lo + EXP_BLOCK, cnt)] @ M
-                P %= p
-                D[filled + lo:filled + lo + len(P)] = P
+                hi = min(lo + EXP_BLOCK, cnt)
+                rows[filled + lo:filled + hi] = times(rows[lo:hi])
             filled += cnt
             s = self._mul_generic(s, s)
+        if self.backend == "table":
+            return rows
         E = np.zeros(count, dtype=np.int64 if self.q <= 1 << 63 else object)
         for j in reversed(range(n)):
             E *= p
-            E += D[:, j]
+            E += rows[:, j]
         return E
+
+    def _digit_map(self, s, dtype):
+        """The matrix of multiplication by s on digit vectors: row j holds
+        the digits of s x^j."""
+        return np.array([self.coeffs(self._mul_generic(s, self._pn[j]))
+                         for j in range(self.n)], dtype=dtype)
+
+    def _matrix_step(self, s):
+        """Multiplication by s on rows of digits."""
+        p = self.p
+        M = self._digit_map(s, _holding(self.n * (p - 1) ** 2))
+
+        def times(D):
+            P = D @ M
+            P %= p
+            return P
+        return times
+
+    def _encoding_steps(self):
+        """s -> multiplication by s on int64 encodings of this table field,
+        by lookup tables (the method of Four Russians, Arlazarov et al.
+        1970).  n = 1 multiplies mod p.  Otherwise, with E = lo + p^c hi and
+        c = ceil(n/2), s E is the digit-wise sum of two table entries, the
+        images of lo and of p^c hi.  Images are stored spread: digit j in
+        bits [bj, bj + b), b the bit length of 2(p - 1), so the two entries
+        add with no carry between digits (n b <= 44 bits on table fields).
+        Chunk tables of at most 2^12 entries take the sum back to base p,
+        mod p.  The tables hold p^c and p^(n-c) entries: at most 24649
+        (F_157^3) on a table field with n >= 2."""
+        p, n = self.p, self.n
+        if n == 1:
+            return lambda s: lambda E: E * s % p
+        c = (n + 1) // 2
+        pc = p ** c
+        b = (2 * (p - 1)).bit_length()
+        lows = np.arange(pc, dtype=np.int64)
+        digits = np.stack([lows // p ** j % p for j in range(c)], axis=1)
+        spread = np.int64(1) << b * np.arange(n, dtype=np.int64)
+        width = max(1, 12 // b)                 # digits per chunk table
+        chunks = []
+        for j0 in range(0, n, width):
+            w = min(width, n - j0)
+            v = np.arange(1 << b * w, dtype=np.int64)
+            back = sum((v >> b * j & (1 << b) - 1) % p * p ** (j0 + j)
+                       for j in range(w))
+            chunks.append((b * j0, (1 << b * w) - 1, back))
+
+        def steps(s):
+            M = self._digit_map(s, np.int64)
+            t_lo = digits @ M[:c] % p @ spread
+            t_hi = digits[:p ** (n - c), :n - c] @ M[c:] % p @ spread
+
+            def times(E):
+                # three block-sized arrays: the sum S, the scratch t and
+                # out; // and - are cheaper than np.divmod's %
+                t = E // pc                                     # hi
+                S = E - t * pc                                  # lo
+                np.take(t_lo, S, out=S, mode="wrap")
+                S += np.take(t_hi, t, out=t, mode="wrap")
+                out = np.zeros_like(E)
+                for shift, mask, back in chunks:
+                    np.right_shift(S, shift, out=t)
+                    t &= mask
+                    out += np.take(back, t, out=t, mode="wrap")
+                return out
+            return times
+        return steps
 
     def _progression(self, start, ratio, count):
         """(start, start*ratio, ..., start*ratio^(count-1)) for nonzero

@@ -59,10 +59,10 @@ def count_N(nctx: NihoCtx, a, s) -> int:
     return hits
 
 
-def walsh_value(nctx: NihoCtx, a, s) -> int:
-    """Walsh transform of Tr(x^d) at a for d = s(p^k-1)+1, which equals
-    (N(a) - 1) * p^k."""
-    return (count_N(nctx, a, s) - 1) * nctx.q
+def walsh_value(nctx: NihoCtx, n_a) -> int:
+    """Walsh transform of Tr(x^d) at a for d = s(p^k-1)+1, from the root
+    count n_a = count_N(nctx, a, s): it equals (N(a) - 1) * p^k."""
+    return (n_a - 1) * nctx.q
 
 
 def niho_s_from_d(p, n, k, d) -> int:

@@ -54,13 +54,21 @@ def orbit_values(ctx, d, elems, decide):
     for _ in range(ctx.n - 1):          # the order of p mod e divides n
         x = x * ctx.p % e
         np.minimum(least, x, out=least)
-    cls = least[ctx.log_table[np.asarray(elems, dtype=np.int64)] % e]
+    # per element one residue array and one gather of the result; the
+    # classes are resolved on Z/e
+    res = ctx.log_table[np.asarray(elems, dtype=np.int64)]
+    res %= e
+    hit = np.zeros(e, dtype=bool)
+    hit[res] = True
     touched = np.zeros(e, dtype=bool)
-    touched[cls] = True
+    touched[least[hit]] = True
     reps = np.flatnonzero(touched)
     slot = np.zeros(e, dtype=np.intp)
     slot[reps] = np.arange(len(reps))
-    return np.asarray(decide(ctx.exp_table[reps].tolist()))[slot[cls]]
+    verdict = np.asarray(decide(ctx.exp_table[reps].tolist()))
+    value = np.empty(e, dtype=verdict.dtype)
+    value[hit] = verdict[slot[least[hit]]]
+    return value[res]
 
 
 def orbit_members(ctx, d, decide):

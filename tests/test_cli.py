@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cppforge import cli, niho
 from cppforge.cli import main
 from cppforge.families import FAMILIES
 
@@ -466,6 +467,23 @@ class TestWalsh:
                                "--s", "3", "--a", "3")
         assert code == 0
         assert "a=3 N=1 walsh=0" in out
+
+    def test_one_root_count_per_coefficient(self, capsys, monkeypatch):
+        # N(a) is counted once per coefficient and the Walsh value derived
+        # from it, not counted a second time
+        calls = []
+        real = niho.count_N
+
+        def counted(nctx, a, s):
+            calls.append(a)
+            return real(nctx, a, s)
+        monkeypatch.setattr(niho, "count_N", counted)
+        monkeypatch.setattr(cli, "count_N", counted)
+        code, out, _ = run_cli(capsys, "walsh", "--p", "3", "--k", "1",
+                               "--s", "3", "--all")
+        assert code == 0
+        assert out.count("agree=True") == 9
+        assert sorted(calls) == list(range(9))
 
     def test_all_on_generic_field_is_cap_error(self, capsys):
         # 3^24 coefficients: refused at once, before any line is printed

@@ -416,24 +416,64 @@ class TestBackendAgreement:
             assert ft.subfield_elements(1) == fg.subfield_elements(1)
             assert ft.neg_one_roots(1) == fg.neg_one_roots(1)
 
-    @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (5, 3), (257, 2)])
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (5, 3), (257, 2), (3, 7),
+                                     (2, 11), (65521, 1), (2039, 2)])
     def test_exp_table_blocks_against_twin(self, monkeypatch, p, n):
-        # 7 rows per block: every doubling step spans several blocks, most
-        # ending in a short one; p = 257 takes the int16 digit matrix and
-        # int32 products, the others uint8 digits; the generic field lists
-        # the same powers through the same routine
-        monkeypatch.setattr(field_mod, "EXP_BLOCK", 7)
+        # short blocks (7 rows; 4093 on F_2039^2): every doubling step and
+        # the log and Zech fills span several blocks, most ending in a
+        # short one.  The table field steps on encodings (odd n splits
+        # unevenly, n = 1 multiplies mod p), its generic twin on a digit
+        # matrix: int16 digits for p = 257 and 2039, uint8 below
+        q = p ** n
+        monkeypatch.setattr(field_mod, "EXP_BLOCK", 7 if q < 1 << 17 else 4093)
         mod = lex_least_irreducible(p, n)
         ft = field_mod.FieldCtx(p, n, mod, "table")
         fg = build_field(p, n, mod, backend="generic")
+        g = ft.generator
+        assert np.array_equal(ft.exp_table, fg._powers(1, g, q - 1))
+        monkeypatch.undo()
+        assert np.array_equal(ft.exp_table, fg._powers(1, g, q - 1))
+        if q > 1 << 17:
+            return                      # too large for the scalar loop
         want, x = [], 1
-        for _ in range(ft.q - 1):
+        for _ in range(q - 1):
             want.append(x)
-            x = fg.mul(x, ft.generator)
+            x = fg.mul(x, g)
         assert x == 1
         assert ft.exp_table.tolist() == want
-        assert fg._progression(1, ft.generator, ft.q - 1) == tuple(want)
+        assert fg._progression(1, g, q - 1) == tuple(want)
+        log = {x: i for i, x in enumerate(want)}
+        assert ft.log_table.tolist() == [-1] + [log[x] for x in range(1, q)]
+        assert ft.zech_table.tolist() == [log.get(fg.add(1, x), -1)
+                                          for x in want]
         assert np.array_equal(ft.exp_table, build_field(p, n).exp_table)
+
+    @pytest.mark.parametrize("p,n", [(2, 22), (2, 20), (3, 13), (4194301, 1)])
+    def test_exp_table_matches_pow_at_samples(self, p, n):
+        # the largest table fields, past the scalar twin: exp_table[i]
+        # against packed-integer powers of g at 2000 seeded i
+        ctx = field_mod.FieldCtx(p, n, lex_least_irreducible(p, n), "table")
+        idx = np.random.default_rng(p + n).integers(0, ctx.q - 1, 2000)
+        assert [int(ctx.exp_table[i]) for i in idx] == \
+            [ctx._pow_generic(ctx.generator, int(i)) for i in idx]
+
+    @pytest.mark.parametrize("p,n", [(2, 16), (65521, 1)])
+    def test_build_peak_memory(self, monkeypatch, p, n):
+        # with 2^12-row blocks, the build's temporaries stay under a quarter
+        # of the exp, log and Zech bytes: a full-size int64 temporary adds
+        # 8q bytes (0.4 of them), a 2^17-entry normalising table for
+        # F_65521 about 0.8 of them
+        monkeypatch.setattr(field_mod, "EXP_BLOCK", 1 << 12)
+        monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
+        tracemalloc.start()
+        try:
+            ctx = build_field(p, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = (ctx.exp_table.nbytes + ctx.log_table.nbytes
+                  + ctx.zech_table.nbytes)
+        assert peak < 1.25 * tables
 
     def test_prime_check(self):
         assert is_prime(2) and is_prime(13) and is_prime(2 ** 31 - 1)
