@@ -28,11 +28,6 @@ def elements(ctx):
     return np.arange(ctx.q, dtype=np.int64)
 
 
-def nonzero_elements(ctx):
-    _require_table(ctx)
-    return np.arange(1, ctx.q, dtype=np.int64)
-
-
 def _log_add(ctx, LX, LY):
     """log(x + y) from logs through the Zech table; -1 stands for zero."""
     N = ctx.q - 1
@@ -179,20 +174,18 @@ def binomial_is_permutation(ctx, d, a):
     return values_are_permutation(ctx, vals)
 
 
-def lambda_scan(ctx, r, k, A=None):
+def lambda_scan(ctx, r, k, A):
     """Conjugate elementary symmetric vectors for a batch of coefficients.
 
-    For each a in A (default: every nonzero element) computes
-    (lambda_1, ..., lambda_r) of the r Frobenius^k-conjugates of a.
-    Returns (A, lam) with lam of shape (len(A), r) holding encodings.
+    For each a in A computes (lambda_1, ..., lambda_r) of the r
+    Frobenius^k-conjugates of a.  Returns lam of shape (len(A), r) holding
+    encodings.
     The products and sums run on discrete logs (Zech addition) in blocks
     of at most LAMBDA_BLOCK coefficients.
     """
     _require_table(ctx)
     if ctx.n != r * k:
         raise ValueError(f"degree-mismatch: need n == r*k, got {ctx.n} != {r}*{k}")
-    if A is None:
-        A = nonzero_elements(ctx)
     N = ctx.q - 1
     frob = ctx.p ** k % N
     out = np.empty((len(A), r), dtype=np.int64)
@@ -210,4 +203,4 @@ def lambda_scan(ctx, r, k, A=None):
             lam[0] = _log_add(ctx, lam[0], c)
         for j in range(r):
             out[lo:lo + LAMBDA_BLOCK, j] = _exp(ctx, lam[j])
-    return A, out
+    return out

@@ -138,18 +138,22 @@ def cmd_walsh(args):
         s = niho_s_from_d(args.p, 2 * args.k, args.k, args.d)
         print(f"s {s} (from d={args.d})")
     xcheck = ctx.q <= CHARSUM_CAP
-    fmap = monomial_map(ctx, s * (args.p ** args.k - 1) + 1) if xcheck else None
+    if xcheck:
+        counts = direct_walsh(
+            ctx, monomial_map(ctx, s * (args.p ** args.k - 1) + 1), coeffs)
     status = 0
-    for a in coeffs:
+    for i, a in enumerate(coeffs):
         n_a = count_N(nctx, a, s)
         w = walsh_value(nctx, n_a)
         line = f"a={a} N={n_a} walsh={w}"
         if a == 0:
             line += " (a=0: outside the stated coefficient family)"
         if xcheck:
-            direct = direct_walsh(ctx, fmap, a)
-            agree = direct.as_int() == w
-            line += f" direct={direct.as_int()} agree={agree}"
+            # an integer iff the counts of t = 1..p-1 agree
+            C = counts[i].tolist()
+            direct = C[0] - C[1] if len(set(C[1:])) == 1 else None
+            agree = direct == w
+            line += f" direct={direct} agree={agree}"
             if not agree:
                 status = 1
         print(line)

@@ -414,7 +414,7 @@ def dickson_witness_search(p, r, k, budget=None):
                           "enumerable field; pass a budget")
     if ctx.backend == "table" and budget is None:
         def decide(reps):
-            _, lam = bulk.lambda_scan(ctx, r, k, reps)
+            lam = bulk.lambda_scan(ctx, r, k, reps)
             ctx.subfield_view(k).logs(lam)     # the lambda invariant
             return [is_dickson_of_degree(ctx, LambdaVec(r, k, tuple(row)), l, k)
                     is not None for row in lam.tolist()]

@@ -1,16 +1,18 @@
 """Analysis over F_{p^2k}: the unit circle, the coefficient set V of
-a^(p^k-1) = -1, the root count N(a) on the unit circle, and exact Walsh
-transform values for exponents of the form s(p^k-1)+1.
+a^(p^k-1) = -1, the root count N(a) on the unit circle, Walsh transform
+values for exponents of the form s(p^k-1)+1, and their exact cross-check,
+direct_walsh, as count vectors over one trace table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bulk
-from .cyclotomic import CycInt
 from .field import CapExceeded
-from .oracle import CHARSUM_CAP
+from .oracle import CHARSUM_CAP, _trace_counts
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,12 @@ def niho_s_from_d(p, n, k, d) -> int:
     return (dprime - 1) // (p ** k - 1)
 
 
-def direct_walsh(ctx, fmap, a) -> CycInt:
-    """Exact Walsh transform sum_x w^Tr(f(x) + a*x) as a cyclotomic integer
-    (f composed with the absolute trace)."""
+def direct_walsh(ctx, fmap, coeffs):
+    """Count vectors of the Walsh transform sum_x w^Tr(f(x) + a*x) of f
+    composed with the absolute trace, one row per a in coeffs: an integer
+    array of shape (len(coeffs), p) with row i holding
+    C[t] = #{x : Tr(f(x) + a_i*x) = t}."""
     if ctx.q > CHARSUM_CAP:
         raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
-    import numpy as np
-    X = bulk.elements(ctx)
-    vals = bulk.add(ctx, fmap.value_table(), bulk.mul_scalar(ctx, a, X))
-    counts = np.bincount(bulk.trace(ctx, vals, 1), minlength=ctx.p)
-    return CycInt(ctx.p, counts.tolist())
+    rows = _trace_counts(ctx, bulk.elements(ctx), coeffs, fmap.value_table())
+    return np.array(list(rows), dtype=np.int64).reshape(len(coeffs), ctx.p)

@@ -1,7 +1,9 @@
-"""Ground-truth permutation and CPP checks, plus the classical criteria
-they are cross-validated against: the additive character-sum test and the
-two cyclotomic-coset permutation criteria (on the s-th roots of unity and
-on a subfield product form).
+"""Ground-truth permutation and CPP checks, plus the additive
+character-sum test they are cross-validated against.
+
+A character sum sum_x w^Tr(...) (w a primitive p-th root of unity) is
+kept as its count vector C, C[t] = #{x : Tr(...) = t}, read off one table
+of absolute traces: it vanishes iff all p counts are equal.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bulk
-from .cyclotomic import CycInt
 from .field import CapExceeded
 
 CHARSUM_CAP = 1 << 14
@@ -38,13 +39,6 @@ class FieldMap:
         return np.fromiter((self.fn(x) for x in range(self.ctx.q)),
                            dtype=np.int64, count=self.ctx.q)
 
-    def plus_identity(self) -> "FieldMap":
-        ctx = self.ctx
-        vals = None
-        if self.values is not None:
-            vals = lambda: bulk.add(ctx, np.asarray(self.values()), bulk.elements(ctx))
-        return FieldMap(ctx, lambda x: ctx.add(self.fn(x), x), vals)
-
 
 def is_permutation(fmap: FieldMap) -> bool:
     """Occupancy bijectivity check over all encodings."""
@@ -52,8 +46,10 @@ def is_permutation(fmap: FieldMap) -> bool:
 
 
 def is_cpp(fmap: FieldMap) -> bool:
-    """True iff both f and f(x)+x permute the field."""
-    return is_permutation(fmap) and is_permutation(fmap.plus_identity())
+    """True iff both f and f(x)+x permute the field (one value table)."""
+    ctx, v = fmap.ctx, fmap.value_table()
+    return bulk.values_are_permutation(ctx, v) and bulk.values_are_permutation(
+        ctx, bulk.add(ctx, v, bulk.elements(ctx)))
 
 
 def monomial_map(ctx, d, a=0) -> FieldMap:
@@ -79,55 +75,27 @@ def is_cpp_exponent_pair(ctx, d, a) -> bool:
     return bulk.binomial_is_permutation(ctx, d, a)
 
 
+def _trace_counts(ctx, vals, alphas, offset=0):
+    """Count vectors of the character sums sum_i w^Tr(offset_i + alpha*vals_i),
+    one row per alpha, lazily: row[t] = #{i : Tr(offset_i + alpha*vals_i) = t}.
+
+    Tr is additive, so one trace table of the whole field serves every
+    alpha: each row is one mul_scalar, one gather and one bincount.
+    offset is an encoding or an array of encodings like vals."""
+    p = ctx.p
+    tr = bulk.trace(ctx, bulk.elements(ctx), 1)
+    base = tr[offset]
+    for alpha in alphas:
+        yield np.bincount((base + tr[bulk.mul_scalar(ctx, alpha, vals)]) % p,
+                          minlength=p)
+
+
 def char_sum_pp_check(fmap: FieldMap) -> bool:
     """Permutation test through additive character sums: f permutes the
-    field iff sum_x w^Tr(alpha*f(x)) vanishes in Z[w] for every alpha != 0."""
+    field iff sum_x w^Tr(alpha*f(x)) vanishes in Z[w], that is all p counts
+    of Tr(alpha*f(x)) are equal, for every alpha != 0."""
     ctx = fmap.ctx
     if ctx.q > CHARSUM_CAP:
         raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
-    p = ctx.p
-    fv = fmap.value_table()
-    tr = bulk.trace(ctx, bulk.elements(ctx), 1)
-    for alpha in range(1, ctx.q):
-        counts = np.bincount(tr[bulk.mul_scalar(ctx, alpha, fv)], minlength=p)
-        if not CycInt(p, counts.tolist()).is_zero():
-            return False
-    return True
-
-
-def mu_permutation_check(ctx, l, g, s) -> bool:
-    """Whether x^l * g(x)^((q-1)/s) permutes the s-th roots of unity and
-    gcd(l, (q-1)/s) == 1; equivalent to x^l g(x^((q-1)/s)) permuting the
-    whole field."""
-    q = ctx.q
-    if (q - 1) % s:
-        raise ValueError(f"s-not-divisor: {s} does not divide q-1")
-    cof = (q - 1) // s
-    if math.gcd(l, cof) != 1:
-        return False
-    mu = ctx.mu_subgroup(s)
-    values = [ctx.mul(ctx.pow(lam, l), ctx.pow(ctx.poly_eval(g, lam), cof))
-              for lam in mu]
-    return sorted(values) == sorted(mu)
-
-
-def subfield_product_check(ctx, l, g, k) -> bool:
-    """Whether x^l * g(x) g^[p^k](x) ... g^[p^((r-1)k)](x) permutes F_{p^k}
-    and gcd(l, (q-1)/(p^k-1)) == 1, where g^[m] raises each coefficient of
-    g to the m-th power; equivalent to x^l g(x^((q-1)/(p^k-1))) permuting
-    the whole field."""
-    if ctx.n % k:
-        raise ValueError(f"k-not-divisor: {k} does not divide {ctx.n}")
-    r = ctx.n // k
-    cof = (ctx.q - 1) // (ctx.p ** k - 1)
-    if math.gcd(l, cof) != 1:
-        return False
-    gis = [[ctx.pow(c, ctx.p ** (i * k)) for c in g] for i in range(r)]
-    sub = ctx.subfield_elements(k)
-    values = []
-    for x in sub:
-        v = ctx.pow(x, l)
-        for gi in gis:
-            v = ctx.mul(v, ctx.poly_eval(gi, x))
-        values.append(v)
-    return sorted(values) == sorted(sub)
+    rows = _trace_counts(ctx, fmap.value_table(), range(1, ctx.q))
+    return all((row == row[0]).all() for row in rows)

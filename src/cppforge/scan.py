@@ -48,6 +48,13 @@ def orbit_values(ctx, d, elems, decide):
     holding the verdict of each element's class.  Exact for any property
     constant on those classes.
     """
+    return _log_values(ctx, d, ctx.log_table[np.asarray(elems, dtype=np.int64)],
+                       decide)
+
+
+def _log_values(ctx, d, logs, decide):
+    """orbit_values on the discrete logs of the elements; log_table[1:]
+    stands for every a = 1..q-1 without a list of their encodings."""
     e = math.gcd(d - 1, ctx.q - 1)
     j = np.arange(e, dtype=np.int64)
     least, x = j.copy(), j.copy()
@@ -56,8 +63,7 @@ def orbit_values(ctx, d, elems, decide):
         np.minimum(least, x, out=least)
     # per element one residue array and one gather of the result; the
     # classes are resolved on Z/e
-    res = ctx.log_table[np.asarray(elems, dtype=np.int64)]
-    res %= e
+    res = logs % e
     hit = np.zeros(e, dtype=bool)
     hit[res] = True
     touched = np.zeros(e, dtype=bool)
@@ -74,8 +80,8 @@ def orbit_values(ctx, d, elems, decide):
 def orbit_members(ctx, d, decide):
     """Ascending list of every a != 0 whose orbit class passes decide
     (see orbit_values)."""
-    A = bulk.nonzero_elements(ctx)
-    return A[orbit_values(ctx, d, A, decide)].tolist()
+    return (np.flatnonzero(_log_values(ctx, d, ctx.log_table[1:], decide))
+            + 1).tolist()
 
 
 def direct_cpp_scan(ctx, d, jobs=1, progress=None):
@@ -138,7 +144,7 @@ def ha_cpp_scan(ctx, r, k):
         return []
 
     def decide(reps):
-        _, lam = bulk.lambda_scan(ctx, r, k, reps)
+        lam = bulk.lambda_scan(ctx, r, k, reps)
         return ctx.subfield_view(k).permutes(lam)
 
     return orbit_members(ctx, d, decide)
@@ -162,9 +168,8 @@ def r4_equality_check(ctx, k, tagger):
     """
     from .families import tower_exponent
     cpps = ha_cpp_scan(ctx, 4, k)
-    tagged = orbit_values(ctx, tower_exponent(ctx.p, k, 4),
-                          bulk.nonzero_elements(ctx),
-                          lambda reps: [tagger(a) is not None for a in reps])
+    tagged = _log_values(ctx, tower_exponent(ctx.p, k, 4), ctx.log_table[1:],
+                         lambda reps: [tagger(a) is not None for a in reps])
     # tagged[i] is the verdict of a = i + 1
     return cpps, int(tagged.sum()), [a for a in cpps if not tagged[a - 1]]
 

@@ -114,12 +114,12 @@ def test_permutation_predicate(ctx):
 def test_lambda_scan_matches_scalar():
     from cppforge.hadickson import lambda_coeffs
     ctx = build_field(3, 4)
-    A, lam = bulk.lambda_scan(ctx, 4, 1)
+    lam = bulk.lambda_scan(ctx, 4, 1, np.arange(1, ctx.q))
     for a in range(1, 81, 7):
         lv = lambda_coeffs(ctx, a, 4, 1)
         assert tuple(lam[a - 1]) == lv.entries
     ctx2 = build_field(3, 4)
-    A2, lam2 = bulk.lambda_scan(ctx2, 2, 2)
+    lam2 = bulk.lambda_scan(ctx2, 2, 2, np.arange(1, ctx2.q))
     for a in range(1, 81, 5):
         lv = lambda_coeffs(ctx2, a, 2, 2)
         assert tuple(lam2[a - 1]) == lv.entries
@@ -356,10 +356,11 @@ def test_lambda_scan_blocks_against_twin(monkeypatch, p, n, r, k):
     monkeypatch.setattr(bulk, "LAMBDA_BLOCK", 3)
     ctx = build_field(p, n)
     twin = _twin(ctx)
-    A, lam = bulk.lambda_scan(ctx, r, k)
+    A = np.arange(1, ctx.q)
+    lam = bulk.lambda_scan(ctx, r, k, A)
     assert lam.tolist() == [list(lambda_coeffs(twin, int(a), r, k).entries)
                             for a in A]
     A = np.array([0, 5, 0, ctx.q - 1, 5], dtype=np.int64) % ctx.q
-    _, lam = bulk.lambda_scan(ctx, r, k, A)
+    lam = bulk.lambda_scan(ctx, r, k, A)
     assert lam.tolist() == [list(lambda_coeffs(twin, int(a), r, k).entries)
                             for a in A]

@@ -1,6 +1,7 @@
 """CLI surface: grammar, reports, exit codes, output determinism."""
 
 import ast
+import hashlib
 import json
 import re
 import shlex
@@ -308,9 +309,8 @@ class TestVerify:
         else:
             rows = bulk_mod.lambda_scan
 
-            def shifted(ctx, r, k, A=None):
-                A, lam = rows(ctx, r, k, A)
-                return A, (lam + 1) % ctx.q
+            def shifted(ctx, r, k, A):
+                return (rows(ctx, r, k, A) + 1) % ctx.q
 
             monkeypatch.setattr(bulk_mod, "lambda_scan", shifted)
             monkeypatch.setattr(FieldCtx, "in_subfield",
@@ -493,6 +493,16 @@ class TestWalsh:
         assert out == ""
         assert "field-too-large" in err
 
+    def test_all_output_pinned(self, capsys):
+        # the harness command's 730 lines, byte for byte, as the scalar
+        # per-coefficient cross-check printed them
+        code, out, _ = run_cli(capsys, "walsh", "--p", "3", "--k", "3",
+                               "--d", "29", "--all")
+        assert code == 0
+        assert len(out.splitlines()) == 730
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "e5951d94a4152223c5ce168a8dd70b823a066c2c2904b83dce0f08f5743013e9"
+
     @pytest.mark.parametrize("a", ["100000", "729", "-3"])
     def test_a_outside_field_is_usage_error(self, capsys, a):
         code, out, err = run_cli(capsys, "walsh", "--p", "3", "--k", "3",
@@ -503,6 +513,18 @@ class TestWalsh:
 
 
 class TestReadme:
+    def test_layout_names_every_module(self):
+        # the Layout table's first column names each module of the
+        # package once, and no module that is gone
+        root = Path(__file__).parents[1]
+        readme = (root / "README.md").read_text()
+        table = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+        named = {m for row in re.findall(r"^\| ([^|]*)\|", table, flags=re.M)
+                 for m in re.findall(r"`cppforge\.(\w+)`", row)}
+        modules = {path.stem for path in (root / "src" / "cppforge").glob("*.py")
+                   if path.stem != "__init__"}
+        assert named == modules
+
     def test_examples_match_cli(self, capsys):
         # every `$ cppforge ...` example prints the lines the README shows
         # (up to a `...` line, which stands for the rest of the output)

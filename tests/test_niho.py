@@ -1,11 +1,15 @@
 """Unit circle, the V-set, root counts N(a), and Walsh values."""
 
+import random
+
+import numpy as np
 import pytest
 
 from cppforge.field import build_field
 from cppforge.niho import (NihoCtx, count_N, direct_walsh, niho_s_from_d,
                            unit_circle, v_set, walsh_value)
-from cppforge.oracle import monomial_map
+from cppforge.oracle import FieldMap, monomial_map
+from twins import int_value
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +85,8 @@ class TestWalsh:
         for s in (1, 2, 3, 5):
             d = s * 2 + 1
             fm = monomial_map(f9, d)
-            for a in range(9):
-                assert direct_walsh(f9, fm, a).as_int() == \
-                    walsh_value(n9, count_N(n9, a, s))
+            for a, C in enumerate(direct_walsh(f9, fm, range(9))):
+                assert int_value(C) == walsh_value(n9, count_N(n9, a, s))
 
     def test_formula_equals_direct_f25(self):
         ctx = build_field(5, 2)
@@ -91,9 +94,8 @@ class TestWalsh:
         for s in (2, 3):
             d = s * 4 + 1
             fm = monomial_map(ctx, d)
-            for a in range(25):
-                assert direct_walsh(ctx, fm, a).as_int() == \
-                    walsh_value(n, count_N(n, a, s))
+            for a, C in enumerate(direct_walsh(ctx, fm, range(25))):
+                assert int_value(C) == walsh_value(n, count_N(n, a, s))
 
     def test_zero_on_v(self, n9):
         s = niho_s_from_d(3, 2, 1, 5)
@@ -104,9 +106,27 @@ class TestWalsh:
         zero_map = monomial_map(f9, 1, 0)
         fm = type(zero_map)(f9, lambda x: 0,
                             values=lambda: __import__("numpy").zeros(9, dtype=int))
-        assert direct_walsh(f9, fm, 0).as_int() == 9
+        C = direct_walsh(f9, fm, range(9))
+        assert int_value(C[0]) == 9
         for a in range(1, 9):
-            assert direct_walsh(f9, fm, a).is_zero()
+            assert (C[a] == C[a][0]).all()
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+    def test_rows_match_scalar_traces(self, p, n):
+        # the scalar twin: Tr(f(x) + a*x) counted point by point with
+        # FieldCtx.trace, for every a, against the rows read off one
+        # trace table
+        ctx = build_field(p, n)
+        rng = random.Random(p * 100 + n)
+        vals = [rng.randrange(ctx.q) for _ in range(ctx.q)]
+        fm = FieldMap(ctx, vals.__getitem__, values=lambda: np.array(vals))
+        rows = direct_walsh(ctx, fm, range(ctx.q))
+        assert rows.shape == (ctx.q, p)
+        for a in range(ctx.q):
+            C = [0] * p
+            for x in range(ctx.q):
+                C[ctx.trace(ctx.add(vals[x], ctx.mul(a, x)))] += 1
+            assert rows[a].tolist() == C, a
 
     def test_s_recovery_error(self):
         with pytest.raises(ValueError, match="not of the form"):

@@ -9,8 +9,9 @@ from cppforge.field import CapExceeded, build_field
 from cppforge.niho import direct_walsh
 from cppforge.oracle import (FieldMap, char_sum_pp_check, is_cpp,
                              is_cpp_exponent_pair, is_permutation,
-                             monomial_map, mu_permutation_check,
-                             subfield_product_check)
+                             monomial_map)
+from twins import (autocorrelation, int_value, mu_permutation_check, norm2,
+                   subfield_product_check)
 
 
 def brute_is_permutation(ctx, fn):
@@ -57,6 +58,19 @@ class TestCpp:
         inv_i = f9.inv(i)
         assert is_cpp(FieldMap(f9, lambda x: f9.mul(inv_i, f9.pow(x, 5))))
 
+    def test_one_value_table_per_check(self, f9):
+        # f and f(x) + x are both read off one evaluation of f's table,
+        # also when f is no permutation and the second check is skipped
+        for table, want in ((np.arange(9), True), (np.zeros(9), False)):
+            calls = []
+
+            def values(table=table):
+                calls.append(None)
+                return table
+            fm = FieldMap(f9, lambda x, t=table: int(t[x]), values=values)
+            assert is_cpp(fm) is want
+            assert len(calls) == 1
+
     def test_exponent_pair_f9(self, f9):
         i = f9.element((0, 1))
         assert is_cpp_exponent_pair(f9, 5, i)
@@ -101,10 +115,10 @@ class TestCharSum:
     def test_identity_all_sums_vanish(self, f9):
         fm = FieldMap(f9, lambda x: x)
         assert char_sum_pp_check(fm)
-        # each inner sum is the zero cyclotomic integer
-        for alpha in range(1, 9):
-            w = direct_walsh(f9, FieldMap(f9, lambda x: 0), alpha)
-            assert w.is_zero()
+        # each inner sum is zero: all p counts of Tr(alpha*x) are equal
+        C = direct_walsh(f9, FieldMap(f9, lambda x: 0), range(1, 9))
+        assert C.shape == (8, 3)
+        assert (C == C[:, :1]).all()
 
     def test_cube_over_f7_fails(self):
         f7 = build_field(7, 1)
@@ -195,7 +209,21 @@ class TestParseval:
             vals = [rng.randrange(9) for _ in range(9)]
             fm = FieldMap(f9, vals.__getitem__)
             total = 0
-            for a in range(9):
-                w = direct_walsh(f9, fm, a)
-                total += w.norm2()
+            for C in direct_walsh(f9, fm, range(9)):
+                total += norm2(C)
             assert total == 3 ** 4
+
+    def test_summed_autocorrelations_f25(self, f25):
+        # for p = 5 a single |W(a)|^2 lies in Z[w] but need not be an
+        # integer; summed over a, the autocorrelation vectors give q^2
+        rng = random.Random(31)
+        not_int = 0
+        for trial in range(5):
+            vals = [rng.randrange(25) for _ in range(25)]
+            fm = FieldMap(f25, vals.__getitem__,
+                          values=lambda v=vals: np.array(v))
+            rows = [autocorrelation(C) for C in direct_walsh(f25, fm, range(25))]
+            not_int += sum(int_value(A) is None for A in rows)
+            summed = np.sum(rows, axis=0)
+            assert int_value(summed) == 25 ** 2
+        assert not_int > 0
