@@ -108,15 +108,8 @@ def poly_eval(ctx, coeffs, X):
 
 
 def monomial_values(ctx, d):
-    """x^d over the whole field, memoized per reduced exponent."""
-    _require_table(ctx)
-    key = d % (ctx.q - 1) if d else 0
-    got = ctx._monomial_cache.get(key)
-    if got is None:
-        got = pow_const(ctx, elements(ctx), d)
-        got.setflags(write=False)
-        ctx._monomial_cache[key] = got
-    return got
+    """x^d over the whole field."""
+    return pow_const(ctx, elements(ctx), d)
 
 
 def values_are_permutation(ctx, vals):

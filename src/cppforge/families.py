@@ -2,6 +2,10 @@
 explicit generators, the two open-verification harnesses, and FAMILIES,
 the table of families that `verify` runs.
 
+The r = 4 predicates for p != 5 test only the normalized quintic
+x^5 + A3 x^3 + A2 x^2 + A1 x of hadickson.depressed_quintic: each
+condition is one entry of Dickson's table of permutation quintics.
+
 Each family pins down coefficients a (or maps f) that make a^(-1) x^d (or
 f) a complete permutation; every generator or predicate here is backed by
 the direct CPP oracle in the test and acceptance suites.
@@ -15,17 +19,17 @@ from dataclasses import dataclass, replace
 from . import bulk, scan
 from .field import (CapExceeded, HypothesisViolation, InternalError,
                     build_field, is_prime)
-from .hadickson import (LambdaVec, lambda_coeffs, depressed_quintic,
-                        ha_pp_check, is_dickson_of_degree)
+from .hadickson import (LambdaVec, depressed_quintic, h_a_coeffs,
+                        ha_pp_check, is_dickson_of_degree, lambda_coeffs,
+                        taylor_shift)
 from .oracle import FieldMap, is_cpp, is_cpp_exponent_pair
 
 
 @dataclass(frozen=True)
 class ConditionTag:
-    """Which membership condition a coefficient satisfied, with witness data."""
+    """Which membership condition a coefficient satisfied."""
     family: str
     condition: str
-    witness: tuple = ()
 
     def label(self):
         return f"{self.family}:{self.condition}"
@@ -77,7 +81,9 @@ def scaled_tower_exponent(p, t) -> int:
 def r4_condition(ctx, a, k):
     """First matching membership condition for the exponent
     (p^(4k)-1)/(p^k-1)+1 over F_{p^4k}, p not in {2, 5}, as a ConditionTag;
-    None when a = 0 or nothing matches."""
+    None when a = 0 or nothing matches.  Each condition is one normalized
+    quintic x^5 + A3 x^3 + A2 x^2 + A1 x of Dickson's table, tested on
+    the (A3, A2, A1) of h_a."""
     p = ctx.p
     if p in (2, 5):
         raise ValueError(f"char-excluded: p={p}")
@@ -87,48 +93,29 @@ def r4_condition(ctx, a, k):
         raise HypothesisViolation("hypothesis-violation: gcd(5, p^k-1) != 1")
     if a == 0:
         return None
-    lv = lambda_coeffs(ctx, a, 4, k)
-    l1, l2, l3, l4 = lv.entries
-    a3, a2, a1 = depressed_quintic(ctx, lv, k)
-    q = p ** k
-
+    a3, a2, a1 = depressed_quintic(ctx, lambda_coeffs(ctx, a, 4, k), k)
+    a3_2 = ctx.mul(a3, a3)
     if a3 == 0 and a1 == 0 and a2 == 0:
         return ConditionTag("r4_general", "1")
-    if q % 5 in (2, 3) and a2 == 0:
-        if ctx.mul(ctx.inv(ctx.scalar(5)), ctx.mul(a3, a3)) == a1:
-            return ConditionTag("r4_general", "2", (("v", a3),))
-
-    l1_2 = ctx.mul(l1, l1)
-    l1_3 = ctx.mul(l1_2, l1)
-    l1_4 = ctx.mul(l1_2, l1_2)
-    if p == 3 and k == 2:
-        if l2 == l1_2 and l3 == ctx.neg(l1_3):
-            t = ctx.add(l4, l1_4)
-            if ctx.mul(t, t) == ctx.neg(1):
-                return ConditionTag("r4_general", "3")
+    if (p ** k) % 5 in (2, 3) and a2 == 0 \
+            and ctx.mul(ctx.inv(ctx.scalar(5)), a3_2) == a1:
+        return ConditionTag("r4_general", "2")
+    if p == 3 and k == 2 and a3 == 0 and a2 == 0 \
+            and ctx.mul(a1, a1) == ctx.neg(1):
+        return ConditionTag("r4_general", "3")
     if p == 3 and k == 1:
-        if l2 == ctx.add(l1_2, 1) and l3 == ctx.neg(l1_3) and l4 == ctx.neg(l1_4):
+        if (a3, a2, a1) == (1, 0, 0):
             return ConditionTag("r4_general", "4")
-        if l2 == ctx.add(l1_2, 2) and l3 == ctx.neg(l1_3) \
-                and l4 == ctx.add(ctx.neg(l1_4), 1):
+        if (a3, a2, a1) == (2, 0, 1):
             return ConditionTag("r4_general", "5")
     if p == 7 and k == 1:
-        s3 = ctx.add(ctx.add(l3, l1_3), ctx.neg(ctx.mul(2, ctx.mul(l1, l2))))
-        s1 = ctx.add(ctx.add(ctx.mul(l1, l3), ctx.mul(3, l1_4)),
-                     ctx.add(ctx.neg(ctx.mul(l2, l1_2)), l4))
-        if ctx.add(l1_2, l2) == 0 and s1 == 0 and s3 in (2, 5):
-            return ConditionTag("r4_general", "6", (("sign", s3),))
-        v = ctx.add(l1_2, l2)
-        if v in (3, 5, 6) and s1 == ctx.mul(3, ctx.mul(v, v)) and s3 in (1, 6):
-            return ConditionTag("r4_general", "7", (("v", v),))
-    if p == 13 and k == 1:
-        v = ctx.add(ctx.neg(ctx.mul(3, l1_2)), l2)
-        s1 = ctx.add(ctx.neg(ctx.mul(3, ctx.mul(l1, l3))),
-                     ctx.neg(ctx.mul(2, l1_4)))
-        s1 = ctx.add(s1, ctx.add(ctx.neg(ctx.mul(3, ctx.mul(l2, l1_2))), l4))
-        s3 = ctx.add(ctx.sub(l3, ctx.mul(4, l1_3)), ctx.mul(2, ctx.mul(l1, l2)))
-        if v in (2, 5, 6, 7, 8, 11) and s1 == ctx.mul(3, ctx.mul(v, v)) and s3 == 0:
-            return ConditionTag("r4_general", "8", (("v", v),))
+        if a3 == 0 and a1 == 0 and a2 in (2, 5):
+            return ConditionTag("r4_general", "6")
+        if a3 in (3, 5, 6) and a1 == ctx.mul(3, a3_2) and a2 in (1, 6):
+            return ConditionTag("r4_general", "7")
+    if p == 13 and k == 1 and a3 in (2, 5, 6, 7, 8, 11) \
+            and a1 == ctx.mul(3, a3_2) and a2 == 0:
+        return ConditionTag("r4_general", "8")
     return None
 
 
@@ -143,17 +130,11 @@ def r4_condition_p3(ctx, a, k):
         raise HypothesisViolation("hypothesis-violation: gcd(5, 3^k-1) != 1")
     if a == 0:
         return None
-    lv = lambda_coeffs(ctx, a, 4, k)
-    l1, l2, l3, l4 = lv.entries
-    l1_2 = ctx.mul(l1, l1)
-    l1_3 = ctx.mul(l1_2, l1)
-    l1_4 = ctx.mul(l1_2, l1_2)
-    if k % 4 == 2 and l2 == l1_2 and l3 == ctx.neg(l1_3) and l4 == ctx.neg(l1_4):
+    a3, a2, a1 = depressed_quintic(ctx, lambda_coeffs(ctx, a, 4, k), k)
+    if k % 4 == 2 and a3 == 0 and a2 == 0 and a1 == 0:
         return ConditionTag("r4_p3", "1")
-    if k % 2 == 1 and l3 == ctx.neg(l1_3):
-        t = ctx.sub(l2, l1_2)
-        if ctx.neg(ctx.mul(t, t)) == ctx.sub(l4, ctx.mul(l1, l3)):
-            return ConditionTag("r4_p3", "2")
+    if k % 2 == 1 and a2 == 0 and a1 == ctx.neg(ctx.mul(a3, a3)):
+        return ConditionTag("r4_p3", "2")
     inherited = r4_condition(ctx, a, k)
     if inherited is not None and inherited.condition in ("3", "4", "5"):
         return replace(inherited, family="r4_p3")
@@ -162,7 +143,9 @@ def r4_condition_p3(ctx, a, k):
 
 def r4_condition_p5(ctx, a, k):
     """p = 5 membership conditions, as a ConditionTag; None when a = 0 or
-    nothing matches."""
+    nothing matches.  p = 5 cannot remove the x^4 term, so these stay in
+    the lambda_i; with lambda_1 = 0 and lambda_2 != 0 the shift
+    x -> x - lambda_3/(3 lambda_2) removes the x^2 term instead."""
     if ctx.p != 5:
         raise ValueError(f"wrong-characteristic: p={ctx.p}")
     if ctx.n != 4 * k:
@@ -173,17 +156,23 @@ def r4_condition_p5(ctx, a, k):
     l1, l2, l3, l4 = lv.entries
     if l1 == 0 and l2 == 0 and l3 == 0:
         if not ctx.residue_test(ctx.neg(l4), k, "fourth"):
-            return ConditionTag("r4_p5", "1", (("-l4", ctx.neg(l4)),))
+            return ConditionTag("r4_p5", "1")
     if l1 == 0 and l2 != 0:
-        shifted = ctx.add(l4, ctx.mul(3, ctx.mul(ctx.mul(l3, l3), ctx.inv(l2))))
+        shift = ctx.neg(ctx.mul(l3, ctx.inv(ctx.mul(3, l2))))
+        shifted = taylor_shift(ctx, h_a_coeffs(lv), shift)[1]
         if ctx.neg(ctx.mul(l2, l2)) == shifted \
                 and not ctx.residue_test(ctx.mul(2, l2), k, "square"):
-            return ConditionTag("r4_p5", "2", (("l2", l2),))
-    if k == 1 and l1 == 0 and l2 in (2, 3):
-        shifted = ctx.add(l4, ctx.mul(3, ctx.mul(ctx.mul(l3, l3), ctx.inv(l2))))
-        if shifted == ctx.scalar(4):
-            return ConditionTag("r4_p5", "3", (("l2", l2),))
+            return ConditionTag("r4_p5", "2")
+        if k == 1 and l2 in (2, 3) and shifted == ctx.scalar(4):
+            return ConditionTag("r4_p5", "3")
     return None
+
+
+def r4_tagger(ctx, k):
+    """The r = 4 membership tagger a -> ConditionTag or None: the p = 5
+    conditions when p = 5, the quintic-classification ones otherwise."""
+    condition = r4_condition_p5 if ctx.p == 5 else r4_condition
+    return lambda a: condition(ctx, a, k)
 
 
 # ----------------------------------------------------------------------
@@ -629,7 +618,7 @@ def _r4_scan(p, k, condition=None):
     # The hypothesis before the field: F_{p^4k} may be past the table cap
     d = tower_exponent(p, k, 4)
     ctx = build_field(p, 4 * k)
-    tagger = (scan._r4_tagger(ctx, k) if condition is None
+    tagger = (r4_tagger(ctx, k) if condition is None
               else lambda a: condition(ctx, a, k))
     cpps, tagged, failures = scan.r4_equality_check(ctx, k, tagger)
     if tagged != len(cpps):
@@ -652,8 +641,7 @@ def _r4_p5_vset(k):
     ctx = build_field(5, 4 * k)
     d = tower_exponent(5, k, 4)
     m = 5 ** k - 1
-    y = ctx.subgroup_generator(4 * m)
-    half = ctx._progression(y, ctx.mul(y, y), 2 * m)       # a^(2m) = -1
+    half = ctx.mu_subgroup(4 * m)[1::2]        # the a with a^(2m) = -1
     return _oracle_checked(ctx, d, sorted(set(ctx.neg_one_roots(k)) | set(half)))
 
 

@@ -328,7 +328,6 @@ class FieldCtx:
         self._subfields = {}
         self._views = {}
         self._subgens = {}
-        self._monomial_cache = {}
 
     # -- construction internals ------------------------------------------
 

@@ -3,9 +3,10 @@
 For a in F_{p^rk} with Frobenius^k-conjugates a_i = a^(p^(ik)), the
 polynomial h_a(x) = x * prod(x + a_i) has coefficients (the elementary
 symmetric functions lambda_i) in F_{p^k}, and x^d + a*x permutes the big
-field iff h_a permutes F_{p^k}.  For r = 4 that brings the classification
-of quintic permutations of F_{p^k} to bear; Dickson polynomials supply
-degree-(r+1) permutations for the r = 6 constructions.
+field iff h_a permutes F_{p^k}.  One shift, h_a(x - lambda_1/(r+1)),
+removes the degree-r term: for r = 4 it gives the normalized quintic of
+Dickson's table of permutation quintics, and for r = 6 the form in which
+h_a is matched against a degree-7 Dickson polynomial.
 """
 
 from __future__ import annotations
@@ -52,36 +53,39 @@ def ha_pp_check(ctx, a, r, k) -> bool:
     return bool(ctx.subfield_view(k).permutes([lv.entries])[0])
 
 
+def h_a_coeffs(lv: LambdaVec) -> tuple:
+    """Ascending coefficient sequence of h_a: (0, lambda_r, ..., lambda_1, 1)."""
+    return (0,) + tuple(reversed(lv.entries)) + (1,)
+
+
+def taylor_shift(ctx, coeffs, s):
+    """Coefficients of f(x + s) by repeated synthetic division."""
+    out = list(coeffs)
+    n = len(out)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            out[j] = ctx.add(out[j], ctx.mul(out[j + 1], s))
+    return out
+
+
+def depressed(ctx, lv: LambdaVec):
+    """Ascending coefficients of h_a(x - lambda_1/(r+1)), the shift that
+    removes the degree-r term (needs p not dividing r + 1).  The shift and
+    the additive constant do not affect bijectivity."""
+    shift = ctx.neg(ctx.mul(lv.entries[0], ctx.inv(ctx.scalar(lv.r + 1))))
+    h = h_a_coeffs(lv)
+    return taylor_shift(ctx, h, shift) if shift else list(h)
+
+
 def depressed_quintic(ctx, lv: LambdaVec, k):
-    """Coefficients (A3, A2, A1) of the quintic after removing the degree-4
-    term by the shift x -> x - lambda_1/5 (needs p != 5):
-
-        A3 = lambda_2 - (2/5) lambda_1^2
-        A2 = lambda_3 + (4/25) lambda_1^3 - (3/5) lambda_1 lambda_2
-        A1 = lambda_4 - (2/5) lambda_1 lambda_3 - (3/125) lambda_1^4
-             + (3/25) lambda_2 lambda_1^2
-
-    The dropped additive constant does not affect bijectivity.
-    """
+    """Coefficients (A3, A2, A1) of the normalized quintic
+    x^5 + A3 x^3 + A2 x^2 + A1 x + const = h_a(x - lambda_1/5) (needs
+    p != 5), the form of Dickson's table of permutation quintics."""
     if ctx.p == 5:
         raise ValueError("char-five: the degree-4 term cannot be removed when p = 5")
     if lv.r != 4:
         raise ValueError(f"degree-mismatch: need r == 4, got {lv.r}")
-    l1, l2, l3, l4 = lv.entries
-
-    def frac(num, den):
-        return ctx.mul(ctx.scalar(num), ctx.inv(ctx.scalar(den)))
-
-    l1_2 = ctx.mul(l1, l1)
-    l1_3 = ctx.mul(l1_2, l1)
-    l1_4 = ctx.mul(l1_2, l1_2)
-    a3 = ctx.sub(l2, ctx.mul(frac(2, 5), l1_2))
-    a2 = ctx.add(l3, ctx.sub(ctx.mul(frac(4, 25), l1_3),
-                             ctx.mul(frac(3, 5), ctx.mul(l1, l2))))
-    a1 = ctx.sub(l4, ctx.mul(frac(2, 5), ctx.mul(l1, l3)))
-    a1 = ctx.sub(a1, ctx.mul(frac(3, 125), l1_4))
-    a1 = ctx.add(a1, ctx.mul(frac(3, 25), ctx.mul(l2, l1_2)))
-    return a3, a2, a1
+    return tuple(depressed(ctx, lv)[3:0:-1])
 
 
 def dickson_poly(ctx, l, eta, k) -> tuple:
@@ -106,21 +110,6 @@ def dickson_poly(ctx, l, eta, k) -> tuple:
     return tuple(coeffs)
 
 
-def taylor_shift(ctx, coeffs, s):
-    """Coefficients of f(x + s) by repeated synthetic division."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            out[j] = ctx.add(out[j], ctx.mul(out[j + 1], s))
-    return out
-
-
-def h_a_coeffs(lv: LambdaVec) -> tuple:
-    """Ascending coefficient sequence of h_a: (0, lambda_r, ..., lambda_1, 1)."""
-    return (0,) + tuple(reversed(lv.entries)) + (1,)
-
-
 def is_dickson_of_degree(ctx, lv: LambdaVec, l, k):
     """eta such that h_a(x) = D_l(x + c, eta) + const for the unique shift
     c = lambda_1/l that removes the degree-(l-1) term, else None.
@@ -135,15 +124,12 @@ def is_dickson_of_degree(ctx, lv: LambdaVec, l, k):
         raise ValueError(f"degree-mismatch: h_a has degree {lv.r + 1}, not {l}")
     if l % ctx.p == 0:
         raise ValueError("degree divisible by p: eta cannot be recovered")
-    h = h_a_coeffs(lv)
-    l1 = lv.entries[0]
-    shift = ctx.neg(ctx.mul(l1, ctx.inv(ctx.scalar(l))))
-    dep = taylor_shift(ctx, h, shift) if shift else list(h)
+    dep = depressed(ctx, lv)
     eta = ctx.neg(ctx.mul(dep[l - 2], ctx.inv(ctx.scalar(l))))
     if not ctx.in_subfield(eta, k):
         return None
     if eta == 0:
-        if l1 == 0:
+        if lv.entries[0] == 0:
             return None
         return 0 if all(c == 0 for c in dep[1:l]) else None
     want = dickson_poly(ctx, l, eta, k)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bulk
 from .field import CapExceeded
-from .oracle import CHARSUM_CAP, _trace_counts
+from .oracle import CHARSUM_CAP, trace_counts
 
 
 @dataclass(frozen=True)
@@ -87,5 +87,5 @@ def direct_walsh(ctx, fmap, coeffs):
     C[t] = #{x : Tr(f(x) + a_i*x) = t}."""
     if ctx.q > CHARSUM_CAP:
         raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
-    rows = _trace_counts(ctx, bulk.elements(ctx), coeffs, fmap.value_table())
+    rows = trace_counts(ctx, bulk.elements(ctx), coeffs, fmap.value_table())
     return np.array(list(rows), dtype=np.int64).reshape(len(coeffs), ctx.p)

@@ -75,7 +75,7 @@ def is_cpp_exponent_pair(ctx, d, a) -> bool:
     return bulk.binomial_is_permutation(ctx, d, a)
 
 
-def _trace_counts(ctx, vals, alphas, offset=0):
+def trace_counts(ctx, vals, alphas, offset=0):
     """Count vectors of the character sums sum_i w^Tr(offset_i + alpha*vals_i),
     one row per alpha, lazily: row[t] = #{i : Tr(offset_i + alpha*vals_i) = t}.
 
@@ -97,5 +97,5 @@ def char_sum_pp_check(fmap: FieldMap) -> bool:
     ctx = fmap.ctx
     if ctx.q > CHARSUM_CAP:
         raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
-    rows = _trace_counts(ctx, fmap.value_table(), range(1, ctx.q))
+    rows = trace_counts(ctx, fmap.value_table(), range(1, ctx.q))
     return all((row == row[0]).all() for row in rows)

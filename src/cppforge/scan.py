@@ -174,14 +174,6 @@ def r4_equality_check(ctx, k, tagger):
     return cpps, int(tagged.sum()), [a for a in cpps if not tagged[a - 1]]
 
 
-def _r4_tagger(ctx, k):
-    """The r = 4 membership tagger a -> ConditionTag or None: the p = 5
-    conditions when p = 5, the quintic-classification ones otherwise."""
-    from .families import r4_condition, r4_condition_p5
-    condition = r4_condition_p5 if ctx.p == 5 else r4_condition
-    return lambda a: condition(ctx, a, k)
-
-
 def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
     """Coefficient count and list for d = (p^(rk)-1)/(p^k-1)+1.
 
@@ -190,7 +182,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
     Returns a dict feeding the structured report; for r = 4, "labels"
     maps each coefficient to its condition label ("" when untagged).
     """
-    from .families import tower_exponent
+    from .families import r4_tagger, tower_exponent
     d = tower_exponent(p, k, r)
     ctx = build_field(p, r * k)
     t0 = time.monotonic()
@@ -211,7 +203,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
     if r == 4 and p != 2:
         # labels are constant on the orbits of r4_equality_check: tag the
         # representative g^j of each member orbit
-        tagger = _r4_tagger(ctx, k)
+        tagger = r4_tagger(ctx, k)
 
         def tag_labels(reps):
             return [tag.label() if tag else "" for tag in map(tagger, reps)]

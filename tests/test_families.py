@@ -1,10 +1,12 @@
 """Family exponents, membership conditions, generators, and harnesses."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from cppforge import scan
+from cppforge import bulk, scan
 from cppforge.field import build_field
 from cppforge.families import (ConditionTag, QUARTIC_BETA_POLY,
                                SEXTIC_BETA_POLY, beta_quartic_all,
@@ -56,6 +58,29 @@ class TestExponents:
         assert scaled_tower_exponent(7, 1) == 19609
 
 
+# the label histograms of the r = 4 conditions over a = 1..q-1; conditions
+# evaluate in order, so 1) takes part of 2) (over F_3^4 the closed-form
+# membership, 28 elements, is their union)
+TAG_HISTOGRAMS = [
+    (r4_condition, 3, 1, {"r4_general:1": 8, "r4_general:2": 20,
+                          "r4_general:4": 8, "r4_general:5": 2,
+                          "untagged": 42}),
+    (r4_condition, 3, 2, {"r4_general:3": 64, "untagged": 6496}),
+    (r4_condition, 7, 1, {"r4_general:1": 24, "r4_general:2": 156,
+                          "r4_general:6": 24, "r4_general:7": 96,
+                          "untagged": 2100}),
+    (r4_condition, 13, 1, {"r4_general:1": 48, "r4_general:2": 600,
+                           "r4_general:8": 144, "untagged": 27768}),
+    (r4_condition, 17, 1, {"r4_general:1": 64, "r4_general:2": 1056,
+                           "untagged": 82400}),
+    (r4_condition_p3, 3, 1, {"r4_p3:2": 28, "r4_p3:4": 8, "r4_p3:5": 2,
+                             "untagged": 42}),
+    (r4_condition_p3, 3, 2, {"r4_p3:3": 64, "untagged": 6496}),
+    (r4_condition_p5, 5, 1, {"r4_p5:1": 8, "r4_p5:2": 36, "r4_p5:3": 16,
+                             "untagged": 564}),
+]
+
+
 class TestR4Conditions:
     def test_tags_characterize_cpp_set_f81(self, f81):
         direct = set(scan.direct_cpp_scan(f81, 41))
@@ -63,16 +88,22 @@ class TestR4Conditions:
         assert tagged == direct
         assert len(direct) == 38
 
-    def test_tag_histogram_f81(self, f81):
-        hist = {}
-        for a in range(1, 81):
-            t = r4_condition(f81, a, 1)
-            if t:
-                hist[t.condition] = hist.get(t.condition, 0) + 1
-        # conditions evaluate in order; 1) subsumes part of 2), and the
-        # closed-form membership (28 elements) is their union
-        assert hist["1"] + hist["2"] == 28
-        assert hist["4"] + hist["5"] == 10
+    @pytest.mark.parametrize("condition,p,k,want", [
+        pytest.param(fn, p, k, want, id=f"{fn.__name__}-F{p ** (4 * k)}")
+        for fn, p, k, want in TAG_HISTOGRAMS])
+    def test_tag_histogram(self, condition, p, k, want):
+        # every a = 1..q-1; a condition reads a only through its lambda
+        # vector, so one a per distinct vector is tagged and counted once
+        # for every a sharing that vector
+        ctx = build_field(p, 4 * k)
+        A = np.arange(1, ctx.q)
+        _, first, counts = np.unique(bulk.lambda_scan(ctx, 4, k, A), axis=0,
+                                     return_index=True, return_counts=True)
+        hist = Counter()
+        for a, count in zip(A[first].tolist(), counts.tolist()):
+            tag = condition(ctx, a, k)
+            hist[tag.label() if tag else "untagged"] += count
+        assert dict(hist) == want
 
     def test_a_zero_is_untagged(self, f81):
         assert r4_condition(f81, 0, 1) is None
@@ -507,5 +538,5 @@ class TestMultinomial:
 
 
 def test_condition_tag_label():
-    t = ConditionTag("r4_general", "2", (("v", 5),))
+    t = ConditionTag("r4_general", "2")
     assert t.label() == "r4_general:2"

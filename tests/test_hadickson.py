@@ -7,9 +7,11 @@ import random
 import pytest
 
 from cppforge.field import build_field
-from cppforge.hadickson import (LambdaVec, depressed_quintic, dickson_poly,
-                                h_a_coeffs, ha_pp_check, is_dickson_of_degree,
-                                lambda_coeffs, taylor_shift)
+from cppforge.hadickson import (LambdaVec, depressed, depressed_quintic,
+                                dickson_poly, h_a_coeffs, ha_pp_check,
+                                is_dickson_of_degree, lambda_coeffs,
+                                taylor_shift)
+from twins import expanded_depressed_quintic
 
 
 def brute_lambda(ctx, a, r, k):
@@ -174,6 +176,34 @@ class TestDepressedQuintic:
             dep = subfield_map_is_pp(
                 f9, 2, lambda x: f9.poly_eval((0, a1, a2, a3, 0, 1), x))
             assert orig == dep
+
+    @pytest.mark.parametrize("p,n", [(7, 1), (11, 1), (13, 1), (3, 2), (7, 2)])
+    def test_matches_expanded_formulas(self, p, n):
+        ctx = build_field(p, n)
+        rng = random.Random(61 * p + n)
+        for _ in range(200):
+            lv = LambdaVec(4, n, tuple(rng.randrange(ctx.q) for _ in range(4)))
+            assert depressed_quintic(ctx, lv, n) == \
+                expanded_depressed_quintic(ctx, lv)
+
+
+class TestDepressed:
+    @pytest.mark.parametrize("p,n,r", [(7, 1, 4), (3, 2, 4), (3, 2, 6),
+                                       (5, 2, 6)])
+    def test_matches_pointwise_shift(self, p, n, r):
+        # h_a(x - lambda_1/(r+1)) - h_a(-lambda_1/(r+1)) at every x
+        ctx = build_field(p, n)
+        rng = random.Random(67 * p + r)
+        for _ in range(20):
+            lv = LambdaVec(r, n, tuple(rng.randrange(ctx.q) for _ in range(r)))
+            h = h_a_coeffs(lv)
+            c = ctx.mul(lv.entries[0], ctx.inv(ctx.scalar(r + 1)))
+            dep = depressed(ctx, lv)
+            assert len(dep) == r + 2 and dep[r] == 0 and dep[r + 1] == 1
+            base = ctx.poly_eval(h, ctx.neg(c))
+            for x in range(ctx.q):
+                assert ctx.sub(ctx.poly_eval(h, ctx.sub(x, c)), base) == \
+                    ctx.sub(ctx.poly_eval(dep, x), dep[0])
 
 
 class TestDickson:

@@ -8,7 +8,7 @@ import pytest
 
 from cppforge import bulk, scan
 from cppforge.families import (r4_condition, r4_condition_p3, r4_condition_p5,
-                               tower_exponent)
+                               r4_tagger, tower_exponent)
 from cppforge.field import build_field
 from cppforge.report import CppReport
 
@@ -219,7 +219,7 @@ class TestCountCpp:
         # tags every member
         res = scan.count_cpp(p, k, 4, method="ha")
         ctx = res["ctx"]
-        tagger = scan._r4_tagger(ctx, k)
+        tagger = r4_tagger(ctx, k)
         assert res["labels"] == {a: (tag.label() if tag else "")
                                  for a in res["elements"]
                                  for tag in [tagger(a)]}
@@ -256,38 +256,38 @@ TWIN_CASES = [(3, 1, r4_condition), (3, 1, r4_condition_p3),
 class TestEqualityCheck:
     def test_f81(self, f81):
         cpps, tagged, untagged = scan.r4_equality_check(
-            f81, 1, scan._r4_tagger(f81, 1))
+            f81, 1, r4_tagger(f81, 1))
         assert untagged == [] and tagged == 38
 
     def test_f625(self, f625):
         cpps, tagged, untagged = scan.r4_equality_check(
-            f625, 1, scan._r4_tagger(f625, 1))
+            f625, 1, r4_tagger(f625, 1))
         assert untagged == [] and tagged == 60
 
     def test_f3_8_full_equality(self):
         ctx = build_field(3, 8)
         cpps, tagged, untagged = scan.r4_equality_check(
-            ctx, 2, scan._r4_tagger(ctx, 2))
+            ctx, 2, r4_tagger(ctx, 2))
         assert untagged == [] and tagged == len(cpps) == 64
 
     def test_f7_4_full_equality(self):
         # exercises the p = 7 small-field conditions
         ctx = build_field(7, 4)
         cpps, tagged, untagged = scan.r4_equality_check(
-            ctx, 1, scan._r4_tagger(ctx, 1))
+            ctx, 1, r4_tagger(ctx, 1))
         assert untagged == [] and tagged == len(cpps) == 300
 
     def test_f13_4_full_equality(self):
         # exercises the p = 13 small-field condition
         ctx = build_field(13, 4)
         cpps, tagged, untagged = scan.r4_equality_check(
-            ctx, 1, scan._r4_tagger(ctx, 1))
+            ctx, 1, r4_tagger(ctx, 1))
         assert untagged == [] and tagged == len(cpps) == 792
 
     def test_f5_8_full_equality(self):
         ctx = build_field(5, 8)
         cpps, tagged, untagged = scan.r4_equality_check(
-            ctx, 2, scan._r4_tagger(ctx, 2))
+            ctx, 2, r4_tagger(ctx, 2))
         assert untagged == [] and tagged == len(cpps) == 1224
 
     @pytest.mark.parametrize("p,k,condition", TWIN_CASES,
@@ -307,7 +307,7 @@ class TestEqualityCheck:
         # a tagger that misses one orbit: its members come back, and the
         # tagged count falls by the orbit's size
         rep = class_representative(f81, 1, scan.ha_cpp_scan(f81, 4, 1)[0])
-        tagger = scan._r4_tagger(f81, 1)
+        tagger = r4_tagger(f81, 1)
         cpps, tagged, untagged = scan.r4_equality_check(
             f81, 1, lambda a: None if a == rep else tagger(a))
         orbit = [a for a in cpps if class_representative(f81, 1, a) == rep]

@@ -1,7 +1,8 @@
 """Test-side twins: the two cyclotomic-coset permutation criteria (on the
 s-th roots of unity and on a subfield product form), checked against the
-occupancy oracle, and the readings of a character sum off its count
-vector C (C[t] = #{x : Tr(...) = t}, the sum being sum_t C[t] w^t)."""
+occupancy oracle, the readings of a character sum off its count vector C
+(C[t] = #{x : Tr(...) = t}, the sum being sum_t C[t] w^t), and the
+hand-expanded normal form of the r = 4 quintic."""
 
 import math
 
@@ -65,3 +66,28 @@ def subfield_product_check(ctx, l, g, k) -> bool:
             v = ctx.mul(v, ctx.poly_eval(gi, x))
         values.append(v)
     return sorted(values) == sorted(sub)
+
+
+def expanded_depressed_quintic(ctx, lv):
+    """(A3, A2, A1) of h_a(x - lambda_1/5) from the expanded shift formulas
+
+        A3 = lambda_2 - (2/5) lambda_1^2
+        A2 = lambda_3 + (4/25) lambda_1^3 - (3/5) lambda_1 lambda_2
+        A1 = lambda_4 - (2/5) lambda_1 lambda_3 - (3/125) lambda_1^4
+             + (3/25) lambda_2 lambda_1^2
+
+    each fraction taken mod p (p != 5)."""
+    def frac(num, den):
+        return ctx.scalar(num * pow(den, -1, ctx.p))
+
+    l1, l2, l3, l4 = lv.entries
+    l1_2 = ctx.mul(l1, l1)
+    l1_3 = ctx.mul(l1_2, l1)
+    l1_4 = ctx.mul(l1_2, l1_2)
+    a3 = ctx.sub(l2, ctx.mul(frac(2, 5), l1_2))
+    a2 = ctx.add(l3, ctx.sub(ctx.mul(frac(4, 25), l1_3),
+                             ctx.mul(frac(3, 5), ctx.mul(l1, l2))))
+    a1 = ctx.sub(l4, ctx.mul(frac(2, 5), ctx.mul(l1, l3)))
+    a1 = ctx.sub(a1, ctx.mul(frac(3, 125), l1_4))
+    a1 = ctx.add(a1, ctx.mul(frac(3, 25), ctx.mul(l2, l1_2)))
+    return a3, a2, a1
