@@ -18,7 +18,8 @@ import time
 
 from . import __version__, families, scan
 from .field import CapExceeded, InternalError, build_field
-from .niho import NihoCtx, count_N, direct_walsh, niho_s_from_d, walsh_value
+from .niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
+                   niho_s_from_d, walsh_value)
 from .oracle import CHARSUM_CAP, monomial_map
 from .report import CppReport, check_extension
 
@@ -141,9 +142,13 @@ def cmd_walsh(args):
     if xcheck:
         counts = direct_walsh(
             ctx, monomial_map(ctx, s * (args.p ** args.k - 1) + 1), coeffs)
+    if args.all:
+        roots = all_root_counts(nctx, s).tolist()
+    else:
+        roots = {coeffs[0]: count_N(nctx, coeffs[0], s)}
     status = 0
     for i, a in enumerate(coeffs):
-        n_a = count_N(nctx, a, s)
+        n_a = roots[a]
         w = walsh_value(nctx, n_a)
         line = f"a={a} N={n_a} walsh={w}"
         if a == 0:

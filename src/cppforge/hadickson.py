@@ -77,7 +77,7 @@ def depressed(ctx, lv: LambdaVec):
     return taylor_shift(ctx, h, shift) if shift else list(h)
 
 
-def depressed_quintic(ctx, lv: LambdaVec, k):
+def depressed_quintic(ctx, lv: LambdaVec):
     """Coefficients (A3, A2, A1) of the normalized quintic
     x^5 + A3 x^3 + A2 x^2 + A1 x + const = h_a(x - lambda_1/5) (needs
     p != 5), the form of Dickson's table of permutation quintics."""

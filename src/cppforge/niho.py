@@ -2,6 +2,12 @@
 a^(p^k-1) = -1, the root count N(a) on the unit circle, Walsh transform
 values for exponents of the form s(p^k-1)+1, and their exact cross-check,
 direct_walsh, as count vectors over one trace table.
+
+N(a) comes two ways: count_N loops over the unit circle for one a, and
+all_root_counts inverts that loop for every a at once.  For fixed lambda
+the root equation is F_{p^k}-linear in a, so each lambda names exactly
+p^k coefficients, and one histogram of the (p^k + 1) p^k pairs is the
+whole table of N(a).
 """
 
 from __future__ import annotations
@@ -61,9 +67,42 @@ def count_N(nctx: NihoCtx, a, s) -> int:
     return hits
 
 
+def all_root_counts(nctx: NihoCtx, s):
+    """count_N(nctx, a, s) for every encoding a, as an int64 array of
+    length q (table backend only).
+
+    For lambda in the unit circle U put c = -(lambda^s + lambda^(1-s)).
+    Then a + lambda*conj(a) = c is F_{p^k}-linear in a: its kernel is
+    t F_{p^k} with t^(p^k-1) = -1/lambda, and c w solves it for any w with
+    w + conj(w) = 1, since lambda*conj(c) = c.  So the a with lambda as a
+    root are c w + t F_{p^k}, p^k of them, and N(a) counts the lambda
+    whose set holds a."""
+    ctx, Q = nctx.ctx, nctx.q
+    if ctx.backend != "table":
+        raise CapExceeded("field-too-large: the root histogram needs the "
+                          "table backend")
+    N = ctx.q - 1
+    exp = ctx.exp_table
+    j = np.arange(Q + 1, dtype=np.int64)       # lambda_j = g^((Q-1) j)
+    lam_s = exp[(Q - 1) * (j * (s % (Q + 1)) % (Q + 1))]
+    lam_1s = exp[(Q - 1) * (j * ((1 - s) % (Q + 1)) % (Q + 1))]
+    # x + conj(x) = 0 would give x^(2(Q-1)) = 1, too small an order for
+    # the generator x, so w = x / (x + conj(x)) has w + conj(w) = 1
+    x = ctx.generator
+    w = ctx.mul(x, ctx.inv(ctx.add(x, nctx.conj(x))))
+    cw = bulk.mul_scalar(ctx, ctx.neg(w), bulk.add(ctx, lam_s, lam_1s))
+    # log t_j = log(-1/lambda_j) / (Q-1); log(-1) is 0 or (Q-1)(Q+1)/2
+    t_log = int(ctx.log_table[ctx.neg(1)]) // (Q - 1) - j
+    u_log = (Q + 1) * np.arange(Q - 1, dtype=np.int64)     # F_{p^k}^*
+    kernel = exp[(t_log[:, None] + u_log) % N]
+    roots = bulk.add(ctx, cw[:, None], kernel)
+    return np.bincount(np.concatenate([cw, roots.ravel()]), minlength=ctx.q)
+
+
 def walsh_value(nctx: NihoCtx, n_a) -> int:
     """Walsh transform of Tr(x^d) at a for d = s(p^k-1)+1, from the root
-    count n_a = count_N(nctx, a, s): it equals (N(a) - 1) * p^k."""
+    count n_a = N(a) of count_N or all_root_counts: it equals
+    (N(a) - 1) * p^k."""
     return (n_a - 1) * nctx.q
 
 

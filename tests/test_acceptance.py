@@ -6,10 +6,11 @@ lines.
 """
 
 import random
+import re
 import time
 from contextlib import contextmanager
 
-from cppforge import bulk, scan
+from cppforge import bulk, cli, scan
 from cppforge.field import build_field
 from cppforge.families import (QUARTIC_BETA_POLY, SEXTIC_BETA_POLY,
                                beta_quartic_all, field_with_root,
@@ -234,3 +235,16 @@ def test_criterion_12_oracle_equivalence_suites():
             fm = FieldMap(f9, vals.__getitem__)
             total = sum(norm2(C) for C in direct_walsh(f9, fm, range(9)))
             assert total == 3 ** 4
+
+
+def test_criterion_13_walsh_all_past_charsum_cap(capsys):
+    with criterion(13, "walsh --all on F_3^10: 59049 N(a) from one histogram", 20.0):
+        # past CHARSUM_CAP, so no direct cross-check: each unit-circle
+        # lambda names 3^5 coefficients, so the N(a) sum to 244 * 243
+        code = cli.main(["walsh", "--p", "3", "--k", "5", "--s", "2", "--all"])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("a=")]
+        assert len(lines) == 3 ** 10
+        assert sum(int(re.search(r" N=(\d+) ", line).group(1))
+                   for line in lines) == 244 * 243

@@ -469,21 +469,28 @@ class TestWalsh:
         assert "a=3 N=1 walsh=0" in out
 
     def test_one_root_count_per_coefficient(self, capsys, monkeypatch):
-        # N(a) is counted once per coefficient and the Walsh value derived
-        # from it, not counted a second time
+        # --all reads every N(a) off one histogram, with no per-coefficient
+        # count; --a counts its one N(a) on the unit circle
         calls = []
-        real = niho.count_N
 
-        def counted(nctx, a, s):
-            calls.append(a)
-            return real(nctx, a, s)
-        monkeypatch.setattr(niho, "count_N", counted)
-        monkeypatch.setattr(cli, "count_N", counted)
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+        for name in ("count_N", "all_root_counts"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(niho, name)))
         code, out, _ = run_cli(capsys, "walsh", "--p", "3", "--k", "1",
                                "--s", "3", "--all")
         assert code == 0
         assert out.count("agree=True") == 9
-        assert sorted(calls) == list(range(9))
+        assert calls == ["all_root_counts"]
+        calls.clear()
+        code, out, _ = run_cli(capsys, "walsh", "--p", "3", "--k", "1",
+                               "--s", "3", "--a", "3")
+        assert code == 0
+        assert out.count("agree=True") == 1
+        assert calls == ["count_N"]
 
     def test_all_on_generic_field_is_cap_error(self, capsys):
         # 3^24 coefficients: refused at once, before any line is printed

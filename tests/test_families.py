@@ -2,11 +2,12 @@
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cppforge import bulk, scan
+from cppforge import bulk, families, scan
 from cppforge.field import build_field
 from cppforge.families import (ConditionTag, QUARTIC_BETA_POLY,
                                SEXTIC_BETA_POLY, beta_quartic_all,
@@ -104,6 +105,23 @@ class TestR4Conditions:
             tag = condition(ctx, a, k)
             hist[tag.label() if tag else "untagged"] += count
         assert dict(hist) == want
+
+    def test_p3_one_lambda_vector_per_coefficient(self, monkeypatch):
+        # the closed forms and the inherited conditions read one
+        # normalized quintic: no coefficient's lambda vector is computed twice
+        ctx = build_field(3, 8)
+        calls = []
+
+        def counted(ctx, a, r, k):
+            calls.append(a)
+            return lambda_coeffs(ctx, a, r, k)
+        monkeypatch.setattr(families, "lambda_coeffs", counted)
+        tags = Counter()
+        for a in range(1, ctx.q):
+            tag = r4_condition_p3(ctx, a, 2)
+            tags[tag.label() if tag else "untagged"] += 1
+        assert calls == list(range(1, ctx.q))
+        assert dict(tags) == {"r4_p3:3": 64, "untagged": 6496}
 
     def test_a_zero_is_untagged(self, f81):
         assert r4_condition(f81, 0, 1) is None
@@ -508,6 +526,40 @@ class TestMultinomial:
                 vals = f.value_table()
                 for x in range(0, 243, 17):
                     assert vals[x] == f.fn(x), (name, a, x)
+
+    @pytest.mark.parametrize("p,n,k,samples", [
+        (2, 6, 2, None), (3, 5, 1, None), (3, 7, 1, None), (3, 10, 2, 2000)])
+    def test_value_tables_equal_fn(self, p, n, k, samples):
+        # the table through the subfield against the scalar map, at every
+        # point or at sampled ones, for every preset and admissible a
+        ctx = build_field(p, n)
+        rng = np.random.default_rng(n)
+        xs = (range(ctx.q) if samples is None
+              else rng.choice(ctx.q, samples, replace=False).tolist())
+        maps = 0
+        for name, (g, v) in multinomial_presets(ctx, k).items():
+            for a in multinomial_admissible_a(ctx, k, g, v):
+                f = multinomial_map(ctx, g, v, a, k)
+                vals = f.value_table()
+                assert vals.shape == (ctx.q,)
+                assert [int(vals[x]) for x in xs] == [f.fn(x) for x in xs], \
+                    (name, a)
+                maps += 1
+        assert maps > 0
+
+    def test_verify_shares_one_grid(self, monkeypatch):
+        # X, T's subfield position and (p-1) X^p are built once per run
+        calls = []
+        real = families._multinomial_grid
+
+        def counted(ctx, k):
+            calls.append(k)
+            return real(ctx, k)
+        monkeypatch.setattr(families, "_multinomial_grid", counted)
+        opts = SimpleNamespace(p=3, k=2, r=5, preset=None)
+        res = families.FAMILIES["multinomial"](opts)
+        assert res["tested"] == 12 and res["failures"] == []
+        assert calls == [2]
 
     def test_trace_identity_on_all_points(self):
         ctx = build_field(3, 5)

@@ -130,10 +130,10 @@ class TestDepressedQuintic:
     def test_lambda1_zero_passthrough(self, f625):
         lv = LambdaVec(4, 1, (0, 2, 3, 4))
         with pytest.raises(ValueError, match="char-five"):
-            depressed_quintic(f625, lv, 1)
+            depressed_quintic(f625, lv)
         f7 = build_field(7, 4)
         lv7 = LambdaVec(4, 1, (0, 2, 3, 4))
-        assert depressed_quintic(f7, lv7, 1) == (2, 3, 4)
+        assert depressed_quintic(f7, lv7) == (2, 3, 4)
 
     def test_p3_constant_reduction(self, f81):
         # mod 3: A3 = l2 - l1^2, A2 = l3 + l1^3, A1 = l4 - l1 l3
@@ -141,7 +141,7 @@ class TestDepressedQuintic:
         for _ in range(40):
             l1, l2, l3, l4 = (rng.randrange(3) for _ in range(4))
             lv = LambdaVec(4, 1, (l1, l2, l3, l4))
-            a3, a2, a1 = depressed_quintic(f81, lv, 1)
+            a3, a2, a1 = depressed_quintic(f81, lv)
             assert a3 == (l2 - l1 * l1) % 3
             assert a2 == (l3 + l1 ** 3) % 3
             assert a1 == (l4 - l1 * l3) % 3
@@ -154,7 +154,7 @@ class TestDepressedQuintic:
         for _ in range(300):
             entries = tuple(rng.randrange(7) for _ in range(4))
             lv = LambdaVec(4, 1, entries)
-            a3, a2, a1 = depressed_quintic(f7, lv, 1)
+            a3, a2, a1 = depressed_quintic(f7, lv)
             orig = subfield_map_is_pp(
                 f7, 1, lambda x: f7.poly_eval(h_a_coeffs(lv), x))
             dep = subfield_map_is_pp(
@@ -170,7 +170,7 @@ class TestDepressedQuintic:
             lv = LambdaVec(4, 1, entries)
             # entries must lie in the subfield = whole field here (k = n = 2)
             lv = LambdaVec(4, 2, entries)
-            a3, a2, a1 = depressed_quintic(f9, lv, 2)
+            a3, a2, a1 = depressed_quintic(f9, lv)
             orig = subfield_map_is_pp(
                 f9, 2, lambda x: f9.poly_eval(h_a_coeffs(lv), x))
             dep = subfield_map_is_pp(
@@ -183,7 +183,7 @@ class TestDepressedQuintic:
         rng = random.Random(61 * p + n)
         for _ in range(200):
             lv = LambdaVec(4, n, tuple(rng.randrange(ctx.q) for _ in range(4)))
-            assert depressed_quintic(ctx, lv, n) == \
+            assert depressed_quintic(ctx, lv) == \
                 expanded_depressed_quintic(ctx, lv)
 
 

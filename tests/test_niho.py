@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from cppforge.field import build_field
-from cppforge.niho import (NihoCtx, count_N, direct_walsh, niho_s_from_d,
-                           unit_circle, v_set, walsh_value)
+from cppforge.field import CapExceeded, build_field
+from cppforge.niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
+                           niho_s_from_d, unit_circle, v_set, walsh_value)
 from cppforge.oracle import FieldMap, monomial_map
 from twins import int_value
 
@@ -78,6 +78,29 @@ class TestCountN:
                            f9.add(f9.mul(n9.conj(a), lam), a))
                 brute += v == 0
             assert count_N(n9, a, 1) == brute
+
+
+class TestAllRootCounts:
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                     (7, 1), (2, 2), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("s", [2, 3, -1])
+    def test_equals_count_N_for_every_a(self, p, k, s):
+        # the histogram against its scalar slow twin, a = 0 included
+        n = NihoCtx(build_field(p, 2 * k), k)
+        N = all_root_counts(n, s)
+        assert N.dtype == np.int64 and N.shape == (n.ctx.q,)
+        assert N.tolist() == [count_N(n, a, s) for a in range(n.ctx.q)]
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (3, 5), (7, 2), (2, 6)])
+    @pytest.mark.parametrize("s", [2, 5, -3])
+    def test_each_lambda_names_p_to_the_k_coefficients(self, p, k, s):
+        n = NihoCtx(build_field(p, 2 * k), k)
+        assert int(all_root_counts(n, s).sum()) == (p ** k + 1) * p ** k
+
+    def test_generic_backend_is_cap_error(self):
+        n = NihoCtx(build_field(3, 4, backend="generic"), 2)
+        with pytest.raises(CapExceeded, match="field-too-large"):
+            all_root_counts(n, 2)
 
 
 class TestWalsh:
