@@ -111,18 +111,15 @@ def cmd_conjecture(args):
         if args.id == 1:
             res = families.dickson_witness_search(args.p, args.r, k,
                                                   budget=args.budget)
-            verdict = "pass" if res["passed"] else "FAIL"
-            print(f"k={k}: witnesses={res['witness_count']} "
-                  f"cpp_failures={len(res['cpp_failures'])} {verdict}")
-            all_pass &= res["passed"]
+            counts = (f"witnesses={res['witness_count']} "
+                      f"cpp_failures={len(res['cpp_failures'])}")
         else:
             res = families.verify_neg_one_family(args.p, k)
-            verdict = "pass" if res["passed"] else "FAIL"
-            print(f"k={k}: coefficients={res['coefficients']} "
-                  f"failures={len(res['failures'])} "
-                  f"reformulated_failures={len(res['reformulated_failures'])} "
-                  f"{verdict}")
-            all_pass &= res["passed"]
+            counts = (f"coefficients={res['coefficients']} "
+                      f"failures={len(res['failures'])} reformulated_failures="
+                      f"{len(res['reformulated_failures'])}")
+        print(f"k={k}: {counts} {'pass' if res['passed'] else 'FAIL'}")
+        all_pass &= res["passed"]
     return 0 if all_pass else 1
 
 

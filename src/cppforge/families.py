@@ -393,11 +393,11 @@ def dickson_hypotheses(p, r, k) -> int:
 
 
 def dickson_witness_search(p, r, k, budget=None):
-    """Coefficients a over F_{p^rk} whose h_a is a Dickson polynomial of
-    degree r+1 (under dickson_hypotheses).  Returns a result dict with the
-    witnesses.
+    """Coefficients a <= budget (all a without one) over F_{p^rk} whose h_a
+    is a Dickson polynomial of degree r+1 (under dickson_hypotheses).
+    Returns a result dict with the witnesses.
 
-    Without a budget, one a = g^j per orbit class of scan.orbit_values
+    On a table field one a = g^j per orbit class of scan.orbit_values
     (here d - 1 = (q-1)/(p^k-1)) is matched: for t in F_{p^k}^*,
     h_(ta)(x) = t^(r+1) h_a(x/t) and t^l D_l(x/t + c, eta) =
     D_l(x + tc, t^2 eta), and Frobenius maps D_l(x, eta) to
@@ -407,35 +407,23 @@ def dickson_witness_search(p, r, k, budget=None):
     l = r + 1
     d = dickson_hypotheses(p, r, k)
     ctx = build_field(p, r * k)
-    if ctx.backend != "table" and budget is None:
-        raise CapExceeded("cap-exceeded: full witness enumeration needs an "
-                          "enumerable field; pass a budget")
-    if ctx.backend == "table" and budget is None:
+    if ctx.backend == "table":
         def decide(reps):
             lam = bulk.lambda_scan(ctx, r, k, reps)
             ctx.subfield_view(k).logs(lam)     # the lambda invariant
             return [is_dickson_of_degree(ctx, LambdaVec(r, k, tuple(row)), l, k)
                     is not None for row in lam.tolist()]
-        witnesses = scan.orbit_members(ctx, d, decide)
+        witnesses = scan.orbit_members(ctx, d, decide, budget)
+        cpp_failures = _oracle_checked(ctx, d, witnesses)["failures"]
+    elif budget is None:
+        raise CapExceeded("cap-exceeded: full witness enumeration needs an "
+                          "enumerable field; pass a budget")
     else:
-        witnesses = []
-        count = 0
-        for a in range(1, ctx.q):
-            if budget is not None and count >= budget:
-                break
-            count += 1
-            lv = lambda_coeffs(ctx, a, r, k)
-            if is_dickson_of_degree(ctx, lv, l, k) is not None:
-                witnesses.append(a)
-    if ctx.backend == "table":
-        # CPP membership is constant on the orbit classes of
-        # scan.direct_cpp_scan: one oracle check per class the witnesses touch
-        cpp = scan.orbit_values(ctx, d, witnesses, lambda reps: [
-            is_cpp_exponent_pair(ctx, d, a) for a in reps])
-        cpp_failures = [a for a, ok in zip(witnesses, cpp) if not ok]
-    else:
-        # no orbit classes without the log tables: each witness goes
-        # through the subfield criterion, as in verify_neg_one_family
+        # no orbit classes without the log tables: each a is matched, and
+        # each witness re-checked as in verify_neg_one_family, on its own
+        witnesses = [a for a in range(1, min(budget, ctx.q - 1) + 1)
+                     if is_dickson_of_degree(
+                         ctx, lambda_coeffs(ctx, a, r, k), l, k) is not None]
         gcd_ok = math.gcd(d, ctx.q - 1) == 1
         cpp_failures = [a for a in witnesses
                         if not (gcd_ok and ha_pp_check(ctx, a, r, k))]
@@ -628,10 +616,22 @@ def multinomial_admissible_a(ctx, k, g=None, v=None):
 # ----------------------------------------------------------------------
 # the family table behind `verify`
 
-def _oracle_checked(ctx, d, coeffs):
-    """Every coefficient of a family's list through the direct CPP oracle."""
-    failures = [a for a in coeffs if not is_cpp_exponent_pair(ctx, d, a)]
-    return {"d": d, "tested": len(coeffs), "failures": failures}
+def _cpp_verdicts(ctx, d, coeffs):
+    """is_cpp_exponent_pair(ctx, d, a) for each a in coeffs, with one
+    oracle call per orbit class of scan.orbit_values that coeffs touch:
+    bijectivity of x^d + ax is constant on them (scan.direct_cpp_scan)."""
+    if math.gcd(d, ctx.q - 1) != 1:
+        return [False] * len(coeffs)
+    return scan.orbit_values(ctx, d, coeffs, lambda reps: [
+        is_cpp_exponent_pair(ctx, d, a) for a in reps]).tolist()
+
+
+def _oracle_checked(ctx, d, coeffs, cases=None):
+    """Every coefficient of a family's list through the direct CPP oracle;
+    a failure is reported as its coefficient, or as its case if given."""
+    cpp = _cpp_verdicts(ctx, d, coeffs)
+    return {"d": d, "tested": len(coeffs),
+            "failures": [a for a, ok in zip(cases or coeffs, cpp) if not ok]}
 
 
 def _niho(p, k, i):
@@ -679,9 +679,8 @@ def _r6(p, k):
     units = [e for e in ctx.subfield_elements(k) if e != 0]
     cases = [(fi, u) for fi in range(len(r6_coordinate_table(p)))
              for u in units]
-    failures = [(fi, u) for fi, u in cases if not is_cpp_exponent_pair(
-        ctx, d, r6_dickson_coefficient(ctx, beta, fi, u))]
-    return {"d": d, "tested": len(cases), "failures": failures}
+    return _oracle_checked(ctx, d, [r6_dickson_coefficient(ctx, beta, fi, u)
+                                    for fi, u in cases], cases)
 
 
 def _multinomial(p, k, r, preset):

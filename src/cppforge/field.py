@@ -420,13 +420,7 @@ class FieldCtx:
     def _build_tables(self):
         p, q = self.p, self.q
         N = q - 1
-        fac = factorize(N)
-        # a constant has order dividing p - 1, so for n > 1 the search starts
-        # at x (encoding p); 1 is primitive only in F_2
-        g = next((c for c in range(1 if self.n == 1 else p, q)
-                  if all(self._pow_generic(c, N // ell) != 1 for ell in fac)), None)
-        if g is None:
-            raise InternalError("no primitive element found (modulus not irreducible?)")
+        g = self._element_of_order(N)
         E = self._powers(1, g, N)
         # filled in EXP_BLOCK slices, so no full-size temporary is made
         blocks = range(0, N, EXP_BLOCK)
@@ -583,24 +577,28 @@ class FieldCtx:
             return got
         if self.backend == "table":
             y = int(self.exp_table[N // s])
+        elif s > 1 << 26:
+            raise CapExceeded(f"subgroup order {s} too large to certify")
         else:
-            if s > 1 << 26:
-                raise CapExceeded(f"subgroup order {s} too large to certify")
-            primes = list(factorize(s))
-            cofactor = N // s
-            y = None
-            # a constant's cofactor-th power has order s / gcd(s, N / (p-1)):
-            # unless that is s, skip the constants and start at x (encoding p)
-            start = 2 if math.gcd(s, N // (self.p - 1)) == 1 else self.p
-            for cand in range(start, start + (1 << 20)):
-                z = self.pow(cand, cofactor)
-                if z != 1 and all(self.pow(z, s // ell) != 1 for ell in primes):
-                    y = z
-                    break
-            if y is None:
-                raise InternalError(f"no element of order {s} found")
+            y = self._element_of_order(s)
         self._subgens[s] = y
         return y
+
+    def _element_of_order(self, s):
+        """The first c^((q-1)/s) of order s over c in encoding order: the
+        table generator (s = q-1) and generic subgroup_generator."""
+        if s == 1:
+            return 1
+        N, primes = self.q - 1, list(factorize(s))
+        # a constant's (N/s)-th power has order s / gcd(s, N / (p-1)): unless
+        # that is s (n = 1, never s = N with n > 1), start at x (encoding p)
+        start = 2 if math.gcd(s, N // (self.p - 1)) == 1 else self.p
+        for c in range(start, min(self.q, start + (1 << 20))):
+            z = self._pow_generic(c, N // s)
+            if z != 1 and all(self._pow_generic(z, s // ell) != 1
+                              for ell in primes):
+                return z
+        raise InternalError(f"no element of order {s} (modulus reducible?)")
 
     def _powers(self, start, ratio, count):
         """Encodings of start * ratio^i for i < count (int64, object past

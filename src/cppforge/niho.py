@@ -94,9 +94,12 @@ def all_root_counts(nctx: NihoCtx, s):
     # log t_j = log(-1/lambda_j) / (Q-1); log(-1) is 0 or (Q-1)(Q+1)/2
     t_log = int(ctx.log_table[ctx.neg(1)]) // (Q - 1) - j
     u_log = (Q + 1) * np.arange(Q - 1, dtype=np.int64)     # F_{p^k}^*
-    kernel = exp[(t_log[:, None] + u_log) % N]
-    roots = bulk.add(ctx, cw[:, None], kernel)
-    return np.bincount(np.concatenate([cw, roots.ravel()]), minlength=ctx.q)
+    counts = np.bincount(cw, minlength=ctx.q)
+    step = max(1, bulk.CHECK_BLOCK // (Q - 1))     # kernel rows per block
+    for lo in range(0, Q + 1, step):
+        kernel = exp[(t_log[lo:lo + step, None] + u_log) % N]
+        np.add.at(counts, bulk.add(ctx, cw[lo:lo + step, None], kernel), 1)
+    return counts
 
 
 def walsh_value(nctx: NihoCtx, n_a) -> int:

@@ -9,8 +9,8 @@ bytewise.
 
 orbit_values is the one implementation of the orbit classes: it decides a
 property once per class and gives each coefficient its class's verdict.
-Both scans, the r = 4 equality check and labels, and the Dickson witness
-search and its CPP re-check all run through it.
+Both scans, the r = 4 checks, the Dickson witness search and every
+oracle check of a family's coefficient list on a table field use it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ def orbit_values(ctx, d, elems, decide):
     holding the verdict of each element's class.  Exact for any property
     constant on those classes.
     """
-    return _log_values(ctx, d, ctx.log_table[np.asarray(elems, dtype=np.int64)],
-                       decide)
+    if ctx.backend != "table":
+        raise CapExceeded("field-too-large: orbit classes need the log tables")
+    logs = ctx.log_table[np.asarray(elems, dtype=np.int64)]
+    if (logs < 0).any():        # log_table[0] = -1 would name class e - 1
+        raise ValueError("zero-coefficient: need a != 0")
+    return _log_values(ctx, d, logs, decide)
 
 
 def _log_values(ctx, d, logs, decide):
@@ -77,11 +81,11 @@ def _log_values(ctx, d, logs, decide):
     return value[res]
 
 
-def orbit_members(ctx, d, decide):
-    """Ascending list of every a != 0 whose orbit class passes decide
-    (see orbit_values)."""
-    return (np.flatnonzero(_log_values(ctx, d, ctx.log_table[1:], decide))
-            + 1).tolist()
+def orbit_members(ctx, d, decide, top=None):
+    """Ascending list of every a != 0, up to top when given, whose orbit
+    class passes decide (see orbit_values)."""
+    logs = ctx.log_table[1:][:top]
+    return (np.flatnonzero(_log_values(ctx, d, logs, decide)) + 1).tolist()
 
 
 def direct_cpp_scan(ctx, d, jobs=1, progress=None):
@@ -168,10 +172,9 @@ def r4_equality_check(ctx, k, tagger):
     """
     from .families import tower_exponent
     cpps = ha_cpp_scan(ctx, 4, k)
-    tagged = _log_values(ctx, tower_exponent(ctx.p, k, 4), ctx.log_table[1:],
-                         lambda reps: [tagger(a) is not None for a in reps])
-    # tagged[i] is the verdict of a = i + 1
-    return cpps, int(tagged.sum()), [a for a in cpps if not tagged[a - 1]]
+    tagged = set(orbit_members(ctx, tower_exponent(ctx.p, k, 4), lambda reps: [
+        tagger(a) is not None for a in reps]))
+    return cpps, len(tagged), [a for a in cpps if a not in tagged]
 
 
 def count_cpp(p, k, r, method="ha", jobs=1, progress=None):

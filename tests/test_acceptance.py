@@ -248,3 +248,19 @@ def test_criterion_13_walsh_all_past_charsum_cap(capsys):
         assert len(lines) == 3 ** 10
         assert sum(int(re.search(r" N=(\d+) ", line).group(1))
                    for line in lines) == 244 * 243
+
+
+def test_criterion_14_oracle_checks_once_per_class(capsys):
+    with criterion(14, "verify r4_p3_beta --k 3 and budgeted conjecture 1 "
+                       "on F_3^12, one decision per orbit class", 3.0):
+        # 2860 generated coefficients in 13 classes; --budget 20000 decides
+        # the classes of a = 1..20000 instead of 20000 scalar matches
+        code = cli.main(["verify", "--family", "r4_p3_beta", "--k", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[-2:] == ["tested 2860", "PASS"]
+        code = cli.main(["conjecture", "--id", "1", "--p", "3", "--r", "4",
+                         "--kmin", "3", "--kmax", "3", "--budget", "20000"])
+        assert code == 0
+        assert capsys.readouterr().out == \
+            "k=3: witnesses=106 cpp_failures=0 pass\n"

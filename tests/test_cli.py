@@ -33,6 +33,16 @@ class TestField:
         assert code == 0
         assert "mod=2,2,0,0,1" in out
 
+    @pytest.mark.parametrize("p,n,g", [
+        (2, 1, 1), (3, 1, 2), (7, 1, 3), (2, 8, 6), (3, 4, 10), (5, 2, 7),
+        (2, 22, 2), (3, 13, 3)])
+    def test_generator_pinned(self, capsys, p, n, g):
+        # the first primitive element in encoding order, from 2 when n = 1
+        # (1 in F_2) and from x (encoding p) otherwise
+        code, out, _ = run_cli(capsys, "field", "--p", str(p), "--n", str(n))
+        assert code == 0
+        assert f"generator {g}" in out.splitlines()
+
     def test_not_prime(self, capsys):
         code, _, err = run_cli(capsys, "field", "--p", "4", "--n", "2")
         assert code == 2

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cppforge import bulk, families, scan
+from cppforge import bulk, cli, families, scan
 from cppforge.field import build_field
-from cppforge.families import (ConditionTag, QUARTIC_BETA_POLY,
+from cppforge.families import (FAMILIES, ConditionTag, QUARTIC_BETA_POLY,
                                SEXTIC_BETA_POLY, beta_quartic_all,
                                beta_quartic_coefficient,
                                dickson_witness_search, field_with_root,
@@ -22,6 +22,7 @@ from cppforge.families import (ConditionTag, QUARTIC_BETA_POLY,
                                tower_exponent, verify_neg_one_family)
 from cppforge.hadickson import ha_pp_check, is_dickson_of_degree, lambda_coeffs
 from cppforge.oracle import is_cpp, is_cpp_exponent_pair
+from test_cli import VERIFY_PINNED
 
 
 class TestExponents:
@@ -381,9 +382,18 @@ class TestConjectureHarnesses:
             dickson_witness_search(3, 2, 1)      # r+1 = 3 = p
 
     def test_witness_search_budget(self):
-        full = dickson_witness_search(3, 4, 1)
-        budgeted = dickson_witness_search(3, 4, 1, budget=30)
-        assert set(budgeted["witnesses"]) <= set(full["witnesses"])
+        # on a table field --budget M decides the classes of a = 1..M: the
+        # scalar matcher on every a <= M, and the full list cut at M
+        for p, r, k in [(3, 4, 1), (7, 4, 1), (2, 4, 3)]:
+            full = dickson_witness_search(p, r, k)["witnesses"]
+            ctx = build_field(p, r * k)
+            scalar = [a for a in range(1, ctx.q) if is_dickson_of_degree(
+                ctx, lambda_coeffs(ctx, a, r, k), r + 1, k) is not None]
+            assert scalar == full
+            for M in (1, 30, 200, ctx.q - 1, full[0], full[-1], ctx.q + 5):
+                res = dickson_witness_search(p, r, k, budget=M)
+                assert res["witnesses"] == [a for a in scalar if a <= M], M
+                assert res["cpp_failures"] == []
 
     def test_witness_search_generic_rechecks_witnesses(self, monkeypatch):
         # F_2^12 forced onto the generic backend: each budgeted witness
@@ -417,6 +427,81 @@ class TestConjectureHarnesses:
         # degree-11 Dickson shapes exist over F_3^10
         res = dickson_witness_search(3, 10, 1)
         assert res["passed"] and res["witness_count"] > 0
+
+
+def verify_lists(monkeypatch, argv):
+    """Run `verify --family argv...` in process; return its result and each
+    (ctx, d, coefficients, verdicts) it passed through _cpp_verdicts."""
+    seen = []
+    real = families._cpp_verdicts
+
+    def recording(ctx, d, coeffs):
+        out = real(ctx, d, coeffs)
+        seen.append((ctx, d, list(coeffs), list(out)))
+        return out
+
+    monkeypatch.setattr(families, "_cpp_verdicts", recording)
+    opts = cli.build_parser().parse_args(["verify", "--family", *argv])
+    return FAMILIES[opts.family](opts), seen
+
+
+def class_of(ctx, d, a):
+    # the least j in the Frobenius coset of log(a) mod gcd(d - 1, q - 1)
+    e = math.gcd(d - 1, ctx.q - 1)
+    return min(int(ctx.log_table[a]) * ctx.p ** i % e for i in range(ctx.n))
+
+
+SCAN_FAMILIES = ("r4_general", "r4_p3", "r4_p5", "multinomial")
+
+
+class TestOracleChecked:
+    @pytest.mark.parametrize(
+        "argv", [c[0] for c in VERIFY_PINNED] + [("r4_p3_beta", "--k", "3")],
+        ids=" ".join)
+    def test_class_verdicts_equal_every_coefficient(self, monkeypatch, argv):
+        # the slow twin: every coefficient of every list family through
+        # the oracle on its own
+        res, seen = verify_lists(monkeypatch, argv)
+        assert len(seen) == (argv[0] not in SCAN_FAMILIES)
+        for ctx, d, coeffs, verdicts in seen:
+            assert len(coeffs) == res["tested"]
+            assert verdicts == [is_cpp_exponent_pair(ctx, d, a)
+                                for a in coeffs]
+
+    CLASSES = [(("r4_p3_beta", "--k", "3"), 13),
+               (("niho2", "--p", "3", "--k", "3"), 1),
+               (("niho2", "--p", "7", "--k", "2"), 3), (("rp_k1", "--p", "7"), 1),
+               (("r4_p5_vset", "--k", "2"), 3), (("r6_p5",), 4)]
+
+    @pytest.mark.parametrize("argv,classes", CLASSES,
+                             ids=[" ".join(c[0]) for c in CLASSES])
+    def test_one_oracle_call_per_class(self, monkeypatch, argv, classes):
+        calls = []
+
+        def counting(ctx, d, a):
+            calls.append(a)
+            return is_cpp_exponent_pair(ctx, d, a)
+
+        monkeypatch.setattr(families, "is_cpp_exponent_pair", counting)
+        res, ((ctx, d, coeffs, _),) = verify_lists(monkeypatch, argv)
+        touched = sorted({class_of(ctx, d, a) for a in coeffs})
+        assert len(touched) == classes < len(coeffs)
+        assert calls == [int(ctx.exp_table[j]) for j in touched]
+        assert res["failures"] == []
+
+    def test_rejected_class_names_its_cases(self, monkeypatch):
+        # r = 6 failures are (family index, u) cases: an oracle rejecting
+        # the class of the first coefficient fails exactly its cases
+        _, ((ctx, d, coeffs, _),) = verify_lists(monkeypatch, ("r6_p5",))
+        bad = class_of(ctx, d, coeffs[0])
+        monkeypatch.setattr(families, "is_cpp_exponent_pair",
+                            lambda ctx_, d_, a: class_of(ctx, d, a) != bad)
+        res, _ = verify_lists(monkeypatch, ("r6_p5",))
+        units = [e for e in ctx.subfield_elements(1) if e != 0]
+        cases = [(fi, u) for fi in range(len(r6_coordinate_table(5)))
+                 for u in units]
+        assert res["failures"] == [case for case, a in zip(cases, coeffs)
+                                   if class_of(ctx, d, a) == bad] != []
 
 
 class TestMultinomial:

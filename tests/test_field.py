@@ -268,6 +268,16 @@ class TestSubfields:
         assert ctx.pow(y, s) == 1
         assert all(ctx.pow(y, s // ell) != 1 for ell in (2, 3, 43691))
 
+    @pytest.mark.parametrize("p,n,pins", [
+        (7, 18, {2: 6, 3: 2, 7 ** 9 - 1: 295, 48: 702651090224339,
+                 8: 1405288339043776, 7 ** 6 - 1: 402671207773282,
+                 7 ** 3 + 1: 1315102315342636}),
+        # forced generic: order 3 and 6 come from constants (start at 2)
+        (7, 4, {2: 6, 3: 4, 4: 540, 5: 444, 6: 3})])
+    def test_generic_subgroup_generator_pinned(self, p, n, pins):
+        ctx = build_field(p, n, backend="generic")
+        assert {s: ctx.subgroup_generator(s) for s in pins} == pins
+
     def test_generic_listing_memory_is_linear(self):
         # F_3^11 inside F_3^22 (generic): at most 96 bytes per element,
         # the digit matrix, product blocks and returned tuple included

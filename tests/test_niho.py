@@ -1,6 +1,7 @@
 """Unit circle, the V-set, root counts N(a), and Walsh values."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ class TestAllRootCounts:
         n = NihoCtx(build_field(3, 4, backend="generic"), 2)
         with pytest.raises(CapExceeded, match="field-too-large"):
             all_root_counts(n, 2)
+
+    def test_peak_memory(self):
+        # the kernel goes in blocks of about bulk.CHECK_BLOCK points, so
+        # one call holds the histogram, not 5.5 int64 arrays of length q
+        n = NihoCtx(build_field(3, 12), 6)
+        tracemalloc.start()
+        try:
+            all_root_counts(n, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n.ctx.q * 8
 
 
 class TestWalsh:

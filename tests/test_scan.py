@@ -9,7 +9,7 @@ import pytest
 from cppforge import bulk, scan
 from cppforge.families import (r4_condition, r4_condition_p3, r4_condition_p5,
                                r4_tagger, tower_exponent)
-from cppforge.field import build_field
+from cppforge.field import CapExceeded, build_field
 from cppforge.report import CppReport
 
 
@@ -88,6 +88,46 @@ class TestOrbitMembers:
                 assert calls == [[int(ctx.exp_table[j]) for j in touched]]
                 assert values.tolist() == [least(ctx, e, a) % 3 != 1
                                            for a in elems], (e, elems)
+
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 6), (5, 3)])
+    def test_top_bounds_the_members(self, p, n):
+        # orbit_members up to top: the members a <= top, and decide sees
+        # only the classes of 1..top
+        ctx = build_field(p, n)
+        for e in divisors(ctx):
+            calls = []
+
+            def decide(coeffs):
+                calls.append(coeffs)
+                return [int(ctx.log_table[a]) % 3 != 1 for a in coeffs]
+
+            full = scan.orbit_members(ctx, e + 1, decide)
+            for top in (1, 2, 7, ctx.q // 2, ctx.q - 2, ctx.q - 1, ctx.q + 3):
+                calls.clear()
+                assert scan.orbit_members(ctx, e + 1, decide, top) == [
+                    a for a in full if a <= top], (e, top)
+                touched = sorted({least(ctx, e, a)
+                                  for a in range(1, min(top, ctx.q - 1) + 1)})
+                assert calls == [[int(ctx.exp_table[j]) for j in touched]]
+
+
+class TestOrbitInputs:
+    # both refusals come before decide is asked anything
+    def test_generic_field_is_a_cap(self):
+        ctx = build_field(3, 4, backend="generic")
+        calls = []
+        with pytest.raises(CapExceeded, match="^field-too-large"):
+            scan.orbit_values(ctx, 41, [1, 2, 3], calls.append)
+        assert calls == []
+
+    @pytest.mark.parametrize("elems", [[0], [5, 0, 7], range(0, 81)])
+    def test_zero_coefficient_rejected(self, f81, elems):
+        # log_table[0] = -1 would file a = 0 under class e - 1
+        calls = []
+        with pytest.raises(ValueError, match="^zero-coefficient"):
+            scan.orbit_values(f81, 41, elems, calls.append)
+        assert calls == []
 
 
 class TestDirectScan:
