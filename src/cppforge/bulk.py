@@ -15,7 +15,7 @@ import numpy as np
 from .field import CapExceeded
 
 LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
-CHECK_BLOCK = 1 << 16       # points per block in binomial_is_permutation
+CHECK_BLOCK = 1 << 17       # points per block: occupancy checks, niho.all_root_counts
 
 
 def _require_table(ctx):
@@ -31,9 +31,14 @@ def elements(ctx):
 def _log_add(ctx, LX, LY):
     """log(x + y) from logs through the Zech table; -1 stands for zero."""
     N = ctx.q - 1
-    z = ctx.zech_table[(LY - LX) % N]
-    out = np.where(z < 0, -1, (LX + z) % N)
-    return np.where(LX < 0, LY, np.where(LY < 0, LX, out))
+    # in place on one array: fewer block-sized temporaries live at once
+    t = LY - LX
+    z = ctx.zech_table[np.remainder(t, N, out=t)]
+    t = np.remainder(np.add(LX, z, out=t), N, out=t)
+    t[z < 0] = -1
+    np.copyto(t, LX, where=LY < 0)
+    np.copyto(t, LY, where=LX < 0)
+    return t
 
 
 def _exp(ctx, L):
@@ -81,10 +86,6 @@ def pow_const(ctx, X, e):
     return np.where(X == 0, 0, out)
 
 
-def frobenius(ctx, X, j):
-    return pow_const(ctx, X, ctx.p ** j)
-
-
 def trace(ctx, X, k=1):
     if ctx.n % k:
         raise ValueError(f"k-not-divisor: {k} does not divide {ctx.n}")
@@ -113,13 +114,17 @@ def monomial_values(ctx, d):
 
 
 def values_are_permutation(ctx, vals):
-    """True iff a length-q value array hits every encoding exactly once."""
-    if len(vals) != ctx.q or vals.min() < 0 or vals.max() >= ctx.q:
-        return False
-    # q values that together hit all q encodings hit each one once
+    """True iff the values (one array, or an iterable of its blocks) hit
+    every encoding exactly once: each block is range-checked and scattered
+    into one q-entry occupancy array, and there must be q values in all."""
     seen = np.zeros(ctx.q, dtype=bool)
-    seen[vals] = True
-    return bool(seen.all())
+    total = 0
+    for blk in [vals] if isinstance(vals, np.ndarray) else vals:
+        if blk.size and (blk.min() < 0 or blk.max() >= ctx.q):
+            return False
+        seen[blk] = True
+        total += blk.size
+    return total == ctx.q and bool(seen.all())
 
 
 def binomial_is_permutation(ctx, d, a):
@@ -133,38 +138,43 @@ def binomial_is_permutation(ctx, d, a):
     The Zech index has period P = (q-1)/gcd(d-1, q-1) in i, so Z is
     gathered once per period: with c_i = i + Z[...] for i < P, the value
     at x = g^(i + P t) is c_i + P t mod q - 1 (q - 1 for the whole row
-    when Z is -1).  The table holds the same q values as a point-by-point
-    fill, row by row (i fixed, t running), and the occupancy test still
-    runs over all q of them.
+    when Z is -1).  All q values stream into values_are_permutation, row
+    by row (i fixed, t running), in blocks of at most CHECK_BLOCK points in
+    one reused buffer: never a test on the residues c_i mod P.
     """
     _require_table(ctx)
+    return values_are_permutation(ctx, _binomial_blocks(ctx, d, a))
+
+
+def _binomial_blocks(ctx, d, a):
+    """The values of binomial_is_permutation, block by block."""
     if d == 0 or a == 0:
         # 0^0 = 1 breaks x^d = x * x^(d-1), and a = 0 has no log
-        vals = add(ctx, monomial_values(ctx, d), mul_scalar(ctx, a, elements(ctx)))
-        return values_are_permutation(ctx, vals)
+        for lo in range(0, ctx.q, CHECK_BLOCK):
+            X = np.arange(lo, min(lo + CHECK_BLOCK, ctx.q), dtype=np.int64)
+            yield add(ctx, pow_const(ctx, X, d), mul_scalar(ctx, a, X))
+        return
     N = ctx.q - 1
     s, la = (d - 1) % N, int(ctx.log_table[a])
     P = N // math.gcd(s, N)
     T = N // P
-    vals = np.empty(ctx.q, dtype=np.intp)
-    vals[N] = N                                     # the value at x = 0
-    rows = vals[:N].reshape(P, T)
-    # blocks of at most CHECK_BLOCK points: full-size temporaries would be
-    # mapped and faulted in on every call
+    yield np.array([N], dtype=np.intp)              # the value at x = 0
     height, width = max(1, CHECK_BLOCK // T), min(T, CHECK_BLOCK)
-    steps = P * np.arange(width, dtype=np.intp)
+    # blocks and steps P t in one allocation a check: fewer heap trims
+    buf = np.empty((height + 1) * width, dtype=np.intp)
+    steps = buf[height * width:]
+    steps[:] = np.arange(0, P * width, P)
     for lo in range(0, P, height):
-        hi = min(lo + height, P)
-        i = np.arange(lo, hi, dtype=np.intp)
+        i = np.arange(lo, min(lo + height, P), dtype=np.intp)
         z = ctx.zech_table[(s * i - la) % N]
         c = i + z
         # c + P t <= (P - 1) + (N - 1) + (N - P) < 2N: one subtract wraps it
         for t0 in range(0, T, width):
-            blk = rows[lo:hi, t0:t0 + width]
+            blk = buf[:len(i) * width].reshape(len(i), width)[:, :T - t0]
             np.add((c + P * t0)[:, None], steps[:blk.shape[1]], out=blk)
             np.subtract(blk, N, out=blk, where=blk >= N)
-        rows[lo:hi][z < 0] = N
-    return values_are_permutation(ctx, vals)
+            blk[z < 0] = N
+            yield blk
 
 
 def lambda_scan(ctx, r, k, A):

@@ -518,7 +518,7 @@ def _multinomial_grid(ctx, k):
     X = bulk.elements(ctx)
     T = bulk.trace(ctx, X, k)
     pos = np.where(T == 0, Q - 1, ctx.log_table[T] // m)
-    px = bulk.mul_scalar(ctx, ctx.scalar(ctx.p - 1), bulk.frobenius(ctx, X, 1))
+    px = bulk.mul_scalar(ctx, ctx.scalar(ctx.p - 1), bulk.pow_const(ctx, X, ctx.p))
     return S, X, pos, px
 
 

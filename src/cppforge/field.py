@@ -778,15 +778,19 @@ class FieldCtx:
         return acc
 
     def find_root(self, coeffs):
-        """The root of a subfield polynomial with the least encoding."""
+        """The root of a subfield polynomial with the least encoding (only
+        F_{p^m} is searched for a monic irreducible over F_p of degree m | n)."""
         if self.backend != "table":
             raise CapExceeded("field-too-large: root search needs an enumerable field")
         for c in coeffs:
             if not 0 <= c < self.q:
                 raise ValueError(f"coefficient {c} is not a valid encoding")
         from . import bulk
-        vals = bulk.poly_eval(self, coeffs, bulk.elements(self))
-        roots = np.flatnonzero(vals == 0)
+        m = len(coeffs) - 1
+        sub = (0 < m < self.n and self.n % m == 0 and coeffs[-1] == 1
+               and max(coeffs) < self.p and zp_is_irreducible(self.p, list(coeffs)))
+        X = np.array(self.subfield_elements(m)) if sub else bulk.elements(self)
+        roots = X[bulk.poly_eval(self, coeffs, X) == 0]
         if roots.size == 0:
             raise ValueError("no-root-found")
         return int(roots[0])

@@ -48,8 +48,10 @@ def is_permutation(fmap: FieldMap) -> bool:
 def is_cpp(fmap: FieldMap) -> bool:
     """True iff both f and f(x)+x permute the field (one value table)."""
     ctx, v = fmap.ctx, fmap.value_table()
+    B = bulk.CHECK_BLOCK
     return bulk.values_are_permutation(ctx, v) and bulk.values_are_permutation(
-        ctx, bulk.add(ctx, v, bulk.elements(ctx)))
+        ctx, (bulk.add(ctx, v[lo:lo + B], np.arange(lo, min(lo + B, ctx.q)))
+              for lo in range(0, ctx.q, B)))
 
 
 def monomial_map(ctx, d, a=0) -> FieldMap:

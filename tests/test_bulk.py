@@ -81,7 +81,7 @@ def test_pow_frobenius_trace_match_scalar(ctx):
         pc = bulk.pow_const(ctx, X, e)
         for i in range(0, ctx.q, max(1, ctx.q // 20)):
             assert pc[i] == ctx.pow(int(X[i]), e), (e, i)
-    fr = bulk.frobenius(ctx, X, 1)
+    fr = bulk.pow_const(ctx, X, ctx.p)             # Frobenius x -> x^p
     tr = bulk.trace(ctx, X, 1)
     for i in range(ctx.q):
         assert fr[i] == ctx.frobenius(i, 1)
@@ -109,6 +109,30 @@ def test_permutation_predicate(ctx):
         assert not bulk.values_are_permutation(ctx, Y)
     assert not bulk.values_are_permutation(ctx, X[:-1])
     assert not bulk.values_are_permutation(ctx, np.append(X, 0))
+
+
+def test_permutation_predicate_block_split_twin(ctx):
+    # the blocks of one value table, cut anywhere (repeated cuts give empty
+    # blocks, and one cut always falls in the middle), give the verdict of
+    # the whole array; the bad value of each failing case lies past the
+    # first block
+    q = ctx.q
+    rng = np.random.default_rng(q)
+    perm = np.append(rng.permutation(q - 1), q - 1)
+    cases = [(perm, True), (np.append(perm[:-1], perm[0]), False),
+             (perm[:-1], False), (np.append(perm, perm[0]), False)]
+    for bad in (-1, q):
+        vals = perm.copy()
+        vals[-1] = bad      # -1 would alias q - 1, the one missing value
+        cases.append((vals, False))
+    for vals, want in cases:
+        assert bulk.values_are_permutation(ctx, vals) is want
+        for _ in range(20):
+            cuts = np.sort(np.append(rng.integers(0, len(vals) + 1, 4),
+                                     len(vals) // 2))
+            blocks = np.split(vals, cuts)
+            assert bulk.values_are_permutation(ctx, blocks) is want
+            assert bulk.values_are_permutation(ctx, iter(blocks)) is want
 
 
 def test_lambda_scan_matches_scalar():
@@ -262,13 +286,17 @@ def _point_fill(ctx, d, a):
 
 @pytest.fixture
 def occupancy_calls(monkeypatch):
-    """Every array binomial_is_permutation hands to values_are_permutation."""
+    """Every value table binomial_is_permutation hands to
+    values_are_permutation: the concatenation of its streamed blocks."""
     calls = []
     check = bulk.values_are_permutation
 
     def recorded(ctx, vals):
-        calls.append(vals.copy())
-        return check(ctx, vals)
+        # the blocks share one buffer, so each is copied as it arrives
+        blocks = [np.array(blk).ravel() for blk in
+                  ([vals] if isinstance(vals, np.ndarray) else vals)]
+        calls.append(np.concatenate(blocks))
+        return check(ctx, blocks)
 
     monkeypatch.setattr(bulk, "values_are_permutation", recorded)
     return calls
@@ -346,8 +374,8 @@ def test_binomial_check_peak_memory(monkeypatch, d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # vals (8 bytes a point) and seen (1 byte a point), plus a few blocks
-    assert peak < 9 * ctx.q + 4 * 8 * bulk.CHECK_BLOCK
+    # seen (1 byte a point), plus the block buffer and a few temporaries
+    assert peak < ctx.q + 64 * bulk.CHECK_BLOCK
 
 
 @pytest.mark.parametrize("p,n,r,k", [(3, 4, 4, 1), (3, 4, 2, 2), (2, 6, 3, 2),

@@ -389,6 +389,33 @@ class TestFindRoot:
         with pytest.raises(ValueError, match="no-root-found"):
             f9.find_root((2, 2, 0, 0, 1))  # quartic cannot split in F_9
 
+    @pytest.mark.parametrize("p,n", [(3, 8), (2, 12), (5, 4), (3, 6)])
+    def test_subfield_search_against_whole_field(self, monkeypatch, p, n):
+        # a monic irreducible F_p-polynomial of degree m | n, m < n, is
+        # searched on the p^m elements of F_{p^m}; everything else, on all
+        # q: the root found is the least-encoding root of the whole field
+        ctx = build_field(p, n)
+        X = bulk.elements(ctx)
+        sizes = []
+        poly_eval = bulk.poly_eval
+
+        def recorded(ctx, coeffs, points):
+            sizes.append(len(points))
+            return poly_eval(ctx, coeffs, points)
+        monkeypatch.setattr(bulk, "poly_eval", recorded)
+        sub = [lex_least_irreducible(p, m) for m in range(1, n) if n % m == 0]
+        sub.append((1, 1))
+        # degree n, reducible, a coefficient outside F_p, not monic
+        whole = [lex_least_irreducible(p, n), (0, 0, 1, 1), (ctx.generator, 1)]
+        if p > 2:
+            whole.append((1, 2))
+        for coeffs, size in ([(c, p ** (len(c) - 1)) for c in sub]
+                             + [(c, ctx.q) for c in whole]):
+            del sizes[:]
+            want = np.flatnonzero(poly_eval(ctx, coeffs, X) == 0)[0]
+            assert ctx.find_root(coeffs) == want, coeffs
+            assert sizes == [size], coeffs
+
     def test_beta_basis_is_independent(self):
         # {1, beta, beta^2, beta^3} spans: all 81 combinations distinct
         ctx = build_field(3, 4)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from cppforge import bulk
 from cppforge.field import CapExceeded, build_field
 from cppforge.niho import direct_walsh
 from cppforge.oracle import (FieldMap, char_sum_pp_check, is_cpp,
@@ -70,6 +71,22 @@ class TestCpp:
             fm = FieldMap(f9, lambda x, t=table: int(t[x]), values=values)
             assert is_cpp(fm) is want
             assert len(calls) == 1
+
+    def test_sum_streamed_in_blocks_against_brute(self, monkeypatch, f81):
+        # f(x) + x reaches the predicate in slices of CHECK_BLOCK points
+        # (81 = 11 * 7 + 4: the last slice is short); the verdict is the
+        # brute-force one on scalar sums
+        monkeypatch.setattr(bulk, "CHECK_BLOCK", 7)
+        verdicts = set()
+        for d in (1, 3, 7, 41):
+            for c in range(1, 81):
+                table = [f81.mul(c, f81.pow(x, d)) for x in range(81)]
+                fm = FieldMap(f81, table.__getitem__,
+                              values=lambda t=table: np.array(t))
+                want = brute_is_permutation(f81, lambda x: f81.add(table[x], x))
+                assert is_cpp(fm) is want, (d, c)
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_exponent_pair_f9(self, f9):
         i = f9.element((0, 1))
