@@ -16,11 +16,11 @@ import argparse
 import sys
 import time
 
-from . import __version__, families, scan
+from . import __version__, bulk, families, scan
 from .field import CapExceeded, InternalError, build_field
 from .niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
                    niho_s_from_d, walsh_value)
-from .oracle import CHARSUM_CAP, monomial_map
+from .oracle import CHARSUM_CAP
 from .report import CppReport, check_extension
 
 
@@ -138,7 +138,8 @@ def cmd_walsh(args):
     xcheck = ctx.q <= CHARSUM_CAP
     if xcheck:
         counts = direct_walsh(
-            ctx, monomial_map(ctx, s * (args.p ** args.k - 1) + 1), coeffs)
+            ctx, bulk.monomial_values(ctx, s * (args.p ** args.k - 1) + 1),
+            coeffs)
     if args.all:
         roots = all_root_counts(nctx, s).tolist()
     else:
@@ -215,8 +216,9 @@ def build_parser():
     grp = w.add_mutually_exclusive_group(required=True)
     grp.add_argument("--s", type=int, default=None)
     grp.add_argument("--d", type=int, default=None)
-    w.add_argument("--a", type=int, default=None)
-    w.add_argument("--all", action="store_true")
+    which = w.add_mutually_exclusive_group()
+    which.add_argument("--a", type=int, default=None)
+    which.add_argument("--all", action="store_true")
     w.set_defaults(fn=cmd_walsh)
     return ap
 

@@ -24,7 +24,7 @@ from .field import (CapExceeded, HypothesisViolation, InternalError,
 from .hadickson import (LambdaVec, depressed_quintic, h_a_coeffs,
                         ha_pp_check, is_dickson_of_degree, lambda_coeffs,
                         taylor_shift)
-from .oracle import FieldMap, is_cpp, is_cpp_exponent_pair
+from .oracle import is_cpp, is_cpp_exponent_pair
 
 
 @dataclass(frozen=True)
@@ -203,70 +203,66 @@ def field_with_root(p, n, poly):
     return ctx, beta
 
 
-def beta_quartic_coefficient(ctx, beta, family, u, v):
-    """One coefficient a = sum coords_j * beta^j over F_{3^4k}, beta a root
-    of x^4 - x - 1; family selects one of the four coordinate patterns in
-    (u, v).  (u, v) must not both be zero."""
-    if math.gcd(ctx.n // 4, 4) != 1:
-        raise ValueError("k-not-coprime-4")
-    if u == 0 and v == 0:
-        raise ValueError("uv-both-zero")
-    k = ctx.n // 4
-    for w in (u, v):
-        if not ctx.in_subfield(w, k):
-            raise ValueError(f"not-in-subfield: {w}")
-    nu, nv = ctx.neg(u), ctx.neg(v)
-    coords = {
-        1: (u, v, nu, ctx.add(nu, v)),
-        2: (u, v, ctx.neg(ctx.add(u, v)), nv),
-        3: (u, u, v, nv),
-        4: (u, v, v, u),
-    }[family]
-    a = ctx.poly_eval(coords, beta)
-    _assert_quartic_beta_conditions(ctx, coords)
-    return a
+# the four coordinate patterns of beta_quartic_all: coordinate j of a
+# coefficient is c_u u + c_v v for the pair (c_u, c_v) at place j
+QUARTIC_BETA_PATTERNS = (
+    ((1, 0), (0, 1), (-1, 0), (-1, 1)),     # (u, v, -u, v - u)
+    ((1, 0), (0, 1), (-1, -1), (0, -1)),    # (u, v, -(u + v), -v)
+    ((1, 0), (1, 0), (0, 1), (0, -1)),      # (u, u, v, -v)
+    ((1, 0), (0, 1), (0, 1), (1, 0)),       # (u, v, v, u)
+)
 
-
-def _assert_quartic_beta_conditions(ctx, coords):
-    # the two coordinate identities characterizing membership
-    u0, u1, u2, u3 = coords
-    m, add, neg = ctx.mul, ctx.add, ctx.neg
-
-    def s(*terms):
-        acc = 0
-        for t in terms:
-            acc = add(acc, t)
-        return acc
-
-    c_a = s(m(u1, m(u1, u1)), m(u3, m(u2, u2)), m(m(u3, u3), u2),
-            m(m(u1, u1), u2), m(u2, m(u2, u2)), m(u1, m(u3, u3)),
-            m(2, m(u0, m(u2, u2))), m(u3, m(u3, u3)),
-            m(2, m(u0, m(u0, u0))), m(u3, m(u1, u0)))
-    u0_4 = ctx.pow(u0, 4)
-    u1_4 = ctx.pow(u1, 4)
-    u2_4 = ctx.pow(u2, 4)
-    u3_4 = ctx.pow(u3, 4)
-    c_b = s(u0_4, m(2, u1_4), m(2, u3_4), m(2, u2_4),
-            m(2, m(u1, ctx.pow(u3, 3))), m(u2, ctx.pow(u3, 3)),
-            m(2, m(u1, ctx.pow(u2, 3))))
-    if c_a != 0 or c_b != 0:
-        raise InternalError("generated coefficient violates the membership "
-                            f"identities: {coords}")
+# the two identities in the coordinates (u0, u1, u2, u3) that
+# characterize membership, as (coefficient, exponents) terms over F_3
+QUARTIC_BETA_IDENTITIES = (
+    ((1, (0, 3, 0, 0)), (1, (0, 0, 2, 1)), (1, (0, 0, 1, 2)),
+     (1, (0, 2, 1, 0)), (1, (0, 0, 3, 0)), (1, (0, 1, 0, 2)),
+     (2, (1, 0, 2, 0)), (1, (0, 0, 0, 3)), (2, (3, 0, 0, 0)),
+     (1, (1, 1, 0, 1))),
+    ((1, (4, 0, 0, 0)), (2, (0, 4, 0, 0)), (2, (0, 0, 0, 4)),
+     (2, (0, 0, 4, 0)), (2, (0, 1, 0, 3)), (1, (0, 0, 1, 3)),
+     (2, (0, 1, 3, 0))),
+)
 
 
 def beta_quartic_all(ctx, beta):
-    """Every coefficient the four quartic patterns produce, over all
-    admissible (u, v); returns the distinct set."""
+    """Every coefficient a = sum_j u_j beta^j over F_{3^4k} (beta a root of
+    x^4 - x - 1) that the four coordinate patterns give over all (u, v) in
+    F_{3^k}^2 but (0, 0), distinct and sorted.  Each pattern is built on
+    the whole (u, v) grid at once, and both membership identities are
+    checked on its coordinate arrays."""
     k = ctx.n // 4
-    sub = ctx.subfield_elements(k)
-    out = set()
-    for family in (1, 2, 3, 4):
-        for u in sub:
-            for v in sub:
-                if u == 0 and v == 0:
-                    continue
-                out.add(beta_quartic_coefficient(ctx, beta, family, u, v))
-    return sorted(out)
+    if math.gcd(k, 4) != 1:
+        raise ValueError("k-not-coprime-4")
+    sub = np.asarray(ctx.subfield_elements(k), dtype=np.int64)
+    U, V = (w.ravel()[1:] for w in np.meshgrid(sub, sub, indexing="ij"))
+    # coordinate j of every pattern, the patterns one after the other
+    coords = [np.concatenate([
+        bulk.add(ctx, bulk.mul_scalar(ctx, ctx.scalar(cu), U),
+                 bulk.mul_scalar(ctx, ctx.scalar(cv), V)) for cu, cv in place])
+        for place in zip(*QUARTIC_BETA_PATTERNS)]
+    for terms in QUARTIC_BETA_IDENTITIES:
+        bad = np.flatnonzero(_coordinate_poly(ctx, terms, coords))
+        if bad.size:
+            raise InternalError(
+                "generated coefficient violates the membership identities: "
+                f"{tuple(int(c[bad[0]]) for c in coords)}")
+    a = coords[3]
+    for c in reversed(coords[:3]):
+        a = bulk.add(ctx, bulk.mul_scalar(ctx, beta, a), c)
+    return np.unique(a).tolist()
+
+
+def _coordinate_poly(ctx, terms, coords):
+    """sum c * prod_j coords[j]^e_j over (c, (e_j)) in terms, element-wise."""
+    acc = np.zeros_like(coords[0])
+    for c, exps in terms:
+        t = np.full_like(acc, c)
+        for x, e in zip(coords, exps):
+            if e:
+                t = bulk.mul(ctx, t, bulk.pow_const(ctx, x, e))
+        acc = bulk.add(ctx, acc, t)
+    return acc
 
 
 R6_COORDS_P3 = (
@@ -452,23 +448,34 @@ def _scaled_base_permutes(ctx, gc, ws, k):
     return ctx.subfield_view(k).permutes(rows).tolist()
 
 
-def multinomial_map(ctx, g, v, a, k) -> FieldMap:
-    """f(x) = x((a/v) g(T) + T^(p-1)) + (p-1) x^p + a x with T = Tr onto
-    F_{p^k}; a CPP over F_{p^n} when gcd(p-1, r) = gcd(r, p) = 1 (r = n/k),
-    a avoids {0, -1}, and x g(x) + w x permutes F_{p^k} both for w = v and
-    for w = v(a+1)/a.
+def _multinomial_hypotheses(ctx, k):
+    """The field's hypotheses for the multinomial family: k divides n and
+    gcd(p-1, r) = gcd(r, p) = 1 for r = n/k."""
+    if ctx.n % k:
+        raise ValueError(f"k-not-divisor: {k} does not divide {ctx.n}")
+    r = ctx.n // k
+    if math.gcd(ctx.p - 1, r) != 1 or math.gcd(r, ctx.p) != 1:
+        raise HypothesisViolation(
+            "gcd-violation: need gcd(p-1, r) = gcd(r, p) = 1")
+
+
+def multinomial_map(ctx, g, v, a, k, grid=None):
+    """The value table of f(x) = x((a/v) g(T) + T^(p-1)) + (p-1) x^p + a x
+    with T = Tr onto F_{p^k}, on grid = _multinomial_grid(ctx, k) (built
+    here when not given); a CPP over F_{p^n} when gcd(p-1, r) =
+    gcd(r, p) = 1 (r = n/k), a avoids {0, -1}, and x g(x) + w x permutes
+    F_{p^k} both for w = v and for w = v(a+1)/a.
 
     The second scaling is what f(x) + x reduces to: it is the same family
     member at (a+1, v(a+1)/a).  Requiring only w = v admits maps whose
     f + x is not a bijection, so both are checked here.
+
+    The table is f(x) = x u(T) + (p-1) x^p with u(t) = (a/v) g(t) +
+    t^(p-1) + a tabulated on the p^k points of F_{p^k} and gathered at
+    T's position.  Tr(f(x)) = (a/v)(T g(T) + v T) is checked at every
+    point, with the right side tabulated on the subfield as well.
     """
-    p = ctx.p
-    if ctx.n % k:
-        raise ValueError(f"k-not-divisor: {k} does not divide {ctx.n}")
-    r = ctx.n // k
-    if math.gcd(p - 1, r) != 1 or math.gcd(r, p) != 1:
-        raise HypothesisViolation(
-            "gcd-violation: need gcd(p-1, r) = gcd(r, p) = 1")
+    _multinomial_hypotheses(ctx, k)
     if v == 0:
         raise ValueError("v-zero")
     if not ctx.in_subfield(v, k):
@@ -487,24 +494,20 @@ def multinomial_map(ctx, g, v, a, k) -> FieldMap:
     if not rescaled_ok:
         raise ValueError("a-excluded: x g(x) + v(a+1)/a x does not permute "
                          f"F_{{p^{k}}}, so f + x would not be a bijection")
+    S, X, pos, px = _multinomial_grid(ctx, k) if grid is None else grid
     av = ctx.mul(a, ctx.inv(v))
-    pm1 = ctx.scalar(p - 1)
-
-    def fn(x):
-        t = ctx.trace(x, k)
-        inner = ctx.add(ctx.mul(av, ctx.poly_eval(gc, t)), ctx.pow(t, p - 1))
-        return ctx.add(ctx.add(ctx.mul(x, inner),
-                               ctx.mul(pm1, ctx.pow(x, p))),
-                       ctx.mul(a, x))
-
-    values = None
-    if ctx.backend == "table":
-        def values():
-            return _multinomial_values(ctx, gc, v, a, _multinomial_grid(ctx, k))
-
-    fmap = FieldMap(ctx, fn, values)
-    _assert_trace_identity(ctx, fmap, gc, v, a, k)
-    return fmap
+    gS = bulk.poly_eval(ctx, gc, S)
+    u = bulk.add(ctx, bulk.mul_scalar(ctx, av, gS),
+                 bulk.pow_const(ctx, S, ctx.p - 1))
+    u = bulk.add(ctx, u, np.full_like(S, a))
+    vals = bulk.add(ctx, bulk.mul(ctx, X, u[pos]), px)
+    # pos is Tr as positions in S, so S[pos[vals]] is Tr(f(x))
+    rhs = bulk.mul_scalar(ctx, av, bulk.add(ctx, bulk.mul(ctx, S, gS),
+                                            bulk.mul_scalar(ctx, v, S)))
+    if not np.array_equal(S[pos[vals]], rhs[pos]):
+        raise InternalError("trace identity Tr(f(x)) = (a/v)(T g(T) + v T) "
+                            "fails")
+    return vals
 
 
 def _multinomial_grid(ctx, k):
@@ -512,41 +515,14 @@ def _multinomial_grid(ctx, k):
     F_{p^k} shares: the subfield points S (the powers zeta^i of
     zeta = g^m, m = (q-1)/(p^k-1), then 0), the elements X, the position
     of T = Tr(X) onto F_{p^k} in S, and (p-1) X^p."""
+    X = bulk.elements(ctx)          # the table backend, before any table read
     Q = ctx.p ** k
     m = (ctx.q - 1) // (Q - 1)
     S = np.append(ctx.exp_table[m * np.arange(Q - 1)], 0)
-    X = bulk.elements(ctx)
     T = bulk.trace(ctx, X, k)
     pos = np.where(T == 0, Q - 1, ctx.log_table[T] // m)
     px = bulk.mul_scalar(ctx, ctx.scalar(ctx.p - 1), bulk.pow_const(ctx, X, ctx.p))
     return S, X, pos, px
-
-
-def _multinomial_values(ctx, gc, v, a, grid):
-    """The value table of multinomial_map(ctx, gc, v, a, k) on a grid of
-    _multinomial_grid(ctx, k): f(x) = x u(T) + (p-1) x^p with
-    u(t) = (a/v) g(t) + t^(p-1) + a tabulated on the p^k points of S."""
-    S, X, pos, px = grid
-    u = bulk.add(ctx, bulk.mul_scalar(ctx, ctx.mul(a, ctx.inv(v)),
-                                      bulk.poly_eval(ctx, gc, S)),
-                 bulk.pow_const(ctx, S, ctx.p - 1))
-    u = bulk.add(ctx, u, np.full_like(S, a))
-    return bulk.add(ctx, bulk.mul(ctx, X, u[pos]), px)
-
-
-def _assert_trace_identity(ctx, fmap, gc, v, a, k):
-    # Tr(f(x)) must equal (a/v)(T g(T) + v T) with T = Tr(x), sampled
-    av = ctx.mul(a, ctx.inv(v))
-    step = max(1, ctx.q // 64) if ctx.backend == "table" else 1
-    samples = range(0, min(ctx.q, 64 * step), step) if ctx.backend == "table" \
-        else list(ctx.subfield_elements(k))[:32]
-    for x in samples:
-        t = ctx.trace(x, k)
-        lhs = ctx.trace(fmap.fn(x), k)
-        rhs = ctx.mul(av, ctx.add(ctx.mul(t, ctx.poly_eval(gc, t)),
-                                  ctx.mul(v, t)))
-        if lhs != rhs:
-            raise InternalError("trace identity fails at sample point")
 
 
 def multinomial_presets(ctx, k):
@@ -684,21 +660,17 @@ def _r6(p, k):
 
 
 def _multinomial(p, k, r, preset):
+    # the hypotheses (exit 2) and the table backend (exit 3) before the
+    # presets search; X, T's subfield position and (p-1) X^p serve every
+    # map of the run
     ctx = build_field(p, r * k)
+    _multinomial_hypotheses(ctx, k)
+    grid = _multinomial_grid(ctx, k)
     presets = multinomial_presets(ctx, k)
     cases = [(name, a) for name in ([preset] if preset else list(presets))
              for a in multinomial_admissible_a(ctx, k, *presets[name])]
-    # X, T's subfield position and (p-1) X^p serve every map of the run
-    grid = _multinomial_grid(ctx, k) if ctx.backend == "table" else None
-
-    def cpp(name, a):
-        g, v = presets[name]
-        fmap = multinomial_map(ctx, g, v, a, k)     # every check, per map
-        if grid is not None:
-            fmap = replace(fmap, values=lambda: _multinomial_values(
-                ctx, g, v, a, grid))
-        return is_cpp(fmap)
-    failures = [(name, a) for name, a in cases if not cpp(name, a)]
+    failures = [(name, a) for name, a in cases if not is_cpp(
+        ctx, multinomial_map(ctx, *presets[name], a, k, grid))]
     return {"d": None, "tested": len(cases), "failures": failures}
 
 

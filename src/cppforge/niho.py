@@ -122,12 +122,12 @@ def niho_s_from_d(p, n, k, d) -> int:
     return (dprime - 1) // (p ** k - 1)
 
 
-def direct_walsh(ctx, fmap, coeffs):
+def direct_walsh(ctx, vals, coeffs):
     """Count vectors of the Walsh transform sum_x w^Tr(f(x) + a*x) of f
-    composed with the absolute trace, one row per a in coeffs: an integer
-    array of shape (len(coeffs), p) with row i holding
-    C[t] = #{x : Tr(f(x) + a_i*x) = t}."""
+    composed with the absolute trace, f given by its value table vals, one
+    row per a in coeffs: an integer array of shape (len(coeffs), p) with
+    row i holding C[t] = #{x : Tr(f(x) + a_i*x) = t}."""
     if ctx.q > CHARSUM_CAP:
         raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
-    rows = trace_counts(ctx, bulk.elements(ctx), coeffs, fmap.value_table())
+    rows = trace_counts(ctx, bulk.elements(ctx), coeffs, vals)
     return np.array(list(rows), dtype=np.int64).reshape(len(coeffs), ctx.p)

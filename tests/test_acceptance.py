@@ -22,10 +22,10 @@ from cppforge.families import (QUARTIC_BETA_POLY, SEXTIC_BETA_POLY,
 from cppforge.hadickson import (ha_pp_check, is_dickson_of_degree,
                                 lambda_coeffs)
 from cppforge.niho import NihoCtx, count_N, direct_walsh, niho_s_from_d, v_set
-from cppforge.oracle import (FieldMap, char_sum_pp_check, is_cpp,
-                             is_cpp_exponent_pair, is_permutation,
-                             monomial_map)
-from twins import int_value, mu_permutation_check, norm2, subfield_product_check
+from cppforge.oracle import is_cpp, is_cpp_exponent_pair, is_permutation
+from twins import (binomial_values, char_sum_pp_check, int_value,
+                   mu_permutation_check, norm2, subfield_product_check,
+                   tabulate)
 
 
 @contextmanager
@@ -130,8 +130,8 @@ def test_criterion_07_count_N_and_walsh():
         f9 = build_field(3, 2)
         n9 = NihoCtx(f9, 1)
         s = niho_s_from_d(3, 2, 1, 5)
-        fm = monomial_map(f9, s * 2 + 1)
-        for a, C in enumerate(direct_walsh(f9, fm, range(9))):
+        xd = bulk.monomial_values(f9, s * 2 + 1)
+        for a, C in enumerate(direct_walsh(f9, xd, range(9))):
             assert int_value(C) == (count_N(n9, a, s) - 1) * 3, a
 
 
@@ -183,8 +183,8 @@ def test_criterion_11_multinomial_family():
                 assert set(presets) == {"zero", "monomial", "dickson-quartic"}
                 for name, (g, v) in presets.items():
                     for a in multinomial_admissible_a(ctx, k, g, v):
-                        fmap = multinomial_map(ctx, g, v, a, k)
-                        assert is_cpp(fmap), (p, k, r, name, a)
+                        vals = multinomial_map(ctx, g, v, a, k)
+                        assert is_cpp(ctx, vals), (p, k, r, name, a)
 
 
 def test_criterion_12_oracle_equivalence_suites():
@@ -192,12 +192,12 @@ def test_criterion_12_oracle_equivalence_suites():
         # character-sum test == occupancy test on binomial families
         f9 = build_field(3, 2)
         for a in range(9):
-            fm = monomial_map(f9, 5, a)
-            assert char_sum_pp_check(fm) == is_permutation(fm)
+            vals = binomial_values(f9, 5, a)
+            assert char_sum_pp_check(f9, vals) == is_permutation(f9, vals)
         f25 = build_field(5, 2)
         for a in range(25):
-            fm = monomial_map(f25, 9, a)
-            assert char_sum_pp_check(fm) == is_permutation(fm)
+            vals = binomial_values(f25, 9, a)
+            assert char_sum_pp_check(f25, vals) == is_permutation(f25, vals)
 
         # cyclotomic-coset criteria == direct bijection of the composite map
         rng = random.Random(12)
@@ -206,7 +206,7 @@ def test_criterion_12_oracle_equivalence_suites():
             s = rng.choice([2, 4, 8])
             g = [rng.randrange(9) for _ in range(rng.randrange(1, 4))]
             cof = 8 // s
-            direct = is_permutation(FieldMap(
+            direct = is_permutation(f9, tabulate(
                 f9, lambda x: f9.mul(f9.pow(x, l),
                                      f9.poly_eval(g, f9.pow(x, cof)))))
             assert mu_permutation_check(f9, l, g, s) == direct, (l, s, g)
@@ -214,7 +214,7 @@ def test_criterion_12_oracle_equivalence_suites():
         for _ in range(20):
             l = rng.randrange(1, 6)
             g = [rng.randrange(81) for _ in range(rng.randrange(1, 4))]
-            direct = is_permutation(FieldMap(
+            direct = is_permutation(f81, tabulate(
                 f81, lambda x: f81.mul(f81.pow(x, l),
                                        f81.poly_eval(g, f81.pow(x, 40)))))
             assert subfield_product_check(f81, l, g, 1) == direct, (l, g)
@@ -232,7 +232,7 @@ def test_criterion_12_oracle_equivalence_suites():
         rng = random.Random(13)
         for _ in range(3):
             vals = [rng.randrange(9) for _ in range(9)]
-            fm = FieldMap(f9, vals.__getitem__)
+            fm = tabulate(f9, vals.__getitem__)
             total = sum(norm2(C) for C in direct_walsh(f9, fm, range(9)))
             assert total == 3 ** 4
 

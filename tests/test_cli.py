@@ -188,6 +188,30 @@ class TestVerify:
         assert out == ""
         assert "field-too-large" in err
 
+    @pytest.mark.parametrize("r,code,msg", [(7, 3, "field-too-large"),
+                                            (8, 2, "gcd-violation")])
+    def test_multinomial_refused_before_presets(self, capsys, monkeypatch,
+                                                r, code, msg):
+        # F_3^14 is past the table cap: exit 3 before the presets search;
+        # F_3^16 with gcd(p-1, r) = 2: the hypothesis exits 2 first
+        import cppforge.families as families_mod
+
+        def no_presets(ctx, k):
+            raise AssertionError("presets searched")
+        monkeypatch.setattr(families_mod, "multinomial_presets", no_presets)
+        got, out, err = run_cli(capsys, "verify", "--family", "multinomial",
+                                "--p", "3", "--k", "2", "--r", str(r))
+        assert got == code
+        assert out == ""
+        assert msg in err
+
+    def test_multinomial_hypothesis_on_table_field(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "multinomial",
+                                 "--p", "3", "--k", "1", "--r", "4")
+        assert code == 2
+        assert out == ""
+        assert "gcd-violation" in err
+
     def test_niho(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "niho2",
                                "--p", "3", "--k", "2", "--i", "1")
@@ -519,6 +543,16 @@ class TestWalsh:
         assert len(out.splitlines()) == 730
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "e5951d94a4152223c5ce168a8dd70b823a066c2c2904b83dce0f08f5743013e9"
+
+    def test_a_with_all_is_usage_error(self, capsys):
+        # one coefficient or all of them, not both
+        with pytest.raises(SystemExit) as exc:
+            main(["walsh", "--p", "3", "--k", "1", "--s", "2", "--a", "5",
+                  "--all"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not allowed with argument" in err
 
     @pytest.mark.parametrize("a", ["100000", "729", "-3"])
     def test_a_outside_field_is_usage_error(self, capsys, a):

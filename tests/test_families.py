@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from cppforge import bulk, cli, families, scan
-from cppforge.field import build_field
+from cppforge.field import InternalError, build_field
 from cppforge.families import (FAMILIES, ConditionTag, QUARTIC_BETA_POLY,
-                               SEXTIC_BETA_POLY, beta_quartic_all,
-                               beta_quartic_coefficient,
-                               dickson_witness_search, field_with_root,
+                               QUARTIC_BETA_IDENTITIES, SEXTIC_BETA_POLY,
+                               beta_quartic_all, dickson_witness_search,
+                               field_with_root,
                                multinomial_admissible_a, multinomial_map,
                                multinomial_presets, neg_one_map_permutes,
                                niho_exponent, r4_condition, r4_condition_p3,
@@ -23,6 +23,8 @@ from cppforge.families import (FAMILIES, ConditionTag, QUARTIC_BETA_POLY,
 from cppforge.hadickson import ha_pp_check, is_dickson_of_degree, lambda_coeffs
 from cppforge.oracle import is_cpp, is_cpp_exponent_pair
 from test_cli import VERIFY_PINNED
+from twins import (beta_quartic_coefficient, multinomial_fn,
+                   quartic_beta_identities)
 
 
 class TestExponents:
@@ -170,6 +172,7 @@ class TestBetaQuartic:
         b3 = ctx.mul(b2, beta)
         assert a == ctx.sub(ctx.sub(1, b2), b3)
         assert is_cpp_exponent_pair(ctx, 41, a)
+        assert a in beta_quartic_all(ctx, beta)
 
     def test_total_distinct_k1(self, beta_field):
         ctx, beta = beta_field
@@ -179,15 +182,58 @@ class TestBetaQuartic:
         assert set(gen) <= set(direct)
 
     def test_uv_both_zero(self, beta_field):
+        # (0, 0) is left out of the grid: it would give a = 0
         ctx, beta = beta_field
         with pytest.raises(ValueError, match="uv-both-zero"):
             beta_quartic_coefficient(ctx, beta, 1, 0, 0)
+        assert 0 not in beta_quartic_all(ctx, beta)
 
     def test_k_not_coprime(self):
         ctx = build_field(3, 8)
-        beta_poly_root = None
+        with pytest.raises(ValueError, match="k-not-coprime-4"):
+            beta_quartic_all(ctx, 3)
         with pytest.raises(ValueError, match="k-not-coprime-4"):
             beta_quartic_coefficient(ctx, 3, 1, 1, 0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_all_equal_scalar_twin(self, k):
+        # the array patterns against one scalar coefficient per
+        # (family, u, v), each checked on the hand-expanded identities
+        ctx, beta = field_with_root(3, 4 * k, QUARTIC_BETA_POLY)
+        sub = ctx.subfield_elements(k)
+        want = {beta_quartic_coefficient(ctx, beta, family, u, v)
+                for family in (1, 2, 3, 4) for u in sub for v in sub
+                if (u, v) != (0, 0)}
+        assert beta_quartic_all(ctx, beta) == sorted(want)
+        assert len(want) == {1: 28, 3: 2860}[k]
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (12, 3)])
+    def test_identities_equal_scalar_twin(self, n, k):
+        # both identity tables against the hand-expanded forms, at random
+        # coordinates in F_{3^k} (most of them no member) and at zero
+        ctx = build_field(3, n)
+        rng = np.random.default_rng(n)
+        sub = np.asarray(ctx.subfield_elements(k), dtype=np.int64)
+        coords = [np.append(rng.choice(sub, 400), 0) for _ in range(4)]
+        got = [families._coordinate_poly(ctx, terms, coords)
+               for terms in QUARTIC_BETA_IDENTITIES]
+        want = [quartic_beta_identities(ctx, [int(c[i]) for c in coords])
+                for i in range(401)]
+        assert [tuple(int(g[i]) for g in got) for i in range(401)] == want
+        assert sum(w != (0, 0) for w in want) > 200
+
+    def test_wrong_pattern_is_internal_error(self, monkeypatch, capsys):
+        # family 4 as (u, v, v, -u) breaks the identities: exit 4, never a
+        # coefficient list
+        wrong = families.QUARTIC_BETA_PATTERNS[:3] + (
+            ((1, 0), (0, 1), (0, 1), (-1, 0)),)
+        monkeypatch.setattr(families, "QUARTIC_BETA_PATTERNS", wrong)
+        ctx, beta = field_with_root(3, 4, QUARTIC_BETA_POLY)
+        with pytest.raises(InternalError, match="membership identities"):
+            beta_quartic_all(ctx, beta)
+        assert cli.main(["verify", "--family", "r4_p3_beta"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "membership identities" in err
 
 
 class TestR6Dickson:
@@ -514,23 +560,23 @@ class TestMultinomial:
         assert len(aa) == 2
         for a in aa:
             f = multinomial_map(ctx, g, v, a, 2)
-            assert is_cpp(f)
+            assert is_cpp(ctx, f)
             for x in range(0, 64, 7):
                 direct = ctx.add(ctx.add(ctx.mul(x, ctx.trace(x, 2)),
                                          ctx.mul(x, x)), ctx.mul(a, x))
-                assert f.fn(x) == direct
+                assert f[x] == direct
 
     def test_p3_trace_power_form(self):
         # f = x Tr(x)^2 + 2 x^3 + x over F_3^5 with a = 1
         ctx = build_field(3, 5)
         g, v = multinomial_presets(ctx, 1)["zero"]
         f = multinomial_map(ctx, g, v, 1, 1)
-        assert is_cpp(f)
+        assert is_cpp(ctx, f)
         for x in range(0, 243, 11):
             t = ctx.trace(x, 1)
             direct = ctx.add(ctx.add(ctx.mul(x, ctx.mul(t, t)),
                                      ctx.mul(2, ctx.pow(x, 3))), x)
-            assert f.fn(x) == direct
+            assert f[x] == direct
 
     def test_gcd_violation(self):
         ctx = build_field(3, 2)
@@ -558,7 +604,7 @@ class TestMultinomial:
         sub = [e for e in ctx.subfield_elements(2) if e not in (0, 1)]
         w1, w2 = sub
         g = (0, 0, 0, 1)
-        assert is_cpp(multinomial_map(ctx, g, w1, w1, 2))
+        assert is_cpp(ctx, multinomial_map(ctx, g, w1, w1, 2))
         with pytest.raises(ValueError, match="a-excluded"):
             multinomial_map(ctx, g, w1, w2, 2)
 
@@ -607,16 +653,16 @@ class TestMultinomial:
         presets = multinomial_presets(ctx, 1)
         for name, (g, v) in presets.items():
             for a in multinomial_admissible_a(ctx, 1, g, v):
-                f = multinomial_map(ctx, g, v, a, 1)
-                vals = f.value_table()
+                vals = multinomial_map(ctx, g, v, a, 1)
+                fn = multinomial_fn(ctx, g, v, a, 1)
                 for x in range(0, 243, 17):
-                    assert vals[x] == f.fn(x), (name, a, x)
+                    assert vals[x] == fn(x), (name, a, x)
 
     @pytest.mark.parametrize("p,n,k,samples", [
         (2, 6, 2, None), (3, 5, 1, None), (3, 7, 1, None), (3, 10, 2, 2000)])
     def test_value_tables_equal_fn(self, p, n, k, samples):
-        # the table through the subfield against the scalar map, at every
-        # point or at sampled ones, for every preset and admissible a
+        # the table through the subfield against the scalar twin, at
+        # every point or at sampled ones, for every preset and admissible a
         ctx = build_field(p, n)
         rng = np.random.default_rng(n)
         xs = (range(ctx.q) if samples is None
@@ -624,10 +670,10 @@ class TestMultinomial:
         maps = 0
         for name, (g, v) in multinomial_presets(ctx, k).items():
             for a in multinomial_admissible_a(ctx, k, g, v):
-                f = multinomial_map(ctx, g, v, a, k)
-                vals = f.value_table()
+                vals = multinomial_map(ctx, g, v, a, k)
+                fn = multinomial_fn(ctx, g, v, a, k)
                 assert vals.shape == (ctx.q,)
-                assert [int(vals[x]) for x in xs] == [f.fn(x) for x in xs], \
+                assert [int(vals[x]) for x in xs] == [fn(x) for x in xs], \
                     (name, a)
                 maps += 1
         assert maps > 0
@@ -652,11 +698,11 @@ class TestMultinomial:
         for a in multinomial_admissible_a(ctx, 1, g, v):
             f = multinomial_map(ctx, g, v, a, 1)
             av = ctx.mul(a, ctx.inv(v))
-            for x in range(0, 243, 5):
+            for x in range(243):
                 t = ctx.trace(x, 1)
                 want = ctx.mul(av, ctx.add(ctx.mul(t, ctx.poly_eval(g, t)),
                                            ctx.mul(v, t)))
-                assert ctx.trace(f.fn(x), 1) == want
+                assert ctx.trace(int(f[x]), 1) == want
 
     def test_output_trace_depends_only_on_input_trace(self):
         # equal input traces force equal output traces
@@ -671,7 +717,39 @@ class TestMultinomial:
         for _ in range(1000):
             bucket = by_trace[rng.choice(list(by_trace))]
             x, y = rng.choice(bucket), rng.choice(bucket)
-            assert ctx.trace(f.fn(x), 1) == ctx.trace(f.fn(y), 1)
+            assert ctx.trace(int(f[x]), 1) == ctx.trace(int(f[y]), 1)
+
+    def test_dropped_term_is_internal_error(self, monkeypatch, capsys):
+        # a table without its (p-1) x^p term breaks the trace identity:
+        # exit 4, never a verdict
+        real = families._multinomial_grid
+
+        def dropped(ctx, k):
+            S, X, pos, px = real(ctx, k)
+            return S, X, pos, np.zeros_like(px)
+        monkeypatch.setattr(families, "_multinomial_grid", dropped)
+        ctx = build_field(3, 5)
+        g, v = multinomial_presets(ctx, 1)["zero"]
+        with pytest.raises(InternalError, match="trace identity"):
+            multinomial_map(ctx, g, v, 1, 1)
+        assert cli.main(["verify", "--family", "multinomial", "--p", "3",
+                         "--k", "1", "--r", "5"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "trace identity" in err
+
+    def test_trace_identity_checked_at_every_point(self, monkeypatch):
+        # one table entry moved off its trace, at any point x0, is caught:
+        # Tr(1) = 2 on F_3^5, so f(x0) + 1 breaks the identity at x0 only
+        ctx = build_field(3, 5)
+        g, v = multinomial_presets(ctx, 1)["dickson-quartic"]
+        grid = families._multinomial_grid(ctx, 1)
+        S, X, pos, px = grid
+        for x0 in range(ctx.q):
+            moved = px.copy()
+            moved[x0] = ctx.add(int(px[x0]), 1)
+            with pytest.raises(InternalError, match="trace identity"):
+                multinomial_map(ctx, g, v, 1, 1, (S, X, pos, moved))
+        assert is_cpp(ctx, multinomial_map(ctx, g, v, 1, 1, grid))
 
 
 def test_condition_tag_label():

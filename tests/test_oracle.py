@@ -8,11 +8,10 @@ import pytest
 from cppforge import bulk
 from cppforge.field import CapExceeded, build_field
 from cppforge.niho import direct_walsh
-from cppforge.oracle import (FieldMap, char_sum_pp_check, is_cpp,
-                             is_cpp_exponent_pair, is_permutation,
-                             monomial_map)
-from twins import (autocorrelation, int_value, mu_permutation_check, norm2,
-                   subfield_product_check)
+from cppforge.oracle import is_cpp, is_cpp_exponent_pair, is_permutation
+from twins import (autocorrelation, binomial_values, char_sum_pp_check,
+                   int_value, mu_permutation_check, norm2,
+                   subfield_product_check, tabulate)
 
 
 def brute_is_permutation(ctx, fn):
@@ -21,56 +20,59 @@ def brute_is_permutation(ctx, fn):
 
 class TestPermutation:
     def test_identity(self, f9):
-        assert is_permutation(FieldMap(f9, lambda x: x))
+        assert is_permutation(f9, np.arange(9))
 
     def test_cube_over_f7(self):
         f7 = build_field(7, 1)
         # x^3 is not a bijection since 7 = 1 mod 3
-        assert not is_permutation(monomial_map(f7, 3))
+        assert not is_permutation(f7, binomial_values(f7, 3))
 
     def test_x5_plus_x_over_f3(self):
         f3 = build_field(3, 1)
-        assert is_permutation(monomial_map(f3, 5, 1))
+        assert is_permutation(f3, binomial_values(f3, 5, 1))
 
     def test_scalar_and_vector_paths_agree(self, f81):
+        # a table tabulated point by point and the same table as an array
         rng = random.Random(3)
         for _ in range(20):
             perm = list(range(81))
             rng.shuffle(perm)
-            fm_scalar = FieldMap(f81, perm.__getitem__)
-            fm_vec = FieldMap(f81, perm.__getitem__,
-                              values=lambda p=perm: np.array(p))
-            assert is_permutation(fm_scalar) == is_permutation(fm_vec) is True
+            scalar = tabulate(f81, perm.__getitem__)
+            assert is_permutation(f81, scalar) == \
+                is_permutation(f81, np.array(perm)) is True
         not_perm = [0] * 81
-        assert not is_permutation(FieldMap(f81, not_perm.__getitem__))
+        assert not is_permutation(f81, tabulate(f81, not_perm.__getitem__))
 
 
 class TestCpp:
     def test_identity_is_cpp_odd_char(self, f9):
         # x and 2x are both bijections when p != 2
-        assert is_cpp(FieldMap(f9, lambda x: x))
+        assert is_cpp(f9, np.arange(9))
 
     def test_identity_not_cpp_char2(self):
         f4 = build_field(2, 2)
-        assert not is_cpp(FieldMap(f4, lambda x: x))
+        assert not is_cpp(f4, np.arange(4))
 
     def test_niho_cpp_over_f9(self, f9):
         i = f9.element((0, 1))
         inv_i = f9.inv(i)
-        assert is_cpp(FieldMap(f9, lambda x: f9.mul(inv_i, f9.pow(x, 5))))
+        assert is_cpp(f9, tabulate(f9, lambda x: f9.mul(inv_i, f9.pow(x, 5))))
 
-    def test_one_value_table_per_check(self, f9):
-        # f and f(x) + x are both read off one evaluation of f's table,
-        # also when f is no permutation and the second check is skipped
-        for table, want in ((np.arange(9), True), (np.zeros(9), False)):
+    def test_one_value_table_per_check(self, f9, monkeypatch):
+        # f is tested on the table it is given, and f(x) + x is read off
+        # that table; when f is no permutation the second check is skipped
+        real = bulk.values_are_permutation
+        for table, want in ((np.arange(9), True), (np.zeros(9, dtype=np.int64),
+                                                    False)):
             calls = []
 
-            def values(table=table):
-                calls.append(None)
-                return table
-            fm = FieldMap(f9, lambda x, t=table: int(t[x]), values=values)
-            assert is_cpp(fm) is want
-            assert len(calls) == 1
+            def recording(ctx, vals):
+                calls.append(vals)
+                return real(ctx, vals)
+            monkeypatch.setattr(bulk, "values_are_permutation", recording)
+            assert is_cpp(f9, table) is want
+            assert calls[0] is table
+            assert len(calls) == (2 if want else 1)
 
     def test_sum_streamed_in_blocks_against_brute(self, monkeypatch, f81):
         # f(x) + x reaches the predicate in slices of CHECK_BLOCK points
@@ -81,10 +83,8 @@ class TestCpp:
         for d in (1, 3, 7, 41):
             for c in range(1, 81):
                 table = [f81.mul(c, f81.pow(x, d)) for x in range(81)]
-                fm = FieldMap(f81, table.__getitem__,
-                              values=lambda t=table: np.array(t))
                 want = brute_is_permutation(f81, lambda x: f81.add(table[x], x))
-                assert is_cpp(fm) is want, (d, c)
+                assert is_cpp(f81, np.array(table)) is want, (d, c)
                 verdicts.add(want)
         assert verdicts == {True, False}
 
@@ -93,8 +93,7 @@ class TestCpp:
         assert is_cpp_exponent_pair(f9, 5, i)
         # equivalent formulation: a^(-1) x^d and a^(-1) x^d + x both bijective
         inv_i = f9.inv(i)
-        fm = FieldMap(f9, lambda x: f9.mul(inv_i, f9.pow(x, 5)))
-        assert is_cpp(fm)
+        assert is_cpp(f9, tabulate(f9, lambda x: f9.mul(inv_i, f9.pow(x, 5))))
 
     def test_exponent_pair_gcd_failure(self, f9):
         assert not is_cpp_exponent_pair(f9, 2, 1)
@@ -121,43 +120,41 @@ class TestCpp:
         rng = random.Random(79)
         for _ in range(20):
             vals = [rng.randrange(9) for _ in range(9)]
-            base = is_permutation(FieldMap(f9, vals.__getitem__))
+            base = is_permutation(f9, np.array(vals))
             for c in range(1, 9):
-                pre = FieldMap(f9, lambda x: vals[f9.mul(c, x)])
-                post = FieldMap(f9, lambda x: f9.mul(c, vals[x]))
-                assert is_permutation(pre) == base == is_permutation(post)
+                pre = tabulate(f9, lambda x: vals[f9.mul(c, x)])
+                post = tabulate(f9, lambda x: f9.mul(c, vals[x]))
+                assert is_permutation(f9, pre) == base == \
+                    is_permutation(f9, post)
 
 
 class TestCharSum:
     def test_identity_all_sums_vanish(self, f9):
-        fm = FieldMap(f9, lambda x: x)
-        assert char_sum_pp_check(fm)
+        assert char_sum_pp_check(f9, np.arange(9))
         # each inner sum is zero: all p counts of Tr(alpha*x) are equal
-        C = direct_walsh(f9, FieldMap(f9, lambda x: 0), range(1, 9))
+        C = direct_walsh(f9, np.zeros(9, dtype=np.int64), range(1, 9))
         assert C.shape == (8, 3)
         assert (C == C[:, :1]).all()
 
     def test_cube_over_f7_fails(self):
         f7 = build_field(7, 1)
-        assert not char_sum_pp_check(monomial_map(f7, 3))
+        assert not char_sum_pp_check(f7, binomial_values(f7, 3))
 
     def test_agrees_with_bitmap_on_binomials(self, f9):
         for a in range(9):
-            fm = monomial_map(f9, 5, a)
-            assert char_sum_pp_check(fm) == is_permutation(fm)
+            vals = binomial_values(f9, 5, a)
+            assert char_sum_pp_check(f9, vals) == is_permutation(f9, vals)
 
     def test_agrees_on_random_maps(self, f9):
         rng = random.Random(5)
         for _ in range(100):
-            vals = [rng.randrange(9) for _ in range(9)]
-            fm = FieldMap(f9, vals.__getitem__,
-                          values=lambda v=vals: np.array(v))
-            assert char_sum_pp_check(fm) == is_permutation(fm)
+            vals = np.array([rng.randrange(9) for _ in range(9)])
+            assert char_sum_pp_check(f9, vals) == is_permutation(f9, vals)
 
     def test_cap(self):
         big = build_field(3, 10)
         with pytest.raises(ValueError, match="field-too-large-for-charsum"):
-            char_sum_pp_check(FieldMap(big, lambda x: x))
+            char_sum_pp_check(big, bulk.elements(big))
 
 
 class TestZieveCriteria:
@@ -224,9 +221,8 @@ class TestParseval:
         rng = random.Random(29)
         for trial in range(3):
             vals = [rng.randrange(9) for _ in range(9)]
-            fm = FieldMap(f9, vals.__getitem__)
             total = 0
-            for C in direct_walsh(f9, fm, range(9)):
+            for C in direct_walsh(f9, tabulate(f9, vals.__getitem__), range(9)):
                 total += norm2(C)
             assert total == 3 ** 4
 
@@ -236,10 +232,8 @@ class TestParseval:
         rng = random.Random(31)
         not_int = 0
         for trial in range(5):
-            vals = [rng.randrange(25) for _ in range(25)]
-            fm = FieldMap(f25, vals.__getitem__,
-                          values=lambda v=vals: np.array(v))
-            rows = [autocorrelation(C) for C in direct_walsh(f25, fm, range(25))]
+            vals = np.array([rng.randrange(25) for _ in range(25)])
+            rows = [autocorrelation(C) for C in direct_walsh(f25, vals, range(25))]
             not_int += sum(int_value(A) is None for A in rows)
             summed = np.sum(rows, axis=0)
             assert int_value(summed) == 25 ** 2

@@ -1,10 +1,20 @@
 """Test-side twins: the two cyclotomic-coset permutation criteria (on the
 s-th roots of unity and on a subfield product form), checked against the
 occupancy oracle, the readings of a character sum off its count vector C
-(C[t] = #{x : Tr(...) = t}, the sum being sum_t C[t] w^t), and the
-hand-expanded normal form of the r = 4 quintic."""
+(C[t] = #{x : Tr(...) = t}, the sum being sum_t C[t] w^t) and the
+character-sum permutation test, the hand-expanded normal form of the
+r = 4 quintic, and the scalar forms of the library's value tables and
+family checks: a map tabulated point by point, the multinomial map one
+point at a time, and the quartic beta coefficients and their membership
+identities one (u, v) at a time."""
 
 import math
+
+import numpy as np
+
+from cppforge import bulk
+from cppforge.field import CapExceeded, InternalError
+from cppforge.oracle import CHARSUM_CAP, trace_counts
 
 
 def int_value(C):
@@ -91,3 +101,96 @@ def expanded_depressed_quintic(ctx, lv):
     a1 = ctx.sub(a1, ctx.mul(frac(3, 125), l1_4))
     a1 = ctx.add(a1, ctx.mul(frac(3, 25), ctx.mul(l2, l1_2)))
     return a3, a2, a1
+
+
+def tabulate(ctx, fn):
+    """The value table of fn, one scalar call per encoding."""
+    return np.fromiter((fn(x) for x in range(ctx.q)), dtype=np.int64,
+                       count=ctx.q)
+
+
+def binomial_values(ctx, d, a=0):
+    """The value table of x -> x^d + a*x from bulk kernels."""
+    out = bulk.monomial_values(ctx, d)
+    return bulk.add(ctx, out, bulk.mul_scalar(ctx, a, bulk.elements(ctx)))
+
+
+def char_sum_pp_check(ctx, vals) -> bool:
+    """Permutation test through additive character sums: f (value table
+    vals) permutes the field iff sum_x w^Tr(alpha*f(x)) vanishes in Z[w],
+    that is all p counts of Tr(alpha*f(x)) are equal, for every
+    alpha != 0."""
+    if ctx.q > CHARSUM_CAP:
+        raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
+    rows = trace_counts(ctx, vals, range(1, ctx.q))
+    return all((row == row[0]).all() for row in rows)
+
+
+def multinomial_fn(ctx, g, v, a, k):
+    """x -> f(x) of families.multinomial_map, one point at a time:
+    f(x) = x((a/v) g(T) + T^(p-1)) + (p-1) x^p + a x with T = Tr onto
+    F_{p^k} (no hypothesis checks)."""
+    p = ctx.p
+    av = ctx.mul(a, ctx.inv(v))
+    pm1 = ctx.scalar(p - 1)
+
+    def fn(x):
+        t = ctx.trace(x, k)
+        inner = ctx.add(ctx.mul(av, ctx.poly_eval(g, t)), ctx.pow(t, p - 1))
+        return ctx.add(ctx.add(ctx.mul(x, inner),
+                               ctx.mul(pm1, ctx.pow(x, p))),
+                       ctx.mul(a, x))
+    return fn
+
+
+def beta_quartic_coefficient(ctx, beta, family, u, v):
+    """One coefficient a = sum coords_j * beta^j over F_{3^4k}, beta a root
+    of x^4 - x - 1; family selects one of the four coordinate patterns in
+    (u, v).  (u, v) must not both be zero; the coordinates must meet both
+    membership identities."""
+    if math.gcd(ctx.n // 4, 4) != 1:
+        raise ValueError("k-not-coprime-4")
+    if u == 0 and v == 0:
+        raise ValueError("uv-both-zero")
+    k = ctx.n // 4
+    for w in (u, v):
+        if not ctx.in_subfield(w, k):
+            raise ValueError(f"not-in-subfield: {w}")
+    nu, nv = ctx.neg(u), ctx.neg(v)
+    coords = {
+        1: (u, v, nu, ctx.add(nu, v)),
+        2: (u, v, ctx.neg(ctx.add(u, v)), nv),
+        3: (u, u, v, nv),
+        4: (u, v, v, u),
+    }[family]
+    a = ctx.poly_eval(coords, beta)
+    if quartic_beta_identities(ctx, coords) != (0, 0):
+        raise InternalError("generated coefficient violates the membership "
+                            f"identities: {coords}")
+    return a
+
+
+def quartic_beta_identities(ctx, coords):
+    """The two coordinate identities characterizing membership, (c_a, c_b),
+    hand-expanded; both are zero for a member."""
+    u0, u1, u2, u3 = coords
+    m, add = ctx.mul, ctx.add
+
+    def s(*terms):
+        acc = 0
+        for t in terms:
+            acc = add(acc, t)
+        return acc
+
+    c_a = s(m(u1, m(u1, u1)), m(u3, m(u2, u2)), m(m(u3, u3), u2),
+            m(m(u1, u1), u2), m(u2, m(u2, u2)), m(u1, m(u3, u3)),
+            m(2, m(u0, m(u2, u2))), m(u3, m(u3, u3)),
+            m(2, m(u0, m(u0, u0))), m(u3, m(u1, u0)))
+    u0_4 = ctx.pow(u0, 4)
+    u1_4 = ctx.pow(u1, 4)
+    u2_4 = ctx.pow(u2, 4)
+    u3_4 = ctx.pow(u3, 4)
+    c_b = s(u0_4, m(2, u1_4), m(2, u3_4), m(2, u2_4),
+            m(2, m(u1, ctx.pow(u3, 3))), m(u2, ctx.pow(u3, 3)),
+            m(2, m(u1, ctx.pow(u2, 3))))
+    return c_a, c_b
