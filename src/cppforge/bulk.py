@@ -1,9 +1,13 @@
 """Vectorized kernels over arrays of element encodings (table backend only).
 
 Every function takes a FieldCtx whose log/exp/Zech tables exist and
-operates on int64 numpy arrays of encodings.  Inside a kernel the work may
-run on discrete logs instead (products as sums of logs, sums through the
-Zech table, -1 standing for zero), converting back to encodings on output.
+operates on int64 numpy arrays of encodings, returning int64.  Inside a
+kernel the work may run on discrete logs instead (products as sums of
+logs, sums through the Zech table, -1 standing for zero), converting back
+to encodings on output.  The tables are int32, and NumPy keeps int32
+through a product with a Python int, wrapping silently: so logs are read
+only through `_logs` and encodings only through `_exp`, both int64, and
+no int32 array leaves the tables through a kernel.
 These are the hot loops behind the exhaustive scans; each has a scalar
 counterpart on FieldCtx that the test suite cross-checks against.
 """
@@ -41,26 +45,29 @@ def _log_add(ctx, LX, LY):
     return t
 
 
-def _exp(ctx, L):
-    """Encodings of logs, -1 giving zero."""
-    return np.where(L < 0, 0, ctx.exp_table[L])
+def _logs(ctx, X):
+    """int64 logs of encodings, -1 for zero."""
+    return ctx.log_table[X].astype(np.int64)
+
+
+def _exp(ctx, L, zero):
+    """int64 encodings of logs, zero where the mask zero holds."""
+    # the int64 scalar makes where's result int64 in its one pass
+    return np.where(zero, np.int64(0), ctx.exp_table[L])
 
 
 def add(ctx, X, Y):
     _require_table(ctx)
     if ctx.n == 1:
         return (X + Y) % ctx.p
-    return _exp(ctx, _log_add(ctx, ctx.log_table[X], ctx.log_table[Y]))
+    L = _log_add(ctx, _logs(ctx, X), _logs(ctx, Y))
+    return _exp(ctx, L, L < 0)
 
 
 def mul(ctx, X, Y):
     _require_table(ctx)
     N = ctx.q - 1
-    prod = ctx.exp_table[(ctx.log_table[X] + ctx.log_table[Y]) % N]
-    zero = (X == 0) | (Y == 0)
-    if zero.any():
-        prod = np.where(zero, 0, prod)
-    return prod
+    return _exp(ctx, (_logs(ctx, X) + _logs(ctx, Y)) % N, (X == 0) | (Y == 0))
 
 
 def mul_scalar(ctx, a, X):
@@ -69,8 +76,7 @@ def mul_scalar(ctx, a, X):
         return np.zeros_like(X)
     N = ctx.q - 1
     la = int(ctx.log_table[a])
-    prod = ctx.exp_table[(ctx.log_table[X] + la) % N]
-    return np.where(X == 0, 0, prod)
+    return _exp(ctx, (_logs(ctx, X) + la) % N, X == 0)
 
 
 def pow_const(ctx, X, e):
@@ -82,8 +88,7 @@ def pow_const(ctx, X, e):
     e %= N
     if e == 0:  # x^(q-1): 1 for nonzero x
         return np.where(X == 0, 0, 1).astype(X.dtype)
-    out = ctx.exp_table[(ctx.log_table[X] * e) % N]
-    return np.where(X == 0, 0, out)
+    return _exp(ctx, _logs(ctx, X) * e % N, X == 0)
 
 
 def trace(ctx, X, k=1):
@@ -193,7 +198,7 @@ def lambda_scan(ctx, r, k, A):
     frob = ctx.p ** k % N
     out = np.empty((len(A), r), dtype=np.int64)
     for lo in range(0, len(A), LAMBDA_BLOCK):
-        c = ctx.log_table[A[lo:lo + LAMBDA_BLOCK]]
+        c = _logs(ctx, A[lo:lo + LAMBDA_BLOCK])
         lam = [np.full_like(c, -1) for _ in range(r)]
         for m in range(r):
             if m:
@@ -205,5 +210,5 @@ def lambda_scan(ctx, r, k, A):
                 lam[j] = _log_add(ctx, lam[j], prod)
             lam[0] = _log_add(ctx, lam[0], c)
         for j in range(r):
-            out[lo:lo + LAMBDA_BLOCK, j] = _exp(ctx, lam[j])
+            out[lo:lo + LAMBDA_BLOCK, j] = _exp(ctx, lam[j], lam[j] < 0)
     return out

@@ -9,6 +9,10 @@ discrete log/exp tables over a primitive element g and a Zech table
 Z[i] = log(1 + g^i) ("table"), so addition runs on logs too:
 x + y = g^(log x + Z[log y - log x]); the exp table is filled by
 doubling on encodings through lookup tables (`FieldCtx._powers`).
+All three tables are int32, 12 bytes per element (48 MiB at TABLE_CAP):
+encodings and logs stay below 2**22.  NumPy keeps int32 through a
+product with a Python int and wraps silently, so a reader widens a
+table read to int64 before it meets a wide factor.
 Larger fields use generic polynomial arithmetic ("generic"): addition
 digit by digit, multiplication by packed-integer convolution.  On both backends the
 inverse of x is x^(q-2).  Exponents may be arbitrarily wide Python ints;
@@ -180,7 +184,7 @@ def lex_least_irreducible(p: int, n: int) -> tuple:
 
 
 def _plus_one(e, p):
-    """Encoding of 1 + e for an encoding e (an int or an int64 array):
+    """Encoding of 1 + e for an encoding e (an int or an integer array):
     adding 1 changes digit 0 only, wrapping p - 1 to 0 without a carry."""
     return e + 1 - p * (e % p == p - 1)
 
@@ -255,9 +259,11 @@ class SubfieldView:
         m = self.order - 1
         if self.ctx.backend == "table":
             L = self.ctx.log_table[np.asarray(encs, dtype=np.int64)]
-            L[L < 0] = -5 * m * self._c             # zero: -5m once divided
+            # zero: -5m once divided; int32 holds -5(q - 1), as
+            # 5 TABLE_CAP < 2**31
+            L[L < 0] = -5 * m * self._c
             if not (L % self._c).any():
-                return (L // self._c).astype(np.int32)
+                return L // self._c
         else:
             # generic encodings can pass int64: map them before any conversion
             arr = np.asarray(encs, dtype=object)
@@ -422,14 +428,15 @@ class FieldCtx:
         N = q - 1
         g = self._element_of_order(N)
         E = self._powers(1, g, N)
-        # filled in EXP_BLOCK slices, so no full-size temporary is made
+        # int32 tables filled in EXP_BLOCK slices, so no full-size
+        # temporary (and no q-length int64 array) is made
         blocks = range(0, N, EXP_BLOCK)
-        log = np.full(q, -1, dtype=np.int64)
+        log = np.full(q, -1, dtype=np.int32)
         for lo in blocks:
             log[E[lo:lo + EXP_BLOCK]] = np.arange(lo, min(lo + EXP_BLOCK, N))
         if np.count_nonzero(log >= 0) != N or log[0] != -1:
             raise InternalError("generator order check failed while building tables")
-        # Z[i] = log(1 + g^i), -1 where g^i = -1; logs fit int32 below TABLE_CAP
+        # Z[i] = log(1 + g^i), -1 where g^i = -1
         zech = np.empty(N, dtype=np.int32)
         for lo in blocks:
             zech[lo:lo + EXP_BLOCK] = log[_plus_one(E[lo:lo + EXP_BLOCK], p)]
@@ -601,21 +608,22 @@ class FieldCtx:
         raise InternalError(f"no element of order {s} (modulus reducible?)")
 
     def _powers(self, start, ratio, count):
-        """Encodings of start * ratio^i for i < count (int64, object past
-        2**63), start and ratio nonzero, by doubling: once rows [0, f) are
-        listed, rows [f, 2f) are those rows times s = ratio^f, computed on at
-        most EXP_BLOCK rows at a time.  Multiplying by s is F_p-linear on
-        digits, and the backend picks the form of that step.  Table fields
-        step on the int64 encodings themselves (`_encoding_steps`).
+        """Encodings of start * ratio^i for i < count, start and ratio
+        nonzero, by doubling: once rows [0, f) are listed, rows [f, 2f) are
+        those rows times s = ratio^f, computed on at most EXP_BLOCK rows at
+        a time.  Multiplying by s is F_p-linear on digits, and the backend
+        picks the form of that step.  Table fields step on the encodings
+        themselves (`_encoding_steps`), kept as int32 rows: each step
+        computes one block in int64 and stores it back.
         Generic fields step on a digit matrix D: rows [f, 2f) of D are
         D[:f] @ M mod p, row j of M the digits of s x^j.  Their encodings
         can be too wide for the table step (F_7^18 needs 72 bits), so the
         matrix is their only path; narrowest dtypes and a Horner pass over
         D's columns (no block casts) keep D the one large array, freed on
-        return."""
+        return; their encodings are int64, object past 2**63."""
         p, n = self.p, self.n
         if self.backend == "table":
-            rows = np.zeros(count, dtype=np.int64)
+            rows = np.zeros(count, dtype=np.int32)
             rows[0] = start
             steps = self._encoding_steps()
         else:
@@ -657,19 +665,23 @@ class FieldCtx:
         return times
 
     def _encoding_steps(self):
-        """s -> multiplication by s on int64 encodings of this table field,
-        by lookup tables (the method of Four Russians, Arlazarov et al.
-        1970).  n = 1 multiplies mod p.  Otherwise, with E = lo + p^c hi and
-        c = ceil(n/2), s E is the digit-wise sum of two table entries, the
-        images of lo and of p^c hi.  Images are stored spread: digit j in
-        bits [bj, bj + b), b the bit length of 2(p - 1), so the two entries
-        add with no carry between digits (n b <= 44 bits on table fields).
-        Chunk tables of at most 2^12 entries take the sum back to base p,
-        mod p.  The tables hold p^c and p^(n-c) entries: at most 24649
-        (F_157^3) on a table field with n >= 2."""
+        """s -> multiplication by s on blocks of at most EXP_BLOCK
+        encodings of this table field (int32 in, int64 out; the arithmetic
+        runs in int64), by lookup tables (the method of Four Russians,
+        Arlazarov et al. 1970).  n = 1 multiplies mod p.  Otherwise, with
+        E = lo + p^c hi and c = ceil(n/2), s E is the digit-wise sum of two
+        table entries, the images of lo and of p^c hi.  Images are stored
+        spread: digit j in bits [bj, bj + b), b the bit length of 2(p - 1),
+        so the two entries add with no carry between digits (n b <= 44 bits
+        on table fields).  Chunk tables of at most 2^12 entries take the
+        sum back to base p, mod p.  The tables hold p^c and p^(n-c)
+        entries: at most 24649 (F_157^3) on a table field with n >= 2.
+        Every block reuses three int64 scratch rows, so a step allocates
+        nothing block-sized (each fresh block would be page-faulted anew);
+        its result lives in them until the next call."""
         p, n = self.p, self.n
         if n == 1:
-            return lambda s: lambda E: E * s % p
+            return lambda s: lambda E: E.astype(np.int64) * s % p
         c = (n + 1) // 2
         pc = p ** c
         b = (2 * (p - 1)).bit_length()
@@ -685,19 +697,23 @@ class FieldCtx:
                        for j in range(w))
             chunks.append((b * j0, (1 << b * w) - 1, back))
 
+        # the sum S, the scratch t and out, reused by every block
+        scratch = np.empty((3, min(EXP_BLOCK, self.q)), dtype=np.int64)
+
         def steps(s):
             M = self._digit_map(s, np.int64)
             t_lo = digits @ M[:c] % p @ spread
             t_hi = digits[:p ** (n - c), :n - c] @ M[c:] % p @ spread
 
             def times(E):
-                # three block-sized arrays: the sum S, the scratch t and
-                # out; // and - are cheaper than np.divmod's %
-                t = E // pc                                     # hi
-                S = E - t * pc                                  # lo
+                # // and - are cheaper than np.divmod's %
+                S, t, out = scratch[:, :len(E)]
+                np.floor_divide(E, pc, out=t)                   # hi
+                np.multiply(t, pc, out=S)
+                np.subtract(E, S, out=S)                        # lo
                 np.take(t_lo, S, out=S, mode="wrap")
                 S += np.take(t_hi, t, out=t, mode="wrap")
-                out = np.zeros_like(E)
+                out.fill(0)
                 for shift, mask, back in chunks:
                     np.right_shift(S, shift, out=t)
                     t &= mask

@@ -82,10 +82,13 @@ def all_root_counts(nctx: NihoCtx, s):
         raise CapExceeded("field-too-large: the root histogram needs the "
                           "table backend")
     N = ctx.q - 1
-    exp = ctx.exp_table
+
+    def exp(L):                 # the int64 encodings bulk takes
+        return ctx.exp_table[L].astype(np.int64)
+
     j = np.arange(Q + 1, dtype=np.int64)       # lambda_j = g^((Q-1) j)
-    lam_s = exp[(Q - 1) * (j * (s % (Q + 1)) % (Q + 1))]
-    lam_1s = exp[(Q - 1) * (j * ((1 - s) % (Q + 1)) % (Q + 1))]
+    lam_s = exp((Q - 1) * (j * (s % (Q + 1)) % (Q + 1)))
+    lam_1s = exp((Q - 1) * (j * ((1 - s) % (Q + 1)) % (Q + 1)))
     # x + conj(x) = 0 would give x^(2(Q-1)) = 1, too small an order for
     # the generator x, so w = x / (x + conj(x)) has w + conj(w) = 1
     x = ctx.generator
@@ -97,7 +100,7 @@ def all_root_counts(nctx: NihoCtx, s):
     counts = np.bincount(cw, minlength=ctx.q)
     step = max(1, bulk.CHECK_BLOCK // (Q - 1))     # kernel rows per block
     for lo in range(0, Q + 1, step):
-        kernel = exp[(t_log[lo:lo + step, None] + u_log) % N]
+        kernel = exp((t_log[lo:lo + step, None] + u_log) % N)
         np.add.at(counts, bulk.add(ctx, cw[lo:lo + step, None], kernel), 1)
     return counts
 

@@ -149,6 +149,41 @@ def test_lambda_scan_matches_scalar():
         assert tuple(lam2[a - 1]) == lv.entries
 
 
+def _wide_logs(ctx, count):
+    """The encodings g^(N-1), g^(N-2), ... of the count largest logs: there
+    a log times a wide factor (an exponent, p^k) passes 2**31."""
+    N = ctx.q - 1
+    return ctx.exp_table[N - 1 - np.arange(count)].astype(np.int64)
+
+
+def test_pow_const_wide_logs_match_scalar():
+    ctx = build_field(5, 8)
+    X = _wide_logs(ctx, 200)
+    assert bulk.pow_const(ctx, X, 16277).tolist() == \
+        [ctx.pow(int(x), 16277) for x in X]
+
+
+@pytest.mark.parametrize("p,r,k", [(11, 2, 3), (2, 2, 11)])
+def test_lambda_scan_wide_logs_match_scalar(p, r, k):
+    ctx = build_field(p, r * k)
+    A = _wide_logs(ctx, 64)
+    assert bulk.lambda_scan(ctx, r, k, A).tolist() == \
+        [list(lambda_coeffs(ctx, int(a), r, k).entries) for a in A]
+
+
+def test_kernels_return_int64(ctx):
+    # the tables are int32; every kernel widens what it reads from them
+    X = bulk.elements(ctx)
+    Y = np.roll(X, 13)
+    outs = [bulk.add(ctx, X, Y), bulk.mul(ctx, X, Y),
+            bulk.mul_scalar(ctx, 2, X), bulk.mul_scalar(ctx, 0, X),
+            bulk.pow_const(ctx, X, 7), bulk.pow_const(ctx, X, 0),
+            bulk.pow_const(ctx, X, ctx.q - 1), bulk.trace(ctx, X),
+            bulk.poly_eval(ctx, [1, 2, 1], X), bulk.monomial_values(ctx, 5),
+            bulk.lambda_scan(ctx, ctx.n, 1, X)]
+    assert [o.dtype for o in outs] == [np.dtype(np.int64)] * len(outs)
+
+
 def test_generic_backend_rejected():
     gen = build_field(3, 4, backend="generic")
     with pytest.raises(ValueError, match="field-too-large"):

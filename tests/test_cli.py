@@ -67,6 +67,13 @@ class TestCountCpp:
         assert code == 0
         assert "count 38" in out
 
+    def test_ha_f2_22_count(self, capsys):
+        # the largest table field, at TABLE_CAP: 4094 coefficients
+        code, out, _ = run_cli(capsys, "count-cpp", "--p", "2", "--k", "11",
+                               "--r", "2", "--method", "ha", "--jobs", "1")
+        assert code == 0
+        assert "count 4094" in out.splitlines()
+
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",

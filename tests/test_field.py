@@ -511,6 +511,21 @@ class TestBackendAgreement:
         tables = (ctx.exp_table.nbytes + ctx.log_table.nbytes
                   + ctx.zech_table.nbytes)
         assert peak < 1.25 * tables
+        # three int32 tables: 12 bytes per element, and no q-length int64
+        # array (8q bytes) alongside them
+        assert peak < 1.25 * 12 * ctx.q
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (2, 8), (3, 8), (7, 4),
+                                     (13, 4), (5, 8), (3, 12), (11, 6),
+                                     (2, 20), (2, 22), (2, 16), (65521, 1)])
+    def test_tables_are_int32(self, p, n):
+        ctx = build_field(p, n)
+        assert [t.dtype for t in (ctx.exp_table, ctx.log_table,
+                                  ctx.zech_table)] == [np.dtype(np.int32)] * 3
+
+    def test_subfield_zero_log_fits_int32(self):
+        # SubfieldView.logs writes -5(q - 1) into a gathered int32 log row
+        assert 5 * field_mod.TABLE_CAP < 2 ** 31
 
     def test_prime_check(self):
         assert is_prime(2) and is_prime(13) and is_prime(2 ** 31 - 1)
