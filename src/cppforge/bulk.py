@@ -121,15 +121,35 @@ def monomial_values(ctx, d):
 def values_are_permutation(ctx, vals):
     """True iff the values (one array, or an iterable of its blocks) hit
     every encoding exactly once: each block is range-checked and scattered
-    into one q-entry occupancy array, and there must be q values in all."""
-    seen = np.zeros(ctx.q, dtype=bool)
-    total = 0
+    into one q-entry occupancy array, and there must be q values in all.
+
+    True is returned only after all q values have been seen.  While each
+    block's span [min, max] lies wholly above or below the spans of the
+    blocks before it, the occupied entries in its span count its distinct
+    values exactly; fewer distinct values than values so far prove a
+    repeat, and the rest of the stream is left unread.  The first block
+    whose span meets the earlier ones' ends the counting, and the
+    occupancy array alone decides."""
+    q = ctx.q
+    seen = np.zeros(q, dtype=bool)
+    total, hit = 0, 0       # hit: distinct values, None once spans meet
+    lo, hi = q, -1          # the hull of the spans so far
     for blk in [vals] if isinstance(vals, np.ndarray) else vals:
-        if blk.size and (blk.min() < 0 or blk.max() >= ctx.q):
+        if not blk.size:
+            continue
+        bmin, bmax = int(blk.min()), int(blk.max())
+        if bmin < 0 or bmax >= q:
             return False
         seen[blk] = True
         total += blk.size
-    return total == ctx.q and bool(seen.all())
+        if hit is not None and (bmax < lo or bmin > hi):
+            hit += int(np.count_nonzero(seen[bmin:bmax + 1]))
+            if hit < total:
+                return False
+            lo, hi = min(lo, bmin), max(hi, bmax)
+        else:
+            hit = None
+    return total == q and (hit == q if hit is not None else bool(seen.all()))
 
 
 def binomial_is_permutation(ctx, d, a):
@@ -143,9 +163,14 @@ def binomial_is_permutation(ctx, d, a):
     The Zech index has period P = (q-1)/gcd(d-1, q-1) in i, so Z is
     gathered once per period: with c_i = i + Z[...] for i < P, the value
     at x = g^(i + P t) is c_i + P t mod q - 1 (q - 1 for the whole row
-    when Z is -1).  All q values stream into values_are_permutation, row
-    by row (i fixed, t running), in blocks of at most CHECK_BLOCK points in
-    one reused buffer: never a test on the residues c_i mod P.
+    when Z is -1).  Row i runs t through its T = (q-1)/P steps from the
+    one where that value is least, so the row ascends in steps of P.  All
+    q values stream into values_are_permutation, the x = 0 value last, in
+    blocks of at most CHECK_BLOCK points in one reused buffer; when
+    P <= CHECK_BLOCK a block is every row over a window of steps, and the
+    blocks ascend.  True always sees all q values; an early False is a
+    proven repeat (or a value out of range) among the values streamed so
+    far, never a test on the residues c_i mod P.
     """
     _require_table(ctx)
     return values_are_permutation(ctx, _binomial_blocks(ctx, d, a))
@@ -163,8 +188,7 @@ def _binomial_blocks(ctx, d, a):
     s, la = (d - 1) % N, int(ctx.log_table[a])
     P = N // math.gcd(s, N)
     T = N // P
-    yield np.array([N], dtype=np.intp)              # the value at x = 0
-    height, width = max(1, CHECK_BLOCK // T), min(T, CHECK_BLOCK)
+    height, width = min(P, CHECK_BLOCK), min(T, max(1, CHECK_BLOCK // P))
     # blocks and steps P t in one allocation a check: fewer heap trims
     buf = np.empty((height + 1) * width, dtype=np.intp)
     steps = buf[height * width:]
@@ -172,14 +196,20 @@ def _binomial_blocks(ctx, d, a):
     for lo in range(0, P, height):
         i = np.arange(lo, min(lo + height, P), dtype=np.intp)
         z = ctx.zech_table[(s * i - la) % N]
-        c = i + z
-        # c + P t <= (P - 1) + (N - 1) + (N - P) < 2N: one subtract wraps it
-        for t0 in range(0, T, width):
-            blk = buf[:len(i) * width].reshape(len(i), width)[:, :T - t0]
-            np.add((c + P * t0)[:, None], steps[:blk.shape[1]], out=blk)
-            np.subtract(blk, N, out=blk, where=blk >= N)
-            blk[z < 0] = N
-            yield blk
+        sentinel = z < 0
+        # (c_i + P t) mod N is least, c_i mod P, at t = -floor(c_i / P)
+        # mod T; from there row i is c_i mod P + P j for j < T, below N.
+        # The block holds every row of the chunk over a window of j, j
+        # major, so each line lies in one window of P values; the next
+        # block adds P * width in place, so consumers must not write to it
+        blk = buf[:width * len(i)].reshape(width, len(i))
+        np.add(steps[:, None], (i + z) % P, out=blk)
+        for j0 in range(0, T, width):
+            if j0:
+                blk += P * width
+            blk[:, sentinel] = N
+            yield blk[:T - j0]
+    yield np.array([N], dtype=np.intp)              # the value at x = 0
 
 
 def lambda_scan(ctx, r, k, A):

@@ -3,6 +3,7 @@ log-domain kernels against a slow twin: the same field on the generic
 backend, whose add is a digit loop and whose mul a packed convolution, so
 it shares no log, exp or Zech table with the table backend."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,81 @@ def test_permutation_predicate_block_split_twin(ctx):
             blocks = np.split(vals, cuts)
             assert bulk.values_are_permutation(ctx, blocks) is want
             assert bulk.values_are_permutation(ctx, iter(blocks)) is want
+
+
+class _Pulls:
+    """A block stream that counts the blocks and values pulled from it."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+        self.pulled = self.values = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        blk = next(self.blocks)
+        self.pulled += 1
+        self.values += blk.size
+        return blk
+
+
+def _sort_twin(ctx, blocks):
+    """The whole-array verdict: the values, sorted, are 0..q-1."""
+    vals = np.concatenate([np.ravel(blk) for blk in blocks])
+    return len(vals) == ctx.q and bool((np.sort(vals) == np.arange(ctx.q)).all())
+
+
+def test_permutation_predicate_exit_twin(ctx):
+    # each stream against the sort twin, and the blocks pulled: a repeat
+    # the counted spans prove stops the stream there; overlapping spans
+    # leave the verdict to the occupancy array after the last block
+    q = ctx.q
+    X = np.arange(q)
+    a, b = q // 3, 2 * q // 3
+    low, mid, top = X[:a], X[a:b], X[b:]
+    empty = X[:0]
+    streams = [
+        # disjoint ascending spans, the permutation (pulls every block)
+        ([low, mid, top], True, 3),
+        ([top, low, mid], True, 3),
+        ([empty, low, empty, mid, top, empty], True, 6),
+        # a repeat inside the first block, another after an empty block
+        ([np.append(low[:-1], low[0]), mid, top], False, 1),
+        ([empty, np.append(low[:-1], low[0]), mid, top], False, 2),
+        # a repeat inside a later block whose span is clear of the others
+        ([low, np.append(mid[:-1], mid[-2]), top], False, 2),
+        # a repeat across two blocks: their spans meet
+        ([low, np.append(mid, low[-1]), top[1:]], False, 3),
+        ([low, top, np.append(mid[1:], low[0])], False, 3),
+        # spans that touch at one value meet
+        ([low, np.append(mid[1:], low[-1]), top], False, 3),
+        # overlapping spans, the permutation and a value missing
+        ([X[::2], X[1::2]], True, 2),
+        ([X[::2], np.append(X[3::2], 0)], False, 2),
+        # a span counted first, then one that meets it with a repeat, then
+        # a span clear of both: only the occupancy array sees the hole
+        ([np.array([0, 3]), np.array([3, 1]), X[4:]], False, 3),
+        # too few values; q + 1 values, the last block meeting the others
+        ([low, mid], False, 2),
+        ([low, mid, top, np.array([q - 1])], False, 4),
+        ([low, mid, top, empty, np.array([0])], False, 5),
+        # -1 or q in a late block
+        ([low, mid, np.append(top[:-1], -1)], False, 3),
+        ([low, mid, np.append(top[:-1], q)], False, 3),
+        ([X[::2], np.append(X[1::2][:-1], q)], False, 2),
+    ]
+    for blocks, want, pulled in streams:
+        assert _sort_twin(ctx, blocks) is want
+        stream = _Pulls(blocks)
+        assert bulk.values_are_permutation(ctx, stream) is want
+        assert stream.pulled == pulled
+    # a single array: a repeat, a hole, -1 and q, and the permutation
+    rng = np.random.default_rng(q)
+    perm = rng.permutation(q)
+    for vals in (perm, np.append(perm[:-1], perm[0]), perm[:-1],
+                 np.append(perm[:-1], -1), np.append(perm[:-1], q)):
+        assert bulk.values_are_permutation(ctx, vals) is _sort_twin(ctx, [vals])
 
 
 def test_lambda_scan_matches_scalar():
@@ -383,7 +459,10 @@ def test_binomial_check_value_table_sampled(occupancy_calls, p, k):
 
 def test_binomial_check_one_full_occupancy_per_call(occupancy_calls):
     # the final word is the q-point occupancy, never a test on the P
-    # residues c_i mod P (that test is Zieve's criterion itself)
+    # residues c_i mod P (that test is Zieve's criterion itself): a True
+    # has seen all q values, and an early False is a repeat among the
+    # values streamed so far.  The recorder pulls every block, so each
+    # call is a full table here
     ctx = build_field(5, 8)
     d = tower_exponent(5, 2, 4)
     members = ha_cpp_scan(ctx, 4, 2)
@@ -393,6 +472,52 @@ def test_binomial_check_one_full_occupancy_per_call(occupancy_calls):
     assert verdicts[0] and not any(verdicts[5:])
     assert len(occupancy_calls) == len(cases)
     assert all(len(vals) == ctx.q for vals in occupancy_calls)
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (3, 3)])
+def test_binomial_check_exit_pulls(p, k):
+    # a rejected tower coefficient (two of them with a zero-sentinel row)
+    # repeats a value inside the first block: a residue collision repeats
+    # that row's first steps, and a sentinel row the zero value; an
+    # accepted one pulls every block, all q values
+    ctx = build_field(p, 4 * k)
+    d = tower_exponent(p, k, 4)
+    members = ha_cpp_scan(ctx, 4, k)
+    rng = np.random.default_rng(13)
+    rejected = [int(a) for a in rng.integers(1, ctx.q, 6) if a not in members]
+    rejected += _sentinel_coeffs(ctx, d)
+    for a in rejected:
+        stream = _Pulls(bulk._binomial_blocks(ctx, d, a))
+        assert not bulk.values_are_permutation(ctx, stream), a
+        assert stream.pulled == 1, a
+    for a in members[:3]:
+        stream = _Pulls(bulk._binomial_blocks(ctx, d, int(a)))
+        assert bulk.values_are_permutation(ctx, stream), a
+        assert stream.values == ctx.q
+        assert next(stream, None) is None
+
+
+# the tower exponents: period P = 24, 26 and 2047, each below CHECK_BLOCK
+@pytest.mark.parametrize("p,k,r", [(5, 2, 4), (3, 3, 4), (2, 11, 2)])
+def test_binomial_blocks_ascend(p, k, r):
+    # each block lies above the last, so the predicate counts every span
+    # and its occupancy scatters stay in one window of the array
+    ctx = build_field(p, r * k)
+    d = tower_exponent(p, k, r)
+    members = ha_cpp_scan(ctx, r, k)
+    # a rejection without a zero-sentinel row: -a is no (d - 1)-th power,
+    # its log (log a + log(-1)) not a multiple of gcd(d - 1, q - 1)
+    N = ctx.q - 1
+    minus_one = N // 2 if p % 2 else 0
+    rejected = next(a for a in range(2, ctx.q) if a not in members and
+                    (int(ctx.log_table[a]) + minus_one) % math.gcd(d - 1, N))
+    for a in (int(members[0]), int(members[-1]), rejected):
+        top, values = -1, 0
+        for blk in bulk._binomial_blocks(ctx, d, a):
+            assert blk.min() > top, a
+            top = blk.max()
+            values += blk.size
+        assert top == ctx.q - 1 and values == ctx.q
 
 
 # d - 1 = (2^16 - 1)/(2^8 - 1), the tower shape (period 255), and d = 3,
