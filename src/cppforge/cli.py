@@ -13,6 +13,7 @@ invariant).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -82,8 +83,26 @@ def cmd_count_cpp(args):
     return 0
 
 
+# `verify` option -> its value when the command line leaves it out
+VERIFY_DEFAULTS = {"p": 3, "k": 1, "r": 4, "i": 1, "t": 1, "preset": None}
+
+
+def run_family(args):
+    """The result of family args.family on the verify options it reads
+    (families.FAMILIES); any other option given is a usage error, raised
+    before a field is built."""
+    options, run = families.FAMILIES[args.family]
+    unused = [f"--{o}" for o in VERIFY_DEFAULTS
+              if hasattr(args, o) and o not in options]
+    if unused:
+        raise ValueError(f"unused-option: {' '.join(unused)}; family "
+                         f"{args.family} reads "
+                         f"{' '.join('--' + o for o in options)}")
+    return run(*(getattr(args, o, VERIFY_DEFAULTS[o]) for o in options))
+
+
 def cmd_verify(args):
-    res = families.FAMILIES[args.family](args)
+    res = run_family(args)
     print(f"family {args.family}")
     if res.get("d") is not None:
         print(f"d {res['d']}")
@@ -187,17 +206,15 @@ def build_parser():
                    help="include the coefficient list in output")
     c.add_argument("--out", type=str, default=None,
                    help="write a structured report (.json or .csv)")
-    c.add_argument("--jobs", type=int, default=scan.default_jobs())
+    c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     c.set_defaults(fn=cmd_count_cpp)
 
     v = sub.add_parser("verify", help="verify one coefficient family")
     v.add_argument("--family", required=True, choices=list(families.FAMILIES))
-    v.add_argument("--p", type=int, default=3)
-    v.add_argument("--k", type=int, default=1)
-    v.add_argument("--r", type=int, default=4)
-    v.add_argument("--i", type=int, default=1)
-    v.add_argument("--t", type=int, default=1)
-    v.add_argument("--preset", type=str, default=None,
+    # no defaults here: run_family tells a given option from a left-out one
+    for opt in ("p", "k", "r", "i", "t"):
+        v.add_argument(f"--{opt}", type=int, default=argparse.SUPPRESS)
+    v.add_argument("--preset", type=str, default=argparse.SUPPRESS,
                    choices=("zero", "monomial", "dickson-quartic"))
     v.set_defaults(fn=cmd_verify)
 

@@ -530,50 +530,33 @@ def multinomial_presets(ctx, k):
     exponent d of the subfield, and the quartic whose induced quintic is a
     Dickson shape (2 c0^2 = c1 + v).  Returns {name: (coeffs, v)}, coeffs
     ascending."""
-    p = ctx.p
-    sub = ctx.subfield_elements(k)
-    nonzero = [e for e in sub if e != 0]
-    out = {"zero": ((0,), 1)}
+    Q, two = ctx.p ** k, ctx.scalar(2)
+    nonzero = [e for e in ctx.subfield_elements(k) if e != 0]
+    monomials = ((tuple([0] * (d - 1) + [1]), nonzero)
+                 for d in range(2, 4 * Q + 3) if math.gcd(d, Q - 1) == 1)
+    # v = 1 and x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
+    quartics = (((ctx.sub(ctx.mul(two, ctx.mul(c0, c0)), 1), 0, c0, 0, 1), [1])
+                for c0 in nonzero + [0])
+    return {"zero": ((0,), 1),
+            "monomial": _first_preset(ctx, k, monomials, "monomial"),
+            "dickson-quartic": _first_preset(ctx, k, quartics, "quartic")}
 
-    # the first x^d + v x with some admissible a; failing that, the first
-    # bare permutation (usable maps may still be empty for very small
-    # subfields)
-    found = fallback = None
-    for d in range(2, 4 * p ** k + 3):
-        if math.gcd(d, p ** k - 1) != 1:
-            continue
-        gc = tuple([0] * (d - 1) + [1])
-        for v, ok in zip(nonzero, _scaled_base_permutes(ctx, gc, nonzero, k)):
+
+def _first_preset(ctx, k, candidates, name):
+    """The first (g, v), over the (g, vs) of candidates, for which x g(x)
+    + v x permutes F_{p^k} and some a is admissible; failing that, the
+    first whose base permutes (its usable maps may be empty for very
+    small subfields)."""
+    fallback = None
+    for gc, vs in candidates:
+        for v, ok in zip(vs, _scaled_base_permutes(ctx, gc, vs, k)):
             if ok:
-                fallback = fallback or (gc, v)
                 if multinomial_admissible_a(ctx, k, gc, v):
-                    found = (gc, v)
-                    break
-        if found:
-            break
-    found = found or fallback
-    if found is None:
-        raise InternalError("no monomial preset found")
-    out["monomial"] = found
-
-    found = fallback = None
-    for c0 in nonzero + [0]:
-        c0sq2 = ctx.mul(ctx.scalar(2), ctx.mul(c0, c0))
-        v = 1
-        c1 = ctx.sub(c0sq2, v)
-        gc = (c1, 0, c0, 0, 1)
-        # x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
-        if _scaled_base_permutes(ctx, gc, [v], k)[0]:
-            if fallback is None:
-                fallback = (gc, v)
-            if multinomial_admissible_a(ctx, k, gc, v):
-                found = (gc, v)
-                break
-    found = found or fallback
-    if found is None:
-        raise InternalError("no quartic preset found")
-    out["dickson-quartic"] = found
-    return out
+                    return gc, v
+                fallback = fallback or (gc, v)
+    if fallback is None:
+        raise InternalError(f"no {name} preset found")
+    return fallback
 
 
 def multinomial_admissible_a(ctx, k, g=None, v=None):
@@ -611,8 +594,9 @@ def _oracle_checked(ctx, d, coeffs, cases=None):
 
 
 def _niho(p, k, i):
-    ctx = build_field(p, 2 * k)
-    return _oracle_checked(ctx, niho_exponent(p, k, i), ctx.neg_one_roots(k))
+    d = niho_exponent(p, k, i)
+    ctx = build_field(p, 2 * k, backend="table")   # lists need the log tables
+    return _oracle_checked(ctx, d, ctx.neg_one_roots(k))
 
 
 def _r4_scan(p, k, condition=None):
@@ -642,8 +626,8 @@ def _r4_p3_beta(k):
 
 
 def _r4_p5_vset(k):
-    ctx = build_field(5, 4 * k)
     d = tower_exponent(5, k, 4)
+    ctx = build_field(5, 4 * k, backend="table")   # lists need the log tables
     m = 5 ** k - 1
     half = ctx.mu_subgroup(4 * m)[1::2]        # the a with a^(2m) = -1
     return _oracle_checked(ctx, d, sorted(set(ctx.neg_one_roots(k)) | set(half)))
@@ -674,20 +658,21 @@ def _multinomial(p, k, r, preset):
     return {"d": None, "tested": len(cases), "failures": failures}
 
 
-# `verify --family` id -> function of the verify options (p, k, r, i, t,
-# preset); each returns d (None for the multinomial family), tested and
-# failures, and count for the r = 4 scans
+# `verify --family` id -> (the verify options its function reads, in
+# argument order; the function); each function returns d (None for the
+# multinomial family), tested and failures, and count for the r = 4 scans
 FAMILIES = {
-    "niho2": lambda o: _niho(o.p, o.k, o.i),
-    "p3k2": lambda o: _niho(3, o.k, 1),
-    "r4_general": lambda o: _r4_scan(o.p, o.k),
-    "r4_p3": lambda o: _r4_scan(3, o.k, r4_condition_p3),
-    "r4_p3_beta": lambda o: _r4_p3_beta(o.k),
-    "r4_p5": lambda o: _r4_scan(5, o.k),
-    "r4_p5_vset": lambda o: _r4_p5_vset(o.k),
-    "r6_p3": lambda o: _r6(3, o.k),
-    "r6_p5": lambda o: _r6(5, o.k),
-    "rp_k1": lambda o: _oracle_checked(*rt_family_coefficients(o.p, 1)),
-    "rt_k1": lambda o: _oracle_checked(*rt_family_coefficients(o.p, o.t)),
-    "multinomial": lambda o: _multinomial(o.p, o.k, o.r, o.preset),
+    "niho2": (("p", "k", "i"), _niho),
+    "p3k2": (("k",), lambda k: _niho(3, k, 1)),
+    "r4_general": (("p", "k"), _r4_scan),
+    "r4_p3": (("k",), lambda k: _r4_scan(3, k, r4_condition_p3)),
+    "r4_p3_beta": (("k",), _r4_p3_beta),
+    "r4_p5": (("k",), lambda k: _r4_scan(5, k)),
+    "r4_p5_vset": (("k",), _r4_p5_vset),
+    "r6_p3": (("k",), lambda k: _r6(3, k)),
+    "r6_p5": (("k",), lambda k: _r6(5, k)),
+    "rp_k1": (("p",), lambda p: _oracle_checked(*rt_family_coefficients(p, 1))),
+    "rt_k1": (("p", "t"),
+              lambda p, t: _oracle_checked(*rt_family_coefficients(p, t))),
+    "multinomial": (("p", "k", "r", "preset"), _multinomial),
 }

@@ -15,8 +15,8 @@ oracle check of a family's coefficient list on a table field use it.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import os
 import time
 
 import numpy as np
@@ -25,17 +25,12 @@ from . import bulk
 from .field import CapExceeded, build_field
 
 POOL_MIN_POINTS = 1 << 25   # orbits x q before --jobs > 1 forks a pool
-_WORKER = {}
+_WORKER = {}                # (ctx, d) of the scan, inherited through fork
 
 
-def _pool_init(p, n, modulus, backend):
-    _WORKER["ctx"] = build_field(p, n, modulus, backend)
-
-
-def _pool_part(args):
-    coeffs, d = args
-    ctx = _WORKER["ctx"]
-    return [bulk.binomial_is_permutation(ctx, d, a) for a in coeffs]
+def _check_part(reps):
+    ctx, d = _WORKER["task"]
+    return [bulk.binomial_is_permutation(ctx, d, a) for a in reps]
 
 
 def orbit_values(ctx, d, elems, decide):
@@ -102,28 +97,25 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
         raise CapExceeded("cap-exceeded: direct scans need the table backend")
     if math.gcd(d, ctx.q - 1) != 1:
         return []
-    q = ctx.q
 
     def decide(reps):
+        # a pool of jobs workers takes jobs * 8 chunks, a serial run 64;
+        # progress is reported once per chunk
+        pooled = jobs > 1 and len(reps) * ctx.q >= POOL_MIN_POINTS
+        step = -(-len(reps) // (jobs * 8 if pooled else 64))
+        chunks = [reps[lo:lo + step] for lo in range(0, len(reps), step)]
         passed = []
-        if jobs > 1 and len(reps) * q >= POOL_MIN_POINTS:
-            import multiprocessing as mp
-            step = -(-len(reps) // (jobs * 8))
-            chunks = [(reps[lo:lo + step], d)
-                      for lo in range(0, len(reps), step)]
-            with mp.get_context("fork").Pool(
-                    jobs, initializer=_pool_init,
-                    initargs=(ctx.p, ctx.n, ctx.modulus, ctx.backend)) as pool:
-                for part in pool.imap(_pool_part, chunks):
-                    passed += part
-                    if progress:
-                        progress(len(passed), len(reps))
-            return passed
-        report_step = max(1, len(reps) // 64)
-        for i, a in enumerate(reps, 1):
-            passed.append(bulk.binomial_is_permutation(ctx, d, a))
-            if progress and i % report_step == 0:
-                progress(i, len(reps))
+        _WORKER["task"] = ctx, d
+        with contextlib.ExitStack() as stack:
+            run = map
+            if pooled:
+                import multiprocessing as mp
+                run = stack.enter_context(
+                    mp.get_context("fork").Pool(jobs)).imap
+            for part in run(_check_part, chunks):
+                passed += part
+                if progress:
+                    progress(len(passed), len(reps))
         return passed
 
     return orbit_members(ctx, d, decide)
@@ -227,7 +219,3 @@ def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
         "labels": labels,
         "seconds": time.monotonic() - t0,
     }
-
-
-def default_jobs():
-    return os.cpu_count() or 1

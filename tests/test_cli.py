@@ -195,6 +195,52 @@ class TestVerify:
         assert out == ""
         assert "field-too-large" in err
 
+    @pytest.mark.parametrize("argv", [("p3k2", "--k", "7"),
+                                      ("niho2", "--p", "3", "--k", "7"),
+                                      ("r4_p5_vset", "--k", "3")],
+                             ids=" ".join)
+    def test_list_family_past_cap_lists_nothing(self, capsys, monkeypatch,
+                                                argv):
+        # F_3^14 and F_5^12 are past the table cap: exit 3 before the
+        # coefficients are listed
+        from cppforge.field import FieldCtx
+
+        def listed(*args):
+            raise AssertionError("coefficients listed")
+        monkeypatch.setattr(FieldCtx, "neg_one_roots", listed)
+        monkeypatch.setattr(FieldCtx, "mu_subgroup", listed)
+        code, out, err = run_cli(capsys, "verify", "--family", *argv)
+        assert code == 3
+        assert out == ""
+        assert "field-too-large" in err
+
+    # one option per family id that its function does not read
+    UNUSED = [("niho2", "--t", "1"), ("p3k2", "--p", "3"),
+              ("r4_general", "--r", "4"), ("r4_p3", "--p", "3"),
+              ("r4_p3_beta", "--i", "1"), ("r4_p5", "--p", "5"),
+              ("r4_p5_vset", "--t", "2"), ("r6_p3", "--preset", "zero"),
+              ("r6_p5", "--p", "7"), ("rp_k1", "--t", "3"),
+              ("rt_k1", "--k", "2"), ("multinomial", "--i", "2")]
+
+    @pytest.mark.parametrize("family,opt,value", UNUSED,
+                             ids=[" ".join(c) for c in UNUSED])
+    def test_unused_option_is_usage_error(self, capsys, monkeypatch, family,
+                                          opt, value):
+        # refused before any field is built, even at the default's value
+        import cppforge.families as families_mod
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("field built")
+        monkeypatch.setattr(families_mod, "build_field", no_field)
+        code, out, err = run_cli(capsys, "verify", "--family", family,
+                                 opt, value)
+        assert code == 2
+        assert out == ""
+        assert f"unused-option: {opt};" in err
+
+    def test_every_family_has_an_unused_case(self):
+        assert [c[0] for c in self.UNUSED] == list(FAMILIES)
+
     @pytest.mark.parametrize("r,code,msg", [(7, 3, "field-too-large"),
                                             (8, 2, "gcd-violation")])
     def test_multinomial_refused_before_presets(self, capsys, monkeypatch,
@@ -309,9 +355,9 @@ class TestVerify:
         from cppforge.field import CapExceeded
 
         def raising(exc):
-            def family(opts):
+            def family():
                 raise exc
-            return family
+            return (), family
 
         monkeypatch.setitem(FAMILIES, "p3k2", raising(CapExceeded("x")))
         assert run_cli(capsys, "verify", "--family", "p3k2")[0] == 3

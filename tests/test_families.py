@@ -9,7 +9,7 @@ import pytest
 
 from cppforge import bulk, cli, families, scan
 from cppforge.field import InternalError, build_field
-from cppforge.families import (FAMILIES, ConditionTag, QUARTIC_BETA_POLY,
+from cppforge.families import (ConditionTag, QUARTIC_BETA_POLY,
                                QUARTIC_BETA_IDENTITIES, SEXTIC_BETA_POLY,
                                beta_quartic_all, dickson_witness_search,
                                field_with_root,
@@ -488,7 +488,7 @@ def verify_lists(monkeypatch, argv):
 
     monkeypatch.setattr(families, "_cpp_verdicts", recording)
     opts = cli.build_parser().parse_args(["verify", "--family", *argv])
-    return FAMILIES[opts.family](opts), seen
+    return cli.run_family(opts), seen
 
 
 def class_of(ctx, d, a):
@@ -629,6 +629,8 @@ class TestMultinomial:
             assert multinomial_admissible_a(ctx, k, g, v) == want, (g, v)
 
     # (g coefficients, v) per preset on the acceptance criterion 11 fields
+    # and six more; the monomial on F_3^5 and F_3^7 and the quartic on
+    # F_2^6, F_2^9, F_2^10, F_7^2 and F_7^5 are fallbacks (no admissible a)
     PINNED_PRESETS = {
         (2, 2, 3): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 1), 56),
                     "dickson-quartic": ((1, 0, 0, 0, 1), 1)},
@@ -640,6 +642,19 @@ class TestMultinomial:
                     "dickson-quartic": ((1, 0, 1, 0, 1), 1)},
         (3, 2, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 22417),
                     "dickson-quartic": ((2, 0, 0, 0, 1), 1)},
+        (2, 3, 3): {"zero": ((0,), 1),
+                    "monomial": ((0, 0, 0, 0, 0, 0, 0, 1), 130),
+                    "dickson-quartic": ((1, 0, 0, 0, 1), 1)},
+        (3, 2, 2): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 16),
+                    "dickson-quartic": ((2, 0, 0, 0, 1), 1)},
+        (5, 1, 3): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 1), 1),
+                    "dickson-quartic": ((4, 0, 0, 0, 1), 1)},
+        (5, 2, 2): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 1), 2),
+                    "dickson-quartic": ((4, 0, 0, 0, 1), 1)},
+        (7, 1, 2): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 0, 0, 1), 1),
+                    "dickson-quartic": ((6, 0, 0, 0, 1), 1)},
+        (7, 1, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 0, 0, 1), 1),
+                    "dickson-quartic": ((6, 0, 0, 0, 1), 1)},
     }
 
     @pytest.mark.parametrize("p,k,r", sorted(PINNED_PRESETS))
@@ -647,6 +662,13 @@ class TestMultinomial:
         presets = multinomial_presets(build_field(p, r * k), k)
         got = dict(presets)
         assert got == self.PINNED_PRESETS[(p, k, r)]
+
+    @pytest.mark.parametrize("p,k,r,name", [(2, 1, 4, "monomial"),
+                                            (11, 1, 5, "quartic")])
+    def test_no_preset_is_internal_error(self, p, k, r, name):
+        # F_2: x^d + x never permutes; F_11: no quartic base permutes
+        with pytest.raises(InternalError, match=f"no {name} preset found"):
+            multinomial_presets(build_field(p, r * k), k)
 
     def test_scalar_vector_agreement(self):
         ctx = build_field(3, 5)
@@ -687,8 +709,8 @@ class TestMultinomial:
             calls.append(k)
             return real(ctx, k)
         monkeypatch.setattr(families, "_multinomial_grid", counted)
-        opts = SimpleNamespace(p=3, k=2, r=5, preset=None)
-        res = families.FAMILIES["multinomial"](opts)
+        opts = SimpleNamespace(family="multinomial", p=3, k=2, r=5)
+        res = cli.run_family(opts)
         assert res["tested"] == 12 and res["failures"] == []
         assert calls == [2]
 

@@ -2,6 +2,10 @@
 and the full-field condition cross-checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,14 +144,16 @@ class TestDirectScan:
         # d sharing a factor with q-1 can never be a CPP exponent
         assert scan.direct_cpp_scan(f81, 10) == []
 
-    @pytest.mark.parametrize("k,count", [(1, 38), (2, 64)],
-                             ids=["F_3^4", "F_3^8"])
-    def test_pool_agrees(self, monkeypatch, k, count):
-        # both fields are below the pool's gate (F_3^8: 107 orbits of 6561
-        # points): lower it so the pool runs
+    @pytest.mark.parametrize("p,k,count", [(3, 1, 38), (3, 2, 64),
+                                           (5, 1, 60), (7, 1, 300)],
+                             ids=["F_3^4", "F_3^8", "F_5^4", "F_7^4"])
+    def test_pool_agrees(self, monkeypatch, p, k, count):
+        # the fields are below the pool's gate (F_3^8: 107 orbits of 6561
+        # points): lower it so the pool runs; serial, pooled and the
+        # whole-field twin agree
         import multiprocessing
-        ctx = build_field(3, 4 * k)
-        d = tower_exponent(3, k, 4)
+        ctx = build_field(p, 4 * k)
+        d = tower_exponent(p, k, 4)
         seq = scan.direct_cpp_scan(ctx, d, jobs=1)
         forks = []
         real = multiprocessing.get_context
@@ -160,7 +166,43 @@ class TestDirectScan:
         monkeypatch.setattr(scan, "POOL_MIN_POINTS", 1)
         par = scan.direct_cpp_scan(ctx, d, jobs=2)
         assert forks == ["fork"]
-        assert par == seq and len(seq) == count
+        assert par == seq == whole_field_members(ctx, d)
+        assert len(seq) == count
+
+    @pytest.mark.parametrize("jobs,chunks", [(1, 64), (2, 16)],
+                             ids=["serial", "pooled"])
+    def test_progress_once_per_chunk(self, monkeypatch, jobs, chunks):
+        # F_3^8: 107 representatives, cut into at most 64 chunks on a
+        # serial run and jobs * 8 in a pool
+        ctx = build_field(3, 8)
+        d = tower_exponent(3, 2, 4)
+        reps = []
+        scan.orbit_members(ctx, d, lambda r: reps.extend(r) or [0] * len(r))
+        assert len(reps) == 107
+        monkeypatch.setattr(scan, "POOL_MIN_POINTS", 1)
+        calls = []
+        scan.direct_cpp_scan(ctx, d, jobs=jobs,
+                             progress=lambda *call: calls.append(call))
+        done = [c[0] for c in calls]
+        assert all(a < b for a, b in zip(done, done[1:]))
+        assert {c[1] for c in calls} == {len(reps)}
+        assert done[-1] == len(reps)
+        step = -(-len(reps) // chunks)
+        assert done == [min(lo + step, len(reps))
+                        for lo in range(0, len(reps), step)]
+
+    def test_serial_scan_imports_no_pool(self):
+        # multiprocessing is imported on the pooled branch only
+        src = Path(scan.__file__).parents[1]
+        code = ("import sys\n"
+                "from cppforge import scan\n"
+                "from cppforge.field import build_field\n"
+                "scan.direct_cpp_scan(build_field(3, 8), 821, jobs=2)\n"
+                "print('multiprocessing' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout == "False\n"
 
     @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (7, 1), (2, 2)])
     def test_tower_exponent_matches_whole_field(self, p, k):
