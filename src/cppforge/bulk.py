@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .field import CapExceeded
+from .field import CapExceeded, zp_is_irreducible
 
 LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
 CHECK_BLOCK = 1 << 17       # points per block: occupancy checks, niho.all_root_counts
@@ -111,6 +111,24 @@ def poly_eval(ctx, coeffs, X):
         if c:
             acc = add(ctx, acc, np.full_like(X, c))
     return acc
+
+
+def find_root(ctx, coeffs):
+    """The root of a subfield polynomial with the least encoding (only
+    F_{p^m} is searched for a monic irreducible over F_p of degree m | n)."""
+    if ctx.backend != "table":
+        raise CapExceeded("field-too-large: root search needs an enumerable field")
+    for c in coeffs:
+        if not 0 <= c < ctx.q:
+            raise ValueError(f"coefficient {c} is not a valid encoding")
+    m = len(coeffs) - 1
+    sub = (0 < m < ctx.n and ctx.n % m == 0 and coeffs[-1] == 1
+           and max(coeffs) < ctx.p and zp_is_irreducible(ctx.p, list(coeffs)))
+    X = np.array(ctx.subfield_elements(m)) if sub else elements(ctx)
+    roots = X[poly_eval(ctx, coeffs, X) == 0]
+    if roots.size == 0:
+        raise ValueError("no-root-found")
+    return int(roots[0])
 
 
 def monomial_values(ctx, d):

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from . import __version__, bulk, families, scan
+from . import __version__, bulk, families
 from .field import CapExceeded, InternalError, build_field
 from .niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
                    niho_s_from_d, walsh_value)
@@ -62,7 +62,7 @@ def cmd_count_cpp(args):
     if args.out:
         check_extension(args.out)      # before the scan
     progress = _Progress(f"count-cpp p={args.p} k={args.k} r={args.r}")
-    res = scan.count_cpp(args.p, args.k, args.r, method=args.method,
+    res = families.count_cpp(args.p, args.k, args.r, method=args.method,
                          jobs=args.jobs, progress=progress)
     ctx = res["ctx"]
     report = CppReport(p=args.p, n=ctx.n, modulus=ctx.modulus, d=res["d"],
@@ -83,22 +83,33 @@ def cmd_count_cpp(args):
     return 0
 
 
-# `verify` option -> its value when the command line leaves it out
-VERIFY_DEFAULTS = {"p": 3, "k": 1, "r": 4, "i": 1, "t": 1, "preset": None}
+# `verify` and `conjecture` option -> its value when the command line
+# leaves it out (`conjecture` requires --p)
+OPTION_DEFAULTS = {"p": 3, "k": 1, "r": 4, "i": 1, "t": 1, "preset": None,
+                   "kmin": 1, "kmax": 1, "budget": None}
+# `conjecture --id` -> the options it reads; conjecture 2 fixes r = p - 1
+# and checks every coefficient
+CONJECTURE_OPTIONS = {1: ("p", "r", "kmin", "kmax", "budget"),
+                      2: ("p", "kmin", "kmax")}
+
+
+def read_options(args, options, reader):
+    """{option: value} for each of options, OPTION_DEFAULTS filling those
+    the command line left out; any other option given is a usage error,
+    raised before a field is built."""
+    unused = [f"--{o}" for o in OPTION_DEFAULTS
+              if hasattr(args, o) and o not in options]
+    if unused:
+        raise ValueError(f"unused-option: {' '.join(unused)}; {reader} "
+                         f"reads {' '.join('--' + o for o in options)}")
+    return {o: getattr(args, o, OPTION_DEFAULTS[o]) for o in options}
 
 
 def run_family(args):
     """The result of family args.family on the verify options it reads
-    (families.FAMILIES); any other option given is a usage error, raised
-    before a field is built."""
+    (families.FAMILIES)."""
     options, run = families.FAMILIES[args.family]
-    unused = [f"--{o}" for o in VERIFY_DEFAULTS
-              if hasattr(args, o) and o not in options]
-    if unused:
-        raise ValueError(f"unused-option: {' '.join(unused)}; family "
-                         f"{args.family} reads "
-                         f"{' '.join('--' + o for o in options)}")
-    return run(*(getattr(args, o, VERIFY_DEFAULTS[o]) for o in options))
+    return run(*read_options(args, options, f"family {args.family}").values())
 
 
 def cmd_verify(args):
@@ -118,22 +129,24 @@ def cmd_verify(args):
 
 
 def cmd_conjecture(args):
-    if args.kmin > args.kmax:
-        raise ValueError(f"empty-range: --kmin {args.kmin} > --kmax {args.kmax}")
-    if args.budget is not None and args.budget < 1:
-        raise ValueError(f"empty-budget: --budget {args.budget} < 1")
+    opts = read_options(args, CONJECTURE_OPTIONS[args.id],
+                        f"conjecture {args.id}")
+    p, kmin, kmax, r, budget = map(opts.get, ("p", "kmin", "kmax", "r", "budget"))
+    if kmin > kmax:
+        raise ValueError(f"empty-range: --kmin {kmin} > --kmax {kmax}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"empty-budget: --budget {budget} < 1")
     if args.id == 1:
-        for k in range(args.kmin, args.kmax + 1):      # before any line
-            families.dickson_hypotheses(args.p, args.r, k)
+        for k in range(kmin, kmax + 1):      # before any line
+            families.dickson_hypotheses(p, r, k)
     all_pass = True
-    for k in range(args.kmin, args.kmax + 1):
+    for k in range(kmin, kmax + 1):
         if args.id == 1:
-            res = families.dickson_witness_search(args.p, args.r, k,
-                                                  budget=args.budget)
+            res = families.dickson_witness_search(p, r, k, budget=budget)
             counts = (f"witnesses={res['witness_count']} "
                       f"cpp_failures={len(res['cpp_failures'])}")
         else:
-            res = families.verify_neg_one_family(args.p, k)
+            res = families.verify_neg_one_family(p, k)
             counts = (f"coefficients={res['coefficients']} "
                       f"failures={len(res['failures'])} reformulated_failures="
                       f"{len(res['reformulated_failures'])}")
@@ -147,7 +160,7 @@ def cmd_walsh(args):
     if args.a is not None and not 0 <= args.a < ctx.q:
         raise ValueError(f"not-an-element: --a {args.a} must encode an "
                          f"element of F_{args.p}^{2 * args.k}, 0 <= a < {ctx.q}")
-    coeffs = ctx.elements() if args.all else [args.a if args.a is not None else 0]
+    coeffs = bulk.elements(ctx) if args.all else [args.a if args.a is not None else 0]
     nctx = NihoCtx(ctx, args.k)
     if args.s is not None:
         s = args.s
@@ -221,10 +234,9 @@ def build_parser():
     j = sub.add_parser("conjecture", help="run an open-case harness")
     j.add_argument("--id", type=int, required=True, choices=(1, 2))
     j.add_argument("--p", type=int, required=True)
-    j.add_argument("--r", type=int, default=4)
-    j.add_argument("--kmin", type=int, default=1)
-    j.add_argument("--kmax", type=int, default=1)
-    j.add_argument("--budget", type=int, default=None)
+    # no defaults here: cmd_conjecture tells a given option from a left-out one
+    for opt in ("r", "kmin", "kmax", "budget"):
+        j.add_argument(f"--{opt}", type=int, default=argparse.SUPPRESS)
     j.set_defaults(fn=cmd_conjecture)
 
     w = sub.add_parser("walsh", help="Walsh transform values on F_{p^2k}")

@@ -1,6 +1,6 @@
-"""CPP coefficient families: exponent formulas, membership predicates,
-explicit generators, the two open-verification harnesses, and FAMILIES,
-the table of families that `verify` runs.
+"""CPP coefficient families: exponent formulas, membership predicates and
+the r = 4 equality check, the count-cpp driver, explicit generators, the
+two open-verification harnesses, and FAMILIES, the table `verify` runs.
 
 The r = 4 predicates for p != 5 test only the normalized quintic
 x^5 + A3 x^3 + A2 x^2 + A1 x of hadickson.depressed_quintic: each
@@ -14,6 +14,7 @@ the direct CPP oracle in the test and acceptance suites.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,9 +22,8 @@ import numpy as np
 from . import bulk, scan
 from .field import (CapExceeded, HypothesisViolation, InternalError,
                     build_field, is_prime)
-from .hadickson import (LambdaVec, depressed_quintic, h_a_coeffs,
-                        ha_pp_check, is_dickson_of_degree, lambda_coeffs,
-                        taylor_shift)
+from .hadickson import (depressed_quintic, h_a_coeffs, ha_pp_check,
+                        is_dickson_of_degree, lambda_coeffs, taylor_shift)
 from .oracle import is_cpp, is_cpp_exponent_pair
 
 
@@ -161,14 +161,14 @@ def r4_condition_p5(ctx, a, k):
         raise ValueError(f"degree-mismatch: need n == 4k, got n={ctx.n}")
     if a == 0:
         return None
-    lv = lambda_coeffs(ctx, a, 4, k)
-    l1, l2, l3, l4 = lv.entries
+    lam = lambda_coeffs(ctx, a, 4, k)
+    l1, l2, l3, l4 = lam
     if l1 == 0 and l2 == 0 and l3 == 0:
         if not ctx.residue_test(ctx.neg(l4), k, "fourth"):
             return ConditionTag("r4_p5", "1")
     if l1 == 0 and l2 != 0:
         shift = ctx.neg(ctx.mul(l3, ctx.inv(ctx.mul(3, l2))))
-        shifted = taylor_shift(ctx, h_a_coeffs(lv), shift)[1]
+        shifted = taylor_shift(ctx, h_a_coeffs(lam), shift)[1]
         if ctx.neg(ctx.mul(l2, l2)) == shifted \
                 and not ctx.residue_test(ctx.mul(2, l2), k, "square"):
             return ConditionTag("r4_p5", "2")
@@ -182,6 +182,83 @@ def r4_tagger(ctx, k):
     conditions when p = 5, the quintic-classification ones otherwise."""
     condition = r4_condition_p5 if ctx.p == 5 else r4_condition
     return lambda a: condition(ctx, a, k)
+
+
+def r4_equality_check(ctx, k, tagger):
+    """Cross-check that an r = 4 membership tagger (a -> ConditionTag or
+    None) tags exactly the CPP coefficients of F_{p^4k}.
+
+    Membership and every condition's tag are constant on the classes of
+    F_q^*/F_{p^k}^* (cyclic of order e = (q-1)/(p^k-1), a = g^j in class
+    j mod e) and on their Frobenius orbits j -> pj mod e, since
+    f_a(cx) = c N(c) f_{a/N(c)}(x), f_a(x)^p = f_{a^p}(x^p) and each
+    condition is weighted-homogeneous in the lambda_i.  So one g^j per
+    orbit, j least in its coset, is tagged, and every coefficient of a
+    tagged orbit counts as tagged.
+
+    Returns (cpp_list, tagged_count, untagged): the members whose orbit
+    is untagged.  The tagger is sound and complete when untagged is empty
+    and tagged_count == len(cpp_list).
+    """
+    cpps = scan.ha_cpp_scan(ctx, 4, k)
+    tagged = set(scan.orbit_members(
+        ctx, tower_exponent(ctx.p, k, 4),
+        lambda reps: [tagger(a) is not None for a in reps]))
+    return cpps, len(tagged), [a for a in cpps if a not in tagged]
+
+
+# ----------------------------------------------------------------------
+# the count-cpp driver
+
+def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
+    """Coefficient count and list for d = (p^(rk)-1)/(p^k-1)+1.
+
+    method "direct", "ha", or "both"; with "both" the two lists must agree
+    element for element or a RuntimeError names the first mismatch.
+    Returns a dict feeding the structured report; for r = 4, "labels"
+    maps each coefficient to its condition label ("" when untagged).
+    """
+    d = tower_exponent(p, k, r)
+    ctx = build_field(p, r * k)
+    t0 = time.monotonic()
+    elems_direct = elems_ha = None
+    if method in ("direct", "both"):
+        elems_direct = scan.direct_cpp_scan(ctx, d, jobs=jobs, progress=progress)
+    if method in ("ha", "both"):
+        elems_ha = scan.ha_cpp_scan(ctx, r, k)
+    if method == "both":
+        if elems_direct != elems_ha:
+            sd, sh = set(elems_direct), set(elems_ha)
+            diff = sorted(sd.symmetric_difference(sh))
+            raise RuntimeError(
+                f"method-mismatch: first disagreeing coefficient {diff[0]} "
+                f"(direct={diff[0] in sd}, ha={diff[0] in sh})")
+    elems = elems_direct if elems_direct is not None else elems_ha
+    labels = {}
+    if r == 4 and p != 2:
+        # labels are constant on the orbits of r4_equality_check: tag the
+        # representative g^j of each member orbit
+        tagger = r4_tagger(ctx, k)
+
+        def tag_labels(reps):
+            return [tag.label() if tag else "" for tag in map(tagger, reps)]
+
+        labels = dict(zip(elems,
+                          scan.orbit_values(ctx, d, elems, tag_labels).tolist()))
+    conditions = {}
+    for label in labels.values():
+        label = label or "untagged"
+        conditions[label] = conditions.get(label, 0) + 1
+    return {
+        "ctx": ctx,
+        "d": d,
+        "method": method,
+        "count": len(elems),
+        "elements": elems,
+        "conditions": conditions,
+        "labels": labels,
+        "seconds": time.monotonic() - t0,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +276,7 @@ def field_with_root(p, n, poly):
         ctx = build_field(p, n, tuple(c % p for c in poly))
         return ctx, p       # the residue class of x
     ctx = build_field(p, n)
-    beta = ctx.find_root(tuple(c % p for c in poly))
+    beta = bulk.find_root(ctx, tuple(c % p for c in poly))
     return ctx, beta
 
 
@@ -303,8 +380,7 @@ def r6_dickson_coefficient(ctx, beta, family_index, u):
         raise ValueError(f"not-in-subfield: {u}")
     coords = r6_coordinate_table(ctx.p)[family_index]
     a = ctx.mul(u, ctx.poly_eval([ctx.scalar(c) for c in coords], beta))
-    lv = lambda_coeffs(ctx, a, 6, k)
-    if is_dickson_of_degree(ctx, lv, 7, k) is None:
+    if is_dickson_of_degree(ctx, lambda_coeffs(ctx, a, 6, k), k) is None:
         raise InternalError(f"h_a is not a Dickson polynomial for family "
                             f"{family_index}, u={u}")
     return a
@@ -400,15 +476,14 @@ def dickson_witness_search(p, r, k, budget=None):
     D_l(x, eta^p), so the match is constant on those orbits.  The lambda
     rows of all representatives come from one bulk.lambda_scan.
     """
-    l = r + 1
     d = dickson_hypotheses(p, r, k)
     ctx = build_field(p, r * k)
     if ctx.backend == "table":
         def decide(reps):
             lam = bulk.lambda_scan(ctx, r, k, reps)
             ctx.subfield_view(k).logs(lam)     # the lambda invariant
-            return [is_dickson_of_degree(ctx, LambdaVec(r, k, tuple(row)), l, k)
-                    is not None for row in lam.tolist()]
+            return [is_dickson_of_degree(ctx, tuple(row), k) is not None
+                    for row in lam.tolist()]
         witnesses = scan.orbit_members(ctx, d, decide, budget)
         cpp_failures = _oracle_checked(ctx, d, witnesses)["failures"]
     elif budget is None:
@@ -419,7 +494,7 @@ def dickson_witness_search(p, r, k, budget=None):
         # each witness re-checked as in verify_neg_one_family, on its own
         witnesses = [a for a in range(1, min(budget, ctx.q - 1) + 1)
                      if is_dickson_of_degree(
-                         ctx, lambda_coeffs(ctx, a, r, k), l, k) is not None]
+                         ctx, lambda_coeffs(ctx, a, r, k), k) is not None]
         gcd_ok = math.gcd(d, ctx.q - 1) == 1
         cpp_failures = [a for a in witnesses
                         if not (gcd_ok and ha_pp_check(ctx, a, r, k))]
@@ -525,48 +600,47 @@ def _multinomial_grid(ctx, k):
     return S, X, pos, px
 
 
-def multinomial_presets(ctx, k):
-    """The three stock g choices: zero, a monomial x^(d-1) for a CPP
-    exponent d of the subfield, and the quartic whose induced quintic is a
-    Dickson shape (2 c0^2 = c1 + v).  Returns {name: (coeffs, v)}, coeffs
-    ascending."""
+def multinomial_presets(ctx, k, only=None):
+    """The stock g choices that have a member on F_{p^k} (only the one
+    named, when given): zero, a monomial x^(d-1) for a CPP exponent d of
+    the subfield, and the quartic whose induced quintic is a Dickson shape
+    (2 c0^2 = c1 + v).  A preset is the first of its candidates (g, v)
+    whose base x g(x) + v x permutes F_{p^k} and that admits some a; with
+    none, it is left out.  Returns {name: (coeffs ascending, v, admissible
+    a)}."""
     Q, two = ctx.p ** k, ctx.scalar(2)
     nonzero = [e for e in ctx.subfield_elements(k) if e != 0]
-    monomials = ((tuple([0] * (d - 1) + [1]), nonzero)
-                 for d in range(2, 4 * Q + 3) if math.gcd(d, Q - 1) == 1)
-    # v = 1 and x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
-    quartics = (((ctx.sub(ctx.mul(two, ctx.mul(c0, c0)), 1), 0, c0, 0, 1), [1])
-                for c0 in nonzero + [0])
-    return {"zero": ((0,), 1),
-            "monomial": _first_preset(ctx, k, monomials, "monomial"),
-            "dickson-quartic": _first_preset(ctx, k, quartics, "quartic")}
+    candidates = {
+        "zero": [((0,), [1])],
+        "monomial": ((tuple([0] * (d - 1) + [1]), nonzero)
+                     for d in range(2, 4 * Q + 3) if math.gcd(d, Q - 1) == 1),
+        # v = 1 and x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
+        "dickson-quartic": (
+            ((ctx.sub(ctx.mul(two, ctx.mul(c0, c0)), 1), 0, c0, 0, 1), [1])
+            for c0 in nonzero + [0]),
+    }
+    firsts = {name: next(_members(ctx, k, candidates[name]), None)
+              for name in ([only] if only else candidates)}
+    return {name: first for name, first in firsts.items() if first}
 
 
-def _first_preset(ctx, k, candidates, name):
-    """The first (g, v), over the (g, vs) of candidates, for which x g(x)
-    + v x permutes F_{p^k} and some a is admissible; failing that, the
-    first whose base permutes (its usable maps may be empty for very
-    small subfields)."""
-    fallback = None
+def _members(ctx, k, candidates):
+    """(g, v, admissible a) for each (g, v), over the (g, vs) of
+    candidates, for which x g(x) + v x permutes F_{p^k} and some a is
+    admissible."""
     for gc, vs in candidates:
         for v, ok in zip(vs, _scaled_base_permutes(ctx, gc, vs, k)):
-            if ok:
-                if multinomial_admissible_a(ctx, k, gc, v):
-                    return gc, v
-                fallback = fallback or (gc, v)
-    if fallback is None:
-        raise InternalError(f"no {name} preset found")
-    return fallback
+            admissible = multinomial_admissible_a(ctx, k, gc, v) if ok else []
+            if admissible:
+                yield gc, v, admissible
 
 
-def multinomial_admissible_a(ctx, k, g=None, v=None):
-    """Subfield coefficients allowed in the multinomial family: everything
-    outside {0, -1}; with (g, v) given, also only those a for which the
-    rescaled base x g(x) + v(a+1)/a x still permutes (the f + x side)."""
+def multinomial_admissible_a(ctx, k, g, v):
+    """Subfield coefficients allowed in the multinomial family with (g, v):
+    those outside {0, -1} for which the rescaled base x g(x) + v(a+1)/a x
+    still permutes (the f + x side)."""
     excl = {0, ctx.neg(1)}
     out = [a for a in ctx.subfield_elements(k) if a not in excl]
-    if g is None:
-        return out
     ws = [ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a))) for a in out]
     keep = _scaled_base_permutes(ctx, tuple(g), ws, k)
     return [a for a, ok in zip(out, keep) if ok]
@@ -608,7 +682,7 @@ def _r4_scan(p, k, condition=None):
     ctx = build_field(p, 4 * k)
     tagger = (r4_tagger(ctx, k) if condition is None
               else lambda a: condition(ctx, a, k))
-    cpps, tagged, failures = scan.r4_equality_check(ctx, k, tagger)
+    cpps, tagged, failures = r4_equality_check(ctx, k, tagger)
     if tagged != len(cpps):
         failures.append(("tagged-count", tagged))
     return {"d": d, "tested": ctx.q - 1,
@@ -646,15 +720,20 @@ def _r6(p, k):
 def _multinomial(p, k, r, preset):
     # the hypotheses (exit 2) and the table backend (exit 3) before the
     # presets search; X, T's subfield position and (p-1) X^p serve every
-    # map of the run
+    # map of the run.  Without --preset, the presets with no member on
+    # F_{p^k} are skipped
     ctx = build_field(p, r * k)
     _multinomial_hypotheses(ctx, k)
     grid = _multinomial_grid(ctx, k)
-    presets = multinomial_presets(ctx, k)
-    cases = [(name, a) for name in ([preset] if preset else list(presets))
-             for a in multinomial_admissible_a(ctx, k, *presets[name])]
+    presets = multinomial_presets(ctx, k, preset)
+    if not presets:
+        which = f"preset {preset}" if preset else "any multinomial preset"
+        raise HypothesisViolation(f"hypothesis-violation: the subfield "
+                                  f"F_{p}^{k} admits no member of {which}")
+    cases = [(name, a) for name, (_, _, admissible) in presets.items()
+             for a in admissible]
     failures = [(name, a) for name, a in cases if not is_cpp(
-        ctx, multinomial_map(ctx, *presets[name], a, k, grid))]
+        ctx, multinomial_map(ctx, *presets[name][:2], a, k, grid))]
     return {"d": None, "tested": len(cases), "failures": failures}
 
 

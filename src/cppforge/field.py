@@ -467,13 +467,6 @@ class FieldCtx:
         """Image of the integer m in the prime subfield."""
         return m % self.p
 
-    def elements(self):
-        """All encodings, ascending (table backend only)."""
-        if self.backend != "table":
-            raise CapExceeded("field-too-large: cannot enumerate a "
-                              "generic-backend field")
-        return range(self.q)
-
     def spec_string(self) -> str:
         return f"p={self.p},n={self.n},mod=" + ",".join(str(c) for c in self.modulus)
 
@@ -769,7 +762,7 @@ class FieldCtx:
         y = self.subgroup_generator(2 * m)
         return tuple(sorted(self._progression(y, self.mul(y, y), m)))
 
-    # -- residues, polynomials, roots ---------------------------------------
+    # -- residues and polynomials -------------------------------------------
 
     def residue_test(self, x, k, power):
         """True iff x is a square / fourth power inside F_{p^k}."""
@@ -792,24 +785,6 @@ class FieldCtx:
         for c in reversed(list(coeffs)):
             acc = self.add(self.mul(acc, x), c)
         return acc
-
-    def find_root(self, coeffs):
-        """The root of a subfield polynomial with the least encoding (only
-        F_{p^m} is searched for a monic irreducible over F_p of degree m | n)."""
-        if self.backend != "table":
-            raise CapExceeded("field-too-large: root search needs an enumerable field")
-        for c in coeffs:
-            if not 0 <= c < self.q:
-                raise ValueError(f"coefficient {c} is not a valid encoding")
-        from . import bulk
-        m = len(coeffs) - 1
-        sub = (0 < m < self.n and self.n % m == 0 and coeffs[-1] == 1
-               and max(coeffs) < self.p and zp_is_irreducible(self.p, list(coeffs)))
-        X = np.array(self.subfield_elements(m)) if sub else bulk.elements(self)
-        roots = X[bulk.poly_eval(self, coeffs, X) == 0]
-        if roots.size == 0:
-            raise ValueError("no-root-found")
-        return int(roots[0])
 
 
 # ----------------------------------------------------------------------

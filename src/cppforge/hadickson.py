@@ -12,24 +12,14 @@ h_a is matched against a degree-7 Dickson polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .field import InternalError
 
 
-@dataclass(frozen=True)
-class LambdaVec:
-    """Elementary symmetric functions (lambda_1, ..., lambda_r) of the
-    Frobenius^k-conjugates of a coefficient; lambda_0 = 1 is implicit and
-    every entry lies in F_{p^k}."""
-    r: int
-    k: int
-    entries: tuple
-
-
-def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
-    """lambda_i of the conjugates a^(p^(ik)), i < r, via the incremental
-    product prod(x + a_i)."""
+def lambda_coeffs(ctx, a, r, k) -> tuple:
+    """(lambda_1, ..., lambda_r), the elementary symmetric functions of the
+    conjugates a^(p^(ik)), i < r, via the incremental product prod(x + a_i);
+    lambda_0 = 1 is implicit and every entry lies in F_{p^k}."""
     if ctx.n != r * k:
         raise ValueError(f"degree-mismatch: need n == r*k, got {ctx.n} != {r}*{k}")
     step = ctx.p ** k
@@ -40,22 +30,21 @@ def lambda_coeffs(ctx, a, r, k) -> LambdaVec:
     for c in conj:
         for j in range(r, 0, -1):
             es[j] = ctx.add(es[j], ctx.mul(es[j - 1], c))
-    entries = tuple(es[1:])
-    for lam in entries:
-        if not ctx.in_subfield(lam, k):
-            raise InternalError("conjugate symmetric function left the subfield")
-    return LambdaVec(r, k, entries)
+    lam = tuple(es[1:])
+    if not all(ctx.in_subfield(entry, k) for entry in lam):
+        raise InternalError("conjugate symmetric function left the subfield")
+    return lam
 
 
 def ha_pp_check(ctx, a, r, k) -> bool:
     """Whether h_a permutes F_{p^k} (occupancy check on the subfield)."""
-    lv = lambda_coeffs(ctx, a, r, k)
-    return bool(ctx.subfield_view(k).permutes([lv.entries])[0])
+    lam = lambda_coeffs(ctx, a, r, k)
+    return bool(ctx.subfield_view(k).permutes([lam])[0])
 
 
-def h_a_coeffs(lv: LambdaVec) -> tuple:
+def h_a_coeffs(lam) -> tuple:
     """Ascending coefficient sequence of h_a: (0, lambda_r, ..., lambda_1, 1)."""
-    return (0,) + tuple(reversed(lv.entries)) + (1,)
+    return (0,) + tuple(reversed(lam)) + (1,)
 
 
 def taylor_shift(ctx, coeffs, s):
@@ -68,24 +57,24 @@ def taylor_shift(ctx, coeffs, s):
     return out
 
 
-def depressed(ctx, lv: LambdaVec):
-    """Ascending coefficients of h_a(x - lambda_1/(r+1)), the shift that
-    removes the degree-r term (needs p not dividing r + 1).  The shift and
-    the additive constant do not affect bijectivity."""
-    shift = ctx.neg(ctx.mul(lv.entries[0], ctx.inv(ctx.scalar(lv.r + 1))))
-    h = h_a_coeffs(lv)
+def depressed(ctx, lam):
+    """Ascending coefficients of h_a(x - lambda_1/(r+1)), r = len(lam), the
+    shift that removes the degree-r term (needs p not dividing r + 1).  The
+    shift and the additive constant do not affect bijectivity."""
+    shift = ctx.neg(ctx.mul(lam[0], ctx.inv(ctx.scalar(len(lam) + 1))))
+    h = h_a_coeffs(lam)
     return taylor_shift(ctx, h, shift) if shift else list(h)
 
 
-def depressed_quintic(ctx, lv: LambdaVec):
+def depressed_quintic(ctx, lam):
     """Coefficients (A3, A2, A1) of the normalized quintic
     x^5 + A3 x^3 + A2 x^2 + A1 x + const = h_a(x - lambda_1/5) (needs
     p != 5), the form of Dickson's table of permutation quintics."""
     if ctx.p == 5:
         raise ValueError("char-five: the degree-4 term cannot be removed when p = 5")
-    if lv.r != 4:
-        raise ValueError(f"degree-mismatch: need r == 4, got {lv.r}")
-    return tuple(depressed(ctx, lv)[3:0:-1])
+    if len(lam) != 4:
+        raise ValueError(f"degree-mismatch: need r == 4, got {len(lam)}")
+    return tuple(depressed(ctx, lam)[3:0:-1])
 
 
 def dickson_poly(ctx, l, eta, k) -> tuple:
@@ -110,9 +99,10 @@ def dickson_poly(ctx, l, eta, k) -> tuple:
     return tuple(coeffs)
 
 
-def is_dickson_of_degree(ctx, lv: LambdaVec, l, k):
-    """eta such that h_a(x) = D_l(x + c, eta) + const for the unique shift
-    c = lambda_1/l that removes the degree-(l-1) term, else None.
+def is_dickson_of_degree(ctx, lam, k):
+    """eta such that h_a(x) = D_l(x + c, eta) + const, l = len(lam) + 1 the
+    degree of h_a, for the unique shift c = lambda_1/l that removes the
+    degree-(l-1) term, else None.
 
     The shift and the dropped constant preserve bijectivity, so a match
     certifies that h_a permutes F_{p^k} exactly when D_l does.  eta is
@@ -120,16 +110,15 @@ def is_dickson_of_degree(ctx, lv: LambdaVec, l, k):
     (D_l degenerating to the monomial x^l) counts only when the shift is
     nontrivial -- the all-zero lambda vector never matches.
     """
-    if lv.r + 1 != l:
-        raise ValueError(f"degree-mismatch: h_a has degree {lv.r + 1}, not {l}")
+    l = len(lam) + 1
     if l % ctx.p == 0:
         raise ValueError("degree divisible by p: eta cannot be recovered")
-    dep = depressed(ctx, lv)
+    dep = depressed(ctx, lam)
     eta = ctx.neg(ctx.mul(dep[l - 2], ctx.inv(ctx.scalar(l))))
     if not ctx.in_subfield(eta, k):
         return None
     if eta == 0:
-        if lv.entries[0] == 0:
+        if lam[0] == 0:
             return None
         return 0 if all(c == 0 for c in dep[1:l]) else None
     want = dickson_poly(ctx, l, eta, k)

@@ -9,20 +9,19 @@ bytewise.
 
 orbit_values is the one implementation of the orbit classes: it decides a
 property once per class and gives each coefficient its class's verdict.
-Both scans, the r = 4 checks, the Dickson witness search and every
-oracle check of a family's coefficient list on a table field use it.
+Both scans use it, and in families so do the r = 4 checks, the Dickson
+witness search and every table-field oracle check of a coefficient list.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import time
 
 import numpy as np
 
 from . import bulk
-from .field import CapExceeded, build_field
+from .field import CapExceeded
 
 POOL_MIN_POINTS = 1 << 25   # orbits x q before --jobs > 1 forks a pool
 _WORKER = {}                # (ctx, d) of the scan, inherited through fork
@@ -144,78 +143,3 @@ def ha_cpp_scan(ctx, r, k):
         return ctx.subfield_view(k).permutes(lam)
 
     return orbit_members(ctx, d, decide)
-
-
-def r4_equality_check(ctx, k, tagger):
-    """Cross-check that an r = 4 membership tagger (a -> ConditionTag or
-    None) tags exactly the CPP coefficients of F_{p^4k}.
-
-    Membership and every condition's tag are constant on the classes of
-    F_q^*/F_{p^k}^* (cyclic of order e = (q-1)/(p^k-1), a = g^j in class
-    j mod e) and on their Frobenius orbits j -> pj mod e, since
-    f_a(cx) = c N(c) f_{a/N(c)}(x), f_a(x)^p = f_{a^p}(x^p) and each
-    condition is weighted-homogeneous in the lambda_i.  So one g^j per
-    orbit, j least in its coset, is tagged, and every coefficient of a
-    tagged orbit counts as tagged.
-
-    Returns (cpp_list, tagged_count, untagged): the members whose orbit
-    is untagged.  The tagger is sound and complete when untagged is empty
-    and tagged_count == len(cpp_list).
-    """
-    from .families import tower_exponent
-    cpps = ha_cpp_scan(ctx, 4, k)
-    tagged = set(orbit_members(ctx, tower_exponent(ctx.p, k, 4), lambda reps: [
-        tagger(a) is not None for a in reps]))
-    return cpps, len(tagged), [a for a in cpps if a not in tagged]
-
-
-def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
-    """Coefficient count and list for d = (p^(rk)-1)/(p^k-1)+1.
-
-    method "direct", "ha", or "both"; with "both" the two lists must agree
-    element for element or a RuntimeError names the first mismatch.
-    Returns a dict feeding the structured report; for r = 4, "labels"
-    maps each coefficient to its condition label ("" when untagged).
-    """
-    from .families import r4_tagger, tower_exponent
-    d = tower_exponent(p, k, r)
-    ctx = build_field(p, r * k)
-    t0 = time.monotonic()
-    elems_direct = elems_ha = None
-    if method in ("direct", "both"):
-        elems_direct = direct_cpp_scan(ctx, d, jobs=jobs, progress=progress)
-    if method in ("ha", "both"):
-        elems_ha = ha_cpp_scan(ctx, r, k)
-    if method == "both":
-        if elems_direct != elems_ha:
-            sd, sh = set(elems_direct), set(elems_ha)
-            diff = sorted(sd.symmetric_difference(sh))
-            raise RuntimeError(
-                f"method-mismatch: first disagreeing coefficient {diff[0]} "
-                f"(direct={diff[0] in sd}, ha={diff[0] in sh})")
-    elems = elems_direct if elems_direct is not None else elems_ha
-    labels = {}
-    if r == 4 and p != 2:
-        # labels are constant on the orbits of r4_equality_check: tag the
-        # representative g^j of each member orbit
-        tagger = r4_tagger(ctx, k)
-
-        def tag_labels(reps):
-            return [tag.label() if tag else "" for tag in map(tagger, reps)]
-
-        labels = dict(zip(elems,
-                          orbit_values(ctx, d, elems, tag_labels).tolist()))
-    conditions = {}
-    for label in labels.values():
-        label = label or "untagged"
-        conditions[label] = conditions.get(label, 0) + 1
-    return {
-        "ctx": ctx,
-        "d": d,
-        "method": method,
-        "count": len(elems),
-        "elements": elems,
-        "conditions": conditions,
-        "labels": labels,
-        "seconds": time.monotonic() - t0,
-    }

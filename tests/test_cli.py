@@ -109,12 +109,12 @@ class TestCountCpp:
         assert all(re.match(r"^\d+,r4_p5:\d$", ln) for ln in lines[1:])
 
     def test_bad_extension_before_scan(self, capsys, monkeypatch, tmp_path):
-        import cppforge.scan as scan_mod
+        import cppforge.families as families_mod
 
         def no_scan(*args, **kwargs):
             raise AssertionError("count_cpp called")
 
-        monkeypatch.setattr(scan_mod, "count_cpp", no_scan)
+        monkeypatch.setattr(families_mod, "count_cpp", no_scan)
         code, out, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",
                                  "--r", "4", "--out", str(tmp_path / "r.xml"))
         assert code == 2
@@ -249,7 +249,7 @@ class TestVerify:
         # F_3^16 with gcd(p-1, r) = 2: the hypothesis exits 2 first
         import cppforge.families as families_mod
 
-        def no_presets(ctx, k):
+        def no_presets(*args):
             raise AssertionError("presets searched")
         monkeypatch.setattr(families_mod, "multinomial_presets", no_presets)
         got, out, err = run_cli(capsys, "verify", "--family", "multinomial",
@@ -427,7 +427,7 @@ class TestVerify:
                  if isinstance(node, ast.Raise)
                  and isinstance(node.exc, ast.Call)
                  and getattr(node.exc.func, "id", None) == "RuntimeError"]
-        assert [name for name, _ in plain] == ["scan.py"]
+        assert [name for name, _ in plain] == ["families.py"]
 
 
 # stdout of `conjecture`: the eleven conjecture-2 fields of the acceptance
@@ -502,6 +502,29 @@ class TestConjecture:
         assert code == 2
         assert out == ""
         assert msg in err
+
+    ID2_UNUSED = [(("--r", "9"), "--r"), (("--r", "4"), "--r"),
+                  (("--budget", "5"), "--budget"),
+                  (("--r", "9", "--budget", "5"), "--r --budget")]
+
+    @pytest.mark.parametrize("argv,unused", ID2_UNUSED,
+                             ids=["_".join(c[0]) for c in ID2_UNUSED])
+    def test_id2_unused_option_is_usage_error(self, capsys, monkeypatch,
+                                              argv, unused):
+        # conjecture 2 fixes r = p - 1 and checks every coefficient: --r and
+        # --budget are refused before any field is built, even at the
+        # default's value
+        import cppforge.families as families_mod
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("field built")
+        monkeypatch.setattr(families_mod, "build_field", no_field)
+        code, out, err = run_cli(capsys, "conjecture", "--id", "2", "--p", "3",
+                                 "--kmin", "1", "--kmax", "2", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unused-option: {unused}; conjecture 2 reads --p --kmin " \
+            "--kmax" in err
 
     def test_every_k_checked_before_output(self, capsys):
         # k = 2 breaks gcd(r, k) = 1: nothing is printed for k = 1 either

@@ -360,7 +360,7 @@ class TestConjectureHarnesses:
         for a in range(1, 81):
             from cppforge.hadickson import is_dickson_of_degree
             lv = lambda_coeffs(ctx, a, 4, 1)
-            if is_dickson_of_degree(ctx, lv, 5, 1) is not None:
+            if is_dickson_of_degree(ctx, lv, 1) is not None:
                 wits.add(a)
         assert gen <= wits
 
@@ -406,7 +406,7 @@ class TestConjectureHarnesses:
         import cppforge.families as families_mod
         ctx = build_field(p, r * k)
         twin = [a for a in range(1, ctx.q) if is_dickson_of_degree(
-            ctx, lambda_coeffs(ctx, a, r, k), r + 1, k) is not None]
+            ctx, lambda_coeffs(ctx, a, r, k), k) is not None]
         calls = []
 
         def counting(*args):
@@ -434,7 +434,7 @@ class TestConjectureHarnesses:
             full = dickson_witness_search(p, r, k)["witnesses"]
             ctx = build_field(p, r * k)
             scalar = [a for a in range(1, ctx.q) if is_dickson_of_degree(
-                ctx, lambda_coeffs(ctx, a, r, k), r + 1, k) is not None]
+                ctx, lambda_coeffs(ctx, a, r, k), k) is not None]
             assert scalar == full
             for M in (1, 30, 200, ctx.q - 1, full[0], full[-1], ctx.q + 5):
                 res = dickson_witness_search(p, r, k, budget=M)
@@ -554,9 +554,8 @@ class TestMultinomial:
     def test_p2_bao_form(self):
         # f = x Tr(x) + x^2 + a x over F_64 with the zero preset
         ctx = build_field(2, 6)
-        g, v = multinomial_presets(ctx, 2)["zero"]
+        g, v, aa = multinomial_presets(ctx, 2)["zero"]
         assert v == 1
-        aa = multinomial_admissible_a(ctx, 2, g, v)
         assert len(aa) == 2
         for a in aa:
             f = multinomial_map(ctx, g, v, a, 2)
@@ -569,7 +568,7 @@ class TestMultinomial:
     def test_p3_trace_power_form(self):
         # f = x Tr(x)^2 + 2 x^3 + x over F_3^5 with a = 1
         ctx = build_field(3, 5)
-        g, v = multinomial_presets(ctx, 1)["zero"]
+        g, v, _ = multinomial_presets(ctx, 1)["zero"]
         f = multinomial_map(ctx, g, v, 1, 1)
         assert is_cpp(ctx, f)
         for x in range(0, 243, 11):
@@ -620,7 +619,7 @@ class TestMultinomial:
             g = [rng.choice(sub) for _ in range(rng.randrange(1, 5))]
             v = rng.choice(sub[1:])
             want = []
-            for a in multinomial_admissible_a(ctx, k):
+            for a in multinomial_admissible_a(ctx, k, (0,), 1):
                 w = ctx.mul(v, ctx.mul(ctx.add(a, 1), ctx.inv(a)))
                 values = [ctx.add(ctx.mul(x, ctx.poly_eval(g, x)),
                                   ctx.mul(w, x)) for x in sub]
@@ -630,51 +629,69 @@ class TestMultinomial:
 
     # (g coefficients, v) per preset on the acceptance criterion 11 fields
     # and six more; the monomial on F_3^5 and F_3^7 and the quartic on
-    # F_2^6, F_2^9, F_2^10, F_7^2 and F_7^5 are fallbacks (no admissible a)
+    # F_2^6, F_2^9, F_2^10, F_7^2 and F_7^5 admit no a, so they are absent
     PINNED_PRESETS = {
-        (2, 2, 3): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 1), 56),
-                    "dickson-quartic": ((1, 0, 0, 0, 1), 1)},
-        (2, 2, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 1), 398),
-                    "dickson-quartic": ((1, 0, 0, 0, 1), 1)},
-        (3, 1, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 1),
+        (2, 2, 3): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 1), 56)},
+        (2, 2, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 1), 398)},
+        (3, 1, 5): {"zero": ((0,), 1),
                     "dickson-quartic": ((1, 0, 1, 0, 1), 1)},
-        (3, 1, 7): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 1),
+        (3, 1, 7): {"zero": ((0,), 1),
                     "dickson-quartic": ((1, 0, 1, 0, 1), 1)},
         (3, 2, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 22417),
                     "dickson-quartic": ((2, 0, 0, 0, 1), 1)},
         (2, 3, 3): {"zero": ((0,), 1),
-                    "monomial": ((0, 0, 0, 0, 0, 0, 0, 1), 130),
-                    "dickson-quartic": ((1, 0, 0, 0, 1), 1)},
+                    "monomial": ((0, 0, 0, 0, 0, 0, 0, 1), 130)},
         (3, 2, 2): {"zero": ((0,), 1), "monomial": ((0, 0, 1), 16),
                     "dickson-quartic": ((2, 0, 0, 0, 1), 1)},
         (5, 1, 3): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 1), 1),
                     "dickson-quartic": ((4, 0, 0, 0, 1), 1)},
         (5, 2, 2): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 1), 2),
                     "dickson-quartic": ((4, 0, 0, 0, 1), 1)},
-        (7, 1, 2): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 0, 0, 1), 1),
-                    "dickson-quartic": ((6, 0, 0, 0, 1), 1)},
-        (7, 1, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 0, 0, 1), 1),
-                    "dickson-quartic": ((6, 0, 0, 0, 1), 1)},
+        (7, 1, 2): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 0, 0, 1), 1)},
+        (7, 1, 5): {"zero": ((0,), 1), "monomial": ((0, 0, 0, 0, 0, 0, 1), 1)},
     }
 
     @pytest.mark.parametrize("p,k,r", sorted(PINNED_PRESETS))
     def test_presets_pinned(self, p, k, r):
-        presets = multinomial_presets(build_field(p, r * k), k)
-        got = dict(presets)
+        ctx = build_field(p, r * k)
+        presets = multinomial_presets(ctx, k)
+        got = {name: (g, v) for name, (g, v, _) in presets.items()}
         assert got == self.PINNED_PRESETS[(p, k, r)]
+        for name, (g, v, admissible) in presets.items():
+            assert admissible, name
+            assert admissible == multinomial_admissible_a(ctx, k, g, v)
 
-    @pytest.mark.parametrize("p,k,r,name", [(2, 1, 4, "monomial"),
-                                            (11, 1, 5, "quartic")])
-    def test_no_preset_is_internal_error(self, p, k, r, name):
-        # F_2: x^d + x never permutes; F_11: no quartic base permutes
-        with pytest.raises(InternalError, match=f"no {name} preset found"):
-            multinomial_presets(build_field(p, r * k), k)
+    @pytest.mark.parametrize("argv", [
+        ("--p", "2", "--k", "1", "--r", "3", "--preset", "zero"),
+        ("--p", "2", "--k", "1", "--r", "3"),
+        ("--p", "11", "--k", "1", "--r", "3", "--preset", "dickson-quartic"),
+        ("--p", "3", "--k", "1", "--r", "5", "--preset", "monomial")],
+        ids=["F2-zero", "F2-any", "F11-dickson-quartic", "F3-monomial"])
+    def test_preset_without_member_is_hypothesis_violation(self, capsys,
+                                                           argv):
+        # F_2 minus {0, -1} is empty, no quartic base permutes F_11, and
+        # the monomial on F_3 admits no a: a fact about the subfield (exit
+        # 2), never an internal error or a vacuous PASS
+        code = cli.main(["verify", "--family", "multinomial", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "hypothesis-violation" in err and "F_" in err
+
+    @pytest.mark.parametrize("preset,tested", [(None, 17), ("zero", 9)])
+    def test_absent_preset_skipped(self, capsys, preset, tested):
+        # F_11: 9 coefficients from zero and 8 from the monomial; the
+        # quartic, with no member, is skipped unless asked for
+        argv = ["verify", "--family", "multinomial", "--p", "11", "--k", "1",
+                "--r", "3"] + (["--preset", preset] if preset else [])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == \
+            f"family multinomial\ntested {tested}\nPASS\n"
 
     def test_scalar_vector_agreement(self):
         ctx = build_field(3, 5)
         presets = multinomial_presets(ctx, 1)
-        for name, (g, v) in presets.items():
-            for a in multinomial_admissible_a(ctx, 1, g, v):
+        for name, (g, v, admissible) in presets.items():
+            for a in admissible:
                 vals = multinomial_map(ctx, g, v, a, 1)
                 fn = multinomial_fn(ctx, g, v, a, 1)
                 for x in range(0, 243, 17):
@@ -690,8 +707,8 @@ class TestMultinomial:
         xs = (range(ctx.q) if samples is None
               else rng.choice(ctx.q, samples, replace=False).tolist())
         maps = 0
-        for name, (g, v) in multinomial_presets(ctx, k).items():
-            for a in multinomial_admissible_a(ctx, k, g, v):
+        for name, (g, v, admissible) in multinomial_presets(ctx, k).items():
+            for a in admissible:
                 vals = multinomial_map(ctx, g, v, a, k)
                 fn = multinomial_fn(ctx, g, v, a, k)
                 assert vals.shape == (ctx.q,)
@@ -716,8 +733,8 @@ class TestMultinomial:
 
     def test_trace_identity_on_all_points(self):
         ctx = build_field(3, 5)
-        g, v = multinomial_presets(ctx, 1)["dickson-quartic"]
-        for a in multinomial_admissible_a(ctx, 1, g, v):
+        g, v, admissible = multinomial_presets(ctx, 1)["dickson-quartic"]
+        for a in admissible:
             f = multinomial_map(ctx, g, v, a, 1)
             av = ctx.mul(a, ctx.inv(v))
             for x in range(243):
@@ -730,7 +747,7 @@ class TestMultinomial:
         # equal input traces force equal output traces
         import random as _random
         ctx = build_field(3, 5)
-        g, v = multinomial_presets(ctx, 1)["zero"]
+        g, v, _ = multinomial_presets(ctx, 1)["zero"]
         f = multinomial_map(ctx, g, v, 1, 1)
         by_trace = {}
         for x in range(243):
@@ -751,7 +768,7 @@ class TestMultinomial:
             return S, X, pos, np.zeros_like(px)
         monkeypatch.setattr(families, "_multinomial_grid", dropped)
         ctx = build_field(3, 5)
-        g, v = multinomial_presets(ctx, 1)["zero"]
+        g, v, _ = multinomial_presets(ctx, 1)["zero"]
         with pytest.raises(InternalError, match="trace identity"):
             multinomial_map(ctx, g, v, 1, 1)
         assert cli.main(["verify", "--family", "multinomial", "--p", "3",
@@ -763,7 +780,7 @@ class TestMultinomial:
         # one table entry moved off its trace, at any point x0, is caught:
         # Tr(1) = 2 on F_3^5, so f(x0) + 1 breaks the identity at x0 only
         ctx = build_field(3, 5)
-        g, v = multinomial_presets(ctx, 1)["dickson-quartic"]
+        g, v, _ = multinomial_presets(ctx, 1)["dickson-quartic"]
         grid = families._multinomial_grid(ctx, 1)
         S, X, pos, px = grid
         for x0 in range(ctx.q):

@@ -7,10 +7,9 @@ import random
 import pytest
 
 from cppforge.field import build_field
-from cppforge.hadickson import (LambdaVec, depressed, depressed_quintic,
-                                dickson_poly, h_a_coeffs, ha_pp_check,
-                                is_dickson_of_degree, lambda_coeffs,
-                                taylor_shift)
+from cppforge.hadickson import (depressed, depressed_quintic, dickson_poly,
+                                h_a_coeffs, ha_pp_check, is_dickson_of_degree,
+                                lambda_coeffs, taylor_shift)
 from twins import expanded_depressed_quintic
 
 
@@ -39,40 +38,40 @@ class TestLambda:
     def test_all_conjugates_one(self, f81):
         # a = 1: lambda_i = C(4, i) mod 3 = (1, 0, 1, 1)... C(4,2)=6=0
         lv = lambda_coeffs(f81, 1, 4, 1)
-        assert lv.entries == (4 % 3, 6 % 3, 4 % 3, 1)
+        assert lv == (4 % 3, 6 % 3, 4 % 3, 1)
 
     def test_zero(self, f81):
-        assert lambda_coeffs(f81, 0, 4, 1).entries == (0, 0, 0, 0)
+        assert lambda_coeffs(f81, 0, 4, 1) == (0, 0, 0, 0)
 
     def test_lambda1_is_trace(self, f81):
         rng = random.Random(31)
         for _ in range(50):
             a = rng.randrange(81)
-            assert lambda_coeffs(f81, a, 4, 1).entries[0] == f81.trace(a, 1)
+            assert lambda_coeffs(f81, a, 4, 1)[0] == f81.trace(a, 1)
 
     def test_matches_subset_expansion(self, f81, f625):
         rng = random.Random(37)
         for ctx, r, k in ((f81, 4, 1), (f81, 2, 2), (f625, 4, 1), (f625, 2, 2)):
             for _ in range(25):
                 a = rng.randrange(ctx.q)
-                assert lambda_coeffs(ctx, a, r, k).entries == \
+                assert lambda_coeffs(ctx, a, r, k) == \
                     brute_lambda(ctx, a, r, k)
 
     def test_entries_fixed_by_frobenius(self, f625, f81):
         rng = random.Random(41)
         for _ in range(1000):
             a = rng.randrange(625)
-            for lam in lambda_coeffs(f625, a, 4, 1).entries:
+            for lam in lambda_coeffs(f625, a, 4, 1):
                 assert f625.frobenius(lam, 1) == lam
         for _ in range(1000):
             a = rng.randrange(81)
-            for lam in lambda_coeffs(f81, a, 2, 2).entries:
+            for lam in lambda_coeffs(f81, a, 2, 2):
                 assert f81.frobenius(lam, 2) == lam
 
     def test_lambda_r_is_norm(self, f81):
         for a in range(1, 81, 7):
             lv = lambda_coeffs(f81, a, 4, 1)
-            assert lv.entries[-1] == f81.pow(a, (81 - 1) // 2)
+            assert lv[-1] == f81.pow(a, (81 - 1) // 2)
 
     def test_degree_mismatch(self, f81):
         with pytest.raises(ValueError, match="degree-mismatch"):
@@ -129,11 +128,11 @@ class TestHaPpCheck:
 
 class TestDepressedQuintic:
     def test_lambda1_zero_passthrough(self, f625):
-        lv = LambdaVec(4, 1, (0, 2, 3, 4))
+        lv = (0, 2, 3, 4)
         with pytest.raises(ValueError, match="char-five"):
             depressed_quintic(f625, lv)
         f7 = build_field(7, 4)
-        lv7 = LambdaVec(4, 1, (0, 2, 3, 4))
+        lv7 = (0, 2, 3, 4)
         assert depressed_quintic(f7, lv7) == (2, 3, 4)
 
     def test_p3_constant_reduction(self, f81):
@@ -141,7 +140,7 @@ class TestDepressedQuintic:
         rng = random.Random(47)
         for _ in range(40):
             l1, l2, l3, l4 = (rng.randrange(3) for _ in range(4))
-            lv = LambdaVec(4, 1, (l1, l2, l3, l4))
+            lv = (l1, l2, l3, l4)
             a3, a2, a1 = depressed_quintic(f81, lv)
             assert a3 == (l2 - l1 * l1) % 3
             assert a2 == (l3 + l1 ** 3) % 3
@@ -154,7 +153,7 @@ class TestDepressedQuintic:
         checked = 0
         for _ in range(300):
             entries = tuple(rng.randrange(7) for _ in range(4))
-            lv = LambdaVec(4, 1, entries)
+            lv = entries
             a3, a2, a1 = depressed_quintic(f7, lv)
             orig = subfield_map_is_pp(
                 f7, 1, lambda x: f7.poly_eval(h_a_coeffs(lv), x))
@@ -168,9 +167,8 @@ class TestDepressedQuintic:
         rng = random.Random(59)
         for _ in range(250):
             entries = tuple(rng.randrange(9) for _ in range(4))
-            lv = LambdaVec(4, 1, entries)
             # entries must lie in the subfield = whole field here (k = n = 2)
-            lv = LambdaVec(4, 2, entries)
+            lv = entries
             a3, a2, a1 = depressed_quintic(f9, lv)
             orig = subfield_map_is_pp(
                 f9, 2, lambda x: f9.poly_eval(h_a_coeffs(lv), x))
@@ -183,7 +181,7 @@ class TestDepressedQuintic:
         ctx = build_field(p, n)
         rng = random.Random(61 * p + n)
         for _ in range(200):
-            lv = LambdaVec(4, n, tuple(rng.randrange(ctx.q) for _ in range(4)))
+            lv = tuple(rng.randrange(ctx.q) for _ in range(4))
             assert depressed_quintic(ctx, lv) == \
                 expanded_depressed_quintic(ctx, lv)
 
@@ -196,9 +194,9 @@ class TestDepressed:
         ctx = build_field(p, n)
         rng = random.Random(67 * p + r)
         for _ in range(20):
-            lv = LambdaVec(r, n, tuple(rng.randrange(ctx.q) for _ in range(r)))
+            lv = tuple(rng.randrange(ctx.q) for _ in range(r))
             h = h_a_coeffs(lv)
-            c = ctx.mul(lv.entries[0], ctx.inv(ctx.scalar(r + 1)))
+            c = ctx.mul(lv[0], ctx.inv(ctx.scalar(r + 1)))
             dep = depressed(ctx, lv)
             assert len(dep) == r + 2 and dep[r] == 0 and dep[r + 1] == 1
             base = ctx.poly_eval(h, ctx.neg(c))
@@ -288,17 +286,17 @@ class TestIsDickson:
         # build lambdas whose h_a IS D_5 exactly: h = x^5 + c3 x^3 + c1 x
         eta = 2
         dp = dickson_poly(f81, 5, eta, 1)
-        lv = LambdaVec(4, 1, (0, dp[3], 0, dp[1]))
-        assert is_dickson_of_degree(f81, lv, 5, 1) == eta
+        lv = (0, dp[3], 0, dp[1])
+        assert is_dickson_of_degree(f81, lv, 1) == eta
 
     def test_a_one_no_match(self, f81):
         # h_1 = x(x+1)^4 is not a bijection shape: no Dickson form
         lv = lambda_coeffs(f81, 1, 4, 1)
-        assert is_dickson_of_degree(f81, lv, 5, 1) is None
+        assert is_dickson_of_degree(f81, lv, 1) is None
 
     def test_all_zero_lambda_rejected(self, f81):
-        lv = LambdaVec(4, 1, (0, 0, 0, 0))
-        assert is_dickson_of_degree(f81, lv, 5, 1) is None
+        lv = (0, 0, 0, 0)
+        assert is_dickson_of_degree(f81, lv, 1) is None
 
     def test_translated_match_from_family(self):
         # [0,0,u,u,u,u] with u=1 in the sextic basis: h_a is a shifted
@@ -308,14 +306,14 @@ class TestIsDickson:
         ctx, beta = field_with_root(3, 6, SEXTIC_BETA_POLY)
         a = r6_dickson_coefficient(ctx, beta, 0, 1)
         lv = lambda_coeffs(ctx, a, 6, 1)
-        assert is_dickson_of_degree(ctx, lv, 7, 1) is not None
+        assert is_dickson_of_degree(ctx, lv, 1) is not None
 
     def test_match_certifies_pp_consistency(self, f81):
         # whenever a match is found, h_a permutes the subfield iff
         # gcd(l, p^2k - 1) = 1
         for a in range(1, 81):
             lv = lambda_coeffs(f81, a, 4, 1)
-            eta = is_dickson_of_degree(f81, lv, 5, 1)
+            eta = is_dickson_of_degree(f81, lv, 1)
             if eta is not None:
                 assert ha_pp_check(f81, a, 4, 1) == \
                     (math.gcd(5, 3 ** 2 - 1) == 1)

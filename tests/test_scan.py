@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from cppforge import bulk, scan
-from cppforge.families import (r4_condition, r4_condition_p3, r4_condition_p5,
-                               r4_tagger, tower_exponent)
+from cppforge.families import (count_cpp, r4_condition, r4_condition_p3,
+                               r4_condition_p5, r4_equality_check, r4_tagger,
+                               tower_exponent)
 from cppforge.field import CapExceeded, build_field
 from cppforge.report import CppReport
 
@@ -283,7 +284,7 @@ class TestPermutesBlocks:
 
 class TestCountCpp:
     def test_both_method_f81(self):
-        res = scan.count_cpp(3, 1, 4, method="both")
+        res = count_cpp(3, 1, 4, method="both")
         assert res["count"] == 38
         assert len(res["elements"]) == 38
         tag_total = sum(res["conditions"].values())
@@ -291,7 +292,7 @@ class TestCountCpp:
         assert "untagged" not in res["conditions"]
 
     def test_f625_conditions(self):
-        res = scan.count_cpp(5, 1, 4, method="direct")
+        res = count_cpp(5, 1, 4, method="direct")
         assert res["count"] == 60
         assert set(res["conditions"]) <= {"r4_p5:1", "r4_p5:2", "r4_p5:3"}
 
@@ -299,7 +300,7 @@ class TestCountCpp:
     def test_orbit_labels_match_member_labels(self, p, k):
         # count_cpp tags one representative per member orbit; the slow twin
         # tags every member
-        res = scan.count_cpp(p, k, 4, method="ha")
+        res = count_cpp(p, k, 4, method="ha")
         ctx = res["ctx"]
         tagger = r4_tagger(ctx, k)
         assert res["labels"] == {a: (tag.label() if tag else "")
@@ -307,7 +308,7 @@ class TestCountCpp:
                                  for tag in [tagger(a)]}
 
     def test_r6_no_conditions(self):
-        res = scan.count_cpp(3, 1, 6, method="ha")
+        res = count_cpp(3, 1, 6, method="ha")
         assert res["conditions"] == {}
         assert res["count"] > 0
 
@@ -337,38 +338,38 @@ TWIN_CASES = [(3, 1, r4_condition), (3, 1, r4_condition_p3),
 
 class TestEqualityCheck:
     def test_f81(self, f81):
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             f81, 1, r4_tagger(f81, 1))
         assert untagged == [] and tagged == 38
 
     def test_f625(self, f625):
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             f625, 1, r4_tagger(f625, 1))
         assert untagged == [] and tagged == 60
 
     def test_f3_8_full_equality(self):
         ctx = build_field(3, 8)
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             ctx, 2, r4_tagger(ctx, 2))
         assert untagged == [] and tagged == len(cpps) == 64
 
     def test_f7_4_full_equality(self):
         # exercises the p = 7 small-field conditions
         ctx = build_field(7, 4)
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             ctx, 1, r4_tagger(ctx, 1))
         assert untagged == [] and tagged == len(cpps) == 300
 
     def test_f13_4_full_equality(self):
         # exercises the p = 13 small-field condition
         ctx = build_field(13, 4)
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             ctx, 1, r4_tagger(ctx, 1))
         assert untagged == [] and tagged == len(cpps) == 792
 
     def test_f5_8_full_equality(self):
         ctx = build_field(5, 8)
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             ctx, 2, r4_tagger(ctx, 2))
         assert untagged == [] and tagged == len(cpps) == 1224
 
@@ -378,7 +379,7 @@ class TestEqualityCheck:
     def test_orbit_route_matches_whole_field(self, p, k, condition):
         ctx = build_field(p, 4 * k)
         labels = whole_field_labels(ctx, k, condition)
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             ctx, k, lambda a: condition(ctx, a, k))
         assert tagged == sum(1 for lab in labels.values() if lab)
         assert untagged == [a for a in cpps if not labels[a]] == []
@@ -390,7 +391,7 @@ class TestEqualityCheck:
         # tagged count falls by the orbit's size
         rep = class_representative(f81, 1, scan.ha_cpp_scan(f81, 4, 1)[0])
         tagger = r4_tagger(f81, 1)
-        cpps, tagged, untagged = scan.r4_equality_check(
+        cpps, tagged, untagged = r4_equality_check(
             f81, 1, lambda a: None if a == rep else tagger(a))
         orbit = [a for a in cpps if class_representative(f81, 1, a) == rep]
         assert untagged == orbit and 0 < len(orbit) < len(cpps)
@@ -404,7 +405,7 @@ class TestBothMethodAbort:
         doctored = [a for a in good if a != good[3]]
         monkeypatch.setattr(scan, "ha_cpp_scan", lambda *a, **k: doctored)
         with pytest.raises(RuntimeError, match=f"mismatch.*{good[3]}"):
-            scan.count_cpp(3, 1, 4, method="both")
+            count_cpp(3, 1, 4, method="both")
 
 
 class TestReports:

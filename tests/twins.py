@@ -90,7 +90,7 @@ def expanded_depressed_quintic(ctx, lv):
     def frac(num, den):
         return ctx.scalar(num * pow(den, -1, ctx.p))
 
-    l1, l2, l3, l4 = lv.entries
+    l1, l2, l3, l4 = lv
     l1_2 = ctx.mul(l1, l1)
     l1_3 = ctx.mul(l1_2, l1)
     l1_4 = ctx.mul(l1_2, l1_2)
