@@ -16,6 +16,9 @@ import argparse
 import os
 import sys
 import time
+import traceback
+
+import numpy as np
 
 from . import __version__, bulk, families
 from .field import CapExceeded, InternalError, build_field
@@ -59,6 +62,8 @@ def cmd_field(args):
 
 
 def cmd_count_cpp(args):
+    if args.jobs < 1:
+        raise ValueError(f"no-jobs: --jobs {args.jobs} < 1")
     if args.out:
         check_extension(args.out)      # before the scan
     progress = _Progress(f"count-cpp p={args.p} k={args.k} r={args.r}")
@@ -155,43 +160,46 @@ def cmd_conjecture(args):
     return 0 if all_pass else 1
 
 
+WALSH_BLOCK = 1 << 12      # `walsh` lines per write: no q-length string column
+NOTES = ("", " (a=0: outside the stated coefficient family)")   # [a == 0]
+
+
 def cmd_walsh(args):
     ctx = build_field(args.p, 2 * args.k)
     if args.a is not None and not 0 <= args.a < ctx.q:
         raise ValueError(f"not-an-element: --a {args.a} must encode an "
                          f"element of F_{args.p}^{2 * args.k}, 0 <= a < {ctx.q}")
-    coeffs = bulk.elements(ctx) if args.all else [args.a if args.a is not None else 0]
+    # the cap error of bulk.elements before any line; one --a stays an
+    # exact int, since a generic encoding can pass int64
+    coeffs = (bulk.elements(ctx) if args.all
+              else np.array([args.a or 0], dtype=object))
     nctx = NihoCtx(ctx, args.k)
     if args.s is not None:
         s = args.s
     else:
         s = niho_s_from_d(args.p, 2 * args.k, args.k, args.d)
         print(f"s {s} (from d={args.d})")
-    xcheck = ctx.q <= CHARSUM_CAP
-    if xcheck:
-        counts = direct_walsh(
+    roots = (all_root_counts(nctx, s) if args.all
+             else np.array([count_N(nctx, coeffs[0], s)], dtype=object))
+    cols = [coeffs, roots, walsh_value(nctx, roots)]
+    line, status = "a=%d N=%d walsh=%d%s", 0
+    if ctx.q <= CHARSUM_CAP:
+        C = direct_walsh(
             ctx, bulk.monomial_values(ctx, s * (args.p ** args.k - 1) + 1),
             coeffs)
-    if args.all:
-        roots = all_root_counts(nctx, s).tolist()
-    else:
-        roots = {coeffs[0]: count_N(nctx, coeffs[0], s)}
-    status = 0
-    for i, a in enumerate(coeffs):
-        n_a = roots[a]
-        w = walsh_value(nctx, n_a)
-        line = f"a={a} N={n_a} walsh={w}"
-        if a == 0:
-            line += " (a=0: outside the stated coefficient family)"
-        if xcheck:
-            # an integer iff the counts of t = 1..p-1 agree
-            C = counts[i].tolist()
-            direct = C[0] - C[1] if len(set(C[1:])) == 1 else None
-            agree = direct == w
-            line += f" direct={direct} agree={agree}"
-            if not agree:
-                status = 1
-        print(line)
+        # an integer iff the counts of t = 1..p-1 agree
+        direct = np.where((C[:, 1:] == C[:, 1:2]).all(axis=1),
+                          C[:, 0] - C[:, 1], None)
+        cols += [direct, direct == cols[2]]
+        line += " direct=%s agree=%s"
+        status = int(not cols[-1].all())
+    line += "\n"
+    for lo in range(0, len(coeffs), WALSH_BLOCK):
+        a, n, w, *check = (col[lo:lo + WALSH_BLOCK] for col in cols)
+        note = map(NOTES.__getitem__, (a == 0).tolist())
+        rows = zip(a.tolist(), n.tolist(), w.tolist(), note,
+                   *(col.tolist() for col in check))
+        sys.stdout.write("".join(map(line.__mod__, rows)))
     return status
 
 
@@ -228,7 +236,7 @@ def build_parser():
     for opt in ("p", "k", "r", "i", "t"):
         v.add_argument(f"--{opt}", type=int, default=argparse.SUPPRESS)
     v.add_argument("--preset", type=str, default=argparse.SUPPRESS,
-                   choices=("zero", "monomial", "dickson-quartic"))
+                   choices=families.MULTINOMIAL_PRESETS)
     v.set_defaults(fn=cmd_verify)
 
     j = sub.add_parser("conjecture", help="run an open-case harness")
@@ -269,9 +277,13 @@ def main(argv=None):
     except InternalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except RuntimeError as exc:
+    except families.MethodMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:        # a bug, never a counterexample's exit 1
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

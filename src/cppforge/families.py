@@ -210,11 +210,16 @@ def r4_equality_check(ctx, k, tagger):
 # ----------------------------------------------------------------------
 # the count-cpp driver
 
+class MethodMismatch(RuntimeError):
+    """The direct and subfield-criterion scans disagree on a coefficient:
+    one of them is wrong on this field (the CLI's exit code 1)."""
+
+
 def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
     """Coefficient count and list for d = (p^(rk)-1)/(p^k-1)+1.
 
     method "direct", "ha", or "both"; with "both" the two lists must agree
-    element for element or a RuntimeError names the first mismatch.
+    element for element or a MethodMismatch names the first mismatch.
     Returns a dict feeding the structured report; for r = 4, "labels"
     maps each coefficient to its condition label ("" when untagged).
     """
@@ -230,7 +235,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
         if elems_direct != elems_ha:
             sd, sh = set(elems_direct), set(elems_ha)
             diff = sorted(sd.symmetric_difference(sh))
-            raise RuntimeError(
+            raise MethodMismatch(
                 f"method-mismatch: first disagreeing coefficient {diff[0]} "
                 f"(direct={diff[0] in sd}, ha={diff[0] in sh})")
     elems = elems_direct if elems_direct is not None else elems_ha
@@ -600,6 +605,10 @@ def _multinomial_grid(ctx, k):
     return S, X, pos, px
 
 
+# the names of multinomial_presets, in its order (`verify --preset`)
+MULTINOMIAL_PRESETS = ("zero", "monomial", "dickson-quartic")
+
+
 def multinomial_presets(ctx, k, only=None):
     """The stock g choices that have a member on F_{p^k} (only the one
     named, when given): zero, a monomial x^(d-1) for a CPP exponent d of
@@ -610,15 +619,13 @@ def multinomial_presets(ctx, k, only=None):
     a)}."""
     Q, two = ctx.p ** k, ctx.scalar(2)
     nonzero = [e for e in ctx.subfield_elements(k) if e != 0]
-    candidates = {
-        "zero": [((0,), [1])],
-        "monomial": ((tuple([0] * (d - 1) + [1]), nonzero)
-                     for d in range(2, 4 * Q + 3) if math.gcd(d, Q - 1) == 1),
-        # v = 1 and x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
-        "dickson-quartic": (
-            ((ctx.sub(ctx.mul(two, ctx.mul(c0, c0)), 1), 0, c0, 0, 1), [1])
-            for c0 in nonzero + [0]),
-    }
+    candidates = dict(zip(MULTINOMIAL_PRESETS, (
+        [((0,), [1])],                                  # zero
+        ((tuple([0] * (d - 1) + [1]), nonzero)
+         for d in range(2, 4 * Q + 3) if math.gcd(d, Q - 1) == 1),  # monomial
+        # dickson-quartic: v = 1 and x g(x) + v x = x^5 + c0 x^3 + 2 c0^2 x
+        (((ctx.sub(ctx.mul(two, ctx.mul(c0, c0)), 1), 0, c0, 0, 1), [1])
+         for c0 in nonzero + [0]))))
     firsts = {name: next(_members(ctx, k, candidates[name]), None)
               for name in ([only] if only else candidates)}
     return {name: first for name, first in firsts.items() if first}

@@ -543,23 +543,6 @@ class FieldCtx:
             return int(self.exp_table[(int(self.log_table[x]) * e) % N])
         return self._pow_generic(x, e)
 
-    def frobenius(self, x, j):
-        """x^(p^j) for 0 <= j < n."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"frobenius power {j} outside [0, {self.n})")
-        return self.pow(x, self._pn[j])
-
-    def trace(self, x, k=1):
-        """Tr from F_{p^n} onto F_{p^k}: sum of x^(p^(i*k)) for i < n/k."""
-        if self.n % k:
-            raise ValueError(f"k-not-divisor: {k} does not divide {self.n}")
-        acc = x
-        cur = x
-        for _ in range(self.n // k - 1):
-            cur = self.pow(cur, self._pn[k])
-            acc = self.add(acc, cur)
-        return acc
-
     def in_subfield(self, x, k) -> bool:
         return self.pow(x, self.p ** k) == x
 

@@ -1,7 +1,7 @@
-"""Analysis over F_{p^2k}: the unit circle, the coefficient set V of
-a^(p^k-1) = -1, the root count N(a) on the unit circle, Walsh transform
-values for exponents of the form s(p^k-1)+1, and their exact cross-check,
-direct_walsh, as count vectors over one trace table.
+"""Analysis over F_{p^2k}: the unit circle, the root count N(a) on it,
+Walsh transform values for exponents of the form s(p^k-1)+1, and their
+exact cross-check, direct_walsh, as count vectors over one trace table.
+The coefficient set V of a^(p^k-1) = -1 is FieldCtx.neg_one_roots(k).
 
 N(a) comes two ways: count_N loops over the unit circle for one a, and
 all_root_counts inverts that loop for every a at once.  For fixed lambda
@@ -42,11 +42,6 @@ class NihoCtx:
 def unit_circle(nctx: NihoCtx) -> tuple:
     """The p^k + 1 elements with x * conj(x) == 1, in power order."""
     return nctx.ctx.mu_subgroup(nctx.q + 1)
-
-
-def v_set(nctx: NihoCtx) -> tuple:
-    """All a with a^(p^k - 1) == -1 (p^k - 1 of them for odd p)."""
-    return nctx.ctx.neg_one_roots(nctx.k)
 
 
 def count_N(nctx: NihoCtx, a, s) -> int:
@@ -105,10 +100,10 @@ def all_root_counts(nctx: NihoCtx, s):
     return counts
 
 
-def walsh_value(nctx: NihoCtx, n_a) -> int:
+def walsh_value(nctx: NihoCtx, n_a):
     """Walsh transform of Tr(x^d) at a for d = s(p^k-1)+1, from the root
-    count n_a = N(a) of count_N or all_root_counts: it equals
-    (N(a) - 1) * p^k."""
+    count n_a = N(a) of count_N or all_root_counts (an int or an array of
+    them): it equals (N(a) - 1) * p^k."""
     return (n_a - 1) * nctx.q
 
 

@@ -21,11 +21,11 @@ from cppforge.families import (QUARTIC_BETA_POLY, SEXTIC_BETA_POLY,
                                tower_exponent, verify_neg_one_family)
 from cppforge.hadickson import (ha_pp_check, is_dickson_of_degree,
                                 lambda_coeffs)
-from cppforge.niho import NihoCtx, count_N, direct_walsh, niho_s_from_d, v_set
+from cppforge.niho import NihoCtx, count_N, direct_walsh, niho_s_from_d
 from cppforge.oracle import is_cpp, is_cpp_exponent_pair, is_permutation
 from twins import (binomial_values, char_sum_pp_check, int_value,
                    mu_permutation_check, norm2, subfield_product_check,
-                   tabulate)
+                   tabulate, v_set)
 
 
 @contextmanager

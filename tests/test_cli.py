@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from cppforge import cli, niho
+from cppforge import cli, families, niho
 from cppforge.cli import main
 from cppforge.families import FAMILIES
+from cppforge.field import build_field
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +128,19 @@ class TestCountCpp:
                                "--r", "4", "--jobs", "1")
         assert code == 2
         assert "gcd-violation" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_usage_error(self, capsys, monkeypatch, jobs):
+        # refused before any field is built, not run serially
+        def no_scan(*args, **kwargs):
+            raise AssertionError("count_cpp called")
+
+        monkeypatch.setattr(families, "count_cpp", no_scan)
+        code, out, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",
+                                 "--r", "4", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert f"no-jobs: --jobs {jobs} < 1" in err
 
     @pytest.mark.parametrize("k,r", [(-1, 4), (0, 4), (1, -1), (1, 0)])
     def test_k_and_r_below_one_usage_error(self, capsys, k, r):
@@ -416,18 +430,52 @@ class TestVerify:
         code, _, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",
                                "--r", "4", "--method", "both")
         assert code == 1
-        assert "method-mismatch" in err
+        assert err.startswith("error: method-mismatch")
 
     def test_only_the_method_mismatch_raises_runtime_error(self):
+        # no library code raises a bare RuntimeError: the method mismatch
+        # has its own subclass, the one exception main maps to exit 1, and
         # every other failure inside the library is an InternalError
         src = Path(__file__).parents[1] / "src" / "cppforge"
         plain = [(path.name, node.lineno)
                  for path in sorted(src.glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Raise)
-                 and isinstance(node.exc, ast.Call)
-                 and getattr(node.exc.func, "id", None) == "RuntimeError"]
-        assert [name for name, _ in plain] == ["families.py"]
+                 if isinstance(node, ast.Raise) and node.exc is not None
+                 and getattr(getattr(node.exc, "func", node.exc), "id",
+                             None) == "RuntimeError"]
+        assert plain == []
+        assert issubclass(families.MethodMismatch, RuntimeError)
+
+    @pytest.mark.parametrize("module,name,exc,argv", [
+        ("families", "multinomial_presets", KeyError("zero"),
+         ("verify", "--family", "multinomial", "--p", "3", "--k", "2",
+          "--r", "5")),
+        ("scan", "ha_cpp_scan", RecursionError("deep"),
+         ("count-cpp", "--p", "3", "--k", "1", "--r", "4", "--method", "ha"))])
+    def test_unmapped_exception_exits_4(self, capsys, monkeypatch, module,
+                                        name, exc, argv):
+        # an exception main does not map is an internal error (exit 4),
+        # never a counterexample's exit 1, even a RuntimeError subclass
+        def raising(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(f"cppforge.{module}.{name}", raising)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("Traceback")
+        assert err.endswith(f"error: internal: {type(exc).__name__}: {exc}\n")
+
+    def test_preset_choices_are_the_family_presets(self):
+        # --preset offers exactly the names multinomial_presets returns,
+        # in its order, on a field where each preset has a member
+        def action(parser, dest):
+            return next(a for a in parser._actions if a.dest == dest)
+        verify = action(cli.build_parser(), "command").choices["verify"]
+        choices = action(verify, "preset").choices
+        ctx = build_field(5, 3)
+        assert tuple(choices) == tuple(families.multinomial_presets(ctx, 1))
+        for name in choices:
+            assert list(families.multinomial_presets(ctx, 1, name)) == [name]
 
 
 # stdout of `conjecture`: the eleven conjecture-2 fields of the acceptance
@@ -603,22 +651,65 @@ class TestWalsh:
         assert calls == ["count_N"]
 
     def test_all_on_generic_field_is_cap_error(self, capsys):
-        # 3^24 coefficients: refused at once, before any line is printed
-        code, out, err = run_cli(capsys, "walsh", "--p", "3", "--k", "12",
-                                 "--s", "2", "--all")
-        assert code == 3
-        assert out == ""
-        assert "field-too-large" in err
+        # 3^24 coefficients: refused at once, before any line is printed,
+        # the `s ... (from d=...)` line included
+        d = 2 * (3 ** 12 - 1) + 1
+        for which in (("--s", "2"), ("--d", str(d))):
+            code, out, err = run_cli(capsys, "walsh", "--p", "3", "--k", "12",
+                                     *which, "--all")
+            assert code == 3
+            assert out == ""
+            assert "field-too-large" in err
 
     def test_all_output_pinned(self, capsys):
-        # the harness command's 730 lines, byte for byte, as the scalar
-        # per-coefficient cross-check printed them
+        # byte for byte, as the per-line loop printed them: the harness
+        # command's 730 lines, F_2^18's 262144 lines over many output
+        # blocks (no cross-check), and one --a line
+        for argv, lines, digest in [
+                (("--p", "3", "--k", "3", "--d", "29", "--all"), 730,
+                 "e5951d94a4152223c5ce168a8dd70b823a066c2c2904b83dce0f08f5743013e9"),
+                (("--p", "2", "--k", "9", "--s", "3", "--all"), 262144,
+                 "ceefe77010a578c0b3c63c079cb5f2771f6bff3cbd66dcfa0aa9e6428f8a665b"),
+                (("--p", "3", "--k", "1", "--s", "3", "--a", "3"), 1,
+                 "55f2b4fb04b57fdbd2eb6233b3248fc278907a98a6cc00cd13385be323284414")]:
+            code, out, _ = run_cli(capsys, "walsh", *argv)
+            assert code == 0
+            assert out.count("\n") == lines
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_doctored_root_counts_disagree_on_their_lines(self, capsys,
+                                                          monkeypatch):
+        doctored = [0, 5, 364, 728]
+
+        def shifted(nctx, s):
+            counts = niho.all_root_counts(nctx, s)
+            counts[doctored] += 1
+            return counts
+        monkeypatch.setattr(cli, "all_root_counts", shifted)
         code, out, _ = run_cli(capsys, "walsh", "--p", "3", "--k", "3",
-                               "--d", "29", "--all")
-        assert code == 0
-        assert len(out.splitlines()) == 730
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "e5951d94a4152223c5ce168a8dd70b823a066c2c2904b83dce0f08f5743013e9"
+                               "--s", "2", "--all")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 729
+        assert [i for i, line in enumerate(lines)
+                if line.endswith("agree=False")] == doctored
+        assert all(line.endswith("agree=True") for i, line in enumerate(lines)
+                   if i not in doctored)
+
+    def test_non_integer_cross_check_prints_none(self, capsys, monkeypatch):
+        # unequal C[1], C[2] on p = 3: the sum is no integer
+        def uneven(ctx, vals, coeffs):
+            C = niho.direct_walsh(ctx, vals, coeffs)
+            C[7] += (0, 1, -1)
+            return C
+        monkeypatch.setattr(cli, "direct_walsh", uneven)
+        code, out, _ = run_cli(capsys, "walsh", "--p", "3", "--k", "3",
+                               "--s", "2", "--all")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[7].startswith("a=7 ")
+        assert lines[7].endswith(" direct=None agree=False")
+        assert sum("agree=False" in line for line in lines) == 1
 
     def test_a_with_all_is_usage_error(self, capsys):
         # one coefficient or all of them, not both

@@ -9,8 +9,8 @@ import pytest
 from cppforge import bulk
 from cppforge.field import CapExceeded, build_field
 from cppforge.niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
-                           niho_s_from_d, unit_circle, v_set, walsh_value)
-from twins import int_value
+                           niho_s_from_d, unit_circle, walsh_value)
+from twins import int_value, trace, v_set
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ class TestWalsh:
         for a in range(ctx.q):
             C = [0] * p
             for x in range(ctx.q):
-                C[ctx.trace(ctx.add(vals[x], ctx.mul(a, x)))] += 1
+                C[trace(ctx, ctx.add(vals[x], ctx.mul(a, x)))] += 1
             assert rows[a].tolist() == C, a
 
     def test_s_recovery_error(self):

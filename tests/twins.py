@@ -4,9 +4,10 @@ occupancy oracle, the readings of a character sum off its count vector C
 (C[t] = #{x : Tr(...) = t}, the sum being sum_t C[t] w^t) and the
 character-sum permutation test, the hand-expanded normal form of the
 r = 4 quintic, and the scalar forms of the library's value tables and
-family checks: a map tabulated point by point, the multinomial map one
-point at a time, and the quartic beta coefficients and their membership
-identities one (u, v) at a time."""
+family checks: Frobenius powers and traces of one element, the
+coefficient set V of the Walsh theorem as a tuple, a map tabulated point
+by point, the multinomial map one point at a time, and the quartic beta
+coefficients and their membership identities one (u, v) at a time."""
 
 import math
 
@@ -15,6 +16,31 @@ import numpy as np
 from cppforge import bulk
 from cppforge.field import CapExceeded, InternalError
 from cppforge.oracle import CHARSUM_CAP, trace_counts
+
+
+def frobenius(ctx, x, j):
+    """x^(p^j) for 0 <= j < n."""
+    if not 0 <= j < ctx.n:
+        raise ValueError(f"frobenius power {j} outside [0, {ctx.n})")
+    return ctx.pow(x, ctx.p ** j)
+
+
+def trace(ctx, x, k=1):
+    """Tr from F_{p^n} onto F_{p^k} of one element, the scalar twin of
+    bulk.trace: the sum of x^(p^(i*k)) for i < n/k."""
+    if ctx.n % k:
+        raise ValueError(f"k-not-divisor: {k} does not divide {ctx.n}")
+    acc = cur = x
+    for _ in range(ctx.n // k - 1):
+        cur = ctx.pow(cur, ctx.p ** k)
+        acc = ctx.add(acc, cur)
+    return acc
+
+
+def v_set(nctx):
+    """All a with a^(p^k - 1) == -1 on F_{p^2k} (p^k - 1 of them for odd
+    p): the coefficient set V of the Walsh theorem."""
+    return nctx.ctx.neg_one_roots(nctx.k)
 
 
 def int_value(C):
@@ -135,7 +161,7 @@ def multinomial_fn(ctx, g, v, a, k):
     pm1 = ctx.scalar(p - 1)
 
     def fn(x):
-        t = ctx.trace(x, k)
+        t = trace(ctx, x, k)
         inner = ctx.add(ctx.mul(av, ctx.poly_eval(g, t)), ctx.pow(t, p - 1))
         return ctx.add(ctx.add(ctx.mul(x, inner),
                                ctx.mul(pm1, ctx.pow(x, p))),
