@@ -16,20 +16,15 @@ import math
 
 import numpy as np
 
-from .field import CapExceeded, zp_is_irreducible
+from .field import zp_is_irreducible
 
 LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
 CHECK_BLOCK = 1 << 17       # points per block: occupancy checks, niho.all_root_counts
 
 
-def _require_table(ctx):
-    if ctx.backend != "table":
-        raise CapExceeded("field-too-large: bulk kernels need the table backend")
-
-
 def elements(ctx):
-    _require_table(ctx)
-    return np.arange(ctx.q, dtype=np.int64)
+    # sized from the log table (q entries): a generic field refuses here
+    return np.arange(len(ctx.log_table), dtype=np.int64)
 
 
 def _log_add(ctx, LX, LY):
@@ -57,7 +52,6 @@ def _exp(ctx, L, zero):
 
 
 def add(ctx, X, Y):
-    _require_table(ctx)
     if ctx.n == 1:
         return (X + Y) % ctx.p
     L = _log_add(ctx, _logs(ctx, X), _logs(ctx, Y))
@@ -65,13 +59,11 @@ def add(ctx, X, Y):
 
 
 def mul(ctx, X, Y):
-    _require_table(ctx)
     N = ctx.q - 1
     return _exp(ctx, (_logs(ctx, X) + _logs(ctx, Y)) % N, (X == 0) | (Y == 0))
 
 
 def mul_scalar(ctx, a, X):
-    _require_table(ctx)
     if a == 0:
         return np.zeros_like(X)
     N = ctx.q - 1
@@ -81,7 +73,6 @@ def mul_scalar(ctx, a, X):
 
 def pow_const(ctx, X, e):
     """X**e element-wise for one wide exponent e >= 0."""
-    _require_table(ctx)
     N = ctx.q - 1
     if e == 0:
         return np.ones_like(X)
@@ -116,8 +107,6 @@ def poly_eval(ctx, coeffs, X):
 def find_root(ctx, coeffs):
     """The root of a subfield polynomial with the least encoding (only
     F_{p^m} is searched for a monic irreducible over F_p of degree m | n)."""
-    if ctx.backend != "table":
-        raise CapExceeded("field-too-large: root search needs an enumerable field")
     for c in coeffs:
         if not 0 <= c < ctx.q:
             raise ValueError(f"coefficient {c} is not a valid encoding")
@@ -148,7 +137,7 @@ def values_are_permutation(ctx, vals):
     repeat, and the rest of the stream is left unread.  The first block
     whose span meets the earlier ones' ends the counting, and the
     occupancy array alone decides."""
-    q = ctx.q
+    q = len(ctx.log_table)      # a generic field refuses before the q bytes
     seen = np.zeros(q, dtype=bool)
     total, hit = 0, 0       # hit: distinct values, None once spans meet
     lo, hi = q, -1          # the hull of the spans so far
@@ -190,7 +179,6 @@ def binomial_is_permutation(ctx, d, a):
     proven repeat (or a value out of range) among the values streamed so
     far, never a test on the residues c_i mod P.
     """
-    _require_table(ctx)
     return values_are_permutation(ctx, _binomial_blocks(ctx, d, a))
 
 
@@ -239,7 +227,6 @@ def lambda_scan(ctx, r, k, A):
     The products and sums run on discrete logs (Zech addition) in blocks
     of at most LAMBDA_BLOCK coefficients.
     """
-    _require_table(ctx)
     if ctx.n != r * k:
         raise ValueError(f"degree-mismatch: need n == r*k, got {ctx.n} != {r}*{k}")
     N = ctx.q - 1

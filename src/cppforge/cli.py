@@ -29,11 +29,10 @@ from .report import CppReport, check_extension
 
 
 class _Progress:
-    """Throttled progress lines on stderr, only when attached to a tty."""
+    """Progress lines on stderr, at most one per 2 s, only on a tty."""
 
-    def __init__(self, label, interval=2.0):
+    def __init__(self, label):
         self.label = label
-        self.interval = interval
         self.last = time.monotonic()
         self.enabled = sys.stderr.isatty()
 
@@ -41,7 +40,7 @@ class _Progress:
         if not self.enabled:
             return
         now = time.monotonic()
-        if now - self.last >= self.interval:
+        if now - self.last >= 2.0:
             self.last = now
             print(f"{self.label}: {done}/{total}", file=sys.stderr)
 

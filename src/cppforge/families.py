@@ -592,15 +592,14 @@ def multinomial_map(ctx, g, v, a, k, grid=None):
 
 def _multinomial_grid(ctx, k):
     """The arrays every multinomial value table over F_{p^n} with subfield
-    F_{p^k} shares: the subfield points S (the powers zeta^i of
-    zeta = g^m, m = (q-1)/(p^k-1), then 0), the elements X, the position
-    of T = Tr(X) onto F_{p^k} in S, and (p-1) X^p."""
-    X = bulk.elements(ctx)          # the table backend, before any table read
+    F_{p^k} shares: the subfield points S (mu_subgroup's powers zeta^i,
+    then 0), the elements X, the position of T = Tr(X) onto F_{p^k} in S
+    (its checked SubfieldView log), and (p-1) X^p."""
+    X = bulk.elements(ctx)          # a generic field refuses here
     Q = ctx.p ** k
-    m = (ctx.q - 1) // (Q - 1)
-    S = np.append(ctx.exp_table[m * np.arange(Q - 1)], 0)
+    S = np.append(ctx.mu_subgroup(Q - 1), 0)
     T = bulk.trace(ctx, X, k)
-    pos = np.where(T == 0, Q - 1, ctx.log_table[T] // m)
+    pos = np.where(T == 0, Q - 1, ctx.subfield_view(k).logs(T))
     px = bulk.mul_scalar(ctx, ctx.scalar(ctx.p - 1), bulk.pow_const(ctx, X, ctx.p))
     return S, X, pos, px
 

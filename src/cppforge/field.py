@@ -14,7 +14,10 @@ encodings and logs stay below 2**22.  NumPy keeps int32 through a
 product with a Python int and wraps silently, so a reader widens a
 table read to int64 before it meets a wide factor.
 Larger fields use generic polynomial arithmetic ("generic"): addition
-digit by digit, multiplication by packed-integer convolution.  On both backends the
+digit by digit, multiplication by packed-integer convolution.  Any read
+of a generic field's tables raises the one CapExceeded (`_NoTable`), so
+a table reader needs no backend check, only a table read before any
+q-sized allocation.  On both backends the
 inverse of x is x^(q-2).  Exponents may be arbitrarily wide Python ints;
 they are reduced mod p^n - 1 before exponentiation of a nonzero base.
 Construction refuses p^n - 1 >= 2**127.
@@ -312,6 +315,22 @@ class SubfieldView:
         return out
 
 
+class _NoTable:
+    """A generic field's exp, log and Zech tables: an index, the length,
+    iteration or use as a numpy array raises the one CapExceeded.  (A
+    __getattr__ hook would slow every attribute read of every field.)"""
+
+    def __init__(self, ctx):
+        self.message = (f"field-too-large: F_{ctx.p}^{ctx.n} has no log "
+                        "tables (cap-exceeded: they are built for fields of "
+                        f"at most 2**{TABLE_CAP.bit_length() - 1} elements)")
+
+    def _refuse(self, *args, **kwargs):
+        raise CapExceeded(self.message)
+
+    __getitem__ = __len__ = __iter__ = __array__ = _refuse
+
+
 class FieldCtx:
     """Arithmetic context for F_{p^n}; see the module docstring for the
     element encoding.  Use build_field() rather than this constructor."""
@@ -325,11 +344,10 @@ class FieldCtx:
         self._pn = [p ** i for i in range(n + 1)]
         self._setup_packed()
         self.generator = None
-        self.exp_table = None
-        self.log_table = None
-        self.zech_table = None
         if backend == "table":
             self._build_tables()
+        else:
+            self.exp_table = self.log_table = self.zech_table = _NoTable(self)
         # memo caches (append-only; safe to share under the GIL)
         self._subfields = {}
         self._views = {}
@@ -806,7 +824,8 @@ def build_field(p: int, n: int, modulus=None, backend="auto") -> FieldCtx:
     if backend == "auto":
         backend = "table" if q <= TABLE_CAP else "generic"
     elif backend == "table" and q > TABLE_CAP:
-        raise CapExceeded("field-too-large: table backend capped at 2**22 elements")
+        raise CapExceeded("field-too-large: table backend capped at "
+                          f"2**{TABLE_CAP.bit_length() - 1} elements")
     elif backend not in ("table", "generic"):
         raise ValueError(f"unknown backend {backend!r}")
     # one context per resolved (modulus, backend), whatever the spelling

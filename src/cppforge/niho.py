@@ -46,15 +46,15 @@ def unit_circle(nctx: NihoCtx) -> tuple:
 
 def count_N(nctx: NihoCtx, a, s) -> int:
     """Number of unit-circle lambda with
-    lambda^s + lambda^(1-s) + conj(a)*lambda + a == 0."""
+    lambda^s + lambda^(1-s) + conj(a)*lambda + a == 0.  U lists lambda_j =
+    zeta^j, zeta of order m = p^k + 1, so lambda_j^s = U[js mod m]."""
     ctx = nctx.ctx
-    N = ctx.q - 1
-    es = s % N
-    e1s = (1 - s) % N
+    U = unit_circle(nctx)
+    m = len(U)
     abar = nctx.conj(a)
     hits = 0
-    for lam in unit_circle(nctx):
-        v = ctx.add(ctx.pow(lam, es), ctx.pow(lam, e1s))
+    for j, lam in enumerate(U):
+        v = ctx.add(U[j * s % m], U[j * (1 - s) % m])
         v = ctx.add(v, ctx.mul(abar, lam))
         v = ctx.add(v, a)
         if v == 0:
@@ -64,7 +64,7 @@ def count_N(nctx: NihoCtx, a, s) -> int:
 
 def all_root_counts(nctx: NihoCtx, s):
     """count_N(nctx, a, s) for every encoding a, as an int64 array of
-    length q (table backend only).
+    length q (a generic field refuses the first table read).
 
     For lambda in the unit circle U put c = -(lambda^s + lambda^(1-s)).
     Then a + lambda*conj(a) = c is F_{p^k}-linear in a: its kernel is
@@ -73,9 +73,6 @@ def all_root_counts(nctx: NihoCtx, s):
     root are c w + t F_{p^k}, p^k of them, and N(a) counts the lambda
     whose set holds a."""
     ctx, Q = nctx.ctx, nctx.q
-    if ctx.backend != "table":
-        raise CapExceeded("field-too-large: the root histogram needs the "
-                          "table backend")
     N = ctx.q - 1
 
     def exp(L):                 # the int64 encodings bulk takes
@@ -126,6 +123,7 @@ def direct_walsh(ctx, vals, coeffs):
     row per a in coeffs: an integer array of shape (len(coeffs), p) with
     row i holding C[t] = #{x : Tr(f(x) + a_i*x) = t}."""
     if ctx.q > CHARSUM_CAP:
-        raise CapExceeded("field-too-large-for-charsum: capped at 2**14 elements")
+        raise CapExceeded("field-too-large-for-charsum: capped at "
+                          f"2**{CHARSUM_CAP.bit_length() - 1} elements")
     rows = trace_counts(ctx, bulk.elements(ctx), coeffs, vals)
     return np.array(list(rows), dtype=np.int64).reshape(len(coeffs), ctx.p)

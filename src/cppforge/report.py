@@ -26,8 +26,6 @@ class CppReport:
     conditions: dict = field(default_factory=dict)
     elements: list | None = None
     seconds: float = 0.0
-    provenance: str = "default-lex"
-    version: str = __version__
 
     def __post_init__(self):
         if self.elements is not None:
@@ -39,14 +37,14 @@ class CppReport:
                 "p": self.p,
                 "n": self.n,
                 "modulus": list(self.modulus),
-                "provenance": self.provenance,
+                "provenance": "default-lex",
             },
             "d": str(self.d),
             "method": self.method,
             "count": self.count,
             "conditions": dict(sorted(self.conditions.items())),
             "seconds": round(self.seconds, 3),
-            "version": self.version,
+            "version": __version__,
         }
         if self.elements is not None:
             out["elements"] = self.elements

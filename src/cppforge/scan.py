@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from . import bulk
-from .field import CapExceeded
 
 POOL_MIN_POINTS = 1 << 25   # orbits x q before --jobs > 1 forks a pool
 _WORKER = {}                # (ctx, d) of the scan, inherited through fork
@@ -42,8 +41,6 @@ def orbit_values(ctx, d, elems, decide):
     holding the verdict of each element's class.  Exact for any property
     constant on those classes.
     """
-    if ctx.backend != "table":
-        raise CapExceeded("field-too-large: orbit classes need the log tables")
     logs = ctx.log_table[np.asarray(elems, dtype=np.int64)]
     if (logs < 0).any():        # log_table[0] = -1 would name class e - 1
         raise ValueError("zero-coefficient: need a != 0")
@@ -92,12 +89,9 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
     and f_a(x)^p = f_{a^p}(x^p).  So one a = g^j per orbit is checked on
     the whole field, and the members are every a whose orbit passed.
     """
-    if ctx.backend != "table":
-        raise CapExceeded("cap-exceeded: direct scans need the table backend")
-    if math.gcd(d, ctx.q - 1) != 1:
-        return []
-
     def decide(reps):
+        if math.gcd(d, ctx.q - 1) != 1:     # after the log-table read
+            return [False] * len(reps)
         # a pool of jobs workers takes jobs * 8 chunks, a serial run 64;
         # progress is reported once per chunk
         pooled = jobs > 1 and len(reps) * ctx.q >= POOL_MIN_POINTS
@@ -131,14 +125,11 @@ def ha_cpp_scan(ctx, r, k):
     one a = g^j per class come from one bulk.lambda_scan and are checked
     in one SubfieldView call.
     """
-    if ctx.backend != "table":
-        raise CapExceeded("cap-exceeded: full coefficient enumeration needs "
-                          "the table backend")
     d = (ctx.p ** (r * k) - 1) // (ctx.p ** k - 1) + 1
-    if math.gcd(d, ctx.q - 1) != 1:
-        return []
 
     def decide(reps):
+        if math.gcd(d, ctx.q - 1) != 1:     # as in direct_cpp_scan
+            return [False] * len(reps)
         lam = bulk.lambda_scan(ctx, r, k, reps)
         return ctx.subfield_view(k).permutes(lam)
 

@@ -3,15 +3,21 @@ CLI maps to exit code 3 by type.  A cap raised as a plain ValueError would
 exit 2, as a usage error, so no module raises ValueError with a cap
 message.  Parameters outside a theorem's hypotheses raise
 `field.HypothesisViolation` (exit 2, like every ValueError), so no module
-raises a plain ValueError with a hypothesis message either."""
+raises a plain ValueError with a hypothesis message either.  A field
+without log tables refuses any read of one with one CapExceeded, so
+every table reader refuses a generic field with that message, before it
+allocates anything q-sized."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cppforge import families
-from cppforge.field import HypothesisViolation
+from cppforge import bulk, families, niho, oracle, scan
+from cppforge.field import (TABLE_CAP, CapExceeded, HypothesisViolation,
+                            build_field)
 
 SRC = Path(__file__).parents[1] / "src" / "cppforge"
 MODULES = sorted(SRC.glob("*.py"))
@@ -84,3 +90,87 @@ def test_hypothesis_violation_is_a_value_error(call, marker):
     with pytest.raises(HypothesisViolation, match=marker) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+# ----------------------------------------------------------------------
+# a field without log tables refuses every table reader with one message
+
+def _generic_f81():
+    return build_field(3, 4, backend="generic")
+
+
+def _x():
+    return np.arange(81, dtype=np.int64)
+
+
+TABLE_READERS = {
+    "bulk.elements": lambda c: bulk.elements(c),
+    "bulk.add": lambda c: bulk.add(c, _x(), _x()),
+    "bulk.mul": lambda c: bulk.mul(c, _x(), _x()),
+    "bulk.mul_scalar": lambda c: bulk.mul_scalar(c, 2, _x()),
+    "bulk.pow_const": lambda c: bulk.pow_const(c, _x(), 5),
+    "bulk.trace": lambda c: bulk.trace(c, _x(), 1),
+    "bulk.poly_eval": lambda c: bulk.poly_eval(c, [1, 2], _x()),
+    # x^2 + 1 is irreducible over F_3: the search runs on F_9 alone
+    "bulk.find_root-subfield": lambda c: bulk.find_root(c, [1, 0, 1]),
+    "bulk.find_root-whole": lambda c: bulk.find_root(c, [2, 1]),
+    "bulk.monomial_values": lambda c: bulk.monomial_values(c, 7),
+    "bulk.binomial_is_permutation":
+        lambda c: bulk.binomial_is_permutation(c, 7, 1),
+    "bulk.lambda_scan": lambda c: bulk.lambda_scan(c, 2, 2, _x()[1:]),
+    "scan.orbit_values":
+        lambda c: scan.orbit_values(c, 7, [1, 2], lambda r: [True] * len(r)),
+    "scan.orbit_members":
+        lambda c: scan.orbit_members(c, 7, lambda r: [True] * len(r)),
+    "scan.direct_cpp_scan-coprime": lambda c: scan.direct_cpp_scan(c, 7),
+    # gcd(2, 80) = 2: no CPP exponent, still refused
+    "scan.direct_cpp_scan-d2": lambda c: scan.direct_cpp_scan(c, 2),
+    "scan.ha_cpp_scan": lambda c: scan.ha_cpp_scan(c, 2, 2),
+    # r = 1, k = 4 gives d = 2
+    "scan.ha_cpp_scan-d2": lambda c: scan.ha_cpp_scan(c, 1, 4),
+    "niho.all_root_counts":
+        lambda c: niho.all_root_counts(niho.NihoCtx(c, 2), 2),
+    "oracle.is_cpp_exponent_pair":
+        lambda c: oracle.is_cpp_exponent_pair(c, 7, 1),
+}
+
+
+@pytest.mark.parametrize("read", [
+    lambda t: t[0], len, list, np.asarray, lambda t: np.take(t, [0])],
+    ids=["index", "len", "iter", "asarray", "take"])
+def test_table_message(read):
+    ctx = _generic_f81()
+    for table in (ctx.exp_table, ctx.log_table, ctx.zech_table):
+        with pytest.raises(CapExceeded) as info:
+            read(table)
+        msg = str(info.value)
+        assert msg.startswith("field-too-large: ")
+        assert "F_3^4" in msg and "cap-exceeded" in msg
+        assert f"2**{TABLE_CAP.bit_length() - 1}" in msg
+
+
+@pytest.mark.parametrize("name", TABLE_READERS)
+def test_table_readers_refuse_a_generic_field(name):
+    ctx = _generic_f81()
+    with pytest.raises(CapExceeded) as want:
+        ctx.exp_table[0]
+    with pytest.raises(CapExceeded) as info:
+        TABLE_READERS[name](ctx)
+    assert str(info.value) == str(want.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: oracle.is_cpp_exponent_pair(c, 2, 1),
+    lambda c: bulk.elements(c)], ids=["is_cpp_exponent_pair", "elements"])
+def test_refusal_allocates_nothing_q_sized(call):
+    # F_2^24 has 16 MiB of points: the refusal comes before any q-byte array
+    ctx = build_field(2, 24)
+    assert ctx.backend == "generic"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="^field-too-large: F_2\\^24 "):
+            call(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

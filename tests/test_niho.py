@@ -10,7 +10,7 @@ from cppforge import bulk
 from cppforge.field import CapExceeded, build_field
 from cppforge.niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
                            niho_s_from_d, unit_circle, walsh_value)
-from twins import int_value, trace, v_set
+from twins import count_N_by_powers, int_value, trace, v_set
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,18 @@ class TestCountN:
         brute = sum(1 for lam in unit_circle(n9)
                     if f9.add(f9.pow(lam, s % 8), f9.pow(lam, (1 - s) % 8)) == 0)
         assert count_N(n9, 0, s) == brute
+
+    @pytest.mark.parametrize("backend", ["table", "generic"])
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (2, 2), (2, 3),
+                                     (7, 1)])
+    def test_matches_powering_twin(self, p, k, backend):
+        # lambda^s read off the circle in power order, against powering,
+        # for every a and s negative, small and past q
+        n = NihoCtx(build_field(p, 2 * k, backend=backend), k)
+        q = n.ctx.q
+        for s in [*range(-3, 8), q + 5, 3 * q]:
+            assert [count_N(n, a, s) for a in range(q)] == \
+                [count_N_by_powers(n, a, s) for a in range(q)], s
 
     def test_s_one_by_enumeration(self, n9, f9):
         for a in range(9):

@@ -5,7 +5,8 @@ occupancy oracle, the readings of a character sum off its count vector C
 character-sum permutation test, the hand-expanded normal form of the
 r = 4 quintic, and the scalar forms of the library's value tables and
 family checks: Frobenius powers and traces of one element, the
-coefficient set V of the Walsh theorem as a tuple, a map tabulated point
+coefficient set V of the Walsh theorem as a tuple, the root count N(a)
+by powering each lambda of the unit circle, a map tabulated point
 by point, the multinomial map one point at a time, and the quartic beta
 coefficients and their membership identities one (u, v) at a time."""
 
@@ -41,6 +42,25 @@ def v_set(nctx):
     """All a with a^(p^k - 1) == -1 on F_{p^2k} (p^k - 1 of them for odd
     p): the coefficient set V of the Walsh theorem."""
     return nctx.ctx.neg_one_roots(nctx.k)
+
+
+def count_N_by_powers(nctx, a, s):
+    """niho.count_N with each lambda^s and lambda^(1-s) computed by
+    powering: the number of unit-circle lambda with
+    lambda^s + lambda^(1-s) + conj(a)*lambda + a == 0."""
+    ctx = nctx.ctx
+    N = ctx.q - 1
+    es = s % N
+    e1s = (1 - s) % N
+    abar = nctx.conj(a)
+    hits = 0
+    for lam in ctx.mu_subgroup(nctx.q + 1):
+        v = ctx.add(ctx.pow(lam, es), ctx.pow(lam, e1s))
+        v = ctx.add(v, ctx.mul(abar, lam))
+        v = ctx.add(v, a)
+        if v == 0:
+            hits += 1
+    return hits
 
 
 def int_value(C):
