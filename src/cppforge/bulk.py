@@ -19,7 +19,7 @@ import numpy as np
 from .field import zp_is_irreducible
 
 LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
-CHECK_BLOCK = 1 << 17       # points per block: occupancy checks, niho.all_root_counts
+CHECK_BLOCK = 1 << 17       # points per block: occupancy checks, niho's root counts
 
 
 def elements(ctx):

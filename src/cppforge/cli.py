@@ -25,7 +25,7 @@ from .field import CapExceeded, InternalError, build_field
 from .niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
                    niho_s_from_d, walsh_value)
 from .oracle import CHARSUM_CAP
-from .report import CppReport, check_extension
+from .report import CppReport, check_report_path
 
 
 class _Progress:
@@ -64,7 +64,7 @@ def cmd_count_cpp(args):
     if args.jobs < 1:
         raise ValueError(f"no-jobs: --jobs {args.jobs} < 1")
     if args.out:
-        check_extension(args.out)      # before the scan
+        check_report_path(args.out)    # before the field and the scan
     progress = _Progress(f"count-cpp p={args.p} k={args.k} r={args.r}")
     res = families.count_cpp(args.p, args.k, args.r, method=args.method,
                          jobs=args.jobs, progress=progress)

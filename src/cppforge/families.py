@@ -659,8 +659,6 @@ def _cpp_verdicts(ctx, d, coeffs):
     """is_cpp_exponent_pair(ctx, d, a) for each a in coeffs, with one
     oracle call per orbit class of scan.orbit_values that coeffs touch:
     bijectivity of x^d + ax is constant on them (scan.direct_cpp_scan)."""
-    if math.gcd(d, ctx.q - 1) != 1:
-        return [False] * len(coeffs)
     return scan.orbit_values(ctx, d, coeffs, lambda reps: [
         is_cpp_exponent_pair(ctx, d, a) for a in reps]).tolist()
 

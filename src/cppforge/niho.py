@@ -3,11 +3,11 @@ Walsh transform values for exponents of the form s(p^k-1)+1, and their
 exact cross-check, direct_walsh, as count vectors over one trace table.
 The coefficient set V of a^(p^k-1) = -1 is FieldCtx.neg_one_roots(k).
 
-N(a) comes two ways: count_N loops over the unit circle for one a, and
-all_root_counts inverts that loop for every a at once.  For fixed lambda
-the root equation is F_{p^k}-linear in a, so each lambda names exactly
-p^k coefficients, and one histogram of the (p^k + 1) p^k pairs is the
-whole table of N(a).
+N(a) comes two ways: count_N sums digit rows of the unit circle for one
+a on either backend, and all_root_counts inverts that sum for every a.
+For fixed lambda the root equation is F_{p^k}-linear in a, so each lambda
+names exactly p^k coefficients, and one histogram of the (p^k + 1) p^k
+pairs is the whole table of N(a).
 """
 
 from __future__ import annotations
@@ -45,21 +45,22 @@ def unit_circle(nctx: NihoCtx) -> tuple:
 
 
 def count_N(nctx: NihoCtx, a, s) -> int:
-    """Number of unit-circle lambda with
-    lambda^s + lambda^(1-s) + conj(a)*lambda + a == 0.  U lists lambda_j =
-    zeta^j, zeta of order m = p^k + 1, so lambda_j^s = U[js mod m]."""
-    ctx = nctx.ctx
-    U = unit_circle(nctx)
-    m = len(U)
-    abar = nctx.conj(a)
+    """Number of unit-circle lambda with lambda^s + lambda^(1-s) +
+    conj(a)*lambda + a == 0.  U lists lambda_j = zeta^j, m = p^k + 1 <=
+    2**26 of them, so lambda_j^s = U[js mod m]; row i of M holds the digits
+    of conj(a) x^i; U // p^i is digit i mod p, so one % p ends the sums."""
+    ctx, p, abar = nctx.ctx, nctx.ctx.p, nctx.conj(a)
+    U = np.array(unit_circle(nctx), dtype=np.int64)
+    m, place = len(U), p ** np.arange(ctx.n, dtype=np.int64)
+    M = np.array([ctx.coeffs(ctx.mul(abar, int(x))) for x in place])
+    es, e1s = s % m, (1 - s) % m            # exact for any int s
+    step = max(1, bulk.CHECK_BLOCK // 8 // ctx.n)      # rows per block
     hits = 0
-    for j, lam in enumerate(U):
-        v = ctx.add(U[j * s % m], U[j * (1 - s) % m])
-        v = ctx.add(v, ctx.mul(abar, lam))
-        v = ctx.add(v, a)
-        if v == 0:
-            hits += 1
-    return hits
+    for j in np.split(np.arange(m), range(step, m, step)):
+        S = (U[j, None] // place % p @ M + U[j * es % m, None] // place
+             + U[j * e1s % m, None] // place + ctx.coeffs(a))
+        hits += np.count_nonzero(~(S % p).any(axis=1))
+    return int(hits)
 
 
 def all_root_counts(nctx: NihoCtx, s):

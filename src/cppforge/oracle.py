@@ -33,11 +33,11 @@ def is_cpp(ctx, vals) -> bool:
 
 
 def is_cpp_exponent_pair(ctx, d, a) -> bool:
-    """True iff a^(-1) x^d is a CPP: gcd(d, q-1) == 1 and x^d + a*x is a
-    bijection (equivalent by composing with the scalings by a and a^(-1))."""
+    """True iff a^(-1) x^d is a CPP: d >= 1, gcd(d, q-1) == 1 and x^d + a*x
+    is a bijection (by composing with the scalings by a and a^(-1))."""
     if a == 0:
         raise ValueError("zero-coefficient: need a != 0")
-    if math.gcd(d, ctx.q - 1) != 1:
+    if d < 1 or math.gcd(d, ctx.q - 1) != 1:
         return False
     return bulk.binomial_is_permutation(ctx, d, a)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -66,15 +68,24 @@ class CppReport:
         return buf.getvalue()
 
     def write(self, path, tags=None):
-        path = str(path)
-        check_extension(path)
+        path = check_report_path(path)
         data = self.to_csv(tags) if path.endswith(".csv") else self.to_json()
-        with open(path, "w") as fh:
-            fh.write(data)
+        try:
+            with open(path, "w") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ValueError(f"report-unwritable: {path!r}: {exc.strerror}") from None
 
 
-def check_extension(path):
-    """Reject a report path that names neither a .json nor a .csv file."""
-    if not str(path).endswith((".json", ".csv")):
-        raise ValueError(f"unknown report extension on {str(path)!r} "
+def check_report_path(path):
+    """str(path), refused unless it names a .json or .csv file in a
+    directory that takes a new file (tried with an anonymous one)."""
+    path = str(path)
+    if not path.endswith((".json", ".csv")):
+        raise ValueError(f"unknown report extension on {path!r} "
                          "(use .json or .csv)")
+    try:
+        tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+    except OSError as exc:
+        raise ValueError(f"report-unwritable: {path!r}: {exc.strerror}") from None
+    return path

@@ -80,8 +80,8 @@ def orbit_members(ctx, d, decide, top=None):
 
 
 def direct_cpp_scan(ctx, d, jobs=1, progress=None):
-    """Ascending list of all a != 0 making x -> x^d + a*x bijective.
-    Combined with gcd(d, q-1) == 1 these are exactly the CPP coefficients.
+    """Ascending list of all a != 0 making x -> x^d + a*x bijective, for
+    d >= 1 with gcd(d, q-1) == 1: exactly the CPP coefficients.
 
     Bijectivity of f_a(x) = x^d + ax depends only on the Frobenius orbit
     of log(a) mod e, e = gcd(d - 1, q - 1): f_a(cx) = c^d f_{a c^(1-d)}(x),
@@ -90,7 +90,7 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
     the whole field, and the members are every a whose orbit passed.
     """
     def decide(reps):
-        if math.gcd(d, ctx.q - 1) != 1:     # after the log-table read
+        if d < 1 or math.gcd(d, ctx.q - 1) != 1:    # after the table read
             return [False] * len(reps)
         # a pool of jobs workers takes jobs * 8 chunks, a serial run 64;
         # progress is reported once per chunk

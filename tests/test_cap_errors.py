@@ -132,6 +132,9 @@ TABLE_READERS = {
         lambda c: niho.all_root_counts(niho.NihoCtx(c, 2), 2),
     "oracle.is_cpp_exponent_pair":
         lambda c: oracle.is_cpp_exponent_pair(c, 7, 1),
+    # a coefficient list's oracle check, gcd(2, 80) = 2 included
+    "families._oracle_checked":
+        lambda c: families._oracle_checked(c, 2, [1, 2]),
 }
 
 

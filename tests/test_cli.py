@@ -122,6 +122,29 @@ class TestCountCpp:
         assert out == ""
         assert "extension" in err
         assert list(tmp_path.iterdir()) == []
+        # a directory that takes no new file is refused there too, before
+        # the field is built, with its reason and no traceback
+        (tmp_path / "file").write_text("")
+        for where, why in (("missing/r.json", "No such file or directory"),
+                           ("file/r.csv", "Not a directory")):
+            path = str(tmp_path / where)
+            code, out, err = run_cli(capsys, "count-cpp", "--p", "3", "--k",
+                                     "1", "--r", "4", "--list", "--out", path)
+            assert (code, out) == (2, "")
+            assert err == f"error: report-unwritable: {path!r}: {why}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_failed_write_usage_error(self, capsys, tmp_path):
+        # a report path that still cannot be written after the scan: its
+        # message and exit 2, no traceback
+        path = tmp_path / "r.json"
+        path.mkdir()
+        code, out, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",
+                                 "--r", "4", "--out", str(path))
+        assert code == 2
+        assert "count 38" in out
+        assert err == (f"error: report-unwritable: {str(path)!r}: "
+                       "Is a directory\n")
 
     def test_gcd_violation_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count-cpp", "--p", "3", "--k", "4",
@@ -625,6 +648,24 @@ class TestWalsh:
                                "--s", "3", "--a", "3")
         assert code == 0
         assert "a=3 N=1 walsh=0" in out
+        # one N(a) past CHARSUM_CAP, so no cross-check: generic fields up
+        # to F_2^32 (65537 points on the unit circle), the table field
+        # F_3^12, s past int64, and p^3 > 2**63, where U's digit rows are
+        # reduced mod p before the product with conj(a)'s digit matrix
+        for argv, line in [
+                ("--p 2 --k 16 --s 3 --a 5", "a=5 N=3 walsh=131072"),
+                ("--p 3 --k 10 --s 2 --a 5", "a=5 N=3 walsh=118098"),
+                ("--p 7 --k 5 --s 3 --a 17", "a=17 N=0 walsh=-16807"),
+                ("--p 2 --k 12 --s 3 --a 5", "a=5 N=1 walsh=0"),
+                ("--p 3 --k 6 --s 2 --a 7", "a=7 N=1 walsh=0"),
+                ("--p 2 --k 16 --s 1152921504606846979 --a 5",
+                 "a=5 N=0 walsh=-65536"),
+                ("--p 2 --k 16 --s 1000000000000000000000000000003 --a 5",
+                 "a=5 N=1 walsh=0"),
+                ("--p 3000017 --k 1 --s 3 --a 3000016",
+                 "a=3000016 N=4 walsh=9000051")]:
+            got = run_cli(capsys, "walsh", *argv.split())
+            assert got == (0, line + "\n", ""), argv
 
     def test_one_root_count_per_coefficient(self, capsys, monkeypatch):
         # --all reads every N(a) off one histogram, with no per-coefficient

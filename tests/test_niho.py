@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cppforge import bulk
-from cppforge.field import CapExceeded, build_field
+from cppforge.field import CapExceeded, FieldCtx, build_field
 from cppforge.niho import (NihoCtx, all_root_counts, count_N, direct_walsh,
                            niho_s_from_d, unit_circle, walsh_value)
 from twins import count_N_by_powers, int_value, trace, v_set
@@ -73,15 +73,44 @@ class TestCountN:
 
     @pytest.mark.parametrize("backend", ["table", "generic"])
     @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (2, 2), (2, 3),
-                                     (7, 1)])
+                                     (7, 1), (5, 2), (13, 1)])
     def test_matches_powering_twin(self, p, k, backend):
         # lambda^s read off the circle in power order, against powering,
-        # for every a and s negative, small and past q
+        # for every a and s negative, small, past q and past int64 (F_5^4
+        # takes fewer small s: its twin powers 52 times per a)
         n = NihoCtx(build_field(p, 2 * k, backend=backend), k)
         q = n.ctx.q
-        for s in [*range(-3, 8), q + 5, 3 * q]:
+        small = [*range(-3, 8), q + 5, 3 * q] if q < 625 else [-3, 2, 5, q + 5]
+        for s in small + [2 ** 60 + 3, 10 ** 30 + 3]:
             assert [count_N(n, a, s) for a in range(q)] == \
                 [count_N_by_powers(n, a, s) for a in range(q)], s
+
+    @pytest.mark.parametrize("backend", ["table", "generic"])
+    def test_blocks_split_the_circle(self, monkeypatch, backend):
+        # blocks of 3 rows over the 10 points of F_3^4's unit circle, the
+        # last one short, against powering
+        n = NihoCtx(build_field(3, 4, backend=backend), 2)
+        monkeypatch.setattr(bulk, "CHECK_BLOCK", 8 * 4 * 3)
+        for s in (2, -3, 10 ** 30 + 3):
+            assert [count_N(n, a, s) for a in range(n.ctx.q)] == \
+                [count_N_by_powers(n, a, s) for a in range(n.ctx.q)], s
+
+    @pytest.mark.parametrize("backend", ["table", "generic"])
+    def test_digit_rows_only(self, monkeypatch, backend):
+        # one array path: the n products of conj(a)'s digit matrix are the
+        # only scalar field arithmetic of a count
+        ctx = build_field(5, 4, backend=backend)
+        n = NihoCtx(ctx, 2)
+        calls = {"add": 0, "mul": 0}
+        for name in calls:
+            def counted(self, x, y, name=name, real=getattr(FieldCtx, name)):
+                calls[name] += 1
+                return real(self, x, y)
+            monkeypatch.setattr(FieldCtx, name, counted)
+        for a in (0, 1, 7, ctx.q - 1):
+            calls.update(add=0, mul=0)
+            count_N(n, a, 3)
+            assert calls["add"] == 0 and calls["mul"] <= ctx.n, (a, calls)
 
     def test_s_one_by_enumeration(self, n9, f9):
         for a in range(9):

@@ -97,6 +97,10 @@ class TestCpp:
 
     def test_exponent_pair_gcd_failure(self, f9):
         assert not is_cpp_exponent_pair(f9, 2, 1)
+        # d = 0 on F_2: gcd(0, 1) = 1, yet x^0 = 1 is constant
+        f2 = build_field(2, 1)
+        assert bulk.monomial_values(f2, 0).tolist() == [1, 1]
+        assert not is_cpp_exponent_pair(f2, 0, 1)
 
     def test_zero_coefficient_rejected(self, f9):
         with pytest.raises(ValueError, match="zero-coefficient"):

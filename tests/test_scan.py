@@ -144,6 +144,8 @@ class TestDirectScan:
     def test_gcd_blocked_exponent(self, f81):
         # d sharing a factor with q-1 can never be a CPP exponent
         assert scan.direct_cpp_scan(f81, 10) == []
+        # nor can d = 0, though gcd(0, 1) = 1 on F_2: x^0 = 1 is constant
+        assert scan.direct_cpp_scan(build_field(2, 1), 0) == []
 
     @pytest.mark.parametrize("p,k,count", [(3, 1, 38), (3, 2, 64),
                                            (5, 1, 60), (7, 1, 300)],
