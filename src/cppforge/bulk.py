@@ -52,8 +52,6 @@ def _exp(ctx, L, zero):
 
 
 def add(ctx, X, Y):
-    if ctx.n == 1:
-        return (X + Y) % ctx.p
     L = _log_add(ctx, _logs(ctx, X), _logs(ctx, Y))
     return _exp(ctx, L, L < 0)
 
@@ -74,12 +72,9 @@ def mul_scalar(ctx, a, X):
 def pow_const(ctx, X, e):
     """X**e element-wise for one wide exponent e >= 0."""
     N = ctx.q - 1
-    if e == 0:
+    if e == 0:                  # 0^0 = 1, which the logs cannot give
         return np.ones_like(X)
-    e %= N
-    if e == 0:  # x^(q-1): 1 for nonzero x
-        return np.where(X == 0, 0, 1).astype(X.dtype)
-    return _exp(ctx, _logs(ctx, X) * e % N, X == 0)
+    return _exp(ctx, _logs(ctx, X) * (e % N) % N, X == 0)
 
 
 def trace(ctx, X, k=1):

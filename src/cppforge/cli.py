@@ -13,6 +13,7 @@ invariant).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -202,6 +203,7 @@ def cmd_walsh(args):
     return status
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="cppforge",

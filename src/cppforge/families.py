@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,16 +24,6 @@ from .field import (CapExceeded, HypothesisViolation, InternalError,
 from .hadickson import (depressed_quintic, h_a_coeffs, ha_pp_check,
                         is_dickson_of_degree, lambda_coeffs, taylor_shift)
 from .oracle import is_cpp, is_cpp_exponent_pair
-
-
-@dataclass(frozen=True)
-class ConditionTag:
-    """Which membership condition a coefficient satisfied."""
-    family: str
-    condition: str
-
-    def label(self):
-        return f"{self.family}:{self.condition}"
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +71,8 @@ def scaled_tower_exponent(p, t) -> int:
 
 def r4_condition(ctx, a, k):
     """First matching membership condition for the exponent
-    (p^(4k)-1)/(p^k-1)+1 over F_{p^4k}, p not in {2, 5}, as a ConditionTag;
-    None when a = 0 or nothing matches."""
+    (p^(4k)-1)/(p^k-1)+1 over F_{p^4k}, p not in {2, 5}, as its label
+    "r4_general:<condition>"; None when a = 0 or nothing matches."""
     p = ctx.p
     if p in (2, 5):
         raise ValueError(f"char-excluded: p={p}")
@@ -93,44 +82,46 @@ def r4_condition(ctx, a, k):
         raise HypothesisViolation("hypothesis-violation: gcd(5, p^k-1) != 1")
     if a == 0:
         return None
-    return _quintic_condition(
+    condition = _quintic_condition(
         ctx, k, *depressed_quintic(ctx, lambda_coeffs(ctx, a, 4, k)))
+    return None if condition is None else f"r4_general:{condition}"
 
 
 def _quintic_condition(ctx, k, a3, a2, a1):
-    """The first of the general conditions 1)-8) that h_a meets, as a
-    ConditionTag, else None.  Each condition is one normalized quintic
+    """The first of the general conditions 1)-8) that h_a meets, as its
+    number "1".."8", else None.  Each condition is one normalized quintic
     x^5 + A3 x^3 + A2 x^2 + A1 x of Dickson's table, tested on the
     (A3, A2, A1) of h_a over F_{p^k}."""
     p = ctx.p
     a3_2 = ctx.mul(a3, a3)
     if a3 == 0 and a1 == 0 and a2 == 0:
-        return ConditionTag("r4_general", "1")
+        return "1"
     if (p ** k) % 5 in (2, 3) and a2 == 0 \
             and ctx.mul(ctx.inv(ctx.scalar(5)), a3_2) == a1:
-        return ConditionTag("r4_general", "2")
+        return "2"
     if p == 3 and k == 2 and a3 == 0 and a2 == 0 \
             and ctx.mul(a1, a1) == ctx.neg(1):
-        return ConditionTag("r4_general", "3")
+        return "3"
     if p == 3 and k == 1:
         if (a3, a2, a1) == (1, 0, 0):
-            return ConditionTag("r4_general", "4")
+            return "4"
         if (a3, a2, a1) == (2, 0, 1):
-            return ConditionTag("r4_general", "5")
+            return "5"
     if p == 7 and k == 1:
         if a3 == 0 and a1 == 0 and a2 in (2, 5):
-            return ConditionTag("r4_general", "6")
+            return "6"
         if a3 in (3, 5, 6) and a1 == ctx.mul(3, a3_2) and a2 in (1, 6):
-            return ConditionTag("r4_general", "7")
+            return "7"
     if p == 13 and k == 1 and a3 in (2, 5, 6, 7, 8, 11) \
             and a1 == ctx.mul(3, a3_2) and a2 == 0:
-        return ConditionTag("r4_general", "8")
+        return "8"
     return None
 
 
 def r4_condition_p3(ctx, a, k):
     """p = 3 variant: the two closed-form conditions, else the inherited
-    small-field conditions 3)-5), all on one normalized quintic."""
+    small-field conditions 3)-5), all on one normalized quintic; the label
+    "r4_p3:<condition>" or None."""
     if ctx.p != 3:
         raise ValueError(f"wrong-characteristic: p={ctx.p}")
     if ctx.n != 4 * k:
@@ -141,20 +132,18 @@ def r4_condition_p3(ctx, a, k):
         return None
     a3, a2, a1 = depressed_quintic(ctx, lambda_coeffs(ctx, a, 4, k))
     if k % 4 == 2 and a3 == 0 and a2 == 0 and a1 == 0:
-        return ConditionTag("r4_p3", "1")
+        return "r4_p3:1"
     if k % 2 == 1 and a2 == 0 and a1 == ctx.neg(ctx.mul(a3, a3)):
-        return ConditionTag("r4_p3", "2")
+        return "r4_p3:2"
     inherited = _quintic_condition(ctx, k, a3, a2, a1)
-    if inherited is not None and inherited.condition in ("3", "4", "5"):
-        return replace(inherited, family="r4_p3")
-    return None
+    return f"r4_p3:{inherited}" if inherited in ("3", "4", "5") else None
 
 
 def r4_condition_p5(ctx, a, k):
-    """p = 5 membership conditions, as a ConditionTag; None when a = 0 or
-    nothing matches.  p = 5 cannot remove the x^4 term, so these stay in
-    the lambda_i; with lambda_1 = 0 and lambda_2 != 0 the shift
-    x -> x - lambda_3/(3 lambda_2) removes the x^2 term instead."""
+    """p = 5 membership conditions, as the label "r4_p5:<condition>"; None
+    when a = 0 or nothing matches.  p = 5 cannot remove the x^4 term, so
+    these stay in the lambda_i; with lambda_1 = 0 and lambda_2 != 0 the
+    shift x -> x - lambda_3/(3 lambda_2) removes the x^2 term instead."""
     if ctx.p != 5:
         raise ValueError(f"wrong-characteristic: p={ctx.p}")
     if ctx.n != 4 * k:
@@ -165,28 +154,28 @@ def r4_condition_p5(ctx, a, k):
     l1, l2, l3, l4 = lam
     if l1 == 0 and l2 == 0 and l3 == 0:
         if not ctx.residue_test(ctx.neg(l4), k, "fourth"):
-            return ConditionTag("r4_p5", "1")
+            return "r4_p5:1"
     if l1 == 0 and l2 != 0:
         shift = ctx.neg(ctx.mul(l3, ctx.inv(ctx.mul(3, l2))))
         shifted = taylor_shift(ctx, h_a_coeffs(lam), shift)[1]
         if ctx.neg(ctx.mul(l2, l2)) == shifted \
                 and not ctx.residue_test(ctx.mul(2, l2), k, "square"):
-            return ConditionTag("r4_p5", "2")
+            return "r4_p5:2"
         if k == 1 and l2 in (2, 3) and shifted == ctx.scalar(4):
-            return ConditionTag("r4_p5", "3")
+            return "r4_p5:3"
     return None
 
 
 def r4_tagger(ctx, k):
-    """The r = 4 membership tagger a -> ConditionTag or None: the p = 5
+    """The r = 4 membership tagger a -> label or None: the p = 5
     conditions when p = 5, the quintic-classification ones otherwise."""
     condition = r4_condition_p5 if ctx.p == 5 else r4_condition
     return lambda a: condition(ctx, a, k)
 
 
 def r4_equality_check(ctx, k, tagger):
-    """Cross-check that an r = 4 membership tagger (a -> ConditionTag or
-    None) tags exactly the CPP coefficients of F_{p^4k}.
+    """Cross-check that an r = 4 membership tagger (a -> label or None)
+    tags exactly the CPP coefficients of F_{p^4k}.
 
     Membership and every condition's tag are constant on the classes of
     F_q^*/F_{p^k}^* (cyclic of order e = (q-1)/(p^k-1), a = g^j in class
@@ -246,7 +235,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
         tagger = r4_tagger(ctx, k)
 
         def tag_labels(reps):
-            return [tag.label() if tag else "" for tag in map(tagger, reps)]
+            return [tagger(a) or "" for a in reps]
 
         labels = dict(zip(elems,
                           scan.orbit_values(ctx, d, elems, tag_labels).tolist()))

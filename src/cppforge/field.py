@@ -22,12 +22,15 @@ inverse of x is x^(q-2).  Exponents may be arbitrarily wide Python ints;
 they are reduced mod p^n - 1 before exponentiation of a nonzero base.
 Construction refuses p^n - 1 >= 2**127.
 
-FieldCtx instances are immutable after construction apart from internal
-memo dictionaries, so they are safe to share across workers.
+FieldCtx instances are immutable after construction; the subgroup
+generators, subfield lists and subfield views they hand out are memoized
+per context with functools.cache, so contexts are safe to share across
+workers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -167,6 +170,7 @@ def lex_least_irreducible(p: int, n: int) -> tuple:
     """First monic irreducible of degree n over Z_p in lexicographic
     order of the coefficient vector (c_0, ..., c_{n-1})."""
     if n == 1:
+        # x, where the search below would give x + 1: `field --n 1` prints it
         return (0, 1)
     # a zero constant term means a root at 0, so lex search starts at
     # (1, 0, ..., 0); c_0 stays nonzero from there on
@@ -348,10 +352,6 @@ class FieldCtx:
             self._build_tables()
         else:
             self.exp_table = self.log_table = self.zech_table = _NoTable(self)
-        # memo caches (append-only; safe to share under the GIL)
-        self._subfields = {}
-        self._views = {}
-        self._subgens = {}
 
     # -- construction internals ------------------------------------------
 
@@ -419,8 +419,6 @@ class FieldCtx:
     def _mul_generic(self, x, y):
         if x == 0 or y == 0:
             return 0
-        if self.n == 1:
-            return x * y % self.p
         return self._enc_from_packed(
             self._mul_packed(self._pack_enc(x), self._pack_enc(y)))
 
@@ -429,8 +427,6 @@ class FieldCtx:
             return 1
         if x == 0:
             return 0
-        if self.n == 1:
-            return pow(x, e, self.p)
         A = self._pack_enc(x)
         R = None
         while e:
@@ -462,7 +458,6 @@ class FieldCtx:
         self.exp_table = E
         self.log_table = log
         self.zech_table = zech
-        self._log_neg_one = int(log[p - 1])
 
     # -- encodings ---------------------------------------------------------
 
@@ -495,8 +490,6 @@ class FieldCtx:
 
     def add(self, x, y):
         p = self.p
-        if self.n == 1:
-            return (x + y) % p
         if self.backend == "table":
             # x + y = x (1 + y/x) = g^(log x + Z[log y - log x])
             if x == 0 or y == 0:
@@ -514,20 +507,7 @@ class FieldCtx:
         return out
 
     def neg(self, x):
-        p = self.p
-        if self.n == 1:
-            return (-x) % p
-        if self.backend == "table":
-            if x == 0:
-                return 0
-            N = self.q - 1
-            return int(self.exp_table[(int(self.log_table[x]) + self._log_neg_one) % N])
-        out, mult = 0, 1
-        while x:
-            x, d = divmod(x, p)
-            out += ((-d) % p) * mult
-            mult *= p
-        return out
+        return self.mul(x, self.p - 1)          # p - 1 encodes -1
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -556,8 +536,6 @@ class FieldCtx:
         N = self.q - 1
         e %= N
         if self.backend == "table":
-            if N == 1:
-                return 1
             return int(self.exp_table[(int(self.log_table[x]) * e) % N])
         return self._pow_generic(x, e)
 
@@ -566,6 +544,7 @@ class FieldCtx:
 
     # -- multiplicative subgroups and subfields ------------------------------
 
+    @functools.cache
     def subgroup_generator(self, s):
         """A deterministic element of exact multiplicative order s (s | q-1)."""
         N = self.q - 1
@@ -573,17 +552,11 @@ class FieldCtx:
             raise ValueError(f"s-not-divisor: {s} does not divide q-1")
         if s == 1:
             return 1
-        got = self._subgens.get(s)
-        if got is not None:
-            return got
         if self.backend == "table":
-            y = int(self.exp_table[N // s])
-        elif s > 1 << 26:
+            return int(self.exp_table[N // s])
+        if s > 1 << 26:
             raise CapExceeded(f"subgroup order {s} too large to certify")
-        else:
-            y = self._element_of_order(s)
-        self._subgens[s] = y
-        return y
+        return self._element_of_order(s)
 
     def _element_of_order(self, s):
         """The first c^((q-1)/s) of order s over c in encoding order: the
@@ -641,16 +614,16 @@ class FieldCtx:
             E += rows[:, j]
         return E
 
-    def _digit_map(self, s, dtype):
-        """The matrix of multiplication by s on digit vectors: row j holds
-        the digits of s x^j."""
+    def digit_map(self, s, dtype):
+        """The matrix of multiplication by s on digit vectors, as a numpy
+        array of the given dtype: row j holds the digits of s x^j."""
         return np.array([self.coeffs(self._mul_generic(s, self._pn[j]))
                          for j in range(self.n)], dtype=dtype)
 
     def _matrix_step(self, s):
         """Multiplication by s on rows of digits."""
         p = self.p
-        M = self._digit_map(s, _holding(self.n * (p - 1) ** 2))
+        M = self.digit_map(s, _holding(self.n * (p - 1) ** 2))
 
         def times(D):
             P = D @ M
@@ -675,6 +648,8 @@ class FieldCtx:
         its result lives in them until the next call."""
         p, n = self.p, self.n
         if n == 1:
+            # the general form's tables would hold p entries each, several
+            # times the whole build's peak memory on F_65521
             return lambda s: lambda E: E.astype(np.int64) * s % p
         c = (n + 1) // 2
         pc = p ** c
@@ -695,7 +670,7 @@ class FieldCtx:
         scratch = np.empty((3, min(EXP_BLOCK, self.q)), dtype=np.int64)
 
         def steps(s):
-            M = self._digit_map(s, np.int64)
+            M = self.digit_map(s, np.int64)
             t_lo = digits @ M[:c] % p @ spread
             t_hi = digits[:p ** (n - c), :n - c] @ M[c:] % p @ spread
 
@@ -731,23 +706,16 @@ class FieldCtx:
         """The s-th roots of unity, listed as powers of a fixed generator."""
         return self._progression(1, self.subgroup_generator(s), s)
 
+    @functools.cache
     def subfield_elements(self, k):
         """The p^k elements fixed by Frobenius^k, ascending by encoding."""
         if self.n % k:
             raise ValueError(f"k-not-divisor: {k} does not divide {self.n}")
-        got = self._subfields.get(k)
-        if got is not None:
-            return got
-        m = self.p ** k - 1
-        elems = tuple(sorted((0,) + self.mu_subgroup(m)))
-        self._subfields[k] = elems
-        return elems
+        return tuple(sorted((0,) + self.mu_subgroup(self.p ** k - 1)))
 
+    @functools.cache
     def subfield_view(self, k) -> SubfieldView:
-        got = self._views.get(k)
-        if got is None:
-            got = self._views[k] = SubfieldView(self, k)
-        return got
+        return SubfieldView(self, k)
 
     def neg_one_roots(self, k):
         """All a with a^(p^k - 1) == -1, ascending (empty when unsolvable).

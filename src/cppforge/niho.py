@@ -47,12 +47,13 @@ def unit_circle(nctx: NihoCtx) -> tuple:
 def count_N(nctx: NihoCtx, a, s) -> int:
     """Number of unit-circle lambda with lambda^s + lambda^(1-s) +
     conj(a)*lambda + a == 0.  U lists lambda_j = zeta^j, m = p^k + 1 <=
-    2**26 of them, so lambda_j^s = U[js mod m]; row i of M holds the digits
-    of conj(a) x^i; U // p^i is digit i mod p, so one % p ends the sums."""
-    ctx, p, abar = nctx.ctx, nctx.ctx.p, nctx.conj(a)
+    2**26 of them, so lambda_j^s = U[js mod m]; M = ctx.digit_map(conj(a))
+    multiplies digit rows by conj(a); U // p^i is digit i mod p, so one % p
+    ends the sums."""
+    ctx, p = nctx.ctx, nctx.ctx.p
     U = np.array(unit_circle(nctx), dtype=np.int64)
     m, place = len(U), p ** np.arange(ctx.n, dtype=np.int64)
-    M = np.array([ctx.coeffs(ctx.mul(abar, int(x))) for x in place])
+    M = ctx.digit_map(nctx.conj(a), np.int64)
     es, e1s = s % m, (1 - s) % m            # exact for any int s
     step = max(1, bulk.CHECK_BLOCK // 8 // ctx.n)      # rows per block
     hits = 0

@@ -67,6 +67,19 @@ def test_add_neg_match_twin_property(data):
     assert [ctx.neg(x) for x in xs] == [twin.neg(x) for x in xs]
 
 
+@pytest.mark.parametrize("p", [7, 65521])
+def test_prime_field_kernels_match_scalar(p):
+    # F_p runs the Zech and log paths of the extension fields
+    ctx = build_field(p, 1)
+    X = bulk.elements(ctx)
+    Y = np.roll(X, 3)
+    assert bulk.add(ctx, X, Y).tolist() == \
+        [ctx.add(x, y) for x, y in zip(X.tolist(), Y.tolist())]
+    for e in (0, p - 1, 2 * (p - 1)):
+        assert bulk.pow_const(ctx, X, e).tolist() == \
+            [ctx.pow(x, e) for x in X.tolist()], e
+
+
 def test_neg_mul_match_scalar(ctx):
     X = bulk.elements(ctx)
     Y = np.roll(X, 5)

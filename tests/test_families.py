@@ -9,7 +9,7 @@ import pytest
 
 from cppforge import bulk, cli, families, scan
 from cppforge.field import InternalError, build_field
-from cppforge.families import (ConditionTag, QUARTIC_BETA_POLY,
+from cppforge.families import (QUARTIC_BETA_POLY,
                                QUARTIC_BETA_IDENTITIES, SEXTIC_BETA_POLY,
                                beta_quartic_all, dickson_witness_search,
                                field_with_root,
@@ -105,8 +105,7 @@ class TestR4Conditions:
                                      return_index=True, return_counts=True)
         hist = Counter()
         for a, count in zip(A[first].tolist(), counts.tolist()):
-            tag = condition(ctx, a, k)
-            hist[tag.label() if tag else "untagged"] += count
+            hist[condition(ctx, a, k) or "untagged"] += count
         assert dict(hist) == want
 
     def test_p3_one_lambda_vector_per_coefficient(self, monkeypatch):
@@ -121,8 +120,7 @@ class TestR4Conditions:
         monkeypatch.setattr(families, "lambda_coeffs", counted)
         tags = Counter()
         for a in range(1, ctx.q):
-            tag = r4_condition_p3(ctx, a, 2)
-            tags[tag.label() if tag else "untagged"] += 1
+            tags[r4_condition_p3(ctx, a, 2) or "untagged"] += 1
         assert calls == list(range(1, ctx.q))
         assert dict(tags) == {"r4_p3:3": 64, "untagged": 6496}
 
@@ -141,7 +139,7 @@ class TestR4Conditions:
 
     def test_p5_case3_count(self, f625):
         tags = [r4_condition_p5(f625, a, 1) for a in range(1, 625)]
-        assert sum(1 for t in tags if t and t.condition == "3") == 16
+        assert tags.count("r4_p5:3") == 16
 
     def test_p3_closed_form_matches_general_conditions(self, f81):
         thm = {a for a in range(1, 81) if r4_condition(f81, a, 1)}
@@ -153,7 +151,7 @@ class TestR4Conditions:
         # k = 2 mod 4 and the lambda identities; no element satisfies them
         ctx = build_field(3, 8)
         hits = [a for a in range(1, 6561)
-                if (t := r4_condition_p3(ctx, a, 2)) and t.condition == "1"]
+                if r4_condition_p3(ctx, a, 2) == "r4_p3:1"]
         assert hits == []
 
 
@@ -791,6 +789,9 @@ class TestMultinomial:
         assert is_cpp(ctx, multinomial_map(ctx, g, v, 1, 1, grid))
 
 
-def test_condition_tag_label():
-    t = ConditionTag("r4_general", "2")
-    assert t.label() == "r4_general:2"
+def test_condition_tag_label(f81):
+    # a tagger returns the report's "family:condition" label itself
+    assert {r4_condition(f81, a, 1) for a in range(81)} == {
+        None, "r4_general:1", "r4_general:2", "r4_general:4", "r4_general:5"}
+    assert {r4_condition_p3(f81, a, 1) for a in range(81)} == {
+        None, "r4_p3:2", "r4_p3:4", "r4_p3:5"}

@@ -139,6 +139,14 @@ class TestArithmetic:
         for x in range(1, 9):
             assert f9.pow(x, e) == f9.pow(x, e % 8)
 
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 6), (5, 2)])
+    @pytest.mark.parametrize("backend", ["table", "generic"])
+    def test_neg_negates_every_digit(self, p, n, backend):
+        # neg is a product by -1; on encodings it negates each digit mod p
+        ctx = build_field(p, n, backend=backend)
+        assert [ctx.neg(x) for x in range(ctx.q)] == \
+            [ctx.element([-c for c in ctx.coeffs(x)]) for x in range(ctx.q)]
+
 
 class TestFrobeniusTrace:
     def test_frobenius_identity_power(self, f81):
@@ -218,6 +226,17 @@ class TestSubfields:
         assert len(f81.neg_one_roots(2)) == 8
         brute81 = tuple(a for a in range(81) if f81.pow(a, 8) == f81.neg(1))
         assert f81.neg_one_roots(2) == brute81
+
+    @pytest.mark.parametrize("backend", ["table", "generic"])
+    def test_memo_keeps_results_not_refusals(self, backend):
+        ctx = build_field(3, 4, backend=backend)
+        assert ctx.subfield_view(2) is ctx.subfield_view(2)
+        assert ctx.subfield_elements(2) is ctx.subfield_elements(2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="k-not-divisor"):
+                ctx.subfield_elements(3)
+            with pytest.raises(ValueError, match="s-not-divisor"):
+                ctx.subgroup_generator(7)
 
     def test_neg_one_roots_p2_literal(self):
         f64 = build_field(2, 6)
@@ -455,6 +474,31 @@ class TestBackendAgreement:
                     assert ft.inv(x) == fg.inv(x)
             assert ft.subfield_elements(1) == fg.subfield_elements(1)
             assert ft.neg_one_roots(1) == fg.neg_one_roots(1)
+
+    @pytest.mark.parametrize("p,backend", [
+        (2, "table"), (2, "generic"), (7, "table"), (7, "generic"),
+        (4194319, "generic")])
+    def test_prime_fields_match_integers_mod_p(self, p, backend):
+        # F_p runs the extension-field paths (Zech or packed); every
+        # operation against Python integers mod p
+        ctx = build_field(p, 1, backend=backend)
+        assert ctx.backend == backend
+        rng = random.Random(p)
+        xs = sorted({0, 1, p - 1} | {rng.randrange(p) for _ in range(40)})
+        pairs = [(x, y) for x in xs for y in xs]
+        assert [ctx.add(x, y) for x, y in pairs] == \
+            [(x + y) % p for x, y in pairs]
+        assert [ctx.sub(x, y) for x, y in pairs] == \
+            [(x - y) % p for x, y in pairs]
+        assert [ctx.mul(x, y) for x, y in pairs] == \
+            [x * y % p for x, y in pairs]
+        assert [ctx.neg(x) for x in xs] == [-x % p for x in xs]
+        assert [ctx.inv(x) for x in xs if x] == \
+            [pow(x, -1, p) for x in xs if x]
+        # 0^0 = 1 and 0^e = 0 for e > 0, as Python's pow has them
+        for e in (0, 1, 5, p - 1, 2 * (p - 1), 10 ** 30 + 7):
+            assert [ctx.pow(x, e) for x in xs] == \
+                [pow(x, e, p) for x in xs], e
 
     @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (5, 3), (257, 2), (3, 7),
                                      (2, 11), (65521, 1), (2039, 2)])

@@ -76,12 +76,10 @@ class TestCountN:
                                      (7, 1), (5, 2), (13, 1)])
     def test_matches_powering_twin(self, p, k, backend):
         # lambda^s read off the circle in power order, against powering,
-        # for every a and s negative, small, past q and past int64 (F_5^4
-        # takes fewer small s: its twin powers 52 times per a)
+        # for every a and s negative, small, past q and past int64
         n = NihoCtx(build_field(p, 2 * k, backend=backend), k)
         q = n.ctx.q
-        small = [*range(-3, 8), q + 5, 3 * q] if q < 625 else [-3, 2, 5, q + 5]
-        for s in small + [2 ** 60 + 3, 10 ** 30 + 3]:
+        for s in [*range(-3, 8), q + 5, 3 * q, 2 ** 60 + 3, 10 ** 30 + 3]:
             assert [count_N(n, a, s) for a in range(q)] == \
                 [count_N_by_powers(n, a, s) for a in range(q)], s
 

@@ -305,9 +305,7 @@ class TestCountCpp:
         res = count_cpp(p, k, 4, method="ha")
         ctx = res["ctx"]
         tagger = r4_tagger(ctx, k)
-        assert res["labels"] == {a: (tag.label() if tag else "")
-                                 for a in res["elements"]
-                                 for tag in [tagger(a)]}
+        assert res["labels"] == {a: tagger(a) or "" for a in res["elements"]}
 
     def test_r6_no_conditions(self):
         res = count_cpp(3, 1, 6, method="ha")
@@ -317,11 +315,7 @@ class TestCountCpp:
 
 def whole_field_labels(ctx, k, condition):
     # the slow twin of the orbit route: every nonzero a tagged on its own
-    labels = {}
-    for a in range(1, ctx.q):
-        tag = condition(ctx, a, k)
-        labels[a] = tag.label() if tag else ""
-    return labels
+    return {a: condition(ctx, a, k) or "" for a in range(1, ctx.q)}
 
 
 def class_representative(ctx, k, a):

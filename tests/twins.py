@@ -10,6 +10,7 @@ by powering each lambda of the unit circle, a map tabulated point
 by point, the multinomial map one point at a time, and the quartic beta
 coefficients and their membership identities one (u, v) at a time."""
 
+import functools
 import math
 
 import numpy as np
@@ -49,18 +50,19 @@ def count_N_by_powers(nctx, a, s):
     powering: the number of unit-circle lambda with
     lambda^s + lambda^(1-s) + conj(a)*lambda + a == 0."""
     ctx = nctx.ctx
-    N = ctx.q - 1
-    es = s % N
-    e1s = (1 - s) % N
     abar = nctx.conj(a)
-    hits = 0
-    for lam in ctx.mu_subgroup(nctx.q + 1):
-        v = ctx.add(ctx.pow(lam, es), ctx.pow(lam, e1s))
-        v = ctx.add(v, ctx.mul(abar, lam))
-        v = ctx.add(v, a)
-        if v == 0:
-            hits += 1
-    return hits
+    return sum(ctx.add(ctx.add(v, ctx.mul(abar, lam)), a) == 0
+               for lam, v in _circle_power_sums(nctx, s))
+
+
+@functools.cache
+def _circle_power_sums(nctx, s):
+    """(lambda, lambda^s + lambda^(1-s)) over the unit circle, by powering,
+    once per (field, s): they do not depend on a."""
+    ctx = nctx.ctx
+    N = ctx.q - 1
+    return [(lam, ctx.add(ctx.pow(lam, s % N), ctx.pow(lam, (1 - s) % N)))
+            for lam in ctx.mu_subgroup(nctx.q + 1)]
 
 
 def int_value(C):
