@@ -696,8 +696,9 @@ def _r4_p5_vset(k):
     d = tower_exponent(5, k, 4)
     ctx = build_field(5, 4 * k, backend="table")   # lists need the log tables
     m = 5 ** k - 1
-    half = ctx.mu_subgroup(4 * m)[1::2]        # the a with a^(2m) = -1
-    return _oracle_checked(ctx, d, sorted(set(ctx.neg_one_roots(k)) | set(half)))
+    # zeta^j, zeta of order 4m: a^m = -1 for j = 2 mod 4, a^(2m) = -1 for odd j
+    vset = [a for j, a in enumerate(ctx.mu_subgroup(4 * m)) if j % 4]
+    return _oracle_checked(ctx, d, sorted(vset))
 
 
 def _r6(p, k):

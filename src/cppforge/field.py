@@ -14,11 +14,12 @@ encodings and logs stay below 2**22.  NumPy keeps int32 through a
 product with a Python int and wraps silently, so a reader widens a
 table read to int64 before it meets a wide factor.
 Larger fields use generic polynomial arithmetic ("generic"): addition
-digit by digit, multiplication by packed-integer convolution.  Any read
-of a generic field's tables raises the one CapExceeded (`_NoTable`), so
-a table reader needs no backend check, only a table read before any
-q-sized allocation.  On both backends the
-inverse of x is x^(q-2).  Exponents may be arbitrarily wide Python ints;
+digit by digit, multiplication by packed-integer convolution, which is
+also the module's one product modulo a polynomial: zp_is_irreducible
+runs it modulo each candidate modulus.  Any read of a generic field's
+tables raises the one CapExceeded (`_NoTable`), so a table reader needs
+no backend check, only a table read before any q-sized allocation.  On
+both backends the inverse of x is x^(q-2).  Exponents may be arbitrarily wide Python ints;
 they are reduced mod p^n - 1 before exponentiation of a nonzero base.
 Construction refuses p^n - 1 >= 2**127.
 
@@ -102,35 +103,6 @@ def _zp_trim(a):
     return a
 
 
-def _zp_mulmod(a, b, f, p):
-    # a*b mod f, f monic
-    n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, n - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(n):
-                prod[i - n + j] = (prod[i - n + j] - c * f[j]) % p
-    return _zp_trim(prod[:n] if len(prod) > n else prod)
-
-
-def _zp_powmod(a, e, f, p):
-    result = [1]
-    base = a[:]
-    while e:
-        if e & 1:
-            result = _zp_mulmod(result, base, f, p)
-        e >>= 1
-        if e:
-            base = _zp_mulmod(base, base, f, p)
-    return result
-
-
 def _zp_gcd(a, b, p):
     a, b = a[:], b[:]
     while b:
@@ -146,22 +118,20 @@ def _zp_gcd(a, b, p):
 
 
 def zp_is_irreducible(p: int, coeffs) -> bool:
-    """Irreducibility over Z_p by gcd with x^(p^i) - x for i <= deg/2."""
+    """Irreducibility over Z_p by gcd with x^(p^i) - x for i <= deg/2.
+    The powers x^(p^i) mod f come from FieldCtx's generic (packed)
+    product, which needs f monic only; the ring never leaves here."""
     f = [c % p for c in coeffs]
     deg = len(f) - 1
     if deg < 1 or f[-1] != 1:
         raise ValueError("not-monic: irreducibility test needs a monic polynomial")
-    if deg == 1:
-        return True
-    if f[0] == 0:
-        return False
-    t = [0, 1]
+    ring = FieldCtx(p, deg, f, "generic")
+    t = p                                           # x
     for _ in range(deg // 2):
-        t = _zp_powmod(t, p, f, p)
-        diff = t[:] + [0] * (2 - len(t))
+        t = ring.pow(t, p)                          # p < p^deg - 1: no reduction
+        diff = list(ring.coeffs(t))
         diff[1] = (diff[1] - 1) % p
-        g = _zp_gcd(f, _zp_trim(diff), p)
-        if len(g) > 1:
+        if len(_zp_gcd(f, _zp_trim(diff), p)) > 1:
             return False
     return True
 
@@ -176,7 +146,7 @@ def lex_least_irreducible(p: int, n: int) -> tuple:
     # (1, 0, ..., 0); c_0 stays nonzero from there on
     coeffs = [1] + [0] * (n - 1)
     while True:
-        if coeffs[0] != 0 and zp_is_irreducible(p, coeffs + [1]):
+        if zp_is_irreducible(p, coeffs + [1]):
             return tuple(coeffs) + (1,)
         # lexicographic odometer: c_0 most significant
         i = n - 1
@@ -337,7 +307,9 @@ class _NoTable:
 
 class FieldCtx:
     """Arithmetic context for F_{p^n}; see the module docstring for the
-    element encoding.  Use build_field() rather than this constructor."""
+    element encoding.  Use build_field() rather than this constructor: a
+    generic context is arithmetic modulo any monic polynomial (the ring
+    of zp_is_irreducible), and only build_field makes fields."""
 
     def __init__(self, p, n, modulus, backend):
         self.p = p
@@ -367,9 +339,9 @@ class FieldCtx:
             nxt = rows[-1] << self._limb
             top = (nxt >> (self._limb * n)) & self._limb_mask
             nxt &= self._low_mask
-            if top:
-                nxt += top * rows[0]
-            rows.append(self._pnormalize(nxt))
+            if top:                 # else nxt is a shifted normalized row
+                nxt = self._pnormalize(nxt + top * rows[0])
+            rows.append(nxt)
         self._redrows = rows
 
     def _pack_enc(self, x):
@@ -425,8 +397,6 @@ class FieldCtx:
     def _pow_generic(self, x, e):
         if e == 0:
             return 1
-        if x == 0:
-            return 0
         A = self._pack_enc(x)
         R = None
         while e:
@@ -441,7 +411,7 @@ class FieldCtx:
         p, q = self.p, self.q
         N = q - 1
         g = self._element_of_order(N)
-        E = self._powers(1, g, N)
+        E = self._powers(g, N)
         # int32 tables filled in EXP_BLOCK slices, so no full-size
         # temporary (and no q-length int64 array) is made
         blocks = range(0, N, EXP_BLOCK)
@@ -574,12 +544,12 @@ class FieldCtx:
                 return z
         raise InternalError(f"no element of order {s} (modulus reducible?)")
 
-    def _powers(self, start, ratio, count):
-        """Encodings of start * ratio^i for i < count, start and ratio
-        nonzero, by doubling: once rows [0, f) are listed, rows [f, 2f) are
-        those rows times s = ratio^f, computed on at most EXP_BLOCK rows at
-        a time.  Multiplying by s is F_p-linear on digits, and the backend
-        picks the form of that step.  Table fields step on the encodings
+    def _powers(self, ratio, count):
+        """Encodings of ratio^i for i < count, ratio nonzero, by doubling:
+        once rows [0, f) are listed, rows [f, 2f) are those rows times
+        s = ratio^f, computed on at most EXP_BLOCK rows at a time.
+        Multiplying by s is F_p-linear on digits, and the backend picks
+        the form of that step.  Table fields step on the encodings
         themselves (`_encoding_steps`), kept as int32 rows: each step
         computes one block in int64 and stores it back.
         Generic fields step on a digit matrix D: rows [f, 2f) of D are
@@ -591,11 +561,11 @@ class FieldCtx:
         p, n = self.p, self.n
         if self.backend == "table":
             rows = np.zeros(count, dtype=np.int32)
-            rows[0] = start
+            rows[0] = 1
             steps = self._encoding_steps()
         else:
             rows = np.zeros((count, n), dtype=_holding(p - 1))
-            rows[0] = self.coeffs(start)
+            rows[0, 0] = 1
             steps = self._matrix_step
         s, filled = ratio, 1                                   # ratio^filled
         while filled < count:
@@ -691,20 +661,18 @@ class FieldCtx:
             return times
         return steps
 
-    def _progression(self, start, ratio, count):
-        """(start, start*ratio, ..., start*ratio^(count-1)) for nonzero
-        start and ratio: a log gather on table fields, else `_powers`."""
+    def progression(self, ratio, count):
+        """The encodings of ratio^i for i < count, ratio nonzero, as one
+        int64 array (object past 2**63): a log gather on table fields,
+        else `_powers`."""
         if self.backend == "table":
-            N = self.q - 1
-            logs = (int(self.log_table[start])
-                    + np.arange(count, dtype=np.int64)
-                    * int(self.log_table[ratio])) % N
-            return tuple(self.exp_table[logs].tolist())
-        return tuple(self._powers(start, ratio, count).tolist())
+            logs = np.arange(count, dtype=np.int64) * int(self.log_table[ratio])
+            return self.exp_table[logs % (self.q - 1)].astype(np.int64)
+        return self._powers(ratio, count)
 
     def mu_subgroup(self, s):
         """The s-th roots of unity, listed as powers of a fixed generator."""
-        return self._progression(1, self.subgroup_generator(s), s)
+        return tuple(self.progression(self.subgroup_generator(s), s).tolist())
 
     @functools.cache
     def subfield_elements(self, k):
@@ -728,8 +696,8 @@ class FieldCtx:
             return tuple(sorted(self.mu_subgroup(m)))
         if (self.q - 1) % (2 * m):
             return ()
-        y = self.subgroup_generator(2 * m)
-        return tuple(sorted(self._progression(y, self.mul(y, y), m)))
+        # zeta^j with zeta of order 2m: (zeta^j)^m = -1 iff j is odd
+        return tuple(sorted(self.mu_subgroup(2 * m)[1::2]))
 
     # -- residues and polynomials -------------------------------------------
 

@@ -39,9 +39,11 @@ class NihoCtx:
         return self.ctx.pow(x, self.q)
 
 
-def unit_circle(nctx: NihoCtx) -> tuple:
-    """The p^k + 1 elements with x * conj(x) == 1, in power order."""
-    return nctx.ctx.mu_subgroup(nctx.q + 1)
+def unit_circle(nctx: NihoCtx):
+    """The p^k + 1 elements with x * conj(x) == 1, in power order, as one
+    int64 array (the generic subgroup cap of 2**26 keeps q below 2**52)."""
+    ctx, m = nctx.ctx, nctx.q + 1
+    return ctx.progression(ctx.subgroup_generator(m), m)
 
 
 def count_N(nctx: NihoCtx, a, s) -> int:
@@ -51,7 +53,7 @@ def count_N(nctx: NihoCtx, a, s) -> int:
     multiplies digit rows by conj(a); U // p^i is digit i mod p, so one % p
     ends the sums."""
     ctx, p = nctx.ctx, nctx.ctx.p
-    U = np.array(unit_circle(nctx), dtype=np.int64)
+    U = unit_circle(nctx)
     m, place = len(U), p ** np.arange(ctx.n, dtype=np.int64)
     M = ctx.digit_map(nctx.conj(a), np.int64)
     es, e1s = s % m, (1 - s) % m            # exact for any int s

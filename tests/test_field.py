@@ -17,7 +17,23 @@ from cppforge import field as field_mod
 from cppforge.field import (CapExceeded, InternalError, SubfieldView,
                             build_field, lex_least_irreducible, is_prime,
                             zp_is_irreducible)
-from twins import frobenius, trace
+from twins import frobenius, poly_mul, trace
+
+
+def monic_irreducible_count(p, d):
+    """Gauss's count (1/d) sum_{e | d} mu(d/e) p^e."""
+    def mobius(m):
+        out, f = 1, 2
+        while m > 1:
+            if m % f == 0:
+                m //= f
+                if m % f == 0:
+                    return 0
+                out = -out
+            f += 1
+        return out
+    return sum(mobius(d // e) * p ** e
+               for e in range(1, d + 1) if d % e == 0) // d
 
 
 def brute_irreducible_quadratics(p):
@@ -388,6 +404,48 @@ class TestIrreducibility:
                 want = rootless and f not in products
                 assert zp_is_irreducible(p, f) is want, (p, f)
 
+    @pytest.mark.parametrize("p,top", [(2, 8), (3, 6), (5, 5)])
+    def test_irreducible_iff_no_monic_factorization(self, p, top):
+        # every monic of degree d <= top: accepted iff not the product of
+        # two monic factors of positive degree, as many as Gauss counts
+        monics = {d: [low + (1,) for low in itertools.product(range(p), repeat=d)]
+                  for d in range(1, top + 1)}
+        for d, fs in monics.items():
+            products = {tuple(poly_mul(a, b, p)) for e in range(1, d // 2 + 1)
+                        for a in monics[e] for b in monics[d - e]}
+            accepted = {f for f in fs if zp_is_irreducible(p, f)}
+            assert accepted == set(fs) - products, (p, d)
+            assert len(accepted) == monic_irreducible_count(p, d), (p, d)
+
+    def test_lex_least_on_the_benchmark_fields(self):
+        # the default moduli of the fields the benchmark builds: every
+        # encoding printed over them depends on these
+        pins = {
+            (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+            (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+            (2, 20): (1,) + (0,) * 16 + (1, 0, 0, 1),
+            (2, 22): (1,) + (0,) * 20 + (1, 1),
+            (3, 2): (1, 0, 1),
+            (3, 4): (1, 0, 1, 1, 1),
+            (3, 6): (1, 0, 0, 0, 1, 1, 1),
+            (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+            (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+            (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+            (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+            (5, 4): (1, 0, 1, 1, 1),
+            (5, 6): (1, 0, 0, 0, 1, 1, 1),
+            (5, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+            (5, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 1),
+            (7, 4): (1, 0, 0, 1, 1),
+            (7, 6): (1, 0, 0, 0, 1, 0, 1),
+            (7, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 3, 1),
+            (7, 18): (1,) + (0,) * 15 + (1, 0, 1),
+            (11, 6): (1, 0, 0, 0, 1, 1, 1),
+            (11, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+            (13, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
+        }
+        assert {pn: lex_least_irreducible(*pn) for pn in pins} == pins
+
 
 class TestFindRoot:
     def test_beta_of_quartic(self):
@@ -514,9 +572,9 @@ class TestBackendAgreement:
         ft = field_mod.FieldCtx(p, n, mod, "table")
         fg = build_field(p, n, mod, backend="generic")
         g = ft.generator
-        assert np.array_equal(ft.exp_table, fg._powers(1, g, q - 1))
+        assert np.array_equal(ft.exp_table, fg._powers(g, q - 1))
         monkeypatch.undo()
-        assert np.array_equal(ft.exp_table, fg._powers(1, g, q - 1))
+        assert np.array_equal(ft.exp_table, fg._powers(g, q - 1))
         if q > 1 << 17:
             return                      # too large for the scalar loop
         want, x = [], 1
@@ -525,7 +583,7 @@ class TestBackendAgreement:
             x = fg.mul(x, g)
         assert x == 1
         assert ft.exp_table.tolist() == want
-        assert fg._progression(1, g, q - 1) == tuple(want)
+        assert fg.progression(g, q - 1).tolist() == want
         log = {x: i for i, x in enumerate(want)}
         assert ft.log_table.tolist() == [-1] + [log[x] for x in range(1, q)]
         assert ft.zech_table.tolist() == [log.get(fg.add(1, x), -1)

@@ -155,6 +155,21 @@ class TestAllRootCounts:
         assert peak <= 2.5 * n.ctx.q * 8
 
 
+def test_count_N_holds_the_circle_as_int64():
+    # the unit circle is one int64 array: with its digit blocks, count_N
+    # stays within 24 bytes per point (a tuple of Python ints peaks at 48)
+    n = NihoCtx(build_field(1000003, 2), 1)
+    m = n.q + 1
+    n.ctx.subgroup_generator(m)
+    tracemalloc.start()
+    try:
+        count_N(n, 5, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * m
+
+
 class TestWalsh:
     def test_formula_equals_direct_f9(self, n9, f9):
         for s in (1, 2, 3, 5):

@@ -8,7 +8,8 @@ family checks: Frobenius powers and traces of one element, the
 coefficient set V of the Walsh theorem as a tuple, the root count N(a)
 by powering each lambda of the unit circle, a map tabulated point
 by point, the multinomial map one point at a time, and the quartic beta
-coefficients and their membership identities one (u, v) at a time."""
+coefficients and their membership identities one (u, v) at a time, and
+the product of two polynomials over Z_p as coefficient lists."""
 
 import functools
 import math
@@ -63,6 +64,16 @@ def _circle_power_sums(nctx, s):
     N = ctx.q - 1
     return [(lam, ctx.add(ctx.pow(lam, s % N), ctx.pow(lam, (1 - s) % N)))
             for lam in ctx.mu_subgroup(nctx.q + 1)]
+
+
+def poly_mul(a, b, p):
+    """The product of two polynomials over Z_p, coefficient lists in
+    ascending degree, by schoolbook convolution (no modulus)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
 
 
 def int_value(C):
