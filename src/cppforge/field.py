@@ -239,8 +239,12 @@ class SubfieldView:
             # zero: -5m once divided; int32 holds -5(q - 1), as
             # 5 TABLE_CAP < 2**31
             L[L < 0] = -5 * m * self._c
-            if not (L % self._c).any():
-                return L // self._c
+            # one pass: L // c in place, and whether c left a remainder
+            # (the int-to-bool cast is x != 0) as one byte per entry
+            rem = np.empty(L.shape, dtype=bool)
+            np.divmod(L, self._c, out=(L, rem), casting="unsafe")
+            if not rem.any():
+                return L
         else:
             # generic encodings can pass int64: map them before any conversion
             arr = np.asarray(encs, dtype=object)

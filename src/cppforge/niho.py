@@ -12,6 +12,7 @@ pairs is the whole table of N(a).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,15 @@ class NihoCtx:
         return self.ctx.pow(x, self.q)
 
 
+@functools.cache
 def unit_circle(nctx: NihoCtx):
     """The p^k + 1 elements with x * conj(x) == 1, in power order, as one
-    int64 array (the generic subgroup cap of 2**26 keeps q below 2**52)."""
+    read-only int64 array (the generic subgroup cap of 2**26 keeps q below
+    2**52), listed once per NihoCtx."""
     ctx, m = nctx.ctx, nctx.q + 1
-    return ctx.progression(ctx.subgroup_generator(m), m)
+    U = ctx.progression(ctx.subgroup_generator(m), m)
+    U.flags.writeable = False
+    return U
 
 
 def count_N(nctx: NihoCtx, a, s) -> int:

@@ -7,10 +7,15 @@ degree-(r+1) polynomial h_a on F_{p^k} and checks the permutation there.
 Both return ascending coefficient lists so results merge and compare
 bytewise.
 
-orbit_values is the one implementation of the orbit classes: it decides a
-property once per class and gives each coefficient its class's verdict.
-Both scans use it, and in families so do the r = 4 checks, the Dickson
-witness search and every table-field oracle check of a coefficient list.
+The orbit classes live on Z/e, e = gcd(d - 1, q - 1): their least
+elements cost O(e n) once.  orbit_values decides a property once per
+class that a coefficient list touches and gives each coefficient its
+class's verdict; orbit_members decides every class and expands the
+passing ones into their members, O(members) plus one q-byte mask that
+sorts them, so no array of one int per field element is built.  Both
+scans list their members through orbit_members, and in families so do
+the r = 4 checks and the Dickson witness search; every table-field oracle
+check of a coefficient list goes through orbit_values.
 """
 
 from __future__ import annotations
@@ -31,6 +36,19 @@ def _check_part(reps):
     return [bulk.binomial_is_permutation(ctx, d, a) for a in reps]
 
 
+def _orbit_minima(ctx, d):
+    """e = gcd(d - 1, q - 1) and, for each j in Z/e, the least element of
+    its Frobenius orbit j -> pj mod e, as one int64 array of length e."""
+    e = math.gcd(d - 1, ctx.q - 1)
+    least = np.arange(e, dtype=np.int64)
+    x = least.copy()
+    for _ in range(ctx.n - 1):          # the order of p mod e divides n
+        np.multiply(x, ctx.p, out=x)
+        np.remainder(x, e, out=x)
+        np.minimum(least, x, out=least)
+    return e, least
+
+
 def orbit_values(ctx, d, elems, decide):
     """decide's verdict for each a != 0 in elems, one call per orbit class.
 
@@ -44,39 +62,51 @@ def orbit_values(ctx, d, elems, decide):
     logs = ctx.log_table[np.asarray(elems, dtype=np.int64)]
     if (logs < 0).any():        # log_table[0] = -1 would name class e - 1
         raise ValueError("zero-coefficient: need a != 0")
-    return _log_values(ctx, d, logs, decide)
-
-
-def _log_values(ctx, d, logs, decide):
-    """orbit_values on the discrete logs of the elements; log_table[1:]
-    stands for every a = 1..q-1 without a list of their encodings."""
-    e = math.gcd(d - 1, ctx.q - 1)
-    j = np.arange(e, dtype=np.int64)
-    least, x = j.copy(), j.copy()
-    for _ in range(ctx.n - 1):          # the order of p mod e divides n
-        x = x * ctx.p % e
-        np.minimum(least, x, out=least)
-    # per element one residue array and one gather of the result; the
-    # classes are resolved on Z/e
-    res = logs % e
-    hit = np.zeros(e, dtype=bool)
-    hit[res] = True
+    e, least = _orbit_minima(ctx, d)
+    cls = least[logs % e]
     touched = np.zeros(e, dtype=bool)
-    touched[least[hit]] = True
+    touched[cls] = True
     reps = np.flatnonzero(touched)
     slot = np.zeros(e, dtype=np.intp)
     slot[reps] = np.arange(len(reps))
     verdict = np.asarray(decide(ctx.exp_table[reps].tolist()))
-    value = np.empty(e, dtype=verdict.dtype)
-    value[hit] = verdict[slot[least[hit]]]
-    return value[res]
+    return verdict[slot[cls]]
 
 
 def orbit_members(ctx, d, decide, top=None):
     """Ascending list of every a != 0, up to top when given, whose orbit
-    class passes decide (see orbit_values)."""
-    logs = ctx.log_table[1:][:top]
-    return (np.flatnonzero(_log_values(ctx, d, logs, decide)) + 1).tolist()
+    class passes decide (see orbit_values).
+
+    The classes come from Z/e alone in O(e n); decide gets the
+    representatives of every class in one call (under top, of the classes
+    of 1..top, read off log_table[1:top + 1]).  Each residue s of a
+    passing class expands to the logs s + e t, t < (q - 1)/e, marked in
+    one q-byte mask by encoding in blocks of bulk.CHECK_BLOCK: O(members)
+    and q bytes, with no array of one int per field element.
+    """
+    # a table read comes first, so a generic field refuses before any
+    # array of length e; the slice is a view
+    stop = None if top is None else top + 1
+    logs = ctx.log_table[1:stop]
+    e, least = _orbit_minima(ctx, d)
+    touched = np.zeros(e, dtype=bool)
+    # without top every class is touched: no log is read
+    touched[least if top is None else least[logs % e]] = True
+    reps = np.flatnonzero(touched)
+    verdict = decide(ctx.exp_table[reps].tolist())
+    passed = np.zeros(e, dtype=bool)
+    passed[reps[np.flatnonzero(verdict)]] = True
+    res = np.flatnonzero(passed[least])
+    del least, touched, passed, reps    # before the mask and member list
+    period = (ctx.q - 1) // e
+    total = len(res) * period
+    mask = np.zeros(ctx.q, dtype=bool)
+    for lo in range(0, total, bulk.CHECK_BLOCK):
+        row, t = np.divmod(np.arange(lo, min(lo + bulk.CHECK_BLOCK, total)),
+                           period)
+        mask[ctx.exp_table[res[row] + e * t]] = True
+    del res
+    return np.flatnonzero(mask[:stop]).tolist()
 
 
 def direct_cpp_scan(ctx, d, jobs=1, progress=None):

@@ -790,6 +790,26 @@ class TestSubfieldView:
             with pytest.raises(InternalError, match="left the subfield"):
                 view.permutes([[0, x]])
 
+    def test_logs_of_a_field_length_array(self):
+        # the traces of F_3^12 onto F_3^6: logs hold one int32 array and
+        # one byte per entry for the remainders, 5q bytes traced beside
+        # the int64 input
+        ctx = build_field(3, 12)
+        T = bulk.trace(ctx, bulk.elements(ctx), 6)
+        m = 3 ** 6 - 1
+        view = ctx.subfield_view(6)
+        tracemalloc.start()
+        try:
+            L = view.logs(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * ctx.q
+        zero = T == 0
+        assert L.dtype == np.int32 and (L[zero] == -5 * m).all()
+        zeta_powers = np.asarray(ctx.mu_subgroup(m))
+        assert np.array_equal(zeta_powers[L[~zero]], T[~zero])
+
     def test_view_cap(self, monkeypatch):
         # F_2^23 is past TABLE_CAP: refused before F_{2^23}^* is enumerated
         ctx = build_field(2, 46)

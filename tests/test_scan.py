@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from cppforge.families import (count_cpp, r4_condition, r4_condition_p3,
                                tower_exponent)
 from cppforge.field import CapExceeded, build_field
 from cppforge.report import CppReport
+
+from twins import orbit_members_by_logs
 
 
 def whole_field_members(ctx, d):
@@ -115,6 +118,54 @@ class TestOrbitMembers:
                 touched = sorted({least(ctx, e, a)
                                   for a in range(1, min(top, ctx.q - 1) + 1)})
                 assert calls == [[int(ctx.exp_table[j]) for j in touched]]
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 4), (2, 6), (5, 3), (7, 2),
+                                     (2, 8), (5, 4), (7, 4), (3, 8), (13, 4)])
+    def test_matches_the_log_twin(self, p, n):
+        # the members on Z/e against the twin that reads every log of
+        # 1..top: the same members from the same decide calls, for every
+        # divisor e of q - 1, constant and random verdicts and every cut
+        ctx = build_field(p, n)
+        q = ctx.q
+        pick = np.random.default_rng(q).random(q) < 0.4
+        verdicts = {"none": lambda a: False, "all": lambda a: True,
+                    "random": lambda a: bool(pick[a])}
+        for e in divisors(ctx):
+            for name, verdict in verdicts.items():
+                for top in (None, 0, 1, 7, q // 2, q - 2, q - 1, q + 3):
+                    calls = {"scan": [], "twin": []}
+
+                    def decide(reps, side):
+                        calls[side].append(reps)
+                        return [verdict(a) for a in reps]
+
+                    got = scan.orbit_members(
+                        ctx, e + 1, lambda r: decide(r, "scan"), top)
+                    want = orbit_members_by_logs(
+                        ctx, e + 1, lambda r: decide(r, "twin"), top)
+                    assert got == want, (e, name, top)
+                    assert calls["scan"] == calls["twin"], (e, name, top)
+
+    def test_holds_no_field_length_int_array(self):
+        # F_2^20 with the tower d of r = 4, k = 5 (e = 33825) and a sparse
+        # verdict: the scan holds one q-byte mask, arrays on Z/e and
+        # blocks of the members, so its traced peak stays under 3q bytes
+        # (the log twin's int32 residues alone take 4q; it peaks at 6.2q)
+        ctx = build_field(2, 20)
+        d = tower_exponent(2, 5, 4)
+
+        def decide(reps):
+            return [i % 64 == 0 for i in range(len(reps))]
+
+        tracemalloc.start()
+        try:
+            members = scan.orbit_members(ctx, d, decide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * ctx.q
+        assert members == orbit_members_by_logs(ctx, d, decide)
+        assert len(members) == 16151
 
 
 class TestOrbitInputs:

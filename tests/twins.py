@@ -8,8 +8,9 @@ family checks: Frobenius powers and traces of one element, the
 coefficient set V of the Walsh theorem as a tuple, the root count N(a)
 by powering each lambda of the unit circle, a map tabulated point
 by point, the multinomial map one point at a time, and the quartic beta
-coefficients and their membership identities one (u, v) at a time, and
-the product of two polynomials over Z_p as coefficient lists."""
+coefficients and their membership identities one (u, v) at a time, the
+product of two polynomials over Z_p as coefficient lists, and the orbit
+members of a decision read off every log of the field."""
 
 import functools
 import math
@@ -64,6 +65,31 @@ def _circle_power_sums(nctx, s):
     N = ctx.q - 1
     return [(lam, ctx.add(ctx.pow(lam, s % N), ctx.pow(lam, (1 - s) % N)))
             for lam in ctx.mu_subgroup(nctx.q + 1)]
+
+
+def orbit_members_by_logs(ctx, d, decide, top=None):
+    """scan.orbit_members through every log a <= top: each log_table[a]
+    is reduced mod e = gcd(d - 1, q - 1), the classes it touches are
+    decided in one call, and each a takes its class's verdict."""
+    logs = ctx.log_table[1:][:top]
+    e = math.gcd(d - 1, ctx.q - 1)
+    j = np.arange(e, dtype=np.int64)
+    least, x = j.copy(), j.copy()
+    for _ in range(ctx.n - 1):
+        x = x * ctx.p % e
+        np.minimum(least, x, out=least)
+    res = logs % e
+    hit = np.zeros(e, dtype=bool)
+    hit[res] = True
+    touched = np.zeros(e, dtype=bool)
+    touched[least[hit]] = True
+    reps = np.flatnonzero(touched)
+    slot = np.zeros(e, dtype=np.intp)
+    slot[reps] = np.arange(len(reps))
+    verdict = np.asarray(decide(ctx.exp_table[reps].tolist()))
+    value = np.empty(e, dtype=verdict.dtype)
+    value[hit] = verdict[slot[least[hit]]]
+    return (np.flatnonzero(value[res]) + 1).tolist()
 
 
 def poly_mul(a, b, p):
