@@ -6,8 +6,19 @@ kernel the work may run on discrete logs instead (products as sums of
 logs, sums through the Zech table, -1 standing for zero), converting back
 to encodings on output.  The tables are int32, and NumPy keeps int32
 through a product with a Python int, wrapping silently: so logs are read
-only through `_logs` and encodings only through `_exp`, both int64, and
-no int32 array leaves the tables through a kernel.
+through `_logs` and encodings through `_exp`, both int64, and no int32
+array leaves the tables through a kernel.  The one exception is the
+second operand of add and mul, whose int32 logs meet only int64 logs
+(a sum, a difference, a copy), which NumPy widens: it saves 4 of their
+8 bytes per element.
+The exp and Zech tables hold exactly q - 1 = N entries (the build checks
+it), so a sum or difference of logs gathers from them with
+take(..., mode="wrap") and no % N: wrap mode reads the index mod N.
+It steps by N, so only indices within a few periods of [0, N) go to it;
+a log times a wide factor is still reduced by % N first.  The zero
+sentinel -1 would wrap to N - 1, so every kernel masks it explicitly,
+and log_table (q entries, -1 at zero) is never gathered by wrap.  Logs a
+kernel returns are reduced to [0, N) by one conditional subtract.
 These are the hot loops behind the exhaustive scans; each has a scalar
 counterpart on FieldCtx that the test suite cross-checks against.
 """
@@ -28,16 +39,20 @@ def elements(ctx):
 
 
 def _log_add(ctx, LX, LY):
-    """log(x + y) from logs through the Zech table; -1 stands for zero."""
+    """log(x + y) from logs in [-1, N) through the Zech table, -1 standing
+    for zero, written into LX (int64) and returned; LY may be int32 and
+    broadcasts to LX."""
     N = ctx.q - 1
-    # in place on one array: fewer block-sized temporaries live at once
-    t = LY - LX
-    z = ctx.zech_table[np.remainder(t, N, out=t)]
-    t = np.remainder(np.add(LX, z, out=t), N, out=t)
-    t[z < 0] = -1
-    np.copyto(t, LX, where=LY < 0)
-    np.copyto(t, LY, where=LX < 0)
-    return t
+    # in place: the difference is freed once the Zech entries are read,
+    # and z's int32 buffer then holds the conditional subtract
+    z = ctx.zech_table.take(LY - LX, mode="wrap")
+    np.copyto(z, 0, where=LY < 0)           # x + 0 = x
+    x_zero, sum_zero = LX < 0, z < 0        # 0 + y = y, x + y = 0
+    LX += z
+    LX -= np.multiply(LX >= N, N, out=z)    # [0, 2N) back to [0, N)
+    LX[sum_zero] = -1
+    np.copyto(LX, LY, where=x_zero)
+    return LX
 
 
 def _logs(ctx, X):
@@ -46,27 +61,27 @@ def _logs(ctx, X):
 
 
 def _exp(ctx, L, zero):
-    """int64 encodings of logs, zero where the mask zero holds."""
+    """int64 encodings of logs (any within a few periods of [0, N)),
+    zero where the mask zero holds."""
     # the int64 scalar makes where's result int64 in its one pass
-    return np.where(zero, np.int64(0), ctx.exp_table[L])
+    return np.where(zero, np.int64(0), ctx.exp_table.take(L, mode="wrap"))
 
 
 def add(ctx, X, Y):
-    L = _log_add(ctx, _logs(ctx, X), _logs(ctx, Y))
+    """X + Y element-wise; Y broadcasts to X's shape (the sum is written
+    into the logs of X)."""
+    L = _log_add(ctx, _logs(ctx, X), ctx.log_table[Y])
     return _exp(ctx, L, L < 0)
 
 
 def mul(ctx, X, Y):
-    N = ctx.q - 1
-    return _exp(ctx, (_logs(ctx, X) + _logs(ctx, Y)) % N, (X == 0) | (Y == 0))
+    return _exp(ctx, _logs(ctx, X) + ctx.log_table[Y], (X == 0) | (Y == 0))
 
 
 def mul_scalar(ctx, a, X):
     if a == 0:
         return np.zeros_like(X)
-    N = ctx.q - 1
-    la = int(ctx.log_table[a])
-    return _exp(ctx, (_logs(ctx, X) + la) % N, X == 0)
+    return _exp(ctx, _logs(ctx, X) + int(ctx.log_table[a]), X == 0)
 
 
 def pow_const(ctx, X, e):
@@ -78,14 +93,22 @@ def pow_const(ctx, X, e):
 
 
 def trace(ctx, X, k=1):
+    """Tr onto F_{p^k} of every entry of X, on logs: Frobenius^k multiplies
+    a log by p^k mod N, each conjugate is Zech-added into the sum in
+    place, and one exp ends it.  Zero runs as one (log 0) and is masked
+    at that exp."""
     if ctx.n % k:
         raise ValueError(f"k-not-divisor: {k} does not divide {ctx.n}")
-    acc = X
-    cur = X
+    N, pk = ctx.q - 1, ctx.p ** k
+    cur = _logs(ctx, X)
+    zero = cur < 0
+    cur[zero] = 0
+    acc = cur.copy()
     for _ in range(ctx.n // k - 1):
-        cur = pow_const(ctx, cur, ctx.p ** k)
-        acc = add(ctx, acc, cur)
-    return acc
+        cur *= pk                           # below N p^k < 2**63
+        cur %= N
+        _log_add(ctx, acc, cur)
+    return _exp(ctx, acc, zero | (acc < 0))
 
 
 def poly_eval(ctx, coeffs, X):
@@ -235,8 +258,9 @@ def lambda_scan(ctx, r, k, A):
                 c = np.where(c < 0, -1, c * frob % N)
             # lambda_j is zero for j > m until the (m+1)-th conjugate
             for j in range(min(m, r - 1), 0, -1):
-                prod = np.where((lam[j - 1] < 0) | (c < 0), -1,
-                                (lam[j - 1] + c) % N)
+                prod = lam[j - 1] + c
+                prod -= N * (prod >= N)
+                prod[(lam[j - 1] < 0) | (c < 0)] = -1
                 lam[j] = _log_add(ctx, lam[j], prod)
             lam[0] = _log_add(ctx, lam[0], c)
         for j in range(r):

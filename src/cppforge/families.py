@@ -589,6 +589,7 @@ def _multinomial_grid(ctx, k):
     S = np.append(ctx.mu_subgroup(Q - 1), 0)
     T = bulk.trace(ctx, X, k)
     pos = np.where(T == 0, Q - 1, ctx.subfield_view(k).logs(T))
+    del T                           # before px's q-length temporaries
     px = bulk.mul_scalar(ctx, ctx.scalar(ctx.p - 1), bulk.pow_const(ctx, X, ctx.p))
     return S, X, pos, px
 

@@ -12,7 +12,13 @@ doubling on encodings through lookup tables (`FieldCtx._powers`).
 All three tables are int32, 12 bytes per element (48 MiB at TABLE_CAP):
 encodings and logs stay below 2**22.  NumPy keeps int32 through a
 product with a Python int and wraps silently, so a reader widens a
-table read to int64 before it meets a wide factor.
+table read to int64 before it meets a wide factor.  The exp and Zech
+tables hold exactly q - 1 entries and the log table q, which the build
+checks: a gather by mode="wrap" (bulk) reads exp and Zech mod q - 1.
+Scalar table arithmetic (add, mul, pow, subgroup_generator) reads
+read-only memoryviews of the three tables, which share their memory and
+give Python ints, not numpy scalars; like mode="wrap", a Python index in
+[-(q - 1), q - 1) reads exp or Zech at its residue mod q - 1.
 Larger fields use generic polynomial arithmetic ("generic"): addition
 digit by digit, multiplication by packed-integer convolution, which is
 also the module's one product modulo a polynomial: zp_is_irreducible
@@ -295,8 +301,8 @@ class SubfieldView:
 
 class _NoTable:
     """A generic field's exp, log and Zech tables: an index, the length,
-    iteration or use as a numpy array raises the one CapExceeded.  (A
-    __getattr__ hook would slow every attribute read of every field.)"""
+    iteration, a take or use as a numpy array raises the one CapExceeded.
+    (A __getattr__ hook would slow every attribute read of every field.)"""
 
     def __init__(self, ctx):
         self.message = (f"field-too-large: F_{ctx.p}^{ctx.n} has no log "
@@ -306,7 +312,7 @@ class _NoTable:
     def _refuse(self, *args, **kwargs):
         raise CapExceeded(self.message)
 
-    __getitem__ = __len__ = __iter__ = __array__ = _refuse
+    __getitem__ = __len__ = __iter__ = __array__ = take = _refuse
 
 
 class FieldCtx:
@@ -428,10 +434,17 @@ class FieldCtx:
         zech = np.empty(N, dtype=np.int32)
         for lo in blocks:
             zech[lo:lo + EXP_BLOCK] = log[_plus_one(E[lo:lo + EXP_BLOCK], p)]
+        # wrap-mode gathers and the scalar negative indices read exp and
+        # Zech mod q - 1 only at these lengths
+        if len(E) != N or len(zech) != N or len(log) != q:
+            raise InternalError(f"table lengths exp {len(E)}, Zech {len(zech)}, "
+                                f"log {len(log)}: need {N}, {N} and {q}")
         self.generator = g
         self.exp_table = E
         self.log_table = log
         self.zech_table = zech
+        self._exp, self._log, self._zech = (memoryview(t).toreadonly()
+                                            for t in (E, log, zech))
 
     # -- encodings ---------------------------------------------------------
 
@@ -468,10 +481,10 @@ class FieldCtx:
             # x + y = x (1 + y/x) = g^(log x + Z[log y - log x])
             if x == 0 or y == 0:
                 return x + y
-            N = self.q - 1
-            lx = int(self.log_table[x])
-            z = int(self.zech_table[(int(self.log_table[y]) - lx) % N])
-            return 0 if z < 0 else int(self.exp_table[(lx + z) % N])
+            N, log = self.q - 1, self._log
+            lx = log[x]
+            z = self._zech[log[y] - lx]             # index in (-N, N)
+            return 0 if z < 0 else self._exp[lx + z - N]    # in [-N, N)
         out, mult = 0, 1
         while x or y:
             x, dx = divmod(x, p)
@@ -490,9 +503,8 @@ class FieldCtx:
         if self.backend == "table":
             if x == 0 or y == 0:
                 return 0
-            N = self.q - 1
-            return int(self.exp_table[
-                (int(self.log_table[x]) + int(self.log_table[y])) % N])
+            N, log = self.q - 1, self._log
+            return self._exp[log[x] + log[y] - N]           # in [-N, N)
         return self._mul_generic(x, y)
 
     def inv(self, x):
@@ -510,7 +522,7 @@ class FieldCtx:
         N = self.q - 1
         e %= N
         if self.backend == "table":
-            return int(self.exp_table[(int(self.log_table[x]) * e) % N])
+            return self._exp[self._log[x] * e % N]
         return self._pow_generic(x, e)
 
     def in_subfield(self, x, k) -> bool:
@@ -527,7 +539,7 @@ class FieldCtx:
         if s == 1:
             return 1
         if self.backend == "table":
-            return int(self.exp_table[N // s])
+            return self._exp[N // s]
         if s > 1 << 26:
             raise CapExceeded(f"subgroup order {s} too large to certify")
         return self._element_of_order(s)

@@ -82,10 +82,10 @@ def all_root_counts(nctx: NihoCtx, s):
     root are c w + t F_{p^k}, p^k of them, and N(a) counts the lambda
     whose set holds a."""
     ctx, Q = nctx.ctx, nctx.q
-    N = ctx.q - 1
 
     def exp(L):                 # the int64 encodings bulk takes
-        return ctx.exp_table[L].astype(np.int64)
+        # logs in [-Q, q - 1): within a period of the wrap (see bulk)
+        return ctx.exp_table.take(L, mode="wrap").astype(np.int64)
 
     j = np.arange(Q + 1, dtype=np.int64)       # lambda_j = g^((Q-1) j)
     lam_s = exp((Q - 1) * (j * (s % (Q + 1)) % (Q + 1)))
@@ -101,8 +101,8 @@ def all_root_counts(nctx: NihoCtx, s):
     counts = np.bincount(cw, minlength=ctx.q)
     step = max(1, bulk.CHECK_BLOCK // (Q - 1))     # kernel rows per block
     for lo in range(0, Q + 1, step):
-        kernel = exp((t_log[lo:lo + step, None] + u_log) % N)
-        np.add.at(counts, bulk.add(ctx, cw[lo:lo + step, None], kernel), 1)
+        kernel = exp(t_log[lo:lo + step, None] + u_log)
+        np.add.at(counts, bulk.add(ctx, kernel, cw[lo:lo + step, None]), 1)
     return counts
 
 

@@ -47,11 +47,17 @@ def trace_counts(ctx, vals, alphas, offset=0):
     one row per alpha, lazily: row[t] = #{i : Tr(offset_i + alpha*vals_i) = t}.
 
     Tr is additive, so one trace table of the whole field serves every
-    alpha: each row is one mul_scalar, one gather and one bincount.
-    offset is an encoding or an array of encodings like vals."""
+    alpha.  The logs of vals are read once; with tr_log[i] = Tr(g^i) (q - 1
+    entries), Tr(alpha*v) is tr_log at log v + log alpha, one wrap-mode
+    gather per row (see bulk), then one bincount.  offset is an encoding
+    or an array of encodings like vals."""
     p = ctx.p
     tr = bulk.trace(ctx, bulk.elements(ctx), 1)
     base = tr[offset]
+    tr_log = tr[ctx.exp_table]
+    logs = ctx.log_table[vals].astype(np.int64)
+    zero = logs < 0
     for alpha in alphas:
-        yield np.bincount((base + tr[bulk.mul_scalar(ctx, alpha, vals)]) % p,
-                          minlength=p)
+        t = tr_log.take(logs + int(ctx.log_table[alpha]), mode="wrap")
+        t[zero | (alpha == 0)] = 0                  # Tr(0) = 0
+        yield np.bincount((base + t) % p, minlength=p)

@@ -53,7 +53,23 @@ class CppReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(self.to_dict(), sort_keys=True, indent=2) + newline,
+        byte for byte.  An indented dump runs the pure-Python encoder,
+        about 1 us an element, so the elements list (ints, one a line)
+        is rendered here and each other top-level value is dumped alone
+        and indented one level."""
+        d = self.to_dict()
+        rows = []
+        for key in sorted(d):
+            if key == "elements":
+                text = ("[\n    " + ",\n    ".join(map(str, d[key])) + "\n  ]"
+                        if d[key] else "[]")
+            else:
+                # string values hold no raw newline: json escapes it
+                text = json.dumps(d[key], sort_keys=True,
+                                  indent=2).replace("\n", "\n  ")
+            rows.append(f"  {json.dumps(key)}: {text}")
+        return "{\n" + ",\n".join(rows) + "\n}\n"
 
     def to_csv(self, tags=None) -> str:
         """Flat rows (a, condition-tag); requires a collected element list."""

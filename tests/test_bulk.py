@@ -47,7 +47,84 @@ def test_add_neg_exhaustive_against_twin(ctx):
         [twin.neg(x) for x in range(ctx.q)]
 
 
+def test_mul_exhaustive_against_twin(ctx):
+    # every pair through bulk.mul and every scalar through mul_scalar
+    twin = _twin(ctx)
+    X = np.repeat(bulk.elements(ctx), ctx.q)
+    Y = np.tile(bulk.elements(ctx), ctx.q)
+    want = [twin.mul(int(x), int(y)) for x, y in zip(X, Y)]
+    assert bulk.mul(ctx, X, Y).tolist() == want
+    assert [ctx.mul(int(x), int(y)) for x, y in zip(X, Y)] == want
+    E = bulk.elements(ctx)
+    assert [bulk.mul_scalar(ctx, a, E).tolist() for a in range(ctx.q)] == \
+        [want[a * ctx.q:(a + 1) * ctx.q] for a in range(ctx.q)]
+
+
+def _wrap_boundary_pairs(ctx):
+    """(x, y) whose exp index lands on N - 1, N or 2N - 2 (the last entry,
+    the first wrapped one and the largest sum of two logs), for mul (log x
+    + log y) and for add (log x + Z[log y - log x]); then zero operands
+    and x = -y."""
+    N = ctx.q - 1
+    exp, zech = ctx.exp_table.tolist(), ctx.zech_table.tolist()
+    at_z = {z: t for t, z in enumerate(zech)}
+    mul_pairs, add_pairs = [], []
+    for s in (N - 1, N, 2 * N - 2):
+        mul_pairs += [(exp[i], exp[s - i]) for i in range(max(0, s - N + 1),
+                                                          min(N, s + 1))]
+        add_pairs += [(exp[lx], exp[(lx + at_z[s - lx]) % N])
+                      for lx in range(N) if s - lx in at_z]
+    edges = [(0, 0)] + [(x, 0) for x in range(1, ctx.q)] + \
+        [(0, y) for y in range(1, ctx.q)] + \
+        [(x, ctx.neg(x)) for x in range(1, ctx.q)]
+    return mul_pairs, add_pairs, edges
+
+
+def test_kernels_at_the_wrap_boundary_against_twin(ctx):
+    twin = _twin(ctx)
+    N = ctx.q - 1
+    mul_pairs, add_pairs, edges = _wrap_boundary_pairs(ctx)
+    logs = ctx.log_table.tolist()
+    assert {logs[x] + logs[y] for x, y in mul_pairs} == {N - 1, N, 2 * N - 2}
+    assert add_pairs                    # Z takes some value below N - 1
+    for pairs in (mul_pairs, add_pairs, edges):
+        X, Y = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+        assert bulk.add(ctx, X, Y).tolist() == \
+            [twin.add(x, y) for x, y in pairs] == \
+            [ctx.add(x, y) for x, y in pairs]
+        assert bulk.mul(ctx, X, Y).tolist() == \
+            [twin.mul(x, y) for x, y in pairs] == \
+            [ctx.mul(x, y) for x, y in pairs]
+    for a, x in mul_pairs:
+        assert bulk.mul_scalar(ctx, a, np.array([x, 0])).tolist() == \
+            [twin.mul(a, x), 0]
+
+
+@pytest.mark.parametrize("p,n,r,k", [(3, 4, 2, 2), (2, 6, 3, 2), (5, 2, 2, 1),
+                                     (3, 4, 4, 1)])
+def test_lambda_scan_rows_with_a_zero_lambda(p, n, r, k):
+    ctx = build_field(p, n)
+    twin = _twin(ctx)
+    want = {a: lambda_coeffs(twin, a, r, k) for a in range(1, ctx.q)}
+    # rows with some lambda_j = 0 beside a nonzero one (the zero sentinel
+    # meets the Zech add mid-scan), and a = 0 (every lambda zero)
+    A = [a for a, lv in want.items() if 0 in lv and any(lv)] + [0]
+    want[0] = (0,) * r
+    assert len(A) > 1
+    lam = bulk.lambda_scan(ctx, r, k, np.array(A, dtype=np.int64))
+    assert lam.tolist() == [list(want[a]) for a in A]
+
+
 TWIN_FIELDS = [(3, 4), (5, 2), (2, 6), (7, 2), (2, 8), (5, 8)]
+
+
+@pytest.mark.parametrize("p,n", TWIN_FIELDS)
+def test_trace_against_scalar_twin(p, n):
+    ctx = build_field(p, n)
+    X = bulk.elements(ctx)[::max(1, ctx.q // 4000)]
+    for k in (k for k in range(1, n + 1) if n % k == 0):
+        assert bulk.trace(ctx, X, k).tolist() == \
+            [trace(ctx, x, k) for x in X.tolist()], k
 
 
 @settings(max_examples=150, deadline=None)

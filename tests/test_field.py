@@ -628,6 +628,51 @@ class TestBackendAgreement:
         assert [t.dtype for t in (ctx.exp_table, ctx.log_table,
                                   ctx.zech_table)] == [np.dtype(np.int32)] * 3
 
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 2), (2, 6), (7, 2), (2, 8),
+                                     (5, 8), (2, 1), (7, 1)])
+    def test_table_lengths(self, p, n):
+        # exp and Zech are gathered mod q - 1 by their length (mode="wrap",
+        # negative scalar indices), and the log table is never
+        ctx = build_field(p, n)
+        assert (len(ctx.exp_table), len(ctx.zech_table), len(ctx.log_table)) \
+            == (ctx.q - 1, ctx.q - 1, ctx.q)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (3, 4)])
+    def test_table_length_check_raises(self, monkeypatch, p, n):
+        # one exp entry too many: with one-row blocks the fill loops never
+        # read it, and only the length check sees it
+        powers = field_mod.FieldCtx._powers
+        monkeypatch.setattr(field_mod, "EXP_BLOCK", 1)
+        monkeypatch.setattr(field_mod.FieldCtx, "_powers", lambda self, g, c:
+                            np.append(powers(self, g, c), 1).astype(np.int32))
+        mod = lex_least_irreducible(p, n)
+        with pytest.raises(InternalError, match="table lengths"):
+            field_mod.FieldCtx(p, n, mod, "table")
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 2), (2, 6), (7, 2), (2, 1),
+                                     (7, 1)])
+    def test_scalar_ops_return_int(self, p, n):
+        ctx = build_field(p, n)
+        N = ctx.q - 1
+        for x, y in [(1, 1), (ctx.q - 1, ctx.q - 1), (ctx.p % ctx.q, ctx.q - 1),
+                     (1, ctx.neg(1)), (0, 1), (1, 0)]:
+            outs = [ctx.add(x, y), ctx.mul(x, y), ctx.sub(x, y), ctx.neg(x),
+                    ctx.pow(x, 3), ctx.pow(x, 10 ** 30)]
+            if x:
+                outs.append(ctx.inv(x))
+            assert all(type(v) is int for v in outs), (x, y, outs)
+        gens = [ctx.subgroup_generator(s) for s in range(1, N + 1) if N % s == 0]
+        assert all(type(g) is int for g in gens)
+
+    def test_table_views_are_read_only(self, f81):
+        for view, table in [(f81._exp, f81.exp_table), (f81._log, f81.log_table),
+                            (f81._zech, f81.zech_table)]:
+            assert view.readonly and np.shares_memory(np.asarray(view), table)
+            assert view.tolist() == table.tolist()
+            with pytest.raises(TypeError):
+                view[1] = 0
+        assert f81.exp_table.flags.writeable    # the views leave it alone
+
     def test_subfield_zero_log_fits_int32(self):
         # SubfieldView.logs writes -5(q - 1) into a gathered int32 log row
         assert 5 * field_mod.TABLE_CAP < 2 ** 31

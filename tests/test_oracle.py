@@ -8,10 +8,11 @@ import pytest
 from cppforge import bulk
 from cppforge.field import CapExceeded, build_field
 from cppforge.niho import direct_walsh
-from cppforge.oracle import is_cpp, is_cpp_exponent_pair, is_permutation
+from cppforge.oracle import (is_cpp, is_cpp_exponent_pair, is_permutation,
+                             trace_counts)
 from twins import (autocorrelation, binomial_values, char_sum_pp_check,
                    int_value, mu_permutation_check, norm2,
-                   subfield_product_check, tabulate)
+                   subfield_product_check, tabulate, trace)
 
 
 def brute_is_permutation(ctx, fn):
@@ -242,3 +243,19 @@ class TestParseval:
             summed = np.sum(rows, axis=0)
             assert int_value(summed) == 25 ** 2
         assert not_int > 0
+
+
+class TestTraceCounts:
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 4), (5, 2), (3, 4), (7, 2)])
+    def test_rows_against_scalar_traces(self, p, n):
+        # every alpha, 0 included, on values that hold 0 and repeats, with
+        # an offset array: row[t] = #{i : Tr(offset_i + alpha vals_i) = t}
+        ctx = build_field(p, n)
+        rng = random.Random(p * 100 + n)
+        vals = [0, 0, 1, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(40)]
+        offset = [rng.randrange(ctx.q) for _ in vals]
+        rows = trace_counts(ctx, np.array(vals), range(ctx.q), np.array(offset))
+        for alpha, row in enumerate(rows):
+            traces = [trace(ctx, ctx.add(o, ctx.mul(alpha, v)))
+                      for o, v in zip(offset, vals)]
+            assert row.tolist() == [traces.count(t) for t in range(p)], alpha
