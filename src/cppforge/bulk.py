@@ -143,7 +143,7 @@ def monomial_values(ctx, d):
     return pow_const(ctx, elements(ctx), d)
 
 
-def values_are_permutation(ctx, vals):
+def values_are_permutation(ctx, vals, seen=None):
     """True iff the values (one array, or an iterable of its blocks) hit
     every encoding exactly once: each block is range-checked and scattered
     into one q-entry occupancy array, and there must be q values in all.
@@ -154,30 +154,42 @@ def values_are_permutation(ctx, vals):
     values exactly; fewer distinct values than values so far prove a
     repeat, and the rest of the stream is left unread.  The first block
     whose span meets the earlier ones' ends the counting, and the
-    occupancy array alone decides."""
+    occupancy array alone decides.
+
+    seen, if given, is the occupancy array: q bools, all False, owned by
+    the caller so that a scan allocates it once.  It comes back all False
+    on every return: the hull of the spans written, that of the block
+    that ended the stream included, is cleared."""
     q = len(ctx.log_table)      # a generic field refuses before the q bytes
-    seen = np.zeros(q, dtype=bool)
+    fresh = seen is None
+    if fresh:
+        seen = np.zeros(q, dtype=bool)
     total, hit = 0, 0       # hit: distinct values, None once spans meet
     lo, hi = q, -1          # the hull of the spans so far
-    for blk in [vals] if isinstance(vals, np.ndarray) else vals:
-        if not blk.size:
-            continue
-        bmin, bmax = int(blk.min()), int(blk.max())
-        if bmin < 0 or bmax >= q:
-            return False
-        seen[blk] = True
-        total += blk.size
-        if hit is not None and (bmax < lo or bmin > hi):
-            hit += int(np.count_nonzero(seen[bmin:bmax + 1]))
-            if hit < total:
+    try:
+        for blk in [vals] if isinstance(vals, np.ndarray) else vals:
+            if not blk.size:
+                continue
+            bmin, bmax = int(blk.min()), int(blk.max())
+            if bmin < 0 or bmax >= q:
                 return False
+            seen[blk] = True
+            total += blk.size
+            clear = bmax < lo or bmin > hi
             lo, hi = min(lo, bmin), max(hi, bmax)
-        else:
-            hit = None
-    return total == q and (hit == q if hit is not None else bool(seen.all()))
+            if hit is not None and clear:
+                hit += int(np.count_nonzero(seen[bmin:bmax + 1]))
+                if hit < total:
+                    return False
+            else:
+                hit = None
+        return total == q and (hit == q if hit is not None else bool(seen.all()))
+    finally:
+        if not fresh:
+            seen[lo:hi + 1] = False
 
 
-def binomial_is_permutation(ctx, d, a):
+def binomial_is_permutation(ctx, d, a, seen=None):
     """Bijectivity of x -> x^d + a*x, the inner check of every direct scan.
 
     On discrete logs: for x = g^i, x^d + a x = a x (1 + x^(d-1)/a) has log
@@ -190,14 +202,18 @@ def binomial_is_permutation(ctx, d, a):
     at x = g^(i + P t) is c_i + P t mod q - 1 (q - 1 for the whole row
     when Z is -1).  Row i runs t through its T = (q-1)/P steps from the
     one where that value is least, so the row ascends in steps of P.  All
-    q values stream into values_are_permutation, the x = 0 value last, in
-    blocks of at most CHECK_BLOCK points in one reused buffer; when
-    P <= CHECK_BLOCK a block is every row over a window of steps, and the
-    blocks ascend.  True always sees all q values; an early False is a
-    proven repeat (or a value out of range) among the values streamed so
-    far, never a test on the residues c_i mod P.
+    q values stream into values_are_permutation (seen: the caller's
+    occupancy array, if any), the x = 0 value last, in blocks of at most
+    CHECK_BLOCK points.  A chunk of rows streams its line 0, the residues
+    c_i mod P, alone, then its other lines over windows of steps in one
+    reused buffer, allocated after that line; a chunk with a Z = -1 row
+    streams a full window first instead, which repeats the zero value.
+    When P <= CHECK_BLOCK the rows are one chunk and the blocks ascend.
+    True always sees all q values; an early False is a proven repeat (or
+    a value out of range) among the values streamed so far, never a test
+    on the residues c_i mod P.
     """
-    return values_are_permutation(ctx, _binomial_blocks(ctx, d, a))
+    return values_are_permutation(ctx, _binomial_blocks(ctx, d, a), seen)
 
 
 def _binomial_blocks(ctx, d, a):
@@ -213,26 +229,39 @@ def _binomial_blocks(ctx, d, a):
     P = N // math.gcd(s, N)
     T = N // P
     height, width = min(P, CHECK_BLOCK), min(T, max(1, CHECK_BLOCK // P))
-    # blocks and steps P t in one allocation a check: fewer heap trims
-    buf = np.empty((height + 1) * width, dtype=np.intp)
-    steps = buf[height * width:]
-    steps[:] = np.arange(0, P * width, P)
+    buf = None
     for lo in range(0, P, height):
         i = np.arange(lo, min(lo + height, P), dtype=np.intp)
         z = ctx.zech_table[(s * i - la) % N]
         sentinel = z < 0
         # (c_i + P t) mod N is least, c_i mod P, at t = -floor(c_i / P)
         # mod T; from there row i is c_i mod P + P j for j < T, below N.
-        # The block holds every row of the chunk over a window of j, j
-        # major, so each line lies in one window of P values; the next
-        # block adds P * width in place, so consumers must not write to it
+        # Line j, the chunk's rows at step j, is line 0 plus P j, so a
+        # residue collision repeats inside line 0: it goes first, alone.
+        # A Z = -1 row is N on every line, repeated only across lines, so
+        # such a chunk starts with a full window instead
+        line = (i + z) % P
+        j0 = 0 if sentinel.any() else 1
+        if j0:
+            yield line
+        if j0 == T:
+            continue
+        if buf is None:
+            # blocks and steps P t in one allocation a check: fewer heap
+            # trims
+            buf = np.empty((height + 1) * width, dtype=np.intp)
+            steps = buf[height * width:]
+            steps[:] = np.arange(0, P * width, P)
+        # each window of lines lies in one window of P width values; the
+        # next block adds P * width in place, so consumers must not write
+        # to it
         blk = buf[:width * len(i)].reshape(width, len(i))
-        np.add(steps[:, None], (i + z) % P, out=blk)
-        for j0 in range(0, T, width):
-            if j0:
+        np.add(steps[:, None], line + P * j0, out=blk)
+        for j in range(j0, T, width):
+            if j > j0:
                 blk += P * width
             blk[:, sentinel] = N
-            yield blk[:T - j0]
+            yield blk[:T - j]
     yield np.array([N], dtype=np.intp)              # the value at x = 0
 
 

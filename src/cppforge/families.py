@@ -648,9 +648,14 @@ def multinomial_admissible_a(ctx, k, g, v):
 def _cpp_verdicts(ctx, d, coeffs):
     """is_cpp_exponent_pair(ctx, d, a) for each a in coeffs, with one
     oracle call per orbit class of scan.orbit_values that coeffs touch:
-    bijectivity of x^d + ax is constant on them (scan.direct_cpp_scan)."""
-    return scan.orbit_values(ctx, d, coeffs, lambda reps: [
-        is_cpp_exponent_pair(ctx, d, a) for a in reps]).tolist()
+    bijectivity of x^d + ax is constant on them (scan.direct_cpp_scan).
+    The calls share one occupancy array."""
+    def decide(reps):
+        # after orbit_values' table read: a generic field has refused
+        seen = np.zeros(len(ctx.log_table), dtype=bool)
+        return [is_cpp_exponent_pair(ctx, d, a, seen) for a in reps]
+
+    return scan.orbit_values(ctx, d, coeffs, decide).tolist()
 
 
 def _oracle_checked(ctx, d, coeffs, cases=None):

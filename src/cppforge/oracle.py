@@ -32,14 +32,15 @@ def is_cpp(ctx, vals) -> bool:
               for lo in range(0, ctx.q, B)))
 
 
-def is_cpp_exponent_pair(ctx, d, a) -> bool:
+def is_cpp_exponent_pair(ctx, d, a, seen=None) -> bool:
     """True iff a^(-1) x^d is a CPP: d >= 1, gcd(d, q-1) == 1 and x^d + a*x
-    is a bijection (by composing with the scalings by a and a^(-1))."""
+    is a bijection (by composing with the scalings by a and a^(-1)).
+    seen: an occupancy array for bulk.binomial_is_permutation to reuse."""
     if a == 0:
         raise ValueError("zero-coefficient: need a != 0")
     if d < 1 or math.gcd(d, ctx.q - 1) != 1:
         return False
-    return bulk.binomial_is_permutation(ctx, d, a)
+    return bulk.binomial_is_permutation(ctx, d, a, seen)
 
 
 def trace_counts(ctx, vals, alphas, offset=0):

@@ -33,7 +33,10 @@ _WORKER = {}                # (ctx, d) of the scan, inherited through fork
 
 def _check_part(reps):
     ctx, d = _WORKER["task"]
-    return [bulk.binomial_is_permutation(ctx, d, a) for a in reps]
+    # one occupancy array for the chunk, sized from the log table so that
+    # a generic field refuses before the q bytes
+    seen = np.zeros(len(ctx.log_table), dtype=bool)
+    return [bulk.binomial_is_permutation(ctx, d, a, seen) for a in reps]
 
 
 def _orbit_minima(ctx, d):

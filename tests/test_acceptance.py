@@ -269,3 +269,15 @@ def test_criterion_14_oracle_checks_once_per_class(capsys):
         assert code == 0
         assert capsys.readouterr().out == \
             "k=3: witnesses=106 cpp_failures=0 pass\n"
+
+
+def test_criterion_15_direct_scan_f5_8(capsys):
+    # a rejected orbit representative stops at its first line of 24
+    # residues, and the scan reuses one occupancy array per chunk: the
+    # 2044 checks fit in under half of the 1.37 s that a full first block
+    # and a fresh array per check cost on a 2-core VM
+    with criterion(15, "count-cpp --method direct on F_5^8: 1224", 0.6):
+        code = cli.main(["count-cpp", "--p", "5", "--k", "2", "--r", "4",
+                         "--method", "direct", "--jobs", "1"])
+        assert code == 0
+        assert "count 1224" in capsys.readouterr().out.splitlines()

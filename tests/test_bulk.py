@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cppforge import bulk
 from cppforge.families import tower_exponent
 from cppforge.field import build_field
-from cppforge.hadickson import lambda_coeffs
+from cppforge.hadickson import ha_pp_check, lambda_coeffs
 from cppforge.scan import ha_cpp_scan
 from twins import frobenius, trace
 
@@ -250,11 +250,9 @@ def _sort_twin(ctx, blocks):
     return len(vals) == ctx.q and bool((np.sort(vals) == np.arange(ctx.q)).all())
 
 
-def test_permutation_predicate_exit_twin(ctx):
-    # each stream against the sort twin, and the blocks pulled: a repeat
-    # the counted spans prove stops the stream there; overlapping spans
-    # leave the verdict to the occupancy array after the last block
-    q = ctx.q
+def _exit_streams(q):
+    """Block streams of every exit of the predicate: (blocks, verdict,
+    blocks pulled)."""
     X = np.arange(q)
     a, b = q // 3, 2 * q // 3
     low, mid, top = X[:a], X[a:b], X[b:]
@@ -289,7 +287,15 @@ def test_permutation_predicate_exit_twin(ctx):
         ([low, mid, np.append(top[:-1], q)], False, 3),
         ([X[::2], np.append(X[1::2][:-1], q)], False, 2),
     ]
-    for blocks, want, pulled in streams:
+    return streams
+
+
+def test_permutation_predicate_exit_twin(ctx):
+    # each stream against the sort twin, and the blocks pulled: a repeat
+    # the counted spans prove stops the stream there; overlapping spans
+    # leave the verdict to the occupancy array after the last block
+    q = ctx.q
+    for blocks, want, pulled in _exit_streams(q):
         assert _sort_twin(ctx, blocks) is want
         stream = _Pulls(blocks)
         assert bulk.values_are_permutation(ctx, stream) is want
@@ -302,8 +308,29 @@ def test_permutation_predicate_exit_twin(ctx):
         assert bulk.values_are_permutation(ctx, vals) is _sort_twin(ctx, [vals])
 
 
+def test_permutation_predicate_reused_array(ctx):
+    # one caller-owned array through every exit: a True, a False from the
+    # count (a later block's repeat among them), a False from the array
+    # after spans met, and one from -1 or q; the verdict is the fresh
+    # array's, and the array comes back all False each time
+    q = ctx.q
+    seen = np.zeros(q, dtype=bool)
+    X = np.arange(q)
+    singles = [(X, True), (np.append(X[:-1], X[0]), False),
+               (np.append(X[:-1], -1), False), (np.append(X[:-1], q), False)]
+    for blocks, want, pulled in _exit_streams(q) + [
+            ([vals], want, 1) for vals, want in singles]:
+        stream = _Pulls(blocks)
+        assert bulk.values_are_permutation(ctx, stream, seen) is want
+        assert stream.pulled == pulled
+        assert not seen.any()
+    for vals, want in singles:
+        assert bulk.values_are_permutation(ctx, vals, seen) is want
+        assert not seen.any()
+
+
 def test_lambda_scan_matches_scalar():
-    from cppforge.hadickson import lambda_coeffs
+    from cppforge.hadickson import ha_pp_check, lambda_coeffs
     ctx = build_field(3, 4)
     lam = bulk.lambda_scan(ctx, 4, 1, np.arange(1, ctx.q))
     for a in range(1, 81, 7):
@@ -493,12 +520,12 @@ def occupancy_calls(monkeypatch):
     calls = []
     check = bulk.values_are_permutation
 
-    def recorded(ctx, vals):
+    def recorded(ctx, vals, seen=None):
         # the blocks share one buffer, so each is copied as it arrives
         blocks = [np.array(blk).ravel() for blk in
                   ([vals] if isinstance(vals, np.ndarray) else vals)]
         calls.append(np.concatenate(blocks))
-        return check(ctx, blocks)
+        return check(ctx, blocks, seen)
 
     monkeypatch.setattr(bulk, "values_are_permutation", recorded)
     return calls
@@ -586,6 +613,58 @@ def test_binomial_check_exit_pulls(p, k):
         assert bulk.values_are_permutation(ctx, stream), a
         assert stream.values == ctx.q
         assert next(stream, None) is None
+
+
+def _has_sentinel_row(ctx, d, a):
+    """Whether some x^(d-1) = -a (a row of the value table is the zero
+    sentinel): log a + log(-1) is a multiple of gcd(d - 1, q - 1)."""
+    N = ctx.q - 1
+    minus_one = N // 2 if ctx.p % 2 else 0
+    return (int(ctx.log_table[a]) + minus_one) % math.gcd(d - 1, N) == 0
+
+
+# the tower exponents: period P = 24, 26, 10 and 2047
+@pytest.mark.parametrize("p,k,r", [(5, 2, 4), (3, 3, 4), (11, 1, 6), (2, 11, 2)])
+def test_binomial_check_rejection_costs_its_first_line(p, k, r):
+    # line 0, the P residues, is the first block: a rejected coefficient
+    # without a zero-sentinel row repeats there and pulls nothing more
+    ctx = build_field(p, r * k)
+    d = tower_exponent(p, k, r)
+    N = ctx.q - 1
+    P = N // math.gcd(d - 1, N)
+    seen = np.zeros(ctx.q, dtype=bool)
+    rng = np.random.default_rng(17)
+    rejected = [a for a in map(int, rng.integers(1, ctx.q, 40))
+                if not _has_sentinel_row(ctx, d, a)
+                and not ha_pp_check(ctx, a, r, k)]
+    assert len(rejected) >= 10
+    for a in rejected:
+        stream = _Pulls(bulk._binomial_blocks(ctx, d, a))
+        assert not bulk.values_are_permutation(ctx, stream, seen), a
+        assert stream.values <= P + 1, (a, stream.values)
+        assert not seen.any()
+
+
+# blocks of 7 points split the periods of d = 2 and d = 41 on F_3^4
+@pytest.mark.parametrize("p,n,d,block", [(3, 4, 41, bulk.CHECK_BLOCK),
+                                         (5, 4, 157, bulk.CHECK_BLOCK),
+                                         (3, 4, 41, 7)])
+def test_binomial_check_reused_array_every_coefficient(monkeypatch, p, n, d,
+                                                       block):
+    # one array through every coefficient of four exponents (d = 0, the
+    # period 1 of d = 1, d = 2 and the tower exponent): the fresh array's
+    # verdict each time, and the array all False after it
+    monkeypatch.setattr(bulk, "CHECK_BLOCK", block)
+    ctx = build_field(p, n)
+    seen = np.zeros(ctx.q, dtype=bool)
+    verdicts = set()
+    for e in (0, 1, 2, d):
+        for a in range(1, ctx.q):
+            got = bulk.binomial_is_permutation(ctx, e, a, seen)
+            assert got == bulk.binomial_is_permutation(ctx, e, a), (e, a)
+            assert not seen.any(), (e, a)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # the tower exponents: period P = 24, 26 and 2047, each below CHECK_BLOCK

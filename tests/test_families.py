@@ -383,7 +383,7 @@ class TestConjectureHarnesses:
 
         asked = []
 
-        def oracle(ctx_, d_, a):
+        def oracle(ctx_, d_, a, seen=None):
             asked.append(a)
             return orbit(a) != orbit(witnesses[0])
 
@@ -520,11 +520,12 @@ class TestOracleChecked:
     @pytest.mark.parametrize("argv,classes", CLASSES,
                              ids=[" ".join(c[0]) for c in CLASSES])
     def test_one_oracle_call_per_class(self, monkeypatch, argv, classes):
-        calls = []
+        calls, arrays = [], []
 
-        def counting(ctx, d, a):
+        def counting(ctx, d, a, seen=None):
             calls.append(a)
-            return is_cpp_exponent_pair(ctx, d, a)
+            arrays.append(seen)
+            return is_cpp_exponent_pair(ctx, d, a, seen)
 
         monkeypatch.setattr(families, "is_cpp_exponent_pair", counting)
         res, ((ctx, d, coeffs, _),) = verify_lists(monkeypatch, argv)
@@ -532,6 +533,9 @@ class TestOracleChecked:
         assert len(touched) == classes < len(coeffs)
         assert calls == [int(ctx.exp_table[j]) for j in touched]
         assert res["failures"] == []
+        # the classes share one caller-owned occupancy array
+        assert arrays[0] is not None
+        assert all(seen is arrays[0] for seen in arrays)
 
     def test_rejected_class_names_its_cases(self, monkeypatch):
         # r = 6 failures are (family index, u) cases: an oracle rejecting
@@ -539,7 +543,8 @@ class TestOracleChecked:
         _, ((ctx, d, coeffs, _),) = verify_lists(monkeypatch, ("r6_p5",))
         bad = class_of(ctx, d, coeffs[0])
         monkeypatch.setattr(families, "is_cpp_exponent_pair",
-                            lambda ctx_, d_, a: class_of(ctx, d, a) != bad)
+                            lambda ctx_, d_, a, seen=None:
+                            class_of(ctx, d, a) != bad)
         res, _ = verify_lists(monkeypatch, ("r6_p5",))
         units = [e for e in ctx.subfield_elements(1) if e != 0]
         cases = [(fi, u) for fi in range(len(r6_coordinate_table(5)))
