@@ -168,7 +168,10 @@ def lex_least_irreducible(p: int, n: int) -> tuple:
 
 def _plus_one(e, p):
     """Encoding of 1 + e for an encoding e (an int or an integer array):
-    adding 1 changes digit 0 only, wrapping p - 1 to 0 without a carry."""
+    adding 1 changes digit 0 only, wrapping p - 1 to 0 without a carry.
+    For p = 2 digit 0 is bit 0, and that is e ^ 1."""
+    if p == 2:
+        return e ^ 1
     return e + 1 - p * (e % p == p - 1)
 
 
@@ -432,8 +435,18 @@ class FieldCtx:
             raise InternalError("generator order check failed while building tables")
         # Z[i] = log(1 + g^i), -1 where g^i = -1
         zech = np.empty(N, dtype=np.int32)
-        for lo in blocks:
-            zech[lo:lo + EXP_BLOCK] = log[_plus_one(E[lo:lo + EXP_BLOCK], p)]
+        if p == 2:
+            # _plus_one as e ^ 1 into one reused index row, gathered
+            # straight into zech: no block-sized temporary
+            one = np.empty(min(EXP_BLOCK, N), dtype=np.intp)
+            for lo in blocks:
+                e = E[lo:lo + EXP_BLOCK]
+                np.bitwise_xor(e, 1, out=one[:len(e)])
+                np.take(log, one[:len(e)], out=zech[lo:lo + EXP_BLOCK],
+                        mode="wrap")
+        else:
+            for lo in blocks:
+                zech[lo:lo + EXP_BLOCK] = log[_plus_one(E[lo:lo + EXP_BLOCK], p)]
         # wrap-mode gathers and the scalar negative indices read exp and
         # Zech mod q - 1 only at these lengths
         if len(E) != N or len(zech) != N or len(log) != q:
@@ -567,7 +580,9 @@ class FieldCtx:
         Multiplying by s is F_p-linear on digits, and the backend picks
         the form of that step.  Table fields step on the encodings
         themselves (`_encoding_steps`), kept as int32 rows: each step
-        computes one block in int64 and stores it back.
+        computes one block and stores it back, on F_2^n as one XOR of two
+        half-table gathers in int32, for odd p through spread digits in
+        int64.
         Generic fields step on a digit matrix D: rows [f, 2f) of D are
         D[:f] @ M mod p, row j of M the digits of s x^j.  Their encodings
         can be too wide for the table step (F_7^18 needs 72 bits), so the
@@ -619,25 +634,56 @@ class FieldCtx:
 
     def _encoding_steps(self):
         """s -> multiplication by s on blocks of at most EXP_BLOCK
-        encodings of this table field (int32 in, int64 out; the arithmetic
-        runs in int64), by lookup tables (the method of Four Russians,
-        Arlazarov et al. 1970).  n = 1 multiplies mod p.  Otherwise, with
-        E = lo + p^c hi and c = ceil(n/2), s E is the digit-wise sum of two
-        table entries, the images of lo and of p^c hi.  Images are stored
-        spread: digit j in bits [bj, bj + b), b the bit length of 2(p - 1),
-        so the two entries add with no carry between digits (n b <= 44 bits
-        on table fields).  Chunk tables of at most 2^12 entries take the
-        sum back to base p, mod p.  The tables hold p^c and p^(n-c)
-        entries: at most 24649 (F_157^3) on a table field with n >= 2.
-        Every block reuses three int64 scratch rows, so a step allocates
-        nothing block-sized (each fresh block would be page-faulted anew);
-        its result lives in them until the next call."""
+        int32 encodings of this table field, by lookup tables (the method
+        of Four Russians, Arlazarov et al. 1970).  n = 1 multiplies mod p.
+        Otherwise E = lo + p^c hi with c = ceil(n/2), and s E is the sum of
+        two table entries, the images of lo and of p^c hi; the tables hold
+        p^c and p^(n-c) entries, at most 24649 (F_157^3) on a table field
+        with n >= 2.
+        For p = 2 an encoding is the bit vector of its coefficients, so the
+        sum is an XOR: s E = t_lo[E & (2^c - 1)] ^ t_hi[E >> c], each table
+        built from the images s x^j of its bits by XOR doubling, and the
+        step runs in int32.
+        For odd p images are stored spread: digit j in bits [bj, bj + b),
+        b the bit length of 2(p - 1), so the two entries add with no carry
+        between digits (n b <= 44 bits on table fields), in int64.  Chunk
+        tables of at most 2^12 entries take the sum back to base p, mod p.
+        Every block reuses the same scratch rows (three int64 for odd p;
+        one index row and two int32 for p = 2), so a step allocates nothing
+        block-sized (each fresh block would be page-faulted anew); its
+        result lives in them until the next call."""
         p, n = self.p, self.n
         if n == 1:
             # the general form's tables would hold p entries each, several
             # times the whole build's peak memory on F_65521
             return lambda s: lambda E: E.astype(np.int64) * s % p
         c = (n + 1) // 2
+        if p == 2:
+            # an intp index row: np.take would copy an int32 one to intp
+            idx = np.empty(min(EXP_BLOCK, self.q), dtype=np.intp)
+            out, u = np.empty((2, len(idx)), dtype=np.int32)
+
+            def half(images):
+                # entry i is the XOR of the images of the bits of i
+                tab = np.zeros(1, dtype=np.int32)
+                for im in images:
+                    tab = np.concatenate([tab, tab ^ im])
+                return tab
+
+            def xor_steps(s):
+                images = [self._mul_generic(s, x) for x in self._pn[:n]]
+                t_lo, t_hi = half(images[:c]), half(images[c:])
+
+                def times(E):
+                    o, v, i = out[:len(E)], u[:len(E)], idx[:len(E)]
+                    np.bitwise_and(E, (1 << c) - 1, out=i)
+                    np.take(t_lo, i, out=o, mode="wrap")
+                    np.right_shift(E, c, out=i)
+                    np.take(t_hi, i, out=v, mode="wrap")
+                    o ^= v
+                    return o
+                return times
+            return xor_steps
         pc = p ** c
         b = (2 * (p - 1)).bit_length()
         lows = np.arange(pc, dtype=np.int64)

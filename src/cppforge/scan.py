@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bulk
 
-POOL_MIN_POINTS = 1 << 25   # orbits x q before --jobs > 1 forks a pool
+POOL_MIN_ORBITS = 3000      # orbits before --jobs > 1 forks a pool
 _WORKER = {}                # (ctx, d) of the scan, inherited through fork
 
 
@@ -127,7 +127,7 @@ def direct_cpp_scan(ctx, d, jobs=1, progress=None):
             return [False] * len(reps)
         # a pool of jobs workers takes jobs * 8 chunks, a serial run 64;
         # progress is reported once per chunk
-        pooled = jobs > 1 and len(reps) * ctx.q >= POOL_MIN_POINTS
+        pooled = jobs > 1 and len(reps) >= POOL_MIN_ORBITS
         step = -(-len(reps) // (jobs * 8 if pooled else 64))
         chunks = [reps[lo:lo + step] for lo in range(0, len(reps), step)]
         passed = []

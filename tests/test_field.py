@@ -559,13 +559,15 @@ class TestBackendAgreement:
                 [pow(x, e, p) for x in xs], e
 
     @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (5, 3), (257, 2), (3, 7),
-                                     (2, 11), (65521, 1), (2039, 2)])
+                                     (2, 11), (65521, 1), (2039, 2), (2, 2),
+                                     (2, 3), (2, 9), (2, 12), (2, 13)])
     def test_exp_table_blocks_against_twin(self, monkeypatch, p, n):
         # short blocks (7 rows; 4093 on F_2039^2): every doubling step and
         # the log and Zech fills span several blocks, most ending in a
         # short one.  The table field steps on encodings (odd n splits
-        # unevenly, n = 1 multiplies mod p), its generic twin on a digit
-        # matrix: int16 digits for p = 257 and 2039, uint8 below
+        # unevenly, n = 1 multiplies mod p, p = 2 XORs two half-tables),
+        # its generic twin on a digit matrix: int16 digits for p = 257 and
+        # 2039, uint8 below
         q = p ** n
         monkeypatch.setattr(field_mod, "EXP_BLOCK", 7 if q < 1 << 17 else 4093)
         mod = lex_least_irreducible(p, n)
@@ -599,7 +601,7 @@ class TestBackendAgreement:
         assert [int(ctx.exp_table[i]) for i in idx] == \
             [ctx._pow_generic(ctx.generator, int(i)) for i in idx]
 
-    @pytest.mark.parametrize("p,n", [(2, 16), (65521, 1)])
+    @pytest.mark.parametrize("p,n", [(2, 16), (2, 17), (65521, 1)])
     def test_build_peak_memory(self, monkeypatch, p, n):
         # with 2^12-row blocks, the build's temporaries stay under a quarter
         # of the exp, log and Zech bytes: a full-size int64 temporary adds
@@ -682,7 +684,8 @@ class TestBackendAgreement:
         assert not is_prime(1) and not is_prime(9) and not is_prime(2 ** 32 + 1)
 
     def test_zech_table_matches_generic_add(self):
-        for (p, n) in ((3, 4), (5, 2), (2, 6), (2, 1), (3, 1), (7, 1)):
+        for (p, n) in ((3, 4), (5, 2), (2, 6), (2, 1), (3, 1), (7, 1), (2, 8),
+                       (2, 11)):
             ft = build_field(p, n)
             fg = build_field(p, n, ft.modulus, backend="generic")
             N = ft.q - 1
@@ -690,6 +693,18 @@ class TestBackendAgreement:
                 s = fg.add(1, int(ft.exp_table[i]))
                 want = -1 if s == 0 else int(ft.log_table[s])
                 assert int(ft.zech_table[i]) == want, (p, n, i)
+
+    def test_plus_one_p2_is_the_digit_formula(self):
+        # the XOR form of 1 + e against the base-p formula it replaces
+        def formula(e):
+            return e + 1 - 2 * (e % 2 == 1)
+
+        assert [field_mod._plus_one(e, 2) for e in range(64)] == \
+            [formula(e) for e in range(64)]
+        E = np.arange(1 << 12, dtype=np.int32)
+        got = field_mod._plus_one(E, 2)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, formula(E))
 
     def test_log_exp_roundtrip(self, f81, f625):
         for ctx in (f81, f625):

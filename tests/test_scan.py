@@ -202,9 +202,8 @@ class TestDirectScan:
                                            (5, 1, 60), (7, 1, 300)],
                              ids=["F_3^4", "F_3^8", "F_5^4", "F_7^4"])
     def test_pool_agrees(self, monkeypatch, p, k, count):
-        # the fields are below the pool's gate (F_3^8: 107 orbits of 6561
-        # points): lower it so the pool runs; serial, pooled and the
-        # whole-field twin agree
+        # the fields are below the pool's gate (F_3^8: 107 orbits): lower
+        # it so the pool runs; serial, pooled and the whole-field twin agree
         import multiprocessing
         ctx = build_field(p, 4 * k)
         d = tower_exponent(p, k, 4)
@@ -217,7 +216,7 @@ class TestDirectScan:
             return real(method)
 
         monkeypatch.setattr(multiprocessing, "get_context", recording)
-        monkeypatch.setattr(scan, "POOL_MIN_POINTS", 1)
+        monkeypatch.setattr(scan, "POOL_MIN_ORBITS", 1)
         par = scan.direct_cpp_scan(ctx, d, jobs=2)
         assert forks == ["fork"]
         assert par == seq == whole_field_members(ctx, d)
@@ -233,7 +232,7 @@ class TestDirectScan:
         reps = []
         scan.orbit_members(ctx, d, lambda r: reps.extend(r) or [0] * len(r))
         assert len(reps) == 107
-        monkeypatch.setattr(scan, "POOL_MIN_POINTS", 1)
+        monkeypatch.setattr(scan, "POOL_MIN_ORBITS", 1)
         calls = []
         scan.direct_cpp_scan(ctx, d, jobs=jobs,
                              progress=lambda *call: calls.append(call))
@@ -246,12 +245,16 @@ class TestDirectScan:
                         for lo in range(0, len(reps), step)]
 
     def test_serial_scan_imports_no_pool(self):
-        # multiprocessing is imported on the pooled branch only
+        # multiprocessing is imported on the pooled branch only: F_3^8 has
+        # 107 orbits and F_5^8 2044, both below the gate (F_5^8 although
+        # 8e8 points in all)
         src = Path(scan.__file__).parents[1]
         code = ("import sys\n"
                 "from cppforge import scan\n"
                 "from cppforge.field import build_field\n"
                 "scan.direct_cpp_scan(build_field(3, 8), 821, jobs=2)\n"
+                "scan.direct_cpp_scan(build_field(5, 8), "
+                f"{tower_exponent(5, 2, 4)}, jobs=2)\n"
                 "print('multiprocessing' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
