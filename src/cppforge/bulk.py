@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .field import zp_is_irreducible
+from .field import InternalError, zp_is_irreducible
 
 LAMBDA_BLOCK = 1 << 18      # coefficients per block in lambda_scan
 CHECK_BLOCK = 1 << 17       # points per block: occupancy checks, niho's root counts
@@ -143,10 +143,50 @@ def monomial_values(ctx, d):
     return pow_const(ctx, elements(ctx), d)
 
 
+class _Window:
+    """The values line[i] + P j for lo <= j < hi, a block with no index
+    array: lines lo..hi - 1 of a check whose lines are line 0 plus P j.
+
+    Each value is its own cell of the 2-D view of the occupancy array
+    seen[P lo:P hi] as hi - lo rows of P: row j - lo, column line[i].
+    np.asarray gives the values, shaped (hi - lo, len(line))."""
+
+    __slots__ = ("line", "P", "lo", "hi", "size")
+
+    def __init__(self, line, P, lo, hi):
+        self.line, self.P, self.lo, self.hi = line, P, lo, hi
+        self.size = len(line) * (hi - lo)
+
+    def min(self):
+        return int(self.line.min()) + self.P * self.lo
+
+    def max(self):
+        return int(self.line.max()) + self.P * (self.hi - 1)
+
+    def mark(self, seen):
+        """seen[v] = True for every value v, through the 2-D view."""
+        P, lo, hi = self.P, self.lo, self.hi
+        # a column outside [0, P) would write another row's cell, or wrap
+        if self.line.min() < 0 or self.line.max() >= P:
+            raise InternalError(f"a window line leaves [0, {P})")
+        seen[P * lo:P * hi].reshape(hi - lo, P)[:, self.line] = True
+
+    def __array__(self, dtype=None, copy=None):
+        # numpy casts to dtype itself; the values are always a new array
+        return self.line + self.P * np.arange(self.lo, self.hi)[:, None]
+
+
 def values_are_permutation(ctx, vals, seen=None):
     """True iff the values (one array, or an iterable of its blocks) hit
     every encoding exactly once: each block is range-checked and scattered
     into one q-entry occupancy array, and there must be q values in all.
+
+    A block is an array, whose values index the occupancy array, or a
+    _Window, the values line[i] + P j for a range of j, which marks them
+    through a 2-D view of the array, P wide, with no index array
+    (binomial_is_permutation streams windows when its period P fits
+    CHECK_BLOCK // P steps, arrays otherwise).  Both are range-checked,
+    counted and cleared alike.
 
     True is returned only after all q values have been seen.  While each
     block's span [min, max] lies wholly above or below the spans of the
@@ -173,7 +213,10 @@ def values_are_permutation(ctx, vals, seen=None):
             bmin, bmax = int(blk.min()), int(blk.max())
             if bmin < 0 or bmax >= q:
                 return False
-            seen[blk] = True
+            if isinstance(blk, _Window):
+                blk.mark(seen)
+            else:
+                seen[blk] = True
             total += blk.size
             clear = bmax < lo or bmin > hi
             lo, hi = min(lo, bmin), max(hi, bmax)
@@ -205,9 +248,16 @@ def binomial_is_permutation(ctx, d, a, seen=None):
     q values stream into values_are_permutation (seen: the caller's
     occupancy array, if any), the x = 0 value last, in blocks of at most
     CHECK_BLOCK points.  A chunk of rows streams its line 0, the residues
-    c_i mod P, alone, then its other lines over windows of steps in one
-    reused buffer, allocated after that line; a chunk with a Z = -1 row
-    streams a full window first instead, which repeats the zero value.
+    c_i mod P, alone, as an array, then its other lines width steps at a
+    time (width = CHECK_BLOCK // P, at least 1, at most T), in one of two
+    forms:
+    - when P <= width (the rows are then one chunk), each window of lines
+      is a _Window, which marks its values through a 2-D view of the
+      occupancy array, P wide, with no buffer and no index array;
+    - otherwise each window is an array of values in one reused buffer,
+      allocated after line 0.  So is every window of a chunk with a
+      Z = -1 row, which streams a full window first instead of line 0:
+      that repeats the zero value.
     When P <= CHECK_BLOCK the rows are one chunk and the blocks ascend.
     True always sees all q values; an early False is a proven repeat (or
     a value out of range) among the values streamed so far, never a test
@@ -245,6 +295,12 @@ def _binomial_blocks(ctx, d, a):
         if j0:
             yield line
         if j0 == T:
+            continue
+        if j0 and P <= width:
+            # a window of lines scatters through a 2-D view of the
+            # occupancy array, with no buffer and no index array
+            for j in range(1, T, width):
+                yield _Window(line, P, j, min(j + width, T))
             continue
         if buf is None:
             # blocks and steps P t in one allocation a check: fewer heap

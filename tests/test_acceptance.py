@@ -281,3 +281,16 @@ def test_criterion_15_direct_scan_f5_8(capsys):
                          "--method", "direct", "--jobs", "1"])
         assert code == 0
         assert "count 1224" in capsys.readouterr().out.splitlines()
+
+
+def test_criterion_16_both_scan_f2_18_member_dense(capsys):
+    # 1110 of the 4892 orbit classes are members, and each streams all
+    # 2^18 values: its lines after line 0 scatter through a 2-D view of
+    # the occupancy array (P = 3), with no index array.  On a 2-core VM
+    # the run took 1.09-1.24 s with one index array a window of lines,
+    # and 0.25-0.27 s without
+    with criterion(16, "count-cpp --method both on F_2^18 (r = 9): 58479", 0.6):
+        code = cli.main(["count-cpp", "--p", "2", "--k", "2", "--r", "9",
+                         "--method", "both", "--jobs", "1"])
+        assert code == 0
+        assert "count 58479" in capsys.readouterr().out.splitlines()

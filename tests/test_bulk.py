@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cppforge import bulk
 from cppforge.families import tower_exponent
-from cppforge.field import build_field
+from cppforge.field import InternalError, build_field
 from cppforge.hadickson import ha_pp_check, lambda_coeffs
 from cppforge.scan import ha_cpp_scan
 from twins import frobenius, trace
@@ -326,6 +326,92 @@ def test_permutation_predicate_reused_array(ctx):
         assert not seen.any()
     for vals, want in singles:
         assert bulk.values_are_permutation(ctx, vals, seen) is want
+        assert not seen.any()
+
+
+def test_window_mark_twin():
+    # a window marks exactly the cells of its values, and its min, max
+    # and size are theirs: lines unsorted, with repeated residues, shorter
+    # than P, and windows at the start, inside and at the end of the array
+    rng = np.random.default_rng(19)
+    for P, length in [(1, 1), (3, 2), (5, 5), (7, 12), (24, 24), (31, 9)]:
+        for _ in range(4):
+            line = rng.integers(0, P, length)
+            if length > 1:
+                line[1] = line[0]
+            T = int(rng.integers(2, 40))
+            for lo, hi in [(0, 1), (0, T), (1, T), (T // 2, T // 2 + 1),
+                           (T - 2, T)]:
+                win = bulk._Window(line, P, lo, hi)
+                vals = np.asarray(win)
+                assert vals.shape == (hi - lo, length)
+                assert vals.tolist() == [[v + P * j for v in line.tolist()]
+                                         for j in range(lo, hi)]
+                assert (win.min(), win.max(), win.size) == \
+                    (vals.min(), vals.max(), vals.size)
+                seen = np.zeros(P * T, dtype=bool)
+                win.mark(seen)
+                assert np.flatnonzero(seen).tolist() == \
+                    np.unique(vals).tolist(), (P, line, lo, hi)
+
+
+def _window_streams(q):
+    """Block streams that mix arrays and windows of P = 4: (blocks,
+    verdict, blocks pulled).  Line 0 is X[:P], the windows cover the
+    values up to P m, and the array X[P m:] ends the stream."""
+    X = np.arange(q)
+    P = 4
+    m = q // P // 2
+    line = np.array([2, 0, 3, 1])
+    tail = X[P * m:]
+    return [
+        # the permutation, one window or two
+        ([X[:P], bulk._Window(line, P, 1, m), tail], True, 3),
+        ([X[:P], bulk._Window(line, P, 1, 2), bulk._Window(line, P, 2, m),
+          tail], True, 4),
+        # a window repeats a value of the block before it (P, for the
+        # missing P - 1): the spans meet, and the occupancy array decides
+        ([np.append(X[:P - 1], P), bulk._Window(line, P, 1, m), tail],
+         False, 3),
+        # a repeated residue repeats inside the window's own span
+        ([X[:P], bulk._Window(np.array([2, 0, 2, 1]), P, 1, m), tail],
+         False, 2),
+        # a window reaching q
+        ([X[:P], bulk._Window(line, P, 1, q // P + 1)], False, 2),
+    ]
+
+
+def test_permutation_predicate_window_streams(ctx):
+    # windows among arrays: each verdict is the sort twin's over the
+    # materialized values, the blocks pulled are those of arrays, and the
+    # caller's occupancy array comes back all False
+    q = ctx.q
+    seen = np.zeros(q, dtype=bool)
+    for blocks, want, pulled in _window_streams(q):
+        assert _sort_twin(ctx, [np.asarray(blk) for blk in blocks]) is want
+        for array in (None, seen):
+            stream = _Pulls(blocks)
+            assert bulk.values_are_permutation(ctx, stream, array) is want
+            assert stream.pulled == pulled
+            assert not seen.any()
+
+
+def test_permutation_predicate_window_line_out_of_range(ctx):
+    # a line entry outside [0, P) would mark another row's cell (P) or
+    # wrap to the last column (-1), though every value lies in range:
+    # an internal error, raised before the view is scattered
+    q = ctx.q
+    seen = np.zeros(q, dtype=bool)
+    for line in ([0, 1, 2, 4], [-1, 0, 1, 2]):
+        win = bulk._Window(np.array(line), 4, 1, 3)
+        assert 0 <= win.min() and win.max() < q
+        with pytest.raises(InternalError, match="window line"):
+            win.mark(seen)
+        assert not seen.any()
+        stream = _Pulls([np.arange(4), win])
+        with pytest.raises(InternalError, match="window line"):
+            bulk.values_are_permutation(ctx, stream, seen)
+        assert stream.pulled == 2
         assert not seen.any()
 
 
@@ -688,6 +774,24 @@ def test_binomial_blocks_ascend(p, k, r):
             top = blk.max()
             values += blk.size
         assert top == ctx.q - 1 and values == ctx.q
+
+
+# the tower exponents: periods 24, 8 and 10 fit CHECK_BLOCK // P steps a
+# window, so every line after line 0 streams as windows; 2047 does not
+@pytest.mark.parametrize("p,k,r,windows", [(5, 2, 4, True), (3, 2, 4, True),
+                                           (11, 1, 6, True),
+                                           (2, 11, 2, False)])
+def test_binomial_blocks_form(p, k, r, windows):
+    # line 0 and the x = 0 value are arrays; the lines between are windows
+    # when P <= CHECK_BLOCK // P, arrays otherwise (a member coefficient:
+    # no zero-sentinel row)
+    ctx = build_field(p, r * k)
+    d = tower_exponent(p, k, r)
+    a = int(ha_cpp_scan(ctx, r, k)[0])
+    forms = [type(blk) for blk in bulk._binomial_blocks(ctx, d, a)]
+    assert len(forms) >= 3
+    assert forms[0] is forms[-1] is np.ndarray
+    assert set(forms[1:-1]) == {bulk._Window if windows else np.ndarray}
 
 
 # d - 1 = (2^16 - 1)/(2^8 - 1), the tower shape (period 255), and d = 3,

@@ -75,6 +75,21 @@ class TestCountCpp:
         assert code == 0
         assert "count 4094" in out.splitlines()
 
+    # the member-dense tower fields (1110, 1181, 97 and 122 member classes,
+    # each of which streams all q values): the direct and subfield routes
+    # agree
+    @pytest.mark.parametrize("p,k,r,count", [(2, 2, 9, 58479),
+                                             (5, 1, 8, 37100),
+                                             (2, 3, 7, 13321),
+                                             (3, 2, 6, 11376)],
+                             ids=["F_2^18", "F_5^8", "F_2^21", "F_3^12"])
+    def test_both_member_dense_counts(self, capsys, p, k, r, count):
+        code, out, _ = run_cli(capsys, "count-cpp", "--p", str(p), "--k",
+                               str(k), "--r", str(r), "--method", "both",
+                               "--jobs", "1")
+        assert code == 0
+        assert f"count {count}" in out.splitlines()
+
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "count-cpp", "--p", "3", "--k", "1",
