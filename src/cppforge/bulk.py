@@ -147,9 +147,9 @@ class _Window:
     """The values line[i] + P j for lo <= j < hi, a block with no index
     array: lines lo..hi - 1 of a check whose lines are line 0 plus P j.
 
-    Each value is its own cell of the 2-D view of the occupancy array
-    seen[P lo:P hi] as hi - lo rows of P: row j - lo, column line[i].
-    np.asarray gives the values, shaped (hi - lo, len(line))."""
+    Each value is its own cell of seen[P lo:P hi] read as hi - lo rows of
+    P: row j - lo, column line[i].  np.asarray gives the values, shaped
+    (hi - lo, len(line))."""
 
     __slots__ = ("line", "P", "lo", "hi", "size")
 
@@ -164,12 +164,21 @@ class _Window:
         return int(self.line.max()) + self.P * (self.hi - 1)
 
     def mark(self, seen):
-        """seen[v] = True for every value v, through the 2-D view."""
+        """seen[v] = True for every value v: one row of P cells is marked
+        from the line, doubled into hi - lo rows and ORed into
+        seen[P lo:P hi] in one contiguous pass."""
         P, lo, hi = self.P, self.lo, self.hi
         # a column outside [0, P) would write another row's cell, or wrap
         if self.line.min() < 0 or self.line.max() >= P:
             raise InternalError(f"a window line leaves [0, {P})")
-        seen[P * lo:P * hi].reshape(hi - lo, P)[:, self.line] = True
+        rows = np.zeros(P * (hi - lo), dtype=bool)
+        rows[self.line] = True
+        done = P
+        while done < rows.size:
+            rows[done:2 * done] = rows[:min(done, rows.size - done)]
+            done *= 2
+        cells = seen[P * lo:P * hi]
+        cells |= rows
 
     def __array__(self, dtype=None, copy=None):
         # numpy casts to dtype itself; the values are always a new array
@@ -183,10 +192,8 @@ def values_are_permutation(ctx, vals, seen=None):
 
     A block is an array, whose values index the occupancy array, or a
     _Window, the values line[i] + P j for a range of j, which marks them
-    through a 2-D view of the array, P wide, with no index array
-    (binomial_is_permutation streams windows when its period P fits
-    CHECK_BLOCK // P steps, arrays otherwise).  Both are range-checked,
-    counted and cleared alike.
+    through rows of P cells of the array with no index array.  Both are
+    range-checked, counted and cleared alike.
 
     True is returned only after all q values have been seen.  While each
     block's span [min, max] lies wholly above or below the spans of the
@@ -242,26 +249,17 @@ def binomial_is_permutation(ctx, d, a, seen=None):
 
     The Zech index has period P = (q-1)/gcd(d-1, q-1) in i, so Z is
     gathered once per period: with c_i = i + Z[...] for i < P, the value
-    at x = g^(i + P t) is c_i + P t mod q - 1 (q - 1 for the whole row
-    when Z is -1).  Row i runs t through its T = (q-1)/P steps from the
-    one where that value is least, so the row ascends in steps of P.  All
-    q values stream into values_are_permutation (seen: the caller's
-    occupancy array, if any), the x = 0 value last, in blocks of at most
-    CHECK_BLOCK points.  A chunk of rows streams its line 0, the residues
-    c_i mod P, alone, as an array, then its other lines width steps at a
-    time (width = CHECK_BLOCK // P, at least 1, at most T), in one of two
-    forms:
-    - when P <= width (the rows are then one chunk), each window of lines
-      is a _Window, which marks its values through a 2-D view of the
-      occupancy array, P wide, with no buffer and no index array;
-    - otherwise each window is an array of values in one reused buffer,
-      allocated after line 0.  So is every window of a chunk with a
-      Z = -1 row, which streams a full window first instead of line 0:
-      that repeats the zero value.
-    When P <= CHECK_BLOCK the rows are one chunk and the blocks ascend.
-    True always sees all q values; an early False is a proven repeat (or
-    a value out of range) among the values streamed so far, never a test
-    on the residues c_i mod P.
+    at x = g^(i + P t) is c_i + P t mod q - 1, and row i, run from its
+    least value, is c_i mod P + P j for j < T = (q-1)/P; a Z = -1 row is
+    q - 1 on all T steps.  All q values stream into values_are_permutation
+    (seen: the caller's occupancy array, if any), the x = 0 value last.
+    Each chunk of at most CHECK_BLOCK rows streams the T values of its
+    Z = -1 row, if any, then its line 0, the residues c_i mod P, as
+    arrays, then its other lines as _Windows of at most
+    max(1, CHECK_BLOCK // P) lines.  With P <= CHECK_BLOCK and no Z = -1
+    row the blocks ascend.  True always sees all q values; an early False
+    is a proven repeat (or a value out of range) among the values
+    streamed so far, never a test on the residues c_i mod P.
     """
     return values_are_permutation(ctx, _binomial_blocks(ctx, d, a), seen)
 
@@ -279,45 +277,24 @@ def _binomial_blocks(ctx, d, a):
     P = N // math.gcd(s, N)
     T = N // P
     height, width = min(P, CHECK_BLOCK), min(T, max(1, CHECK_BLOCK // P))
-    buf = None
     for lo in range(0, P, height):
         i = np.arange(lo, min(lo + height, P), dtype=np.intp)
         z = ctx.zech_table[(s * i - la) % N]
         sentinel = z < 0
+        if sentinel.any():
+            # the T zero values of a Z = -1 row: a repeat inside the
+            # block, or of the x = 0 value when T = 1 (a read-only view,
+            # no T-entry array)
+            yield np.broadcast_to(np.intp(N), T * int(sentinel.sum()))
+            i, z = i[~sentinel], z[~sentinel]
         # (c_i + P t) mod N is least, c_i mod P, at t = -floor(c_i / P)
         # mod T; from there row i is c_i mod P + P j for j < T, below N.
         # Line j, the chunk's rows at step j, is line 0 plus P j, so a
-        # residue collision repeats inside line 0: it goes first, alone.
-        # A Z = -1 row is N on every line, repeated only across lines, so
-        # such a chunk starts with a full window instead
+        # residue collision repeats inside line 0: it goes first, alone
         line = (i + z) % P
-        j0 = 0 if sentinel.any() else 1
-        if j0:
-            yield line
-        if j0 == T:
-            continue
-        if j0 and P <= width:
-            # a window of lines scatters through a 2-D view of the
-            # occupancy array, with no buffer and no index array
-            for j in range(1, T, width):
-                yield _Window(line, P, j, min(j + width, T))
-            continue
-        if buf is None:
-            # blocks and steps P t in one allocation a check: fewer heap
-            # trims
-            buf = np.empty((height + 1) * width, dtype=np.intp)
-            steps = buf[height * width:]
-            steps[:] = np.arange(0, P * width, P)
-        # each window of lines lies in one window of P width values; the
-        # next block adds P * width in place, so consumers must not write
-        # to it
-        blk = buf[:width * len(i)].reshape(width, len(i))
-        np.add(steps[:, None], line + P * j0, out=blk)
-        for j in range(j0, T, width):
-            if j > j0:
-                blk += P * width
-            blk[:, sentinel] = N
-            yield blk[:T - j]
+        yield line
+        for j in range(1, T, width):
+            yield _Window(line, P, j, min(j + width, T))
     yield np.array([N], dtype=np.intp)              # the value at x = 0
 
 

@@ -23,7 +23,7 @@ from .field import (CapExceeded, HypothesisViolation, InternalError,
                     build_field, is_prime)
 from .hadickson import (depressed_quintic, h_a_coeffs, ha_pp_check,
                         is_dickson_of_degree, lambda_coeffs, taylor_shift)
-from .oracle import is_cpp, is_cpp_exponent_pair
+from .oracle import is_cpp
 
 
 # ----------------------------------------------------------------------
@@ -648,14 +648,9 @@ def multinomial_admissible_a(ctx, k, g, v):
 def _cpp_verdicts(ctx, d, coeffs):
     """is_cpp_exponent_pair(ctx, d, a) for each a in coeffs, with one
     oracle call per orbit class of scan.orbit_values that coeffs touch:
-    bijectivity of x^d + ax is constant on them (scan.direct_cpp_scan).
-    The calls share one occupancy array."""
-    def decide(reps):
-        # after orbit_values' table read: a generic field has refused
-        seen = np.zeros(len(ctx.log_table), dtype=bool)
-        return [is_cpp_exponent_pair(ctx, d, a, seen) for a in reps]
-
-    return scan.orbit_values(ctx, d, coeffs, decide).tolist()
+    bijectivity of x^d + ax is constant on them (scan.direct_cpp_scan)."""
+    return scan.orbit_values(
+        ctx, d, coeffs, lambda reps: scan.oracle_verdicts(ctx, d, reps)).tolist()
 
 
 def _oracle_checked(ctx, d, coeffs, cases=None):

@@ -25,18 +25,23 @@ import math
 
 import numpy as np
 
-from . import bulk
+from . import bulk, oracle
 
 POOL_MIN_ORBITS = 3000      # orbits before --jobs > 1 forks a pool
 _WORKER = {}                # (ctx, d) of the scan, inherited through fork
 
 
-def _check_part(reps):
-    ctx, d = _WORKER["task"]
-    # one occupancy array for the chunk, sized from the log table so that
-    # a generic field refuses before the q bytes
+def oracle_verdicts(ctx, d, reps):
+    """oracle.is_cpp_exponent_pair(ctx, d, a) for each a in reps, the
+    checks sharing one occupancy array."""
+    # sized from the log table, so that a generic field refuses before
+    # the q bytes
     seen = np.zeros(len(ctx.log_table), dtype=bool)
-    return [bulk.binomial_is_permutation(ctx, d, a, seen) for a in reps]
+    return [oracle.is_cpp_exponent_pair(ctx, d, a, seen) for a in reps]
+
+
+def _check_part(reps):
+    return oracle_verdicts(*_WORKER["task"], reps)
 
 
 def _orbit_minima(ctx, d):

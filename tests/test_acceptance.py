@@ -294,3 +294,16 @@ def test_criterion_16_both_scan_f2_18_member_dense(capsys):
                          "--method", "both", "--jobs", "1"])
         assert code == 0
         assert "count 58479" in capsys.readouterr().out.splitlines()
+
+
+def test_criterion_17_member_checks_f2_22():
+    # P = 2047 > CHECK_BLOCK // P: each member streams its 2049 lines
+    # after line 0 as windows of rows of P cells.  On a 2-core VM the
+    # four checks took 40-56 ms with those lines as arrays in a reused
+    # block buffer, and about 8 ms as windows
+    ctx = build_field(2, 22)
+    d = tower_exponent(2, 11, 2)
+    members = scan.ha_cpp_scan(ctx, 2, 11)[:4]
+    with criterion(17, "four oracle member checks on F_2^22 (k = 11, r = 2)",
+                   0.03):
+        assert all(is_cpp_exponent_pair(ctx, d, a) for a in members)

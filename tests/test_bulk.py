@@ -607,7 +607,7 @@ def occupancy_calls(monkeypatch):
     check = bulk.values_are_permutation
 
     def recorded(ctx, vals, seen=None):
-        # the blocks share one buffer, so each is copied as it arrives
+        # windows and read-only views become arrays as they arrive
         blocks = [np.array(blk).ravel() for blk in
                   ([vals] if isinstance(vals, np.ndarray) else vals)]
         calls.append(np.concatenate(blocks))
@@ -626,11 +626,16 @@ def _sentinel_coeffs(ctx, d):
 
 
 # d = 1 (period P = 1), d = 2 (gcd(d - 1, q - 1) = 1, P = q - 1), d - 1 the
-# least prime factor of q - 1 and the tower exponent (P in between)
-@pytest.mark.parametrize("p,n,d", [(3, 4, 41), (5, 4, 157), (2, 8, 86),
-                                   (7, 2, 13), (13, 2, 25)])
+# least prime factor of q - 1 and the tower exponent (P in between); blocks
+# of 7 points split the rows of d = 2 into chunks, one with its Z = -1
+# values, and stream d = 3 (P = 40) as one-line windows
+@pytest.mark.parametrize("p,n,d,block", [
+    pytest.param(p, n, d, bulk.CHECK_BLOCK, id=f"{p}-{n}-{d}")
+    for p, n, d in [(3, 4, 41), (5, 4, 157), (2, 8, 86), (7, 2, 13),
+                    (13, 2, 25)]] + [(3, 4, 41, 7)])
 def test_binomial_check_every_coefficient_against_point_fill(
-        occupancy_calls, p, n, d):
+        monkeypatch, occupancy_calls, p, n, d, block):
+    monkeypatch.setattr(bulk, "CHECK_BLOCK", block)
     ctx = build_field(p, n)
     N = ctx.q - 1
     least = next(m for m in range(2, N + 1) if N % m == 0)
@@ -776,28 +781,48 @@ def test_binomial_blocks_ascend(p, k, r):
         assert top == ctx.q - 1 and values == ctx.q
 
 
-# the tower exponents: periods 24, 8 and 10 fit CHECK_BLOCK // P steps a
-# window, so every line after line 0 streams as windows; 2047 does not
-@pytest.mark.parametrize("p,k,r,windows", [(5, 2, 4, True), (3, 2, 4, True),
-                                           (11, 1, 6, True),
-                                           (2, 11, 2, False)])
-def test_binomial_blocks_form(p, k, r, windows):
-    # line 0 and the x = 0 value are arrays; the lines between are windows
-    # when P <= CHECK_BLOCK // P, arrays otherwise (a member coefficient:
-    # no zero-sentinel row)
+# the tower exponents: periods 24, 8, 10 and 2047, at the default
+# CHECK_BLOCK and at P // 3 (P > CHECK_BLOCK: chunks of rows, one-line
+# windows); sentinel: a coefficient with a Z = -1 row, else a member
+@pytest.mark.parametrize("p,k,r,sentinel", [(5, 2, 4, True), (3, 2, 4, True),
+                                            (11, 1, 6, True),
+                                            (2, 11, 2, False)])
+def test_binomial_blocks_form(monkeypatch, p, k, r, sentinel):
+    # every line after line 0 is a _Window over its chunk's line 0; the
+    # arrays are each chunk's line 0, the T zero values of a Z = -1 row
+    # and the x = 0 value
     ctx = build_field(p, r * k)
     d = tower_exponent(p, k, r)
-    a = int(ha_cpp_scan(ctx, r, k)[0])
-    forms = [type(blk) for blk in bulk._binomial_blocks(ctx, d, a)]
-    assert len(forms) >= 3
-    assert forms[0] is forms[-1] is np.ndarray
-    assert set(forms[1:-1]) == {bulk._Window if windows else np.ndarray}
+    N = ctx.q - 1
+    P = N // math.gcd(d - 1, N)
+    a = (_sentinel_coeffs(ctx, d)[0] if sentinel
+         else int(ha_cpp_scan(ctx, r, k)[0]))
+    for block in (bulk.CHECK_BLOCK, P // 3):
+        monkeypatch.setattr(bulk, "CHECK_BLOCK", block)
+        *blocks, last = bulk._binomial_blocks(ctx, d, a)
+        assert type(last) is np.ndarray and last.tolist() == [N]
+        lines, zeros, windows = [], [], 0
+        for blk in blocks:
+            if isinstance(blk, bulk._Window):
+                assert blk.line is lines[-1] and blk.P == P
+                assert blk.hi - blk.lo <= max(1, block // P)
+                windows += 1
+            elif blk.size and blk.min() == N:
+                zeros.append(blk.size)
+            else:
+                assert type(blk) is np.ndarray and blk.max() < P
+                lines.append(blk)
+        assert len(lines) == -(-P // block) and windows >= len(lines)
+        assert sum(map(len, lines)) == P - sentinel
+        assert zeros == [N // P] * sentinel
+        assert sum(blk.size for blk in blocks) == N
 
 
-# d - 1 = (2^16 - 1)/(2^8 - 1), the tower shape (period 255), and d = 3,
-# gcd(d - 1, q - 1) = 1 (period q - 1); small blocks make any full-size
+# d - 1 = (2^16 - 1)/(2^8 - 1), the tower shape (period 255), d = 3,
+# gcd(d - 1, q - 1) = 1 (period q - 1), and d = 4 (period 21845 > 1024,
+# one-line windows of 21845 cells); small blocks make any full-size
 # temporary stand out
-@pytest.mark.parametrize("d", [258, 3])
+@pytest.mark.parametrize("d", [258, 3, 4])
 def test_binomial_check_peak_memory(monkeypatch, d):
     monkeypatch.setattr(bulk, "CHECK_BLOCK", 1 << 10)
     ctx = build_field(2, 16)
@@ -808,7 +833,8 @@ def test_binomial_check_peak_memory(monkeypatch, d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # seen (1 byte a point), plus the block buffer and a few temporaries
+    # seen (1 byte a point), plus a chunk's line, a window's rows and a
+    # few temporaries
     assert peak < ctx.q + 64 * bulk.CHECK_BLOCK
 
 

@@ -418,8 +418,8 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--family", "p3k2")[0] == 2
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
-        import cppforge.families as families_mod
-        monkeypatch.setattr(families_mod, "is_cpp_exponent_pair",
+        import cppforge.oracle as oracle_mod
+        monkeypatch.setattr(oracle_mod, "is_cpp_exponent_pair",
                             lambda *a, **k: False)
         code, out, _ = run_cli(capsys, "verify", "--family", "niho2",
                                "--p", "3", "--k", "1", "--i", "1")

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cppforge import bulk, cli, families, scan
+from cppforge import bulk, cli, families, oracle, scan
 from cppforge.field import InternalError, build_field
 from cppforge.families import (QUARTIC_BETA_POLY,
                                QUARTIC_BETA_IDENTITIES, SEXTIC_BETA_POLY,
@@ -369,7 +369,6 @@ class TestConjectureHarnesses:
         # asks it once per Frobenius orbit of log(a) mod gcd(d - 1, q - 1),
         # at the representative g^j, and reports every witness of the
         # rejected orbit
-        import cppforge.families as families_mod
         witnesses = dickson_witness_search(p, r, k)["witnesses"]
         ctx = build_field(p, r * k)
         d = tower_exponent(p, k, r)
@@ -383,11 +382,11 @@ class TestConjectureHarnesses:
 
         asked = []
 
-        def oracle(ctx_, d_, a, seen=None):
+        def rejecting(ctx_, d_, a, seen=None):
             asked.append(a)
             return orbit(a) != orbit(witnesses[0])
 
-        monkeypatch.setattr(families_mod, "is_cpp_exponent_pair", oracle)
+        monkeypatch.setattr(oracle, "is_cpp_exponent_pair", rejecting)
         res = dickson_witness_search(p, r, k)
         assert asked == [int(ctx.exp_table[j])
                          for j in sorted(set(map(orbit, witnesses)))]
@@ -527,7 +526,7 @@ class TestOracleChecked:
             arrays.append(seen)
             return is_cpp_exponent_pair(ctx, d, a, seen)
 
-        monkeypatch.setattr(families, "is_cpp_exponent_pair", counting)
+        monkeypatch.setattr(oracle, "is_cpp_exponent_pair", counting)
         res, ((ctx, d, coeffs, _),) = verify_lists(monkeypatch, argv)
         touched = sorted({class_of(ctx, d, a) for a in coeffs})
         assert len(touched) == classes < len(coeffs)
@@ -542,7 +541,7 @@ class TestOracleChecked:
         # the class of the first coefficient fails exactly its cases
         _, ((ctx, d, coeffs, _),) = verify_lists(monkeypatch, ("r6_p5",))
         bad = class_of(ctx, d, coeffs[0])
-        monkeypatch.setattr(families, "is_cpp_exponent_pair",
+        monkeypatch.setattr(oracle, "is_cpp_exponent_pair",
                             lambda ctx_, d_, a, seen=None:
                             class_of(ctx, d, a) != bad)
         res, _ = verify_lists(monkeypatch, ("r6_p5",))
