@@ -232,11 +232,21 @@ class SubfieldView:
             self._log[0] = -5 * m
             zech = self.logs([_plus_one(z, ctx.p) for z in powers])
         zech[zech < 0] = 3 * m                      # where 1 + zeta^e = 0
-        self._zech = np.concatenate([zech, zech, np.zeros(3 * m, np.int32),
-                                     np.arange(5 * m, 9 * m, dtype=np.int32),
-                                     zech])
-        self._reduce = np.concatenate([np.arange(m, dtype=np.int32)] * 2 +
-                                      [np.full(2 * m, 3 * m, np.int32)])
+        self._zech_m = zech
+
+    # the Horner tables, 14m int32 entries in all, are built by the first
+    # evaluation: a view that only runs norm_permutes never holds them
+    @functools.cached_property
+    def _zech(self):
+        m, zech = self.order - 1, self._zech_m
+        return np.concatenate([zech, zech, np.zeros(3 * m, np.int32),
+                               np.arange(5 * m, 9 * m, dtype=np.int32), zech])
+
+    @functools.cached_property
+    def _reduce(self):
+        m = self.order - 1
+        return np.concatenate([np.arange(m, dtype=np.int32)] * 2 +
+                              [np.full(2 * m, 3 * m, np.int32)])
 
     def logs(self, encs):
         """The zeta-logs of an array of subfield encodings (any shape) as
@@ -278,6 +288,38 @@ class SubfieldView:
             acc += cj
             np.take(self._reduce, acc, out=acc, mode="wrap")
         return acc
+
+    def norm_permutes(self, coeffs, block):
+        """Row-wise: whether h_a(x) = x N(a + x) permutes F_{p^k}, for each
+        ambient encoding a != 0 in coeffs, N the norm onto F_{p^k}; by
+        Zieve's criterion x^(c+1) + ax permutes F_q iff it does.
+
+        N(y) = y^c, so at x = zeta^t = g^(c t) the value has the zeta-log
+        (t + log a + Z[c t - log a]) mod m, one ambient Zech gather, and
+        is zero (3m) where Z = -1, that is where a = -zeta^t.  Dropping the
+        constant log a (dividing by N(a)) keeps the verdict.  The Zech
+        index lies in (-(q - 1), q - 1), which take(mode="wrap") reads with
+        no % pass.  Rows go in blocks of at most `block` values (one row
+        at least).  Table fields only: the first statement reads the log
+        table, so a generic field refuses with the cap error."""
+        la = self.ctx.log_table[np.asarray(coeffs, dtype=np.int64)]
+        if (la < 0).any():
+            raise ValueError("zero-coefficient: need a != 0")
+        m = self.order - 1
+        # int32 throughout: c t < q - 1, and t + Z < q - 1 + m < 2**31
+        t = np.arange(m, dtype=np.int32)
+        ct = self._c * t
+        step = max(1, block // m)
+        out = np.empty(len(la), dtype=bool)
+        for lo in range(0, len(la), step):
+            z = ct - la[lo:lo + step, None]
+            self.ctx.zech_table.take(z, out=z, mode="wrap")
+            zero = z < 0
+            z += t
+            np.remainder(z, m, out=z)
+            np.copyto(z, 3 * m, where=zero)
+            out[lo:lo + step] = self.rows_are_permutations(z)
+        return out
 
     def rows_are_permutations(self, logs):
         """Row-wise bijectivity onto F_{p^k}^* of a (U, p^k - 1) array of

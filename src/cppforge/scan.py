@@ -2,8 +2,8 @@
 
 Two routes, each deciding one a per Frobenius orbit class of coefficients:
 "direct" tests the bijectivity of x -> x^d + a*x on the whole field
-(ground truth, optionally across a process pool); "ha" reduces a to a
-degree-(r+1) polynomial h_a on F_{p^k} and checks the permutation there.
+(ground truth, optionally across a process pool); "ha" checks that
+h_a(c) = c N(a + c), N the norm onto F_{p^k}, permutes F_{p^k}.
 Both return ascending coefficient lists so results merge and compare
 bytewise.
 
@@ -159,16 +159,19 @@ def ha_cpp_scan(ctx, r, k):
 
     Whether h_a permutes is constant on the orbit classes of orbit_values
     (d - 1 = (q-1)/(p^k-1)): h_(ta)(x) = t^(r+1) h_a(x/t) for t in
-    F_{p^k}^*, and Frobenius maps h_a to h_(a^p).  So the lambda rows of
-    one a = g^j per class come from one bulk.lambda_scan and are checked
-    in one SubfieldView call.
+    F_{p^k}^*, and Frobenius maps h_a to h_(a^p).  On F_{p^k}, h_a(c) is
+    c N(a + c) (Zieve's criterion for x^d + ax), so one a = g^j per class
+    is decided by one SubfieldView.norm_permutes call: one ambient Zech
+    gather per point, with no lambda rows.
     """
     d = (ctx.p ** (r * k) - 1) // (ctx.p ** k - 1) + 1
 
     def decide(reps):
         if math.gcd(d, ctx.q - 1) != 1:     # as in direct_cpp_scan
             return [False] * len(reps)
-        lam = bulk.lambda_scan(ctx, r, k, reps)
-        return ctx.subfield_view(k).permutes(lam)
+        if ctx.n != r * k:
+            raise ValueError("degree-mismatch: need n == r*k, "
+                             f"got {ctx.n} != {r}*{k}")
+        return ctx.subfield_view(k).norm_permutes(reps, bulk.CHECK_BLOCK)
 
     return orbit_members(ctx, d, decide)

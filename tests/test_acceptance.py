@@ -33,8 +33,11 @@ def criterion(num, label, budget):
     t0 = time.monotonic()
     yield
     dt = time.monotonic() - t0
-    print(f"ACCEPTANCE {num} [{label}]: PASS ({dt:.2f}s, budget {budget}s)")
-    assert dt < budget, f"criterion {num} exceeded its {budget}s budget: {dt:.2f}s"
+    # milliseconds, so that a budget of a few ms reads to 0.1 ms
+    print(f"ACCEPTANCE {num} [{label}]: PASS ({dt * 1e3:.1f} ms, "
+          f"budget {budget * 1e3:g} ms)")
+    assert dt < budget, (f"criterion {num} exceeded its {budget * 1e3:g} ms "
+                         f"budget: {dt * 1e3:.1f} ms")
 
 
 def test_criterion_01_f81_count_38():
@@ -307,3 +310,16 @@ def test_criterion_17_member_checks_f2_22():
     with criterion(17, "four oracle member checks on F_2^22 (k = 11, r = 2)",
                    0.03):
         assert all(is_cpp_exponent_pair(ctx, d, a) for a in members)
+
+
+def test_criterion_18_ha_scan_f11_6(capsys):
+    # 29575 orbit classes of 10 points each, decided from
+    # h_a(c) = c N(a + c) in one Zech gather per point.  On a 2-core VM
+    # this criterion, run alone, took 35-45 ms through lambda rows and
+    # Horner steps, and 13-14 ms through the norm
+    build_field(11, 6)
+    with criterion(18, "count-cpp --method ha on F_11^6 (r = 6): 6110", 0.04):
+        code = cli.main(["count-cpp", "--p", "11", "--k", "1", "--r", "6",
+                         "--method", "ha"])
+        assert code == 0
+        assert "count 6110" in capsys.readouterr().out.splitlines()

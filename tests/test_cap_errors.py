@@ -128,6 +128,8 @@ TABLE_READERS = {
     "scan.ha_cpp_scan": lambda c: scan.ha_cpp_scan(c, 2, 2),
     # r = 1, k = 4 gives d = 2
     "scan.ha_cpp_scan-d2": lambda c: scan.ha_cpp_scan(c, 1, 4),
+    "field.SubfieldView.norm_permutes":
+        lambda c: c.subfield_view(2).norm_permutes([1, 2], bulk.CHECK_BLOCK),
     "niho.all_root_counts":
         lambda c: niho.all_root_counts(niho.NihoCtx(c, 2), 2),
     "oracle.is_cpp_exponent_pair":

@@ -878,6 +878,27 @@ class TestSubfieldView:
         with pytest.raises(CapExceeded, match="cap-exceeded"):
             ctx.subfield_view(23)
 
+    def test_norm_permutes_builds_no_horner_tables(self):
+        # the F_3^10 self-view and one norm_permutes row stay under 48
+        # bytes a point, temporaries included: the view's 14m-entry
+        # Horner tables are never built (with them, a permutes call of
+        # one row peaks at 84)
+        ctx = build_field(3, 10)
+        tracemalloc.start()
+        try:
+            view = SubfieldView(ctx, 10)
+            got = view.norm_permutes([ctx.generator], bulk.CHECK_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [False]
+        assert peak < 48 * ctx.q
+
+    def test_norm_permutes_refuses_zero(self):
+        view = build_field(3, 4).subfield_view(1)
+        with pytest.raises(ValueError, match="zero-coefficient"):
+            view.norm_permutes([1, 0], bulk.CHECK_BLOCK)
+
     def test_state_is_linear_in_the_order(self):
         # the F_3^12 self-view allocates at most 96 bytes per element,
         # temporaries included: nothing listed, sorted or put in a dict

@@ -15,7 +15,7 @@ from cppforge import bulk, scan
 from cppforge.families import (count_cpp, r4_condition, r4_condition_p3,
                                r4_condition_p5, r4_equality_check, r4_tagger,
                                tower_exponent)
-from cppforge.field import CapExceeded, build_field
+from cppforge.field import CapExceeded, SubfieldView, build_field
 from cppforge.report import CppReport
 
 from twins import orbit_members_by_logs
@@ -303,20 +303,56 @@ class TestHaScan:
 
     @pytest.mark.parametrize("p,k,reps", [(3, 2, 107), (5, 2, 2044),
                                           (3, 3, 1717)])
-    def test_one_lambda_scan_of_the_representatives(self, monkeypatch,
-                                                     p, k, reps):
-        # one lambda row per orbit class, never one per coefficient
+    def test_one_norm_gather_of_the_representatives(self, monkeypatch,
+                                                    p, k, reps):
+        # one norm_permutes row per orbit class, never one per
+        # coefficient, and no lambda rows or Horner evaluation
         ctx = build_field(p, 4 * k)
         sizes = []
-        real = bulk.lambda_scan
+        real = SubfieldView.norm_permutes
 
-        def recording(ctx, r, k, A):
-            sizes.append(len(A))
-            return real(ctx, r, k, A)
+        def recording(view, coeffs, block):
+            sizes.append(len(coeffs))
+            return real(view, coeffs, block)
 
-        monkeypatch.setattr(bulk, "lambda_scan", recording)
+        def refused(*args):
+            pytest.fail("the subfield route ran the lambda route")
+
+        monkeypatch.setattr(SubfieldView, "norm_permutes", recording)
+        monkeypatch.setattr(SubfieldView, "permutes", refused)
+        monkeypatch.setattr(bulk, "lambda_scan", refused)
         scan.ha_cpp_scan(ctx, 4, k)
         assert sizes == [reps]
+
+    @pytest.mark.parametrize("p,k,r", [(11, 1, 6), (2, 5, 4), (3, 2, 6),
+                                       (2, 2, 9), (2, 11, 2), (2, 1, 12)])
+    def test_norm_permutes_matches_lambda_twin(self, monkeypatch, p, k, r):
+        # the norm kernel against lambda_scan + permutes on every class
+        # representative and on all of -F_{p^k}^*, whose rows each hold
+        # a Z = -1 point (a = -zeta^t) and are all rejected; F_2^22 has
+        # 2047 points a row, 64 rows a block, and on F_2 the one point of
+        # a = 1 is that zero.  Then again with blocks of 7 values (one
+        # row, or more at p^k <= 4), through the whole scan
+        ctx = build_field(p, r * k)
+        view = ctx.subfield_view(k)
+        d = tower_exponent(p, k, r)
+        m, e = p ** k - 1, (ctx.q - 1) // (p ** k - 1)
+        reps = ctx.exp_table[np.unique(scan._orbit_minima(ctx, d)[1])]
+        neg = bulk.mul_scalar(ctx, p - 1, ctx.exp_table[e * np.arange(m)])
+        coeffs = np.concatenate([reps, neg])
+
+        def twin(A):
+            return view.permutes(bulk.lambda_scan(ctx, r, k, np.asarray(A)))
+
+        want = twin(coeffs)
+        assert not want[len(reps):].any() and want.any()
+        members = scan.orbit_members(ctx, d, twin)
+        assert scan.ha_cpp_scan(ctx, r, k) == members
+        for block in (bulk.CHECK_BLOCK, 7):
+            monkeypatch.setattr(bulk, "CHECK_BLOCK", block)
+            got = view.norm_permutes(coeffs, bulk.CHECK_BLOCK)
+            assert got.tolist() == want.tolist(), block
+        assert scan.ha_cpp_scan(ctx, r, k) == members
 
     def test_matches_direct_f3_12_k6(self):
         ctx = build_field(3, 12)
