@@ -46,13 +46,21 @@ def _check_part(reps):
 
 def _orbit_minima(ctx, d):
     """e = gcd(d - 1, q - 1) and, for each j in Z/e, the least element of
-    its Frobenius orbit j -> pj mod e, as one int64 array of length e."""
+    its Frobenius orbit j -> pj mod e, as one array of length e: int32
+    while p e < 2**31 (x p stays below it), int64 past that.
+
+    Each step takes x p mod e as x p - e floor(x p / e): numpy divides by
+    the scalar e with a multiply and a shift, where remainder costs one
+    hardware division per element."""
     e = math.gcd(d - 1, ctx.q - 1)
-    least = np.arange(e, dtype=np.int64)
+    least = np.arange(e, dtype=np.int32 if ctx.p * e < 2**31 else np.int64)
     x = least.copy()
+    t = np.empty_like(x)
     for _ in range(ctx.n - 1):          # the order of p mod e divides n
-        np.multiply(x, ctx.p, out=x)
-        np.remainder(x, e, out=x)
+        x *= ctx.p
+        np.floor_divide(x, e, out=t)
+        t *= e
+        x -= t
         np.minimum(least, x, out=least)
     return e, least
 

@@ -323,3 +323,17 @@ def test_criterion_18_ha_scan_f11_6(capsys):
                          "--method", "ha"])
         assert code == 0
         assert "count 6110" in capsys.readouterr().out.splitlines()
+
+
+def test_criterion_19_ha_scan_f2_21(capsys):
+    # e = 2^21 - 1, so the orbit minima take 20 Frobenius steps over
+    # 2097151 residues.  On a 2-core VM this criterion, run alone, took
+    # 355-570 ms with one int64 remainder per element and step, and
+    # 230-320 ms with int32 floor divisions by the constant e
+    build_field(2, 21)
+    with criterion(19, "count-cpp --method ha on F_2^21 (r = 21): 2097150",
+                   0.7):
+        code = cli.main(["count-cpp", "--p", "2", "--k", "1", "--r", "21",
+                         "--method", "ha"])
+        assert code == 0
+        assert "count 2097150" in capsys.readouterr().out.splitlines()

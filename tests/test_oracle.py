@@ -98,6 +98,10 @@ class TestCpp:
 
     def test_exponent_pair_gcd_failure(self, f9):
         assert not is_cpp_exponent_pair(f9, 2, 1)
+        # gcd(14, 26) = 2, though x^14 + 4x permutes F_27
+        f27 = build_field(3, 3)
+        assert bulk.binomial_is_permutation(f27, 14, 4)
+        assert not is_cpp_exponent_pair(f27, 14, 4)
         # d = 0 on F_2: gcd(0, 1) = 1, yet x^0 = 1 is constant
         f2 = build_field(2, 1)
         assert bulk.monomial_values(f2, 0).tolist() == [1, 1]

@@ -18,7 +18,7 @@ from cppforge.families import (count_cpp, r4_condition, r4_condition_p3,
 from cppforge.field import CapExceeded, SubfieldView, build_field
 from cppforge.report import CppReport
 
-from twins import orbit_members_by_logs
+from twins import orbit_members_by_logs, orbit_minima_by_remainder
 
 
 def whole_field_members(ctx, d):
@@ -70,6 +70,45 @@ class TestFrobeniusOrbits:
             assert calls == [[int(ctx.exp_table[j]) for j in reps]], d
             assert values.tolist() == [least(ctx, e, a)
                                        for a in range(1, ctx.q)], d
+
+
+class TestOrbitMinima:
+    # scan._orbit_minima against the remainder twin, as arrays of the
+    # same values; int32 exactly while p e < 2**31
+    @staticmethod
+    def check(ctx, d):
+        e, least = scan._orbit_minima(ctx, d)
+        want_e, want = orbit_minima_by_remainder(ctx, d)
+        assert e == want_e, d
+        assert least.tolist() == want.tolist(), d
+        small = ctx.p * e < 2**31
+        assert least.dtype == (np.int32 if small else np.int64), d
+        return least
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (13, 1), (3, 4), (2, 6), (5, 3),
+                                     (7, 2), (2, 8), (13, 4)])
+    def test_every_divisor(self, p, n):
+        # d = e + 1 puts every divisor e of q - 1 in play; at n = 1 no
+        # step runs and every j is its own class
+        ctx = build_field(p, n)
+        for e in divisors(ctx):
+            least = self.check(ctx, e + 1)
+            if n == 1:
+                assert least.tolist() == list(range(e))
+
+    @pytest.mark.parametrize("p,k,r", [(3, 2, 4), (5, 2, 4), (3, 3, 4),
+                                       (2, 5, 4), (11, 1, 6)])
+    def test_tower_exponents(self, p, k, r):
+        # the five fields of the enumerate benchmark
+        self.check(build_field(p, r * k), tower_exponent(p, k, r))
+
+    def test_int64_past_2_31(self):
+        # F_2039^2 with d - 1 = (q - 1)/3: p e = 2.8e9 >= 2**31, where x p
+        # would wrap in int32; the minima read no table
+        ctx = build_field(2039, 2, backend="generic")
+        d = (ctx.q - 1) // 3 + 1
+        assert ctx.p * ((ctx.q - 1) // 3) >= 2**31
+        self.check(ctx, d)
 
 
 class TestOrbitMembers:
@@ -197,6 +236,22 @@ class TestDirectScan:
         assert scan.direct_cpp_scan(f81, 10) == []
         # nor can d = 0, though gcd(0, 1) = 1 on F_2: x^0 = 1 is constant
         assert scan.direct_cpp_scan(build_field(2, 1), 0) == []
+
+    def test_gcd_screen_of_the_direct_scan(self, monkeypatch):
+        # F_3^3, d = 14: gcd(14, 26) = 2, so x^14 is no permutation and no
+        # a is a CPP coefficient, yet x^14 + ax permutes F_27 for 12 a
+        # (4, 8, 9, 12, 15-18, 21-24).  The screen turns them away before
+        # any class reaches the oracle, which would screen each again
+        calls = []
+        monkeypatch.setattr(scan.oracle, "is_cpp_exponent_pair",
+                            lambda *args: calls.append(args))
+        assert scan.direct_cpp_scan(build_field(3, 3), 14) == []
+        assert calls == []
+
+    def test_gcd_screen_of_the_ha_scan(self):
+        # the same field and d, the tower exponent of k = 1, r = 3: h_a
+        # permutes F_3 for the same 12 a
+        assert scan.ha_cpp_scan(build_field(3, 3), 3, 1) == []
 
     @pytest.mark.parametrize("p,k,count", [(3, 1, 38), (3, 2, 64),
                                            (5, 1, 60), (7, 1, 300)],

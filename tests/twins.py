@@ -9,8 +9,9 @@ coefficient set V of the Walsh theorem as a tuple, the root count N(a)
 by powering each lambda of the unit circle, a map tabulated point
 by point, the multinomial map one point at a time, and the quartic beta
 coefficients and their membership identities one (u, v) at a time, the
-product of two polynomials over Z_p as coefficient lists, and the orbit
-members of a decision read off every log of the field."""
+product of two polynomials over Z_p as coefficient lists, the Frobenius
+orbit minima by one remainder per step, and the orbit members of a
+decision read off every log of the field."""
 
 import functools
 import math
@@ -67,17 +68,26 @@ def _circle_power_sums(nctx, s):
             for lam in ctx.mu_subgroup(nctx.q + 1)]
 
 
+def orbit_minima_by_remainder(ctx, d):
+    """scan._orbit_minima with one int64 remainder per element and step:
+    e = gcd(d - 1, q - 1) and the least element of each Frobenius orbit
+    j -> pj mod e on Z/e."""
+    e = math.gcd(d - 1, ctx.q - 1)
+    least = np.arange(e, dtype=np.int64)
+    x = least.copy()
+    for _ in range(ctx.n - 1):
+        np.multiply(x, ctx.p, out=x)
+        np.remainder(x, e, out=x)
+        np.minimum(least, x, out=least)
+    return e, least
+
+
 def orbit_members_by_logs(ctx, d, decide, top=None):
     """scan.orbit_members through every log a <= top: each log_table[a]
     is reduced mod e = gcd(d - 1, q - 1), the classes it touches are
     decided in one call, and each a takes its class's verdict."""
     logs = ctx.log_table[1:][:top]
-    e = math.gcd(d - 1, ctx.q - 1)
-    j = np.arange(e, dtype=np.int64)
-    least, x = j.copy(), j.copy()
-    for _ in range(ctx.n - 1):
-        x = x * ctx.p % e
-        np.minimum(least, x, out=least)
+    e, least = orbit_minima_by_remainder(ctx, d)
     res = logs % e
     hit = np.zeros(e, dtype=bool)
     hit[res] = True
