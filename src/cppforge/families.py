@@ -192,7 +192,7 @@ def r4_equality_check(ctx, k, tagger):
     cpps = scan.ha_cpp_scan(ctx, 4, k)
     tagged = set(scan.orbit_members(
         ctx, tower_exponent(ctx.p, k, 4),
-        lambda reps: [tagger(a) is not None for a in reps]))
+        lambda reps: [tagger(a) is not None for a in reps.tolist()]))
     return cpps, len(tagged), [a for a in cpps if a not in tagged]
 
 
@@ -235,7 +235,7 @@ def count_cpp(p, k, r, method="ha", jobs=1, progress=None):
         tagger = r4_tagger(ctx, k)
 
         def tag_labels(reps):
-            return [tagger(a) or "" for a in reps]
+            return [tagger(a) or "" for a in reps.tolist()]
 
         labels = dict(zip(elems,
                           scan.orbit_values(ctx, d, elems, tag_labels).tolist()))

@@ -8,7 +8,10 @@ Two backends share one API.  Fields with at most 2**22 elements get
 discrete log/exp tables over a primitive element g and a Zech table
 Z[i] = log(1 + g^i) ("table"), so addition runs on logs too:
 x + y = g^(log x + Z[log y - log x]); the exp table is filled by
-doubling on encodings through lookup tables (`FieldCtx._powers`).
+doubling on encodings through lookup tables (`FieldCtx._powers`), whose
+one `digit_map` is squared at each step, the log table by `np.put`, and
+half of the Zech table from the other half by Z[N - i] = Z[i] - i mod N,
+N = q - 1 (Huber 1990).
 All three tables are int32, 12 bytes per element (48 MiB at TABLE_CAP):
 encodings and logs stay below 2**22.  NumPy keeps int32 through a
 product with a Python int and wraps silently, so a reader widens a
@@ -291,7 +294,8 @@ class SubfieldView:
 
     def norm_permutes(self, coeffs, block):
         """Row-wise: whether h_a(x) = x N(a + x) permutes F_{p^k}, for each
-        ambient encoding a != 0 in coeffs, N the norm onto F_{p^k}; by
+        ambient encoding a != 0 in coeffs (an integer array or list,
+        indexed as it is), N the norm onto F_{p^k}; by
         Zieve's criterion x^(c+1) + ax permutes F_q iff it does.
 
         N(y) = y^c, so at x = zeta^t = g^(c t) the value has the zeta-log
@@ -302,7 +306,7 @@ class SubfieldView:
         no % pass.  Rows go in blocks of at most `block` values (one row
         at least).  Table fields only: the first statement reads the log
         table, so a generic field refuses with the cap error."""
-        la = self.ctx.log_table[np.asarray(coeffs, dtype=np.int64)]
+        la = self.ctx.log_table[coeffs]
         if (la < 0).any():
             raise ValueError("zero-coefficient: need a != 0")
         m = self.order - 1
@@ -469,26 +473,45 @@ class FieldCtx:
         E = self._powers(g, N)
         # int32 tables filled in EXP_BLOCK slices, so no full-size
         # temporary (and no q-length int64 array) is made
-        blocks = range(0, N, EXP_BLOCK)
+        B = min(EXP_BLOCK, N)
         log = np.full(q, -1, dtype=np.int32)
-        for lo in blocks:
-            log[E[lo:lo + EXP_BLOCK]] = np.arange(lo, min(lo + EXP_BLOCK, N))
+        for lo in range(0, N, B):
+            hi = min(lo + B, N)
+            np.put(log, E[lo:hi], np.arange(lo, hi, dtype=np.int32))
         if np.count_nonzero(log >= 0) != N or log[0] != -1:
             raise InternalError("generator order check failed while building tables")
-        # Z[i] = log(1 + g^i), -1 where g^i = -1
+        # Z[i] = log(1 + g^i), -1 where g^i = -1 (i = 0 for p = 2, else
+        # i = N/2), gathered for i < H only
         zech = np.empty(N, dtype=np.int32)
+        H = N // 2 + 1
         if p == 2:
             # _plus_one as e ^ 1 into one reused index row, gathered
             # straight into zech: no block-sized temporary
-            one = np.empty(min(EXP_BLOCK, N), dtype=np.intp)
-            for lo in blocks:
-                e = E[lo:lo + EXP_BLOCK]
+            one = np.empty(B, dtype=np.intp)
+            for lo in range(0, H, B):
+                e = E[lo:min(lo + B, H)]
                 np.bitwise_xor(e, 1, out=one[:len(e)])
-                np.take(log, one[:len(e)], out=zech[lo:lo + EXP_BLOCK],
+                np.take(log, one[:len(e)], out=zech[lo:lo + len(e)],
                         mode="wrap")
         else:
-            for lo in blocks:
-                zech[lo:lo + EXP_BLOCK] = log[_plus_one(E[lo:lo + EXP_BLOCK], p)]
+            for lo in range(0, H, B):
+                hi = min(lo + B, H)
+                zech[lo:hi] = log[_plus_one(E[lo:hi], p)]
+        # the rest from 1 + g^(-i) = g^(-i) (1 + g^i) (Huber 1990):
+        # Z[N - i] = Z[i] - i mod N for 1 <= i <= N - H, one sequential
+        # pass written through zech[::-1].  There Z[i] >= 0, so Z[i] - i
+        # lies in (-N, N), and its sign bit (>> 31) masks the + N
+        rev = zech[::-1]
+        ramp = np.arange(B, dtype=np.int32)
+        t, u = np.empty((2, B), dtype=np.int32)
+        for lo in range(1, N - H + 1, B):
+            m = min(B, N - H + 1 - lo)
+            np.subtract(zech[lo:lo + m], ramp[:m], out=t[:m])
+            t[:m] -= lo                                 # Z[i] - i
+            np.right_shift(t[:m], 31, out=u[:m])
+            u[:m] &= N
+            t[:m] += u[:m]
+            rev[lo - 1:lo - 1 + m] = t[:m]
         # wrap-mode gathers and the scalar negative indices read exp and
         # Zech mod q - 1 only at these lengths
         if len(E) != N or len(zech) != N or len(log) != q:
@@ -619,18 +642,20 @@ class FieldCtx:
         """Encodings of ratio^i for i < count, ratio nonzero, by doubling:
         once rows [0, f) are listed, rows [f, 2f) are those rows times
         s = ratio^f, computed on at most EXP_BLOCK rows at a time.
-        Multiplying by s is F_p-linear on digits, and the backend picks
-        the form of that step.  Table fields step on the encodings
-        themselves (`_encoding_steps`), kept as int32 rows: each step
-        computes one block and stores it back, on F_2^n as one XOR of two
-        half-table gathers in int32, for odd p through spread digits in
-        int64.
+        Multiplying by s is F_p-linear on digits: its matrix M_s (row j
+        the digits of s x^j, `digit_map`) is built once, for ratio, and
+        squared mod p after each step, since y s^2 = (y M_s) M_s; the
+        backend picks the form of the step from M_s.  Table fields step
+        on the encodings themselves (`_encoding_steps`), kept as int32
+        rows: each step computes one block and stores it back, on F_2^n
+        as one XOR of two half-table gathers in int32, for odd p through
+        spread digits in int64.
         Generic fields step on a digit matrix D: rows [f, 2f) of D are
-        D[:f] @ M mod p, row j of M the digits of s x^j.  Their encodings
-        can be too wide for the table step (F_7^18 needs 72 bits), so the
-        matrix is their only path; narrowest dtypes and a Horner pass over
-        D's columns (no block casts) keep D the one large array, freed on
-        return; their encodings are int64, object past 2**63."""
+        D[:f] @ M_s mod p.  Their encodings can be too wide for the table
+        step (F_7^18 needs 72 bits), so the matrix is their only path;
+        narrowest dtypes and a Horner pass over D's columns (no block
+        casts) keep D the one large array, freed on return; their
+        encodings are int64, object past 2**63."""
         p, n = self.p, self.n
         if self.backend == "table":
             rows = np.zeros(count, dtype=np.int32)
@@ -640,15 +665,16 @@ class FieldCtx:
             rows = np.zeros((count, n), dtype=_holding(p - 1))
             rows[0, 0] = 1
             steps = self._matrix_step
-        s, filled = ratio, 1                                   # ratio^filled
+        # M multiplies digit rows by ratio^filled
+        M, filled = self.digit_map(ratio, _holding(n * (p - 1) ** 2)), 1
         while filled < count:
-            times = steps(s)
+            times = steps(M)
             cnt = min(filled, count - filled)
             for lo in range(0, cnt, EXP_BLOCK):
                 hi = min(lo + EXP_BLOCK, cnt)
                 rows[filled + lo:filled + hi] = times(rows[lo:hi])
             filled += cnt
-            s = self._mul_generic(s, s)
+            M = M @ M % p
         if self.backend == "table":
             return rows
         E = np.zeros(count, dtype=np.int64 if self.q <= 1 << 63 else object)
@@ -663,10 +689,9 @@ class FieldCtx:
         return np.array([self.coeffs(self._mul_generic(s, self._pn[j]))
                          for j in range(self.n)], dtype=dtype)
 
-    def _matrix_step(self, s):
-        """Multiplication by s on rows of digits."""
+    def _matrix_step(self, M):
+        """Multiplication by the digit map M on rows of digits."""
         p = self.p
-        M = self.digit_map(s, _holding(self.n * (p - 1) ** 2))
 
         def times(D):
             P = D @ M
@@ -675,7 +700,7 @@ class FieldCtx:
         return times
 
     def _encoding_steps(self):
-        """s -> multiplication by s on blocks of at most EXP_BLOCK
+        """M_s -> multiplication by s on blocks of at most EXP_BLOCK
         int32 encodings of this table field, by lookup tables (the method
         of Four Russians, Arlazarov et al. 1970).  n = 1 multiplies mod p.
         Otherwise E = lo + p^c hi with c = ceil(n/2), and s E is the sum of
@@ -684,8 +709,8 @@ class FieldCtx:
         with n >= 2.
         For p = 2 an encoding is the bit vector of its coefficients, so the
         sum is an XOR: s E = t_lo[E & (2^c - 1)] ^ t_hi[E >> c], each table
-        built from the images s x^j of its bits by XOR doubling, and the
-        step runs in int32.
+        built from the images s x^j of its bits (the rows of M_s read as
+        encodings) by XOR doubling, and the step runs in int32.
         For odd p images are stored spread: digit j in bits [bj, bj + b),
         b the bit length of 2(p - 1), so the two entries add with no carry
         between digits (n b <= 44 bits on table fields), in int64.  Chunk
@@ -698,7 +723,7 @@ class FieldCtx:
         if n == 1:
             # the general form's tables would hold p entries each, several
             # times the whole build's peak memory on F_65521
-            return lambda s: lambda E: E.astype(np.int64) * s % p
+            return lambda M: lambda E: E.astype(np.int64) * int(M[0, 0]) % p
         c = (n + 1) // 2
         if p == 2:
             # an intp index row: np.take would copy an int32 one to intp
@@ -712,8 +737,9 @@ class FieldCtx:
                     tab = np.concatenate([tab, tab ^ im])
                 return tab
 
-            def xor_steps(s):
-                images = [self._mul_generic(s, x) for x in self._pn[:n]]
+            def xor_steps(M):
+                # the rows of M as encodings: Python ints keep tab int32
+                images = (M @ (1 << np.arange(n))).tolist()
                 t_lo, t_hi = half(images[:c]), half(images[c:])
 
                 def times(E):
@@ -743,8 +769,7 @@ class FieldCtx:
         # the sum S, the scratch t and out, reused by every block
         scratch = np.empty((3, min(EXP_BLOCK, self.q)), dtype=np.int64)
 
-        def steps(s):
-            M = self.digit_map(s, np.int64)
+        def steps(M):
             t_lo = digits @ M[:c] % p @ spread
             t_hi = digits[:p ** (n - c), :n - c] @ M[c:] % p @ spread
 

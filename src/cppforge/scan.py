@@ -32,12 +32,13 @@ _WORKER = {}                # (ctx, d) of the scan, inherited through fork
 
 
 def oracle_verdicts(ctx, d, reps):
-    """oracle.is_cpp_exponent_pair(ctx, d, a) for each a in reps, the
-    checks sharing one occupancy array."""
+    """oracle.is_cpp_exponent_pair(ctx, d, a) for each a in the array
+    reps, the checks sharing one occupancy array."""
     # sized from the log table, so that a generic field refuses before
     # the q bytes
     seen = np.zeros(len(ctx.log_table), dtype=bool)
-    return [oracle.is_cpp_exponent_pair(ctx, d, a, seen) for a in reps]
+    return [oracle.is_cpp_exponent_pair(ctx, d, a, seen)
+            for a in reps.tolist()]
 
 
 def _check_part(reps):
@@ -71,9 +72,10 @@ def orbit_values(ctx, d, elems, decide):
     The classes are the Frobenius orbits j -> pj mod e of log(a) mod
     e = gcd(d - 1, q - 1), each named by its least j.  decide gets the
     representatives g^j of the classes elems touch (j ascending) in one
-    call and returns one verdict for each; the result is a numpy array
-    holding the verdict of each element's class.  Exact for any property
-    constant on those classes.
+    call, as an int64 array (a decider that loops in Python takes
+    .tolist() first), and returns one verdict for each; the result is a
+    numpy array holding the verdict of each element's class.  Exact for
+    any property constant on those classes.
     """
     logs = ctx.log_table[np.asarray(elems, dtype=np.int64)]
     if (logs < 0).any():        # log_table[0] = -1 would name class e - 1
@@ -85,7 +87,7 @@ def orbit_values(ctx, d, elems, decide):
     reps = np.flatnonzero(touched)
     slot = np.zeros(e, dtype=np.intp)
     slot[reps] = np.arange(len(reps))
-    verdict = np.asarray(decide(ctx.exp_table[reps].tolist()))
+    verdict = np.asarray(decide(ctx.exp_table[reps].astype(np.int64)))
     return verdict[slot[cls]]
 
 
@@ -94,11 +96,12 @@ def orbit_members(ctx, d, decide, top=None):
     class passes decide (see orbit_values).
 
     The classes come from Z/e alone in O(e n); decide gets the
-    representatives of every class in one call (under top, of the classes
-    of 1..top, read off log_table[1:top + 1]).  Each residue s of a
-    passing class expands to the logs s + e t, t < (q - 1)/e, marked in
-    one q-byte mask by encoding in blocks of bulk.CHECK_BLOCK: O(members)
-    and q bytes, with no array of one int per field element.
+    representatives of every class in one call, as an int64 array (under
+    top, of the classes of 1..top, read off log_table[1:top + 1]).  Each
+    residue s of a passing class expands to the logs s + e t,
+    t < (q - 1)/e, marked in one q-byte mask by encoding in blocks of
+    bulk.CHECK_BLOCK: O(members) and q bytes, with no array of one int
+    per field element.
     """
     # a table read comes first, so a generic field refuses before any
     # array of length e; the slice is a view
@@ -109,7 +112,7 @@ def orbit_members(ctx, d, decide, top=None):
     # without top every class is touched: no log is read
     touched[least if top is None else least[logs % e]] = True
     reps = np.flatnonzero(touched)
-    verdict = decide(ctx.exp_table[reps].tolist())
+    verdict = decide(ctx.exp_table[reps].astype(np.int64))
     passed = np.zeros(e, dtype=bool)
     passed[reps[np.flatnonzero(verdict)]] = True
     res = np.flatnonzero(passed[least])

@@ -99,6 +99,29 @@ MUTANTS = (
     Mutant("walsh-sign", "src/cppforge/niho.py",
            "return (n_a - 1) * nctx.q", "return (1 - n_a) * nctx.q",
            ("tests/test_niho.py",)),
+    # the table build: each doubling step squares the digit map of the
+    # last; H = N // 2 leaves Z[N/2] = -1 unset for odd p; the reverse
+    # Zech half is Z[i] - i mod N, the + N taken from the sign bit
+    Mutant("step-matrix-not-squared", "src/cppforge/field.py",
+           "            M = M @ M % p\n", "            M = M\n",
+           ("tests/test_field.py::TestBackendAgreement::"
+            "test_step_matrices_against_twin",)),
+    Mutant("zech-gather-half-short", "src/cppforge/field.py",
+           "        H = N // 2 + 1\n", "        H = N // 2\n",
+           ("tests/test_field.py::TestBackendAgreement::"
+            "test_exp_table_blocks_against_twin",)),
+    Mutant("zech-ramp-off-by-one", "src/cppforge/field.py",
+           "t[:m] -= lo  ", "t[:m] -= lo - 1  ",
+           ("tests/test_field.py::TestBackendAgreement::"
+            "test_exp_table_blocks_against_twin",
+            "tests/test_field.py::TestBackendAgreement::"
+            "test_zech_reverse_half_at_samples")),
+    Mutant("zech-plus-n-dropped", "src/cppforge/field.py",
+           "            t[:m] += u[:m]\n", "",
+           ("tests/test_field.py::TestBackendAgreement::"
+            "test_exp_table_blocks_against_twin",
+            "tests/test_field.py::TestBackendAgreement::"
+            "test_zech_reverse_half_at_samples")),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

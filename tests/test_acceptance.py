@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 from cppforge import bulk, cli, scan
+from cppforge import field as field_mod
 from cppforge.field import build_field
 from cppforge.families import (QUARTIC_BETA_POLY, SEXTIC_BETA_POLY,
                                beta_quartic_all, field_with_root,
@@ -337,3 +338,17 @@ def test_criterion_19_ha_scan_f2_21(capsys):
                          "--method", "ha"])
         assert code == 0
         assert "count 2097150" in capsys.readouterr().out.splitlines()
+
+
+def test_criterion_20_cold_build_at_table_cap(monkeypatch):
+    # build_field(2, 22) from an empty field cache: the modulus search,
+    # the exp table by doubling steps, the log and Zech tables.  On a
+    # 2-core VM it took 107-229 ms with a digit map built from generic
+    # products at every step, a fancy-assigned log table and a fully
+    # gathered Zech table, and 66-103 ms with the digit map squared, a
+    # put-filled log table and half of the Zech table from
+    # Z[N - i] = Z[i] - i
+    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
+    with criterion(20, "cold build_field(2, 22), the TABLE_CAP build", 0.25):
+        ctx = build_field(2, 22)
+        assert len(ctx.exp_table) == ctx.q - 1 == (1 << 22) - 1

@@ -17,7 +17,7 @@ from cppforge import field as field_mod
 from cppforge.field import (CapExceeded, InternalError, SubfieldView,
                             build_field, lex_least_irreducible, is_prime,
                             zp_is_irreducible)
-from twins import frobenius, poly_mul, trace
+from twins import frobenius, poly_mul, step_matrices_by_products, trace
 
 
 def monic_irreducible_count(p, d):
@@ -600,6 +600,74 @@ class TestBackendAgreement:
         idx = np.random.default_rng(p + n).integers(0, ctx.q - 1, 2000)
         assert [int(ctx.exp_table[i]) for i in idx] == \
             [ctx._pow_generic(ctx.generator, int(i)) for i in idx]
+
+    @pytest.mark.parametrize("p,n", [(2, 22), (3, 13), (11, 6), (5, 8),
+                                     (7, 7)])
+    def test_zech_reverse_half_at_samples(self, p, n):
+        # Z[i] for i in [H, N), H = N // 2 + 1, is filled from
+        # Z[N - i] = Z[i] - i: at 2000 seeded i there, g^Z[i] = 1 + g^i by
+        # packed-integer powers, with no table read but Z[i].  1 + g^i = 0
+        # only at i = 0 or N/2, both below H
+        ctx = build_field(p, n)
+        N, g = ctx.q - 1, ctx.generator
+        idx = np.random.default_rng(p + n).integers(N // 2 + 1, N, 2000)
+        z = ctx.zech_table[idx]
+        assert (z >= 0).all()
+        assert [ctx._pow_generic(g, j) for j in z.tolist()] == \
+            [field_mod._plus_one(ctx._pow_generic(g, i), p)
+             for i in idx.tolist()]
+
+    @pytest.mark.parametrize("p,n", [(2, 22), (3, 13), (11, 6), (5, 8),
+                                     (7, 7)])
+    def test_zech_frobenius_identity(self, p, n):
+        # 1 + g^(p i) = (1 + g^i)^p, so Z[p i mod N] = p Z[i] mod N on the
+        # whole table, -1 kept: an identity the build does not use
+        ctx = build_field(p, n)
+        N, zech = ctx.q - 1, ctx.zech_table.astype(np.int64)
+        want = np.where(zech < 0, -1, zech * p % N)
+        assert np.array_equal(zech[np.arange(N, dtype=np.int64) * p % N],
+                              want)
+
+    @pytest.mark.parametrize("p,n,backend,dtype", [
+        (3, 12, "table", np.uint8), (2, 22, "table", np.uint8),
+        (11, 6, "table", np.int16), (127, 2, "table", np.int16),
+        (257, 2, "table", np.int32), (2039, 2, "table", np.int32),
+        (65521, 1, "table", np.int64),
+        (2 ** 61 - 1, 2, "generic", object)])
+    def test_step_matrices_against_twin(self, monkeypatch, p, n, backend,
+                                        dtype):
+        # _powers squares the digit map of ratio after each doubling step;
+        # every step's matrix equals the digit map of ratio^(2^j) built by
+        # generic products, in each dtype _holding(n (p - 1)^2) picks.  The
+        # table fields list their exp table again, the generic one a
+        # subgroup of order 15015 (= 3 5 7 11 13, dividing 2^60 - 1)
+        ctx = build_field(p, n, backend=backend)
+        seen = []
+
+        def recorded(steps):
+            def step(M):
+                seen.append(M.copy())
+                return steps(M)
+            return step
+
+        if backend == "table":
+            real = ctx._encoding_steps
+            monkeypatch.setattr(ctx, "_encoding_steps",
+                                lambda: recorded(real()))
+            ratio, count = ctx.generator, ctx.q - 1
+            assert np.array_equal(ctx._powers(ratio, count), ctx.exp_table)
+        else:
+            monkeypatch.setattr(ctx, "_matrix_step",
+                                recorded(ctx._matrix_step))
+            ratio, count = ctx.subgroup_generator(15015), 15015
+            listing = ctx.mu_subgroup(count)
+            assert all(ctx.mul(listing[i], ratio) == listing[i + 1]
+                       for i in range(0, count - 1, 997))
+        assert len(seen) == (count - 1).bit_length()
+        assert all(M.dtype == np.dtype(dtype) for M in seen)
+        want = step_matrices_by_products(ctx, ratio, len(seen))
+        for j, (got, M) in enumerate(zip(seen, want)):
+            assert np.array_equal(got, M), j
 
     @pytest.mark.parametrize("p,n", [(2, 16), (2, 17), (65521, 1)])
     def test_build_peak_memory(self, monkeypatch, p, n):

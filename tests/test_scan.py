@@ -63,7 +63,8 @@ class TestFrobeniusOrbits:
             calls = []
 
             def decide(coeffs):
-                calls.append(coeffs)
+                assert coeffs.dtype == np.int64     # one array per call
+                calls.append(coeffs.tolist())
                 return [int(ctx.log_table[a]) for a in coeffs]
 
             values = scan.orbit_values(ctx, d, range(1, ctx.q), decide)
@@ -122,7 +123,8 @@ class TestOrbitMembers:
             calls = []
 
             def decide(coeffs):
-                calls.append(coeffs)
+                assert coeffs.dtype == np.int64     # one array per call
+                calls.append(coeffs.tolist())
                 return [int(ctx.log_table[a]) % 3 != 1 for a in coeffs]
 
             members = scan.orbit_members(ctx, e + 1, decide)
@@ -146,7 +148,8 @@ class TestOrbitMembers:
             calls = []
 
             def decide(coeffs):
-                calls.append(coeffs)
+                assert coeffs.dtype == np.int64     # one array per call
+                calls.append(coeffs.tolist())
                 return [int(ctx.log_table[a]) % 3 != 1 for a in coeffs]
 
             full = scan.orbit_members(ctx, e + 1, decide)
@@ -175,7 +178,8 @@ class TestOrbitMembers:
                     calls = {"scan": [], "twin": []}
 
                     def decide(reps, side):
-                        calls[side].append(reps)
+                        assert reps.dtype == np.int64
+                        calls[side].append(reps.tolist())
                         return [verdict(a) for a in reps]
 
                     got = scan.orbit_members(

@@ -10,8 +10,9 @@ by powering each lambda of the unit circle, a map tabulated point
 by point, the multinomial map one point at a time, and the quartic beta
 coefficients and their membership identities one (u, v) at a time, the
 product of two polynomials over Z_p as coefficient lists, the Frobenius
-orbit minima by one remainder per step, and the orbit members of a
-decision read off every log of the field."""
+orbit minima by one remainder per step, the orbit members of a
+decision read off every log of the field, and the step matrices of
+FieldCtx._powers by one generic product per step."""
 
 import functools
 import math
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 from cppforge import bulk
+from cppforge import field as field_mod
 from cppforge.field import CapExceeded, InternalError
 from cppforge.oracle import CHARSUM_CAP, trace_counts
 
@@ -96,10 +98,22 @@ def orbit_members_by_logs(ctx, d, decide, top=None):
     reps = np.flatnonzero(touched)
     slot = np.zeros(e, dtype=np.intp)
     slot[reps] = np.arange(len(reps))
-    verdict = np.asarray(decide(ctx.exp_table[reps].tolist()))
+    verdict = np.asarray(decide(ctx.exp_table[reps].astype(np.int64)))
     value = np.empty(e, dtype=verdict.dtype)
     value[hit] = verdict[slot[least[hit]]]
     return (np.flatnonzero(value[res]) + 1).tolist()
+
+
+def step_matrices_by_products(ctx, ratio, steps):
+    """FieldCtx._powers's step matrices with no squaring: digit_map of
+    ratio^(2^j) for j < steps, each power one generic product from the
+    last, in the dtype _powers holds them in."""
+    dtype = field_mod._holding(ctx.n * (ctx.p - 1) ** 2)
+    out, s = [], ratio
+    for _ in range(steps):
+        out.append(ctx.digit_map(s, dtype))
+        s = ctx._mul_generic(s, s)
+    return out
 
 
 def poly_mul(a, b, p):
